@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import coeffs as cf
 from .equilibrium import solve
-from .errors import ConfigError, EquicontrolError
+from .errors import ConfigError, EquicontrolError, NonFiniteResultError
 from .moments import DiscreteDistribution
 from .objectives import (
     AmbiguousCos,
@@ -61,26 +62,28 @@ def _check_keys(mapping: dict, allowed, context: str) -> None:
         raise ConfigError(f"unknown {context} keys: {', '.join(unknown)}")
 
 
+def _finite(value, context: str) -> float:
+    """A finite float from a JSON number; JSON's NaN and Infinity literals are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{context} must be finite, got {value!r}")
+    return value
+
+
 def _number(mapping: dict, key: str, context: str, default=None):
     if key not in mapping:
         if default is None:
             raise ConfigError(f"{context} is missing required key {key!r}")
         return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _finite(mapping[key], f"{context}.{key}")
 
 
 def _number_list(value, context: str):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{context} must be a nonempty array of numbers")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{context} must contain only numbers, got {v!r}")
-        out.append(float(v))
-    return out
+    return [_finite(v, f"{context} entry") for v in value]
 
 
 def parse_coefficient(entry, context: str):
@@ -92,7 +95,7 @@ def parse_coefficient(entry, context: str):
     if isinstance(entry, bool):
         raise ConfigError(f"{context} must be a number or an object")
     if isinstance(entry, (int, float)):
-        return cf.ConstantCoefficient(float(entry))
+        return cf.ConstantCoefficient(_finite(entry, context))
     entry = _require_mapping(entry, context)
     kind = entry.get("type")
     if kind == "constant":
@@ -332,17 +335,30 @@ def _solution_rows(problem: Problem, sol):
     y = sol.y_many(nodes)
     beta = sol.beta_many(nodes)
     control = sol.control_many(nodes)
-    values = np.array([sol.value(t, problem.x0) for t in nodes])
+    values = sol.value_many(nodes, problem.x0)
     return nodes, y, beta, control, values
+
+
+def _require_finite(columns: dict) -> None:
+    """Refuse to write a result column that holds a NaN or an infinity."""
+    for name, column in columns.items():
+        bad = ~np.isfinite(np.asarray(column, dtype=float))
+        if np.any(bad):
+            raise NonFiniteResultError(
+                f"{name} is not finite at {int(np.count_nonzero(bad))} of {bad.size} rows"
+            )
 
 
 def cmd_solve(args) -> int:
     problem = build_problem(args.config, args)
     sol = _solve_problem(problem)
+    nodes, y, beta, control, values = _solution_rows(problem, sol)
+    _require_finite(
+        {"y": y, "beta": beta, "control_at_x0": control, "value_at_x0": values}
+    )
     problem.out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_path = problem.out_dir / "solution.csv"
-    nodes, y, beta, control, values = _solution_rows(problem, sol)
     with open(csv_path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_HEADER)
@@ -494,9 +510,10 @@ def cmd_sweep(args) -> int:
             )
         )
 
+    header = (args.parameter, "beta_0", "control_at_x0", "value_at_x0", "y_0")
+    _require_finite(dict(zip(header, zip(*rows))))
     problem.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = problem.out_dir / "sweep.csv"
-    header = (args.parameter, "beta_0", "control_at_x0", "value_at_x0", "y_0")
     with open(csv_path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -16,6 +16,10 @@ uses composite Simpson weights over whole grid cells, a one-sided quadratic
 rule when an odd cell is left over, and a linear correction on partial cells
 at the interval ends; integrals between grid nodes are exact for quadratic
 integrands.
+
+``suffix_integrals`` gives int_{t_k}^T v at every node k in one O(n) pass.
+It sums the same per-pair Simpson terms in the same order as ``integrate``,
+so the two agree bitwise at the nodes; ``SuffixQuadrature`` builds on it.
 """
 
 from __future__ import annotations
@@ -55,8 +59,13 @@ class TimeGrid:
     def refined(self, factor: int) -> "TimeGrid":
         return TimeGrid(self.horizon, self.num_steps * factor)
 
-    def require_time(self, t: float) -> float:
+    def require_time(self, t):
+        """Check t (scalar or array) lies in [0, horizon] up to rounding; clamp it there."""
         snap = _SNAP * max(1.0, self.horizon)
+        if isinstance(t, np.ndarray):
+            if not np.all((-snap <= t) & (t <= self.horizon + snap)):
+                raise DomainError(f"times outside [0, {self.horizon}]")
+            return np.clip(t, 0.0, self.horizon)
         if not (-snap <= t <= self.horizon + snap):
             raise DomainError(f"time {t} outside [0, {self.horizon}]")
         return min(max(t, 0.0), self.horizon)
@@ -187,11 +196,26 @@ def coefficient_nodes(path, grid: TimeGrid) -> np.ndarray:
     return np.asarray(path(grid.nodes), dtype=float)
 
 
+def _checked_nodes(values, grid: TimeGrid) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    if v.shape != grid.nodes.shape:
+        raise GridMismatchError(f"expected {grid.nodes.size} node values, got {v.size}")
+    return v
+
+
+def _simpson_pairs(v: np.ndarray, h: float) -> np.ndarray:
+    """Simpson terms h/3 (v_i + 4 v_{i+1} + v_{i+2}) for i = 0, 2, 4, ... of ``v``."""
+    return (h / 3.0) * (v[:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
+
+
+def _one_sided_tail(v: np.ndarray, h: float, i1: int) -> float:
+    """Integral over the single cell [t_{i1-1}, t_i1], quadratic through three nodes."""
+    return h * (-v[i1 - 2] + 8.0 * v[i1 - 1] + 5.0 * v[i1]) / 12.0
+
+
 def _composite_even(v: np.ndarray, h: float, i0: int, i1: int) -> float:
-    seg = v[i0 : i1 + 1]
-    return (h / 3.0) * (
-        seg[0] + seg[-1] + 4.0 * seg[1:-1:2].sum() + 2.0 * seg[2:-1:2].sum()
-    )
+    # pair terms accumulated from the right end, the order suffix_integrals uses
+    return float(np.cumsum(_simpson_pairs(v[i0 : i1 + 1], h)[::-1])[-1])
 
 
 def _simpson_nodes(v: np.ndarray, h: float, i0: int, i1: int) -> float:
@@ -203,18 +227,35 @@ def _simpson_nodes(v: np.ndarray, h: float, i0: int, i1: int) -> float:
         # single cell: quadratic through the three nearest nodes
         if i1 + 1 < v.size:
             return h * (5.0 * v[i0] + 8.0 * v[i0 + 1] - v[i0 + 2]) / 12.0
-        return h * (-v[i0 - 1] + 8.0 * v[i0] + 5.0 * v[i1]) / 12.0
+        return _one_sided_tail(v, h, i1)
     if m % 2 == 1:
-        tail = h * (-v[i1 - 2] + 8.0 * v[i1 - 1] + 5.0 * v[i1]) / 12.0
-        return _composite_even(v, h, i0, i1 - 1) + tail
+        return _composite_even(v, h, i0, i1 - 1) + _one_sided_tail(v, h, i1)
     return _composite_even(v, h, i0, i1)
+
+
+def suffix_integrals(values, grid: TimeGrid) -> np.ndarray:
+    """int_{t_k}^T of a node-sampled path for every node k, in one O(n) pass.
+
+    Suffixes with an even cell count are Simpson pairs accumulated right to
+    left from T; odd ones are pairs accumulated from t_{n-1} plus the
+    one-sided rule on the last cell.  Entry k equals
+    ``integrate(values, grid, t_k, horizon)`` bitwise.
+    """
+    v = _checked_nodes(values, grid)
+    h = grid.step
+    n = grid.num_steps
+    out = np.zeros(n + 1)
+    out[n - 2 :: -2] = np.cumsum(_simpson_pairs(v[n % 2 :], h)[::-1])
+    tail = _one_sided_tail(v, h, n)
+    out[n - 1] = tail
+    odd_starts = np.arange(n - 3, -1, -2)
+    out[odd_starts] = np.cumsum(_simpson_pairs(v[(n - 1) % 2 : n], h)[::-1]) + tail
+    return out
 
 
 def integrate(values, grid: TimeGrid, a: float, b: float) -> float:
     """Integrate a node-sampled path over [a, b] inside [0, horizon]."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != grid.nodes.shape:
-        raise GridMismatchError(f"expected {grid.nodes.size} node values, got {v.size}")
+    v = _checked_nodes(values, grid)
     snap = _SNAP * max(1.0, grid.horizon)
     if not (-snap <= a <= b + snap and b <= grid.horizon + snap):
         raise DomainError(f"bad integration range [{a}, {b}] on [0, {grid.horizon}]")
@@ -244,21 +285,15 @@ def integrate(values, grid: TimeGrid, a: float, b: float) -> float:
 class SuffixQuadrature:
     """Vectorized evaluation of t -> integrate(values, grid, t, horizon).
 
-    Matches ``integrate`` node for node (same Simpson core, same partial-cell
-    correction) but evaluates whole arrays of query times at once.
+    Built in O(n) from ``suffix_integrals``, so at the nodes it equals
+    ``integrate`` bitwise; between nodes it adds the same partial-cell
+    trapezoid correction.  Evaluates whole arrays of query times at once.
     """
 
     def __init__(self, values, grid: TimeGrid):
         self.grid = grid
-        self.values = np.asarray(values, dtype=float)
-        if self.values.shape != grid.nodes.shape:
-            raise GridMismatchError(
-                f"expected {grid.nodes.size} node values, got {self.values.size}"
-            )
-        h = grid.step
-        self._suffix = np.array(
-            [_simpson_nodes(self.values, h, k, grid.num_steps) for k in range(grid.num_steps + 1)]
-        )
+        self.values = _checked_nodes(values, grid)
+        self._suffix = suffix_integrals(self.values, grid)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -402,6 +437,11 @@ def theta(coeffs: CoefficientSet, t: float) -> float:
     return max(val, 0.0)
 
 
+def drift_offset_nodes(coeffs: CoefficientSet, cache: DiscountCache) -> np.ndarray:
+    """exp(int_s^T a) (c(s) - b(s) f(s) / d(s)) on the nodes, the drift part of big_theta."""
+    return cache.growth * (coeffs.c_nodes - coeffs.b_nodes * coeffs.f_nodes / coeffs.d_nodes)
+
+
 def big_theta(coeffs: CoefficientSet, t: float, x: float, cache: DiscountCache | None = None) -> float:
     """Conditional terminal mean of the state when the control only offsets risk.
 
@@ -410,10 +450,7 @@ def big_theta(coeffs: CoefficientSet, t: float, x: float, cache: DiscountCache |
     """
     t = coeffs.grid.require_time(t)
     cache = cache or DiscountCache.from_coeffs(coeffs)
-    integrand = cache.growth * (
-        coeffs.c_nodes - coeffs.b_nodes * coeffs.f_nodes / coeffs.d_nodes
-    )
-    drift = integrate(integrand, coeffs.grid, t, coeffs.grid.horizon)
+    drift = integrate(drift_offset_nodes(coeffs, cache), coeffs.grid, t, coeffs.grid.horizon)
     return x * cache.growth_at(t) + drift
 
 

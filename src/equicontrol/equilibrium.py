@@ -38,8 +38,14 @@ from .errors import (
     RootBracketError,
     UnsupportedVariantError,
 )
-from .moments import MomentVector, double_factorial
-from .objectives import ObjectiveSpec, curvature_sum, has_closed_form_curvature, psi
+from .moments import double_factorial
+from .objectives import (
+    ObjectiveSpec,
+    curvature_sum,
+    gaussian_psi,
+    has_closed_form_curvature,
+    psi,  # noqa: F401  looked up here by perfbench/tracing.py
+)
 
 _BISECT_STEPS = 30
 _NEWTON_STEPS = 3
@@ -129,31 +135,40 @@ class EquilibriumSolution:
         """Equilibrium control; the state argument is accepted but unused."""
         return float(self.control_many(self.grid.require_time(t)))
 
-    def _gaussian_vector(self, y: float) -> MomentVector:
-        variant = self.objective.variant
-        order = variant.order if hasattr(variant, "order") else 2
-        return MomentVector.gaussian(max(order, 2), y)
+    @cached_property
+    def _offset_quadrature(self) -> cf.SuffixQuadrature:
+        return cf.SuffixQuadrature(cf.drift_offset_nodes(self.coeffs, self.discount), self.grid)
 
-    def risk_value(self, t: float) -> float:
-        """psi evaluated on the Gaussian law generated by the feedback."""
-        return psi(self.objective, t, self._gaussian_vector(self.y_at(t)))
+    @cached_property
+    def _feedback_quadrature(self) -> cf.SuffixQuadrature:
+        return cf.SuffixQuadrature(self.coeffs.b_nodes * self.beta, self.grid)
+
+    def _terminal_mean_parts(self, t, x: float):
+        """big_theta(t, x) and the feedback drift int_t^T b beta, vectorized over t."""
+        offset = x * self.discount.growth_many(t) + self._offset_quadrature(t)
+        return offset, self._feedback_quadrature(t)
+
+    def value_many(self, t, x: float):
+        """Equilibrium value function V(t, x) at an array of times, one state x.
+
+        V = kappa (big_theta(t, x) + int_t^T b beta) + psi on the Gaussian law
+        of variance y(t).  O(n + len(t)): both suffix integrals come from
+        cached O(n) quadratures and psi is evaluated once over all y(t).
+        """
+        t = self.grid.require_time(np.asarray(t, dtype=float))
+        kappa = self.objective.kappa
+        offset, feedback = self._terminal_mean_parts(t, x)
+        risk = gaussian_psi(self.objective, t, self.y_many(t))
+        return kappa * offset + kappa * feedback + risk
 
     def value(self, t: float, x: float) -> float:
         """Equilibrium value function V(t, x)."""
-        t = self.grid.require_time(t)
-        kappa = self.objective.kappa
-        mean_part = kappa * cf.big_theta(self.coeffs, t, x, self.discount)
-        drift_part = kappa * cf.integrate(
-            self.coeffs.b_nodes * self.beta, self.grid, t, self.grid.horizon
-        )
-        return mean_part + drift_part + self.risk_value(t)
+        return float(self.value_many(t, x))
 
     def terminal_mean(self, t: float, x: float) -> float:
         """Conditional mean of X_T under the equilibrium feedback from (t, x)."""
-        t = self.grid.require_time(t)
-        return cf.big_theta(self.coeffs, t, x, self.discount) + cf.integrate(
-            self.coeffs.b_nodes * self.beta, self.grid, t, self.grid.horizon
-        )
+        offset, feedback = self._terminal_mean_parts(self.grid.require_time(t), x)
+        return float(offset + feedback)
 
     def integral_equation_residuals(self) -> np.ndarray:
         """Scaled residual of the pointwise equilibrium condition per node."""
@@ -162,12 +177,13 @@ class EquilibriumSolution:
         return np.abs(res) / (1.0 + np.abs(lead))
 
     def self_consistency_error(self) -> float:
-        """max_k |int_t_k^T (d beta)^2 - y_k|, the feedback/variance gap."""
-        gaps = [
-            abs(cf.y_from_beta(self.coeffs, self.beta, t) - yk)
-            for t, yk in zip(self.grid.nodes, self.y)
-        ]
-        return float(max(gaps))
+        """max_k |int_t_k^T (d beta)^2 - y_k|, the feedback/variance gap.
+
+        Equals the maximum over nodes of |y_from_beta(coeffs, beta, t_k) - y_k|
+        bitwise, from one O(n) pass.
+        """
+        feedback = cf.suffix_integrals((self.coeffs.d_nodes * self.beta) ** 2, self.grid)
+        return float(np.max(np.abs(np.maximum(feedback, 0.0) - self.y)))
 
     def concavity_check(self) -> ConcavityReport:
         return self.concavity

@@ -54,5 +54,9 @@ class RootBracketError(SolverError):
     """A scalar root could not be bracketed."""
 
 
+class NonFiniteResultError(SolverError):
+    """A solution column that would be written holds a NaN or an infinity."""
+
+
 class ConfigError(EquicontrolError, ValueError):
     """Unreadable or inconsistent run configuration."""

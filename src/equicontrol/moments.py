@@ -39,12 +39,24 @@ def double_factorial(k: int):
     return out
 
 
-def alpha(j: int, y: float) -> float:
-    """Central moment of order j of a centred Gaussian with variance y."""
+def any_true(mask) -> bool:
+    """True if any entry of a bool or bool array is set.
+
+    Plain bools skip numpy, whose per-call cost would dominate the scalar
+    paths (the ODE right-hand side evaluates these per stage).
+    """
+    return mask if isinstance(mask, bool) else bool(np.any(mask))
+
+
+def alpha(j: int, y):
+    """Central moment of order j of a centred Gaussian with variance y.
+
+    Accepts scalar or array y; odd orders give 0.0 either way.
+    """
     j = int(j)
     if j < 0:
         raise DomainError(f"moment order must be nonnegative, got {j}")
-    if y < 0.0:
+    if any_true(y < 0.0):
         raise DomainError(f"variance must be nonnegative, got {y}")
     if j % 2 == 1:
         return 0.0
@@ -157,50 +169,67 @@ class DiscreteDistribution:
     def moment(self, k: int) -> float:
         return float(np.sum(self._p * self._v**k))
 
-    def mean_exp_sq(self, z: float, weight_power: int = 0) -> float:
-        """E[H^weight_power * exp(-H^2 z / 2)]."""
-        return float(np.sum(self._p * self._v**weight_power * np.exp(-0.5 * self._v**2 * z)))
+    def mean_exp_sq(self, z, weight_power: int = 0):
+        """E[H^weight_power * exp(-H^2 z / 2)], elementwise over scalar or array z."""
+        decay = np.exp(np.multiply.outer(z, -0.5 * self._v**2))
+        out = np.sum(self._p * self._v**weight_power * decay, axis=-1)
+        return float(out) if out.ndim == 0 else out
 
 
-def _fourier_quadrature(freqs: np.ndarray, weights: np.ndarray) -> float:
+# rows of the (variance x frequency) table built at once; bounds the memory
+# of a vectorized Fourier evaluation independently of the number of variances
+_FOURIER_ROWS = 256
+
+
+def _fourier_quadrature(freqs: np.ndarray, weights: np.ndarray):
+    """Trapezoid rule over the last axis, one integral per row of ``weights``."""
     if freqs.size < 3:
         raise QuadratureError("need at least 3 frequency samples")
     if np.any(np.diff(freqs) <= 0.0):
         raise QuadratureError("frequency samples must be strictly increasing")
-    scale = float(np.max(np.abs(weights)))
-    if scale > 0.0:
-        edge = max(abs(float(weights[0])), abs(float(weights[-1])))
-        if edge > 1e-6 * scale:
-            raise QuadratureError(
-                "frequency-domain integrand has not decayed at the truncation window"
-            )
-    return float(np.trapezoid(weights, freqs))
+    scale = np.max(np.abs(weights), axis=-1)
+    edge = np.maximum(np.abs(weights[..., 0]), np.abs(weights[..., -1]))
+    if np.any((scale > 0.0) & (edge > 1e-6 * scale)):
+        raise QuadratureError(
+            "frequency-domain integrand has not decayed at the truncation window"
+        )
+    return np.trapezoid(weights, freqs, axis=-1)
 
 
-def gaussian_penalty_expectation(penalty, variance: float) -> float:
+def gaussian_penalty_expectation(penalty, variance):
     """E[S(Z)] for the penalty shape S and Z centred Gaussian with this variance.
 
     ``penalty`` is any object exposing ``kind`` plus the shape parameters:
     exp / cosh / cos carry ``c``; ambiguous_cos carries ``amplitude`` (a
     DiscreteDistribution); fourier_even carries ``freqs``, ``density`` (the
     frequency-domain weight including the 1/2pi factor) and ``atom`` at zero.
+    Elementwise over a scalar or an array of variances.
     """
-    if variance < 0.0:
+    var = np.asarray(variance, dtype=float)
+    if any_true(var < 0.0):
         raise DomainError(f"variance must be nonnegative, got {variance}")
     kind = penalty.kind
     if kind in ("exp", "cosh"):
         c = penalty.c
-        return math.expm1(0.5 * c * c * variance) / c
-    if kind == "cos":
+        out = np.expm1(0.5 * c * c * var) / c
+    elif kind == "cos":
         c = penalty.c
-        return -math.expm1(-0.5 * c * c * variance) / c
-    if kind == "ambiguous_cos":
-        return 1.0 - penalty.amplitude.mean_exp_sq(variance)
-    if kind == "fourier_even":
+        out = -np.expm1(-0.5 * c * c * var) / c
+    elif kind == "ambiguous_cos":
+        out = 1.0 - penalty.amplitude.mean_exp_sq(var)
+    elif kind == "fourier_even":
         freqs = np.asarray(penalty.freqs, dtype=float)
         density = np.asarray(penalty.density, dtype=float)
         if freqs.shape != density.shape:
             raise QuadratureError("frequency grid and density have different lengths")
-        weights = density * np.exp(-0.5 * freqs * freqs * variance)
-        return penalty.atom + _fourier_quadrature(freqs, weights)
-    raise ObjectiveError(f"unknown penalty kind {kind!r}")
+        rate = -0.5 * freqs * freqs
+        flat = var.reshape(-1)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _FOURIER_ROWS):
+            rows = flat[lo : lo + _FOURIER_ROWS]
+            weights = density * np.exp(np.multiply.outer(rows, rate))
+            out[lo : lo + _FOURIER_ROWS] = penalty.atom + _fourier_quadrature(freqs, weights)
+        out = out.reshape(var.shape)
+    else:
+        raise ObjectiveError(f"unknown penalty kind {kind!r}")
+    return float(out) if np.ndim(out) == 0 else out

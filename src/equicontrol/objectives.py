@@ -33,6 +33,7 @@ from .moments import (
     DiscreteDistribution,
     MomentVector,
     alpha,
+    any_true,
     double_factorial,
     gaussian_penalty_expectation,
 )
@@ -262,7 +263,10 @@ def _central_getter(central_by_order):
 
 
 def _psi_on_slots(variant, central_by_order: dict, order: int) -> float:
-    """psi evaluated on raw central-moment slots (no validation, FD-friendly)."""
+    """psi evaluated on raw central-moment slots (no validation, FD-friendly).
+
+    Slots may be arrays of equal shape; psi is then evaluated elementwise.
+    """
     get = _central_getter(central_by_order)
     kind = variant.kind
     if kind == "moment_combo":
@@ -275,16 +279,17 @@ def _psi_on_slots(variant, central_by_order: dict, order: int) -> float:
         total = -0.5 * variant.weight(2) * z2
         for j in range(3, min(order, variant.order) + 1):
             zj = get(j)
-            if zj == 0.0 or variant.weight(j) == 0.0:
+            # a slot that is zero (or underflowed to zero) drops out, even at z2 = 0
+            live = zj != 0.0
+            if not any_true(live) or variant.weight(j) == 0.0:
                 continue
-            if z2 == 0.0:
+            if any_true(live & (z2 == 0.0)):
                 raise DomainError("standardized moments undefined at zero variance")
-            total += (
-                (-1.0) ** (j + 1)
-                * variant.weight(j)
-                / math.factorial(j)
-                * zj
-                / abs(z2) ** (j / 2.0)
+            total = total + np.divide(
+                (-1.0) ** (j + 1) * variant.weight(j) / math.factorial(j) * zj,
+                abs(z2) ** (j / 2.0),
+                out=np.zeros(np.shape(live)),
+                where=live,
             )
         return total
     if kind == "exp":
@@ -324,14 +329,31 @@ def psi(spec: ObjectiveSpec, t: float, mv: MomentVector) -> float:
     """
     variant = spec.variant
     if variant.kind in PENALTY_KINDS and mv.gaussian_y is not None:
-        base = gaussian_penalty_expectation(variant, 0.0)
-        return -(gaussian_penalty_expectation(variant, mv.gaussian_y) - base)
+        return gaussian_psi(spec, t, mv.gaussian_y)
     if variant.kind in ("moment_combo", "standardized") and mv.order < variant.order:
         raise DomainError(
             f"moment vector of order {mv.order} cannot feed an order-{variant.order} objective"
         )
     central = {j: mv.central_moment(j) for j in range(2, mv.order + 1)}
     return _psi_on_slots(variant, central, mv.order)
+
+
+def gaussian_psi(spec: ObjectiveSpec, t, y):
+    """psi on the centred Gaussian law with variance y, elementwise over y.
+
+    Matches ``psi(spec, t, MomentVector.gaussian(order, y))`` at each y to
+    rounding: exact closed forms for the penalty families, the Gaussian
+    moment slots alpha(j, y) for the finite families.
+    """
+    variant = spec.variant
+    if variant.kind in PENALTY_KINDS:
+        base = gaussian_penalty_expectation(variant, 0.0)
+        return -(gaussian_penalty_expectation(variant, y) - base)
+    y = np.asarray(y, dtype=float)
+    order = max(variant.order, 2)
+    slots = {j: alpha(j, y) for j in range(2, order + 1)}
+    out = _psi_on_slots(variant, slots, order)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _grad_slots(spec: ObjectiveSpec, terms: int | None) -> int:

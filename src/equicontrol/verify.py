@@ -362,9 +362,7 @@ def _moment_surface(sol: EquilibriumSolution):
     cache = sol.discount
     nodes = coeffs.grid.nodes
     horizon = coeffs.grid.horizon
-    drift_nodes = cache.growth * (
-        coeffs.c_nodes - coeffs.b_nodes * coeffs.f_nodes / coeffs.d_nodes
-    )
+    drift_nodes = cf.drift_offset_nodes(coeffs, cache)
     # smooth antiderivatives keep the finite-difference stencil off the
     # kinks a piecewise-linear quadrature rule would introduce
     drift_anti = CubicSpline(nodes, drift_nodes).antiderivative()

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from equicontrol import coeffs as cf
 from equicontrol.cli import main
+from equicontrol.equilibrium import EquilibriumSolution
 
 
 def write_config(path, **overrides):
@@ -114,6 +116,100 @@ class TestConfigErrors:
     def test_bad_solver_name(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", solver="magic")
         assert main(["solve", "--config", str(cfg)]) == 2
+
+
+class TestNonFiniteConfig:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "where",
+        [
+            '"drift_offset": {lit}',
+            '"drift_offset": {{"type": "constant", "value": {lit}}}',
+            '"drift_offset": {{"type": "polynomial", "coefficients": [0.1, {lit}]}}',
+        ],
+    )
+    def test_coefficient_literals_rejected(self, tmp_path, capsys, literal, where):
+        entry = where.format(lit=literal)
+        text = (
+            '{"horizon": 1.0, "grid_size": 64, "coefficients": {"control_drift": 0.3,'
+            f' "control_vol": 0.2, {entry}}},'
+            ' "objective": {"variant": "moment_combo", "kappa": 1.0, "weights": [2.0]}}'
+        )
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_top_level_literal_rejected(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            '{"horizon": 1.0, "x0": NaN, "coefficients": {"control_drift": 0.3,'
+            ' "control_vol": 0.2}, "objective": {"variant": "exp", "kappa": 1.0, "c": Infinity}}'
+        )
+        assert main(["solve", "--config", str(cfg)]) == 2
+
+
+class TestNonFiniteResults:
+    def test_overflowing_growth_writes_nothing(self, tmp_path, capsys):
+        """exp(800) overflows the growth factor; the guard stops before any file."""
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=64,
+            x0=1.0,
+            coefficients={
+                "state_drift": 800.0,
+                "control_drift": 0.3,
+                "drift_offset": 0.1,
+                "control_vol": 0.2,
+            },
+        )
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "NonFiniteResultError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_value_blocks_solve_and_sweep(self, mv_config, tmp_path, monkeypatch, capsys):
+        def nan_values(self, t, x):
+            return np.full(np.shape(t), np.nan)
+
+        monkeypatch.setattr(EquilibriumSolution, "value_many", nan_values)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(mv_config), "--out", str(out)]) == 3
+        assert main(
+            ["sweep", "--config", str(mv_config), "--out", str(out),
+             "--parameter", "kappa", "--values", "1,2"]
+        ) == 3
+        assert "value_at_x0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNoPerNodeLoops:
+    def test_solve_call_counts_do_not_grow_with_grid(self, mv_config, tmp_path, monkeypatch):
+        """solve evaluates whole node arrays; no per-node integrate or value calls."""
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cf, "integrate", counting("integrate", cf.integrate))
+        monkeypatch.setattr(
+            EquilibriumSolution, "value", counting("value", EquilibriumSolution.value)
+        )
+        seen = []
+        for grid in (64, 1024):
+            counts.update(integrate=0, value=0)
+            out = tmp_path / f"out{grid}"
+            args = ["solve", "--config", str(mv_config), "--out", str(out), "--grid", str(grid)]
+            assert main(args) == 0
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
 
 
 class TestSolverErrors:

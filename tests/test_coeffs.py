@@ -21,7 +21,7 @@ from equicontrol import (
     theta,
     y_from_beta,
 )
-from equicontrol.coeffs import SuffixQuadrature, coefficient_nodes
+from equicontrol.coeffs import SuffixQuadrature, coefficient_nodes, suffix_integrals
 
 from cases import base_coeffs
 from oracles import simpson_integral
@@ -179,6 +179,20 @@ class TestSuffixQuadrature:
         got = sq(grid.nodes)
         for i, t in enumerate(grid.nodes):
             assert got[i] == integrate(values, grid, t, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 64])
+    def test_suffix_integrals_match_integrate_bitwise(self, n):
+        """Single-cell branch (k = n - 1), odd tails and even suffixes all agree."""
+        for horizon in (1.0, 0.7, 3.3):
+            grid = TimeGrid(horizon, n)
+            values = np.random.default_rng(n).normal(size=grid.nodes.size)
+            got = suffix_integrals(values, grid)
+            expect = [integrate(values, grid, t, horizon) for t in grid.nodes]
+            assert got.tolist() == expect
+
+    def test_suffix_integrals_shape_guard(self):
+        with pytest.raises(GridMismatchError):
+            suffix_integrals(np.ones(4), TimeGrid(1.0, 8))
 
     def test_off_node_linear(self):
         grid = TimeGrid(1.0, 8)

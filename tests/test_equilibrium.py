@@ -29,6 +29,11 @@ from equicontrol import (
     y_from_beta,
 )
 
+from equicontrol import coeffs as cf
+from equicontrol.moments import MomentVector
+from equicontrol.objectives import psi
+from equicontrol.verify import DeterministicControl, evaluate_deterministic
+
 from cases import base_coeffs, curved_coeffs, fourier_gaussian_amplitude, solve_all
 
 
@@ -225,6 +230,62 @@ class TestCurvedCoefficients:
             report = sol.concavity_check()
             assert report.ok, name
             assert report.worst < 0.0, name
+
+
+class TestValueMany:
+    def test_matches_per_node_formula(self, all_solutions):
+        """big_theta + int b beta + scalar psi, node by node, for every variant."""
+        x = 0.7
+        for name, sol in all_solutions:
+            kappa = sol.objective.kappa
+            order = max(getattr(sol.objective.variant, "order", 2), 2)
+            horizon = sol.grid.horizon
+            expect = np.array(
+                [
+                    kappa * cf.big_theta(sol.coeffs, t, x, sol.discount)
+                    + kappa * cf.integrate(sol.coeffs.b_nodes * sol.beta, sol.grid, t, horizon)
+                    + psi(sol.objective, t, MomentVector.gaussian(order, sol.y_at(t)))
+                    for t in sol.grid.nodes
+                ]
+            )
+            got = sol.value_many(sol.grid.nodes, x)
+            np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-300, err_msg=name)
+
+    def test_scalar_calls_are_one_element_calls(self, all_solutions):
+        for name, sol in all_solutions:
+            for t in (0.0, 0.3, 1.0):
+                assert sol.value(t, 0.4) == sol.value_many(np.array([t]), 0.4)[0], name
+
+    def test_off_node_matches_deterministic_evaluation(self, all_solutions):
+        ts = np.array([0.0013, 0.2501, 0.61, 0.9987])
+        for name, sol in all_solutions:
+            got = sol.value_many(ts, -0.3)
+            control = DeterministicControl.from_solution(sol)
+            for t, v in zip(ts, got):
+                det = evaluate_deterministic(
+                    sol.coeffs, sol.objective, float(t), -0.3, control, sol.discount
+                )
+                assert abs(det.value - v) <= 1e-8 * (1.0 + abs(v)), (name, t)
+
+    def test_standardized_terminal_node(self):
+        """At y(T) = 0 the standardized risk vanishes: V(T, x) = kappa x."""
+        sol = solve_ode(base_coeffs(64), ObjectiveSpec(1.3, StandardizedMoments((2.0, 1.0))))
+        assert sol.y[-1] == 0.0
+        assert sol.value_many(sol.grid.nodes, 0.5)[-1] == pytest.approx(1.3 * 0.5, abs=1e-15)
+
+    def test_rejects_times_outside_horizon(self, mv_solution):
+        with pytest.raises(DomainError):
+            mv_solution.value_many(np.array([0.5, 1.5]), 0.0)
+
+
+class TestSelfConsistency:
+    def test_equals_per_node_y_from_beta_bitwise(self, all_solutions):
+        for name, sol in all_solutions:
+            expect = max(
+                abs(y_from_beta(sol.coeffs, sol.beta, t) - yk)
+                for t, yk in zip(sol.grid.nodes, sol.y)
+            )
+            assert sol.self_consistency_error() == expect, name
 
 
 class TestScalingProperties:

@@ -23,6 +23,8 @@ from equicontrol import (
     psi_grad_even,
 )
 
+from equicontrol.objectives import gaussian_psi
+
 from cases import fourier_gaussian_amplitude
 
 
@@ -199,3 +201,41 @@ class TestCurvatureSum:
             v = MomentCombo((2.0, odd3, 1.0, odd5))
             got = curvature_sum(ObjectiveSpec(1.0, v), 0.0, 0.8)
             assert got == base  # bitwise: odd slots never enter
+
+
+class TestGaussianPsi:
+    VARIANTS = (
+        MomentCombo((2.0, 0.7, 1.0, -0.4)),
+        StandardizedMoments((2.0, 1.0)),
+        StandardizedMoments((2.0, 0.5, 1.0, 0.0, 0.3)),
+        ExpPenalty(1.2),
+        CoshPenalty(0.7),
+        CosPenalty(0.8),
+        AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.5, 0.5))),
+        fourier_gaussian_amplitude(),
+    )
+
+    def test_matches_scalar_psi(self):
+        """One vectorized call equals psi on each Gaussian moment vector."""
+        # 0 and 1e-300 hit the standardized slots: zero variance and an
+        # underflowed kurtosis slot both drop the higher terms
+        ys = np.array([0.0, 1e-300, 1e-12, 0.05, 0.6, 1.7])
+        for variant in self.VARIANTS:
+            spec = ObjectiveSpec(1.0, variant)
+            order = max(getattr(variant, "order", 2), 2)
+            expect = [psi(spec, 0.0, MomentVector.gaussian(order, float(y))) for y in ys]
+            got = gaussian_psi(spec, 0.0, ys)
+            np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, err_msg=variant.kind)
+
+    def test_standardized_jumps_at_zero_variance(self):
+        spec = ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0)))
+        got = gaussian_psi(spec, 0.0, np.array([0.0, 1e-300, 1e-100]))
+        # kurtosis term: -(1/4!) * 3 y^2 / y^2 once y^2 is representable
+        assert got[0] == 0.0
+        assert got[1] == -1e-300
+        assert got[2] == pytest.approx(-0.125, rel=1e-15)
+
+    def test_scalar_in_scalar_out(self):
+        spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
+        assert isinstance(gaussian_psi(spec, 0.0, 0.5), float)
+        assert isinstance(gaussian_psi(ObjectiveSpec(1.0, MomentCombo((2.0,))), 0.0, 0.5), float)
