@@ -80,6 +80,14 @@ def _number(mapping: dict, key: str, context: str, default=None):
     return _finite(mapping[key], f"{context}.{key}")
 
 
+def _integer(mapping: dict, key: str, context: str, default: int) -> int:
+    """A JSON number with an integral value (64 and 64.0 pass, 64.9 does not)."""
+    value = _number(mapping, key, context, default=float(default))
+    if not value.is_integer():
+        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _number_list(value, context: str):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{context} must be a nonempty array of numbers")
@@ -250,7 +258,7 @@ def build_problem(path: str, args) -> Problem:
     horizon = _number(cfg, "horizon", "config")
     if horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
-    grid_size = int(_number(cfg, "grid_size", "config", default=512.0))
+    grid_size = _integer(cfg, "grid_size", "config", default=512)
     if args.grid is not None:
         grid_size = args.grid
     if grid_size < 2:
@@ -485,7 +493,9 @@ def _sweep_problem(problem: Problem, parameter: str, value: float) -> Problem:
 def cmd_sweep(args) -> int:
     problem = build_problem(args.config, args)
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        values = [
+            _finite(float(v), "sweep value") for v in args.values.split(",") if v.strip() != ""
+        ]
     except ValueError as exc:
         raise ConfigError(f"cannot parse sweep values {args.values!r}: {exc}") from exc
     if not values:

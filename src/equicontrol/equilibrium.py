@@ -15,9 +15,11 @@ gives a scalar backward equation for y alone,
     y'(t) + (kappa b(t) / d(t))^2 f(t, y(t))^2 = 0,   y(T) = 0,
 
 with gain f = -1 / (2 K).  Three solvers are provided: exact closed forms for
-the classical families, a backward RK4 integrator for the general case, and a
-polynomial root solver for finite moment combinations, where the backward
-equation integrates exactly to an algebraic equation P(y) = kappa^2 theta.
+the classical families, a backward RK4 integrator for the general case, and
+the exact first integral P(y) = kappa^2 theta for finite moment combinations,
+where P is the antiderivative of 4 K^2, a polynomial.  The first integral is
+inverted at all nodes (and at any query times) by one vectorized monotone
+root solve.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class EquilibriumSolution:
     def curvature_many(self, t):
         """K(t, y_t) along the solution, vectorized.
 
-        Variants whose curvature needs quadrature or finite differences per
-        query point are interpolated from the node margins instead (the
+        Variants whose curvature needs a frequency quadrature per query point
+        (fourier_even) are interpolated from the node margins instead (the
         spline reproduces the node values exactly).
         """
         t = np.asarray(t, dtype=float)
@@ -224,32 +226,51 @@ def theta_nodes(coeffs: cf.CoefficientSet) -> np.ndarray:
     return np.maximum(coeffs.theta_eval(coeffs.grid.nodes), 0.0)
 
 
-def _solve_increasing(fn, dfn, target: float, hi0: float) -> float:
-    """Solve fn(y) = target for increasing fn with fn(0) = 0, y >= 0."""
-    if target <= 0.0:
-        return 0.0
-    hi = max(hi0, 1e-12)
+def _solve_increasing_many(fn, dfn, targets):
+    """Solve fn(y) = target elementwise for increasing fn with fn(0) = 0, y >= 0.
+
+    ``fn`` and its derivative ``dfn`` act on arrays.  Each positive target is
+    bracketed by doubling from 1 + target, narrowed by bisection and polished
+    by Newton steps clamped to the final bracket; targets <= 0 give 0.
+    """
+    targets = np.asarray(targets, dtype=float)
+    out = np.zeros_like(targets)
+    active = targets > 0.0
+    if not np.any(active):
+        return out
+    tgt = targets[active]
+    hi = 1.0 + tgt
     for _ in range(200):
-        if fn(hi) >= target:
+        short = fn(hi) < tgt
+        if not np.any(short):
             break
-        hi *= 2.0
+        hi = np.where(short, 2.0 * hi, hi)
     else:
-        raise RootBracketError(f"could not bracket root for target {target:.6g}")
-    lo = 0.0
+        raise RootBracketError(f"could not bracket root for target {float(tgt.max()):.6g}")
+    lo = np.zeros_like(hi)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
+        below = fn(mid) < tgt
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
     y = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         slope = dfn(y)
-        if slope <= 0.0:
-            break
-        step = (fn(y) - target) / slope
-        y = min(max(y - step, lo), hi)
-    return y
+        safe = np.where(slope > 0.0, slope, 1.0)
+        step = np.where(slope > 0.0, (fn(y) - tgt) / safe, 0.0)
+        y = np.clip(y - step, lo, hi)
+    out[active] = y
+    return out
+
+
+def _first_integral_inverse(fn, dfn, k2, budget):
+    """y_fn(t) = fn^-1(kappa^2 theta(t)), one root solve per call, scalar in scalar out."""
+
+    def y_fn(t):
+        out = _solve_increasing_many(fn, dfn, np.atleast_1d(k2 * budget(t)))
+        return out[0] if np.asarray(t).ndim == 0 else out
+
+    return y_fn
 
 
 def _is_plain_variance(variant) -> bool:
@@ -345,44 +366,9 @@ def solve_closed_form(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> Equilib
                 "of the amplitude law"
             )
 
-        def y_root_many(targets):
-            targets = np.asarray(targets, dtype=float)
-            out = np.zeros_like(targets)
-            active = targets > 0.0
-            if not np.any(active):
-                return out
-            tgt = targets[active]
-            hi = 1.0 + tgt
-            for _ in range(200):
-                short = budget_many(hi) < tgt
-                if not np.any(short):
-                    break
-                hi = np.where(short, 2.0 * hi, hi)
-            else:
-                raise RootBracketError(
-                    f"could not bracket root for target {float(tgt.max()):.6g}"
-                )
-            lo = np.zeros_like(hi)
-            for _ in range(_BISECT_STEPS):
-                mid = 0.5 * (lo + hi)
-                below = budget_many(mid) < tgt
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            y = 0.5 * (lo + hi)
-            for _ in range(_NEWTON_STEPS):
-                slope = slope_many(y)
-                safe = np.where(slope > 0.0, slope, 1.0)
-                step = np.where(slope > 0.0, (budget_many(y) - tgt) / safe, 0.0)
-                y = np.clip(y - step, lo, hi)
-            out[active] = y
-            return out
-
-        def y_fn(t):
-            tgt = k2 * np.atleast_1d(budget(t))
-            out = y_root_many(tgt)
-            return out[0] if np.asarray(t).ndim == 0 else out
-
-        return _assemble(coeffs, spec, y_root_many(k2 * th), "closed_form", y_fn)
+        y_nodes = _solve_increasing_many(budget_many, slope_many, k2 * th)
+        y_fn = _first_integral_inverse(budget_many, slope_many, k2, budget)
+        return _assemble(coeffs, spec, y_nodes, "closed_form", y_fn)
 
     raise UnsupportedVariantError(f"no closed form for objective variant {kind!r}")
 
@@ -392,7 +378,8 @@ def solve_algebraic(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> Equilibri
 
     The backward equation for y integrates in closed form because the gain
     denominator -2K is a polynomial Q(y); P is the antiderivative of Q^2 and
-    is strictly increasing, so each node reduces to a scalar root solve.
+    is strictly increasing.  One vectorized monotone root solve inverts P at
+    every node, and ``y_fn`` is the same inverse composed with theta.
     """
     variant = spec.variant
     if variant.kind != "moment_combo":
@@ -405,21 +392,9 @@ def solve_algebraic(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> Equilibri
     )
     q_sq = q * q
     p = q_sq.integ()
-
-    def y_root(target):
-        return _solve_increasing(
-            lambda z: float(p(z)), lambda z: float(q_sq(z)), target, 1.0 + target
-        )
-
     k2 = spec.kappa * spec.kappa
-    budget = coeffs.theta_eval
-    y_nodes = np.array([y_root(k2 * float(g)) for g in theta_nodes(coeffs)])
-
-    def y_fn(t):
-        tgt = np.atleast_1d(k2 * budget(t))
-        out = np.array([y_root(float(g)) for g in tgt])
-        return out[0] if np.asarray(t).ndim == 0 else out
-
+    y_nodes = _solve_increasing_many(p, q_sq, k2 * theta_nodes(coeffs))
+    y_fn = _first_integral_inverse(p, q_sq, k2, coeffs.theta_eval)
     return _assemble(coeffs, spec, y_nodes, "algebraic", y_fn)
 
 

@@ -42,8 +42,6 @@ from .moments import (
 # up to 2 * SERIES_TERMS are kept).
 SERIES_TERMS = 20
 
-_FD_STEP = 1e-5
-
 
 @dataclass(frozen=True)
 class MomentCombo:
@@ -195,6 +193,14 @@ class FourierEvenPenalty:
     def _g(self):
         return np.asarray(self.density)
 
+    @cached_property
+    def _f_sq(self):
+        return self._f * self._f
+
+    @cached_property
+    def _g_f_sq(self):
+        return (self._g * self._f) * self._f
+
     def frequency_moment(self, k: int) -> float:
         """Integral of density(h) h^k over the truncation window."""
         weights = self._g * self._f**k
@@ -210,13 +216,20 @@ class FourierEvenPenalty:
 
 PENALTY_KINDS = ("exp", "cosh", "cos", "ambiguous_cos", "fourier_even")
 
-# variants whose curvature K(t, y) has a vectorized closed form; the rest
-# fall back to per-point finite differences of the gradient slots
-CLOSED_FORM_CURVATURE_KINDS = ("moment_combo", "exp", "cosh", "cos", "ambiguous_cos")
+# variants whose curvature K(t, y) has a vectorized closed form; fourier_even
+# needs a frequency quadrature per point instead
+CLOSED_FORM_CURVATURE_KINDS = (
+    "moment_combo",
+    "standardized",
+    "exp",
+    "cosh",
+    "cos",
+    "ambiguous_cos",
+)
 
 
 def has_closed_form_curvature(variant) -> bool:
-    """True when curvature_sum costs O(1) per point (no quadrature or differencing)."""
+    """True when curvature_sum costs O(1) per point (no quadrature)."""
     return getattr(variant, "kind", None) in CLOSED_FORM_CURVATURE_KINDS
 
 
@@ -263,7 +276,7 @@ def _central_getter(central_by_order):
 
 
 def _psi_on_slots(variant, central_by_order: dict, order: int) -> float:
-    """psi evaluated on raw central-moment slots (no validation, FD-friendly).
+    """psi evaluated on raw central-moment slots (no validation).
 
     Slots may be arrays of equal shape; psi is then evaluated elementwise.
     """
@@ -366,9 +379,11 @@ def _grad_slots(spec: ObjectiveSpec, terms: int | None) -> int:
 def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = None) -> PsiGradient:
     """psi_{z_2j} for j = 1..m at the Gaussian moment point with variance y.
 
-    Analytic for the moment combination and the exp/cosh/cos/ambiguous
-    penalties.  Standardized moments and Fourier penalties use central finite
-    differences of psi in the even slots; odd slots are never read.
+    Analytic for every variant; odd slots are never read.  For standardized
+    moments slot 2m (m >= 2) gives c_2m / y^m with c_j = (-1)^(j+1) kappa_j / j!,
+    and slot 2 carries -(j/2) c_j (j-1)!! / y per live even order j; a live
+    higher even weight at zero (or underflowed) variance raises DomainError.
+    Fourier penalties are linear in the slots.
     """
     if y < 0.0:
         raise DomainError(f"variance must be nonnegative, got {y}")
@@ -377,6 +392,17 @@ def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = N
     kind = variant.kind
     if kind == "moment_combo":
         values = [-variant.weight(2 * j) / math.factorial(2 * j) for j in range(1, m + 1)]
+    elif kind == "standardized":
+        values = [-0.5 * variant.weight(2)] + [0.0] * (m - 1)
+        for j in range(2, m + 1):
+            c = -variant.weight(2 * j) / math.factorial(2 * j)
+            if c == 0.0:
+                continue
+            scale = y**j
+            if scale == 0.0:
+                raise DomainError("standardized moments undefined at zero variance")
+            values[j - 1] = c / scale
+            values[0] -= j * c * double_factorial(2 * j - 1) / y
     elif kind in ("exp", "cosh"):
         c = variant.c
         values = [-(c ** (2 * j - 1)) / math.factorial(2 * j) for j in range(1, m + 1)]
@@ -391,30 +417,14 @@ def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = N
             -((-1.0) ** (j - 1)) * variant.amplitude.moment(2 * j) / math.factorial(2 * j)
             for j in range(1, m + 1)
         ]
+    elif kind == "fourier_even":
+        values = [
+            (-1.0) ** (j + 1) * variant.frequency_moment(2 * j) / math.factorial(2 * j)
+            for j in range(1, m + 1)
+        ]
     else:
-        order = variant.order if kind == "standardized" else 2 * m
-        base = {j: alpha(j, y) for j in range(2, order + 1)}
-        values = []
-        for j in range(1, m + 1):
-            slot = 2 * j
-            step = _FD_STEP * max(1.0, abs(base.get(slot, 0.0)))
-            hi = dict(base)
-            lo = dict(base)
-            hi[slot] = base.get(slot, 0.0) + step
-            lo[slot] = base.get(slot, 0.0) - step
-            values.append(
-                (_psi_on_slots(variant, hi, order) - _psi_on_slots(variant, lo, order))
-                / (2.0 * step)
-            )
+        raise ObjectiveError(f"unknown objective variant {kind!r}")
     return PsiGradient(t, y, tuple(values))
-
-
-def _curvature_scalar_fd(spec: ObjectiveSpec, t: float, y: float) -> float:
-    grad = psi_grad_even(spec, t, y)
-    total = 0.0
-    for j, gj in enumerate(grad.values, start=1):
-        total += j * (2 * j - 1) * alpha(2 * j - 2, y) * gj
-    return total
 
 
 def curvature_sum(spec: ObjectiveSpec, t, y):
@@ -422,7 +432,7 @@ def curvature_sum(spec: ObjectiveSpec, t, y):
 
     Strictly negative K is the solvability condition; it also gives the
     predicted spike-variation limit and the feedback gain -1 / (2 K).
-    Accepts scalar or array y (vectorized for the analytic families).
+    Accepts scalar or array y and is vectorized for every variant.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
@@ -436,6 +446,10 @@ def curvature_sum(spec: ObjectiveSpec, t, y):
             if w != 0.0:
                 out += w * y_arr ** (j - 1) / float(double_factorial(2 * j - 2))
         out = -0.5 * out
+    elif kind == "standardized":
+        # every z_j / z_2^(j/2) is scale-free on the Gaussian family, so its
+        # slot derivatives cancel in K exactly and only the variance term stays
+        out = np.full_like(y_arr, -0.5 * variant.weight(2))
     elif kind in ("exp", "cosh"):
         c = variant.c
         out = -0.5 * c * np.exp(0.5 * c * c * y_arr)
@@ -450,20 +464,13 @@ def curvature_sum(spec: ObjectiveSpec, t, y):
         )
     elif kind == "fourier_even":
         # the sum over even orders collapses back to a frequency integral
-        f = np.asarray(variant.freqs)
-        g = np.asarray(variant.density)
-        weights = g * f * f * np.exp(-0.5 * np.multiply.outer(y_arr, f * f))
+        weights = variant._g_f_sq * np.exp(-0.5 * np.multiply.outer(y_arr, variant._f_sq))
         scale = float(np.max(np.abs(weights)))
         if scale > 0.0:
             edge = float(np.max(np.abs(weights[..., [0, -1]])))
             if edge > 1e-6 * scale:
                 raise QuadratureError("curvature integrand has not decayed at the window edge")
-        out = 0.5 * np.trapezoid(weights, f, axis=-1)
+        out = 0.5 * np.trapezoid(weights, variant._f, axis=-1)
     else:
-        if scalar:
-            return _curvature_scalar_fd(spec, float(t), float(y_arr))
-        t_arr = np.broadcast_to(np.asarray(t, dtype=float), y_arr.shape)
-        return np.array(
-            [_curvature_scalar_fd(spec, float(tv), float(yv)) for tv, yv in zip(t_arr, y_arr)]
-        )
+        raise ObjectiveError(f"unknown objective variant {kind!r}")
     return float(out) if scalar else out

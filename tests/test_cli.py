@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from equicontrol import coeffs as cf
+from equicontrol import equilibrium
 from equicontrol.cli import main
 from equicontrol.equilibrium import EquilibriumSolution
 
@@ -71,6 +72,18 @@ class TestSolve:
         _, rows = read_csv(out / "solution.csv")
         assert len(rows) == 65
 
+    def test_standardized_kurtosis_solves(self, tmp_path):
+        """A standardized kurtosis weight leaves the mean-variance loading."""
+        cfg = write_config(
+            tmp_path / "std.json",
+            objective={"variant": "standardized", "kappa": 1.3, "weights": [2.0, 0.0, 1.0]},
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "solution.csv")
+        beta = np.array([float(r[2]) for r in rows])
+        np.testing.assert_allclose(beta, 3.75 * 1.3, rtol=0.0, atol=1e-12)
+
     def test_solver_override(self, mv_config, tmp_path):
         out = tmp_path / "out"
         main(["solve", "--config", str(mv_config), "--out", str(out), "--solver", "ode"])
@@ -116,6 +129,20 @@ class TestConfigErrors:
     def test_bad_solver_name(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", solver="magic")
         assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_fractional_grid_size_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", grid_size=64.9)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "grid_size must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_grid_size_accepted(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", grid_size=64.0)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "solution.csv")
+        assert len(rows) == 65
 
 
 class TestNonFiniteConfig:
@@ -209,6 +236,47 @@ class TestNoPerNodeLoops:
             args = ["solve", "--config", str(mv_config), "--out", str(out), "--grid", str(grid)]
             assert main(args) == 0
             seen.append(dict(counts))
+        assert seen[0] == seen[1]
+
+
+    def test_algebraic_root_solve_is_not_per_node(self, tmp_path, monkeypatch):
+        """The first-integral inverse runs once per array, not once per node."""
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            equilibrium,
+            "_solve_increasing_many",
+            counting("root", equilibrium._solve_increasing_many),
+        )
+        monkeypatch.setattr(
+            np.polynomial.Polynomial,
+            "__call__",
+            counting("poly", np.polynomial.Polynomial.__call__),
+        )
+        cfg = write_config(
+            tmp_path / "m6.json",
+            objective={
+                "variant": "moment_combo",
+                "kappa": 1.0,
+                "weights": [1.0, 0.0, 0.5, 0.0, 0.25],
+            },
+            solver="algebraic",
+        )
+        seen = []
+        for grid in (64, 1024):
+            counts.update(root=0, poly=0)
+            out = tmp_path / f"out{grid}"
+            args = ["solve", "--config", str(cfg), "--out", str(out), "--grid", str(grid)]
+            assert main(args) == 0
+            seen.append(dict(counts))
+        assert seen[0]["root"] > 0
         assert seen[0] == seen[1]
 
 
@@ -371,6 +439,31 @@ class TestSweep:
             "--parameter", "kappa", "--values", "1,two",
         ])
         assert code == 2
+
+    def test_non_finite_values_are_config_errors(self, mv_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main([
+            "sweep", "--config", str(mv_config), "--out", str(out),
+            "--parameter", "kappa", "--values", "1.0,nan,inf",
+        ])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_standardized_kurtosis_sweep(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "std.json",
+            grid_size=64,
+            objective={"variant": "standardized", "kappa": 1.0, "weights": [2.0, 0.0, 1.0]},
+        )
+        out = tmp_path / "out"
+        code = main([
+            "sweep", "--config", str(cfg), "--out", str(out),
+            "--parameter", "kappa_4", "--values", "0.5,1,2",
+        ])
+        assert code == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [float(r[1]) for r in rows] == pytest.approx([3.75] * 3, abs=1e-12)
 
 
 class TestCoefficientParsing:

@@ -30,6 +30,7 @@ from equicontrol import (
 )
 
 from equicontrol import coeffs as cf
+from equicontrol.equilibrium import _solve_increasing_many
 from equicontrol.moments import MomentVector
 from equicontrol.objectives import psi
 from equicontrol.verify import DeterministicControl, evaluate_deterministic
@@ -318,3 +319,72 @@ class TestConcavityFailure:
         spec = ObjectiveSpec(1.0, FourierEvenPenalty(tuple(freqs), tuple(density)))
         with pytest.raises(ConcavityError):
             solve(base_coeffs(control_drift=0.1), spec, solver="ode")
+
+
+def _solve_increasing_reference(fn, dfn, target, hi0):
+    """Scalar bracket, bisect and Newton root solve, one target at a time."""
+    if target <= 0.0:
+        return 0.0
+    hi = max(hi0, 1e-12)
+    for _ in range(200):
+        if fn(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise RootBracketError(f"could not bracket root for target {target:.6g}")
+    lo = 0.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    y = 0.5 * (lo + hi)
+    for _ in range(3):
+        slope = dfn(y)
+        if slope <= 0.0:
+            break
+        step = (fn(y) - target) / slope
+        y = min(max(y - step, lo), hi)
+    return y
+
+
+class TestMonotoneRoot:
+    def test_matches_scalar_reference_bitwise(self):
+        q = np.polynomial.Polynomial([1.0, 0.5 / 3.0, 0.25 / 15.0])
+        q_sq = q * q
+        p = q_sq.integ()
+        rng = np.random.default_rng(7)
+        targets = np.concatenate([[0.0, -1.0, 1e-300], rng.uniform(0.0, 40.0, 197)])
+        got = _solve_increasing_many(p, q_sq, targets)
+        expect = np.array(
+            [
+                _solve_increasing_reference(
+                    lambda z: float(p(z)), lambda z: float(q_sq(z)), float(g), 1.0 + float(g)
+                )
+                for g in targets
+            ]
+        )
+        assert got.tobytes() == expect.tobytes()
+
+    def test_saturating_function_needs_doubling_and_can_fail(self):
+        """fn = 2 (1 - e^-y) reaches 1.9 only past 1 + 1.9, and never exceeds 2."""
+
+        def fn(y):
+            return 2.0 * -np.expm1(-y)
+
+        def dfn(y):
+            return 2.0 * np.exp(-y)
+
+        targets = np.array([0.5, 1.9])
+        got = _solve_increasing_many(fn, dfn, targets)
+        expect = [
+            _solve_increasing_reference(
+                lambda z: float(fn(z)), lambda z: float(dfn(z)), g, 1.0 + g
+            )
+            for g in targets
+        ]
+        assert got.tolist() == expect
+        np.testing.assert_allclose(fn(got), targets, rtol=1e-14)
+        with pytest.raises(RootBracketError):
+            _solve_increasing_many(fn, dfn, np.array([0.5, 2.5]))

@@ -239,3 +239,97 @@ class TestGaussianPsi:
         spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
         assert isinstance(gaussian_psi(spec, 0.0, 0.5), float)
         assert isinstance(gaussian_psi(ObjectiveSpec(1.0, MomentCombo((2.0,))), 0.0, 0.5), float)
+
+
+STANDARDIZED_WEIGHTS = ((2.0, 1.0), (2.0, 0.0, 1.0), (2.0, 0.5, 1.0, 0.0, 0.3))
+
+
+def _fd_curvature(spec, order, m, y):
+    """K and the even-slot gradient from central differences of psi.
+
+    psi is evaluated on untagged moment vectors around the Gaussian point of
+    variance y, so neither the analytic gradient nor curvature_sum is used.
+    """
+    base = [alpha(j, y) for j in range(2, order + 1)]
+    grad = []
+    for j in range(1, m + 1):
+        slot = 2 * j - 2  # index of z_2j in the central tuple
+        step = 1e-6 * max(1.0, abs(base[slot]))
+        up, dn = list(base), list(base)
+        up[slot] += step
+        dn[slot] -= step
+        fd = (
+            psi(spec, 0.0, MomentVector(order, 0.0, tuple(up)))
+            - psi(spec, 0.0, MomentVector(order, 0.0, tuple(dn)))
+        ) / (2.0 * step)
+        grad.append(fd)
+    k = sum(j * (2 * j - 1) * alpha(2 * j - 2, y) * g for j, g in enumerate(grad, start=1))
+    return k, grad
+
+
+class TestAnalyticCurvature:
+    @pytest.mark.parametrize("weights", STANDARDIZED_WEIGHTS)
+    def test_standardized_is_exactly_variance_term(self, weights):
+        """Scale-free standardized terms cancel in K at every y >= 0."""
+        spec = ObjectiveSpec(1.0, StandardizedMoments(weights))
+        ys = (0.0, 1e-300, 1e-8, 0.3, 1.7)
+        for y in ys:
+            assert curvature_sum(spec, 0.0, y) == -0.5 * weights[0]
+        assert np.all(curvature_sum(spec, 0.0, np.array(ys)) == -0.5 * weights[0])
+
+    @pytest.mark.parametrize("weights", STANDARDIZED_WEIGHTS)
+    def test_standardized_matches_difference_oracle(self, weights):
+        variant = StandardizedMoments(weights)
+        spec = ObjectiveSpec(1.0, variant)
+        m = max(variant.order // 2, 1)
+        for y in (0.3, 1.7):
+            k_fd, grad_fd = _fd_curvature(spec, variant.order, m, y)
+            assert curvature_sum(spec, 0.0, y) == pytest.approx(k_fd, rel=1e-6)
+            grad = psi_grad_even(spec, 0.0, y).values
+            np.testing.assert_allclose(grad, grad_fd, rtol=1e-6, atol=0.0)
+
+    def test_fourier_matches_difference_oracle(self):
+        spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
+        m = 20  # the default series length of psi_grad_even
+        for y in (0.05, 0.3):
+            k_fd, grad_fd = _fd_curvature(spec, 2 * m, m, y)
+            assert curvature_sum(spec, 0.0, y) == pytest.approx(k_fd, rel=1e-6)
+            grad = psi_grad_even(spec, 0.0, y).values
+            assert len(grad) == m
+            k_grad = sum(
+                j * (2 * j - 1) * alpha(2 * j - 2, y) * g for j, g in enumerate(grad, start=1)
+            )
+            assert k_grad == pytest.approx(k_fd, rel=1e-6)
+            np.testing.assert_allclose(grad[:4], grad_fd[:4], rtol=1e-6, atol=0.0)
+
+    def test_standardized_gradient_needs_variance(self):
+        with pytest.raises(DomainError):
+            psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0))), 0.0, 0.0)
+        with pytest.raises(DomainError):
+            psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0))), 0.0, 1e-300)
+        # no higher even weight: the skewness slot is odd and never read
+        grad = psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 1.0))), 0.0, 0.0)
+        assert grad.values == (-1.0,)
+
+    def test_fourier_uses_cached_tables_bitwise(self):
+        """The cached f^2 and g f^2 tables reproduce the direct formula bitwise."""
+        variant = fourier_gaussian_amplitude()
+        spec = ObjectiveSpec(1.0, variant)
+        ys = np.array([0.0, 0.05, 0.4, 1.3])
+        f = np.asarray(variant.freqs)
+        g = np.asarray(variant.density)
+        weights = g * f * f * np.exp(-0.5 * np.multiply.outer(ys, f * f))
+        expect = 0.5 * np.trapezoid(weights, f, axis=-1)
+        assert curvature_sum(spec, 0.0, ys).tobytes() == expect.tobytes()
+        assert curvature_sum(spec, 0.0, 0.4) == expect[2]
+        assert variant._g_f_sq is variant._g_f_sq
+
+    def test_unknown_variant_rejected(self):
+        class Bogus:
+            kind = "bogus"
+
+        spec = ObjectiveSpec(1.0, Bogus())
+        with pytest.raises(ObjectiveError):
+            curvature_sum(spec, 0.0, 0.5)
+        with pytest.raises(ObjectiveError):
+            psi_grad_even(spec, 0.0, 0.5)
