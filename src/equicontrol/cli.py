@@ -80,18 +80,34 @@ def _number(mapping: dict, key: str, context: str, default=None):
     return _finite(mapping[key], f"{context}.{key}")
 
 
-def _integer(mapping: dict, key: str, context: str, default: int) -> int:
-    """A JSON number with an integral value (64 and 64.0 pass, 64.9 does not)."""
-    value = _number(mapping, key, context, default=float(default))
+def _integral(value, context: str) -> int:
+    """An int from a JSON number with an integral value (64 and 64.0 pass, 64.9 does not)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    value = _finite(value, context)
     if not value.is_integer():
-        raise ConfigError(f"{context}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{context} must be an integer, got {value!r}")
     return int(value)
+
+
+def _at_least(minimum: int):
+    def parse(value, context: str) -> int:
+        value = _integral(value, context)
+        if value < minimum:
+            raise ConfigError(f"{context} must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _number_list(value, context: str):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{context} must be a nonempty array of numbers")
     return [_finite(v, f"{context} entry") for v in value]
+
+
+def _integer_list(value, context: str):
+    return [_integral(v, f"{context} entry") for v in _number_list(value, context)]
 
 
 def parse_coefficient(entry, context: str):
@@ -258,7 +274,7 @@ def build_problem(path: str, args) -> Problem:
     horizon = _number(cfg, "horizon", "config")
     if horizon <= 0.0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
-    grid_size = _integer(cfg, "grid_size", "config", default=512)
+    grid_size = _integral(cfg.get("grid_size", 512), "config.grid_size")
     if args.grid is not None:
         grid_size = args.grid
     if grid_size < 2:
@@ -389,6 +405,40 @@ def cmd_solve(args) -> int:
     return 0
 
 
+# the overrides each verification suite accepts, with the parser of each value
+_SUITE_OPTIONS = {
+    "spike": {
+        "times": _number_list,
+        "zetas": _number_list,
+        "epsilons": _number_list,
+        "limit_tol": _finite,
+        "match_tol": _finite,
+    },
+    "fbsde": {"times": _number_list, "tol": _finite},
+    "pde": {
+        "orders": _integer_list,
+        "t_samples": _number_list,
+        "x_samples": _number_list,
+        "tol": _finite,
+        "first_order_tol": _finite,
+    },
+    "monte_carlo": {
+        "x0": _finite,
+        "seed": _integral,
+        "num_paths": _at_least(2),
+        "num_steps": _at_least(1),
+        "orders": _integer_list,
+        "threads": _at_least(1),
+    },
+}
+# verification tolerance key -> (verification_report keyword, tolerance it defaults to)
+_VERIFY_TOLERANCES = {
+    "residual_tol": ("residual_tol", "residual"),
+    "self_consistency_tol": ("consistency_tol", "self_consistency"),
+    "value_tol": ("value_tol", "value"),
+}
+
+
 def _verification_kwargs(problem: Problem, args) -> dict:
     """Translate the config verification section into suite options.
 
@@ -396,19 +446,13 @@ def _verification_kwargs(problem: Problem, args) -> dict:
     overrides; by default every suite runs.
     """
     section = dict(problem.verification)
-    _check_keys(
-        section,
-        ("spike", "fbsde", "pde", "monte_carlo", "residual_tol", "self_consistency_tol", "value_tol"),
-        "verification",
-    )
-    kwargs = {
-        "x0": problem.x0,
-        "residual_tol": float(section.get("residual_tol", problem.tolerances["residual"])),
-        "consistency_tol": float(
-            section.get("self_consistency_tol", problem.tolerances["self_consistency"])
-        ),
-        "value_tol": float(section.get("value_tol", problem.tolerances["value"])),
-    }
+    _check_keys(section, (*_SUITE_OPTIONS, *_VERIFY_TOLERANCES), "verification")
+    kwargs = {"x0": problem.x0}
+    for key, (kw, name) in _VERIFY_TOLERANCES.items():
+        tol = _number(section, key, "verification", default=problem.tolerances[name])
+        if tol < 0.0:
+            raise ConfigError(f"verification.{key} must be nonnegative, got {tol!r}")
+        kwargs[kw] = tol
     names = {"spike": "spike", "fbsde": "fbsde", "pde": "pde", "monte_carlo": "monte_carlo_cfg"}
     for key, kw in names.items():
         choice = section.get(key, True)
@@ -417,7 +461,13 @@ def _verification_kwargs(problem: Problem, args) -> dict:
         elif choice is False or choice is None:
             kwargs[kw] = None
         else:
-            kwargs[kw] = dict(_require_mapping(choice, f"verification.{key}"))
+            context = f"verification.{key}"
+            options = _require_mapping(choice, context)
+            parsers = _SUITE_OPTIONS[key]
+            _check_keys(options, parsers, context)
+            kwargs[kw] = {
+                name: parsers[name](value, f"{context}.{name}") for name, value in options.items()
+            }
     if kwargs["monte_carlo_cfg"] is not None and args.seed is not None:
         kwargs["monte_carlo_cfg"]["seed"] = args.seed
     return kwargs

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import coeffs as cf
 from .equilibrium import EquilibriumSolution
-from .errors import DomainError, GridMismatchError
+from .errors import ConfigError, DomainError, GridMismatchError
 from .moments import MomentVector, alpha, double_factorial, raw_to_central
 from .objectives import ObjectiveSpec, curvature_sum, psi
 
@@ -138,6 +138,17 @@ def evaluate_deterministic(
     pieces are split at every control breakpoint and offset edge, so spike
     windows far smaller than a grid cell are integrated exactly.
     """
+    amplitude = control.offsets[-1][2] if control.offsets else 0.0
+    return _evaluate_amplitudes(coeffs, spec, t, x, control, (amplitude,), cache)[0]
+
+
+def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes, cache):
+    """``evaluate_deterministic`` for each amplitude of the last offset window.
+
+    Every amplitude replaces the delta of the control's last offset (and is
+    ignored if it has none).  All of them share one quadrature: the pieces,
+    the base control and the coefficients at the points are built once.
+    """
     grid = coeffs.grid
     t = grid.require_time(t)
     horizon = grid.horizon
@@ -151,7 +162,7 @@ def evaluate_deterministic(
         value = spec.kappa * mean + psi(
             spec, t, MomentVector.gaussian(_gaussian_order(spec), 0.0)
         )
-        return DeterministicEvaluation(mean, 0.0, value)
+        return [DeterministicEvaluation(mean, 0.0, value)] * len(amplitudes)
 
     cuts = [t, horizon]
     for s in control.times:
@@ -175,8 +186,14 @@ def evaluate_deterministic(
 
     pts, wts, mids = _piece_quadrature(pieces)
     u = control.base_sample(pts)
-    for start, stop, delta in control.offsets:
+    for start, stop, delta in control.offsets[:-1]:
         u = u + delta * ((mids >= start) & (mids < stop))
+    if control.offsets:
+        start, stop, _ = control.offsets[-1]
+        window = (mids >= start) & (mids < stop)
+        rows = [u + amp * window for amp in amplitudes]
+    else:
+        rows = [u] * len(amplitudes)
 
     growth = np.exp(cache.int_a_many(pts))
     b = np.asarray(coeffs.control_drift(pts), dtype=float)
@@ -184,13 +201,17 @@ def evaluate_deterministic(
     d = np.asarray(coeffs.control_vol(pts), dtype=float)
     f = np.asarray(coeffs.vol_offset(pts), dtype=float)
 
-    mean = x * cache.growth_at(t) + float(np.dot(wts, growth * (b * u + c)))
-    variance = float(np.dot(wts, growth * growth * (d * u + f) ** 2))
-    variance = max(variance, 0.0)
-    value = spec.kappa * mean + psi(
-        spec, t, MomentVector.gaussian(_gaussian_order(spec), variance)
-    )
-    return DeterministicEvaluation(mean, variance, value)
+    start_mean = x * cache.growth_at(t)
+    out = []
+    for u in rows:
+        mean = start_mean + float(np.dot(wts, growth * (b * u + c)))
+        variance = float(np.dot(wts, growth * growth * (d * u + f) ** 2))
+        variance = max(variance, 0.0)
+        value = spec.kappa * mean + psi(
+            spec, t, MomentVector.gaussian(_gaussian_order(spec), variance)
+        )
+        out.append(DeterministicEvaluation(mean, variance, value))
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,11 +248,25 @@ def spike_test(
     limit_tol: float = 1e-6,
     match_tol: float = 1e-3,
 ) -> SpikeTestReport:
-    """Perturb the equilibrium control by zeta on [t, t + eps) and extrapolate.
+    """Perturb the equilibrium control by zeta on [t, t + eps) and extrapolate."""
+    return spike_suite(sol, t, (zeta,), x, epsilons, limit_tol, match_tol)[0]
 
-    Evaluates the exact Gaussian objective of the spiked and the unspiked
-    control on identical quadrature decompositions, so the common part of the
-    two integrals cancels to rounding.
+
+def spike_suite(
+    sol: EquilibriumSolution,
+    t: float,
+    zetas,
+    x: float = 0.0,
+    epsilons=None,
+    limit_tol: float = 1e-6,
+    match_tol: float = 1e-3,
+) -> tuple:
+    """One ``SpikeTestReport`` per amplitude in ``zetas``, all started at t.
+
+    For each window width the unspiked control and every spiked one are
+    evaluated exactly on one shared quadrature decomposition, so the common
+    part of the integrals cancels to rounding and the quadrature is built
+    once per width rather than once per amplitude.
     """
     grid = sol.grid
     t = grid.require_time(t)
@@ -244,47 +279,46 @@ def spike_test(
         epsilons = tuple(float(e) for e in epsilons)
         if any(e <= 0.0 or e > remaining for e in epsilons):
             raise DomainError("spike widths must lie in (0, horizon - t]")
+    zetas = tuple(zetas)
 
     base = DeterministicControl.from_solution(sol)
     cache = sol.discount
-    ratios = []
+    ratios = [[] for _ in zetas]
     for eps in epsilons:
-        stop = min(t + eps, grid.horizon)
-        plain = base.with_offset(t, stop, 0.0)
-        spiked = base.with_offset(t, stop, zeta)
-        j0 = evaluate_deterministic(sol.coeffs, sol.objective, t, x, plain, cache).value
-        j1 = evaluate_deterministic(sol.coeffs, sol.objective, t, x, spiked, cache).value
-        ratios.append((j1 - j0) / eps)
+        window = base.with_offset(t, min(t + eps, grid.horizon), 0.0)
+        evals = _evaluate_amplitudes(
+            sol.coeffs, sol.objective, t, x, window, (0.0, *zetas), cache
+        )
+        j0 = evals[0].value
+        for row, spiked in zip(ratios, evals[1:]):
+            row.append((spiked.value - j0) / eps)
 
-    if len(ratios) >= 2:
-        extrapolated = 2.0 * ratios[-1] - ratios[-2]
-    else:
-        extrapolated = ratios[-1]
     d_t = float(sol.coeffs.control_vol(t))
-    predicted = (
-        math.exp(2.0 * cache.int_a_at(t))
-        * d_t
-        * d_t
-        * zeta
-        * zeta
-        * curvature_sum(sol.objective, t, sol.y_at(t))
-    )
-    nonpositive_ok = extrapolated <= limit_tol
-    match_ok = abs(extrapolated - predicted) <= match_tol * (1.0 + abs(predicted))
-    return SpikeTestReport(
-        t=t,
-        zeta=zeta,
-        x=x,
-        epsilons=epsilons,
-        ratios=tuple(ratios),
-        extrapolated=extrapolated,
-        predicted_limit=predicted,
-        limit_tol=limit_tol,
-        match_tol=match_tol,
-        nonpositive_ok=nonpositive_ok,
-        match_ok=match_ok,
-        passed=nonpositive_ok and match_ok,
-    )
+    growth_sq = math.exp(2.0 * cache.int_a_at(t))
+    curvature = curvature_sum(sol.objective, t, sol.y_at(t))
+    reports = []
+    for zeta, row in zip(zetas, ratios):
+        extrapolated = 2.0 * row[-1] - row[-2] if len(row) >= 2 else row[-1]
+        predicted = growth_sq * d_t * d_t * zeta * zeta * curvature
+        nonpositive_ok = extrapolated <= limit_tol
+        match_ok = abs(extrapolated - predicted) <= match_tol * (1.0 + abs(predicted))
+        reports.append(
+            SpikeTestReport(
+                t=t,
+                zeta=zeta,
+                x=x,
+                epsilons=epsilons,
+                ratios=tuple(row),
+                extrapolated=extrapolated,
+                predicted_limit=predicted,
+                limit_tol=limit_tol,
+                match_tol=match_tol,
+                nonpositive_ok=nonpositive_ok,
+                match_ok=match_ok,
+                passed=nonpositive_ok and match_ok,
+            )
+        )
+    return tuple(reports)
 
 
 @dataclass(frozen=True)
@@ -482,12 +516,14 @@ class McReport:
     Pass bands are three standard errors (delta-method standard errors for
     the central moments); degenerate moments with zero sampling error get a
     discretization allowance proportional to the Euler step instead.
+    ``threads`` is the number of workers that simulated the blocks.
     """
 
     x0: float
     seed: int
     num_paths: int
     num_steps: int
+    threads: int
     mean_target: float
     mean_estimate: float
     mean_std_error: float
@@ -499,8 +535,14 @@ class McReport:
 def _mc_block_sums(x0, drift, growth, vol, sqdt, n_paths, key, max_power):
     rng = np.random.Generator(np.random.Philox(key=key))
     x = np.full(n_paths, float(x0))
+    z = np.empty(n_paths)
+    # x = x * growth + drift + (vol * sqdt) * z, in place and in that order
     for k in range(drift.size):
-        x = x * growth[k] + drift[k] + vol[k] * sqdt * rng.standard_normal(n_paths)
+        rng.standard_normal(out=z)
+        np.multiply(x, growth[k], out=x)
+        x += drift[k]
+        z *= vol[k] * sqdt
+        x += z
     sums = np.empty(max_power)
     p = x.copy()
     sums[0] = p.sum()
@@ -508,6 +550,23 @@ def _mc_block_sums(x0, drift, growth, vol, sqdt, n_paths, key, max_power):
         p *= x
         sums[j] = p.sum()
     return sums
+
+
+def _default_threads() -> int:
+    """``EQUICONTROL_THREADS`` if set, else the number of CPUs this process may use."""
+    raw = os.environ.get("EQUICONTROL_THREADS", "").strip()
+    if not raw:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            return os.cpu_count() or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"EQUICONTROL_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def monte_carlo(
@@ -523,7 +582,9 @@ def monte_carlo(
 
     Reproducible by construction: paths are generated in fixed blocks, each
     block with a counter-based generator keyed by (seed, first path index),
-    so results do not depend on scheduling or thread count.
+    so results do not depend on scheduling or thread count.  ``threads``
+    defaults to ``EQUICONTROL_THREADS`` or else the usable CPU count, and is
+    capped at the number of blocks.
     """
     if num_paths < 2:
         raise DomainError("need at least 2 paths")
@@ -537,8 +598,9 @@ def monte_carlo(
     if any(j < 2 for j in orders) or max(orders) > _MC_MAX_ORDER:
         raise DomainError(f"central moment orders must lie in 2..{_MC_MAX_ORDER}")
     if threads is None:
-        threads = int(os.environ.get("EQUICONTROL_THREADS", "1") or "1")
-    threads = max(1, threads)
+        threads = _default_threads()
+    elif threads < 1:
+        raise DomainError(f"need at least 1 thread, got {threads}")
 
     grid = sol.grid
     horizon = grid.horizon
@@ -567,7 +629,8 @@ def monte_carlo(
         bstart, bsize = block
         return _mc_block_sums(x0, drift, growth, vol, sqdt, bsize, [seed, bstart], max_power)
 
-    if threads > 1 and len(blocks) > 1:
+    threads = min(threads, len(blocks))
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_block, blocks))
     else:
@@ -605,6 +668,7 @@ def monte_carlo(
         seed=seed,
         num_paths=num_paths,
         num_steps=num_steps,
+        threads=threads,
         mean_target=mean_target,
         mean_estimate=sample.mean,
         mean_std_error=mean_se,
@@ -701,10 +765,11 @@ def verification_report(
         cfg = dict(spike)
         times = cfg.pop("times", (0.0, 0.5 * horizon, 0.9 * horizon))
         zetas = cfg.pop("zetas", (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+        zetas = [float(z) for z in zetas]
         cases = [
-            _plain(spike_test(sol, float(t), float(z), x=x0, **cfg))
+            _plain(case)
             for t in times
-            for z in zetas
+            for case in spike_suite(sol, float(t), zetas, x=x0, **cfg)
         ]
         report["spike"] = {"cases": cases, "passed": all(c["passed"] for c in cases)}
 

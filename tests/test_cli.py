@@ -352,6 +352,91 @@ class TestVerify:
         assert report["monte_carlo"]["seed"] == 99
 
 
+_SUITES_OFF = {"spike": False, "fbsde": False, "pde": False, "monte_carlo": False}
+
+
+def _mc_only(**mc):
+    """A verification section that runs only a small Monte Carlo suite."""
+    return {**_SUITES_OFF, "monte_carlo": {"num_paths": 5000, "num_steps": 16, **mc}}
+
+
+class TestVerificationConfigErrors:
+    def run_verify(self, tmp_path, verification):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, verification=verification)
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("key", ["residual_tol", "self_consistency_tol", "value_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-8, "1e-8"])
+    def test_bad_tolerances(self, tmp_path, capsys, key, value):
+        code, out = self.run_verify(tmp_path, {**_SUITES_OFF, key: value})
+        assert code == 2
+        assert f"verification.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"num_paths": 1000.7},
+            {"num_steps": 16.5},
+            {"seed": 3.25},
+            {"threads": "2"},
+            {"threads": 2.5},
+            {"threads": 0},
+            {"num_paths": 1},
+            {"orders": [2, 3.5]},
+            {"orders": 4},
+            {"bogus": 1},
+        ],
+    )
+    def test_bad_monte_carlo_options(self, tmp_path, capsys, override):
+        code, out = self.run_verify(tmp_path, _mc_only(**override))
+        assert code == 2
+        assert "verification.monte_carlo" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite, override",
+        [
+            ("spike", {"bogus": 1}),
+            ("spike", {"x": 0.0}),
+            ("spike", {"zetas": ["1"]}),
+            ("fbsde", {"bogus": 1}),
+            ("pde", {"orders": [1.5]}),
+        ],
+    )
+    def test_bad_suite_options(self, tmp_path, capsys, suite, override):
+        code, out = self.run_verify(tmp_path, {**_SUITES_OFF, suite: override})
+        assert code == 2
+        assert f"verification.{suite}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_options_accepted(self, tmp_path):
+        code, out = self.run_verify(
+            tmp_path, _mc_only(num_paths=5000.0, seed=7.0, threads=1.0, orders=[2.0, 4])
+        )
+        assert code == 0
+        report = json.loads((out / "verification.json").read_text())
+        assert report["monte_carlo"]["num_paths"] == 5000
+        assert report["monte_carlo"]["threads"] == 1
+
+    @pytest.mark.parametrize("raw", ["0", "-1", "1.5", "many"])
+    def test_bad_thread_environment(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.setenv("EQUICONTROL_THREADS", raw)
+        code, out = self.run_verify(tmp_path, _mc_only())
+        assert code == 2
+        assert "EQUICONTROL_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_records_threads_used(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EQUICONTROL_THREADS", "4")
+        code, out = self.run_verify(tmp_path, _mc_only(num_paths=5000))
+        assert code == 0
+        report = json.loads((out / "verification.json").read_text())
+        assert report["monte_carlo"]["threads"] == 1  # one block of paths needs one worker
+
+
 class TestSweep:
     def test_variance_weight_scaling(self, mv_config, tmp_path, capsys):
         out = tmp_path / "out"

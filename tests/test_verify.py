@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from equicontrol import (
+    ConfigError,
     DomainError,
     ExpPenalty,
     GridMismatchError,
@@ -12,12 +15,17 @@ from equicontrol import (
     ObjectiveSpec,
     solve,
 )
+from equicontrol import verify as verify_module
 from equicontrol.verify import (
+    _MC_BLOCK,
     DeterministicControl,
+    _default_threads,
+    _mc_block_sums,
     evaluate_deterministic,
     fbsde_diagonal_check,
     monte_carlo,
     pde_residual_check,
+    spike_suite,
     spike_test,
     value_consistency_check,
     verification_report,
@@ -278,3 +286,199 @@ class TestVerificationReport:
         report = verification_report(exp_solution, x0=1.0, value_tol=0.0)
         assert not report["value_consistency"]["passed"]
         assert not report["passed"]
+
+
+# ---------------------------------------------------------------- reference
+# Copies of the routines as they were before the in-place Monte Carlo step and
+# the shared spike quadrature; the rewrites must reproduce them bitwise.
+
+
+def _reference_mc_block_sums(x0, drift, growth, vol, sqdt, n_paths, key, max_power):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    x = np.full(n_paths, float(x0))
+    for k in range(drift.size):
+        x = x * growth[k] + drift[k] + vol[k] * sqdt * rng.standard_normal(n_paths)
+    sums = np.empty(max_power)
+    p = x.copy()
+    sums[0] = p.sum()
+    for j in range(1, max_power):
+        p *= x
+        sums[j] = p.sum()
+    return sums
+
+
+def _reference_evaluate(coeffs, spec, t, x, control, cache):
+    from equicontrol.moments import MomentVector
+    from equicontrol.objectives import psi
+    from equicontrol.verify import _gaussian_order, _piece_quadrature
+
+    grid = coeffs.grid
+    t = grid.require_time(t)
+    horizon = grid.horizon
+    snap = 1e-12 * max(1.0, horizon)
+    cuts = [t, horizon]
+    for s in control.times:
+        if t + snap < s < horizon - snap:
+            cuts.append(float(s))
+    for start, stop, _ in control.offsets:
+        for s in (start, stop):
+            if t + snap < s < horizon - snap:
+                cuts.append(float(s))
+    cuts = sorted(set(cuts))
+    pieces = []
+    prev = cuts[0]
+    for s in cuts[1:]:
+        if s - prev <= snap:
+            continue
+        pieces.append((prev, s, max(1, math.ceil((s - prev) / grid.step - 1e-9))))
+        prev = s
+    pts, wts, mids = _piece_quadrature(pieces)
+    u = control.base_sample(pts)
+    for start, stop, delta in control.offsets:
+        u = u + delta * ((mids >= start) & (mids < stop))
+    growth = np.exp(cache.int_a_many(pts))
+    b = np.asarray(coeffs.control_drift(pts), dtype=float)
+    c = np.asarray(coeffs.drift_offset(pts), dtype=float)
+    d = np.asarray(coeffs.control_vol(pts), dtype=float)
+    f = np.asarray(coeffs.vol_offset(pts), dtype=float)
+    mean = x * cache.growth_at(t) + float(np.dot(wts, growth * (b * u + c)))
+    variance = max(float(np.dot(wts, growth * growth * (d * u + f) ** 2)), 0.0)
+    value = spec.kappa * mean + psi(
+        spec, t, MomentVector.gaussian(_gaussian_order(spec), variance)
+    )
+    return mean, variance, value
+
+
+def _reference_spike(sol, t, zeta, x=0.0):
+    """The per-case loop: two evaluations, each with its own quadrature, per width."""
+    from equicontrol.objectives import curvature_sum
+
+    remaining = sol.grid.horizon - t
+    base = DeterministicControl.from_solution(sol)
+    ratios = []
+    for eps in tuple(remaining * 2.0**-k for k in range(4, 11)):
+        stop = min(t + eps, sol.grid.horizon)
+        j0 = _reference_evaluate(
+            sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, 0.0), sol.discount
+        )[2]
+        j1 = _reference_evaluate(
+            sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, zeta), sol.discount
+        )[2]
+        ratios.append((j1 - j0) / eps)
+    d_t = float(sol.coeffs.control_vol(t))
+    predicted = (
+        math.exp(2.0 * sol.discount.int_a_at(t))
+        * d_t
+        * d_t
+        * zeta
+        * zeta
+        * curvature_sum(sol.objective, t, sol.y_at(t))
+    )
+    return tuple(ratios), 2.0 * ratios[-1] - ratios[-2], predicted
+
+
+class TestMonteCarloInPlace:
+    @pytest.mark.parametrize("n_paths", [2, 1000, _MC_BLOCK + 17])
+    def test_block_sums_match_reference_bitwise(self, n_paths):
+        """Curved coefficients, x0 != 0, and a partial block."""
+        rng = np.random.default_rng(11)
+        steps = 24
+        drift = 0.01 * rng.normal(size=steps)
+        growth = 1.0 + 0.003 * rng.normal(size=steps)
+        vol = 0.2 + 0.05 * rng.normal(size=steps)
+        args = (0.7, drift, growth, vol, math.sqrt(1.0 / steps), n_paths, [5, 3], 8)
+        new = _mc_block_sums(*args)
+        assert new.tobytes() == _reference_mc_block_sums(*args).tobytes()
+
+    def test_curved_solution_matches_reference_bitwise(self, monkeypatch):
+        """A whole run on curved coefficients, x0 != 0, two blocks, the second partial."""
+        sol = solve(curved_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)))
+        kwargs = dict(seed=9, num_paths=_MC_BLOCK + 1001, num_steps=16, threads=2)
+        new = monte_carlo(sol, 0.4, **kwargs)
+        monkeypatch.setattr(verify_module, "_mc_block_sums", _reference_mc_block_sums)
+        old = monte_carlo(sol, 0.4, **kwargs)
+        assert new == old
+
+    def test_default_thread_count_matches_serial(self, mv_solution, monkeypatch):
+        monkeypatch.delenv("EQUICONTROL_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        kwargs = dict(seed=42, num_paths=2 * _MC_BLOCK + 5, num_steps=16)
+        default = monte_carlo(mv_solution, 0.0, **kwargs)
+        serial = monte_carlo(mv_solution, 0.0, threads=1, **kwargs)
+        assert default.threads == 3  # four CPUs, capped at the three blocks
+        assert serial.threads == 1
+        assert dataclasses.replace(default, threads=1) == serial
+
+    def test_default_is_usable_cpu_count(self, monkeypatch):
+        monkeypatch.delenv("EQUICONTROL_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+        assert _default_threads() == 5
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _default_threads() == 6
+
+    def test_environment_thread_count(self, monkeypatch):
+        monkeypatch.setenv("EQUICONTROL_THREADS", " 3 ")
+        assert _default_threads() == 3
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "1.5", "two"])
+    def test_invalid_environment_thread_count(self, raw, monkeypatch):
+        monkeypatch.setenv("EQUICONTROL_THREADS", raw)
+        with pytest.raises(ConfigError, match="EQUICONTROL_THREADS"):
+            _default_threads()
+
+    def test_invalid_thread_argument(self, mv_solution):
+        with pytest.raises(DomainError):
+            monte_carlo(mv_solution, 0.0, seed=1, num_paths=100, num_steps=8, threads=0)
+
+    def test_pool_is_capped_at_block_count(self, mv_solution):
+        report = monte_carlo(mv_solution, 0.0, seed=1, num_paths=1000, num_steps=8, threads=4)
+        assert report.threads == 1
+
+
+class TestSpikeSuite:
+    ZETAS = (-2.0, 0.5, 1.0)
+
+    def test_matches_per_case_reference_bitwise(self, all_solutions):
+        for name, sol in all_solutions:
+            for t in (0.0, 0.5, 0.9):
+                reports = spike_suite(sol, t, self.ZETAS)
+                assert [r.zeta for r in reports] == list(self.ZETAS)
+                for zeta, report in zip(self.ZETAS, reports):
+                    ratios, extrapolated, predicted = _reference_spike(sol, t, zeta)
+                    single = spike_test(sol, t, zeta)
+                    for r in (report, single):
+                        assert r.ratios == ratios, (name, t, zeta)
+                        assert r.extrapolated == extrapolated, (name, t, zeta)
+                        assert r.predicted_limit == predicted, (name, t, zeta)
+                    assert single == report
+
+    def test_evaluate_deterministic_matches_reference_bitwise(self, all_solutions):
+        for name, sol in all_solutions:
+            base = DeterministicControl.from_solution(sol)
+            controls = (
+                base,
+                base.with_offset(0.25, 0.26, 1.5),
+                base.with_offset(0.1, 0.6, -0.5).with_offset(0.3, 0.300001, 2.0),
+            )
+            for ctl in controls:
+                for t, x in ((0.0, 0.0), (0.3, -1.0)):
+                    out = evaluate_deterministic(sol.coeffs, sol.objective, t, x, ctl, sol.discount)
+                    ref = _reference_evaluate(sol.coeffs, sol.objective, t, x, ctl, sol.discount)
+                    assert (out.mean, out.variance, out.value) == ref, (name, t, x)
+
+    @pytest.mark.parametrize("num_steps", [64, 512])
+    def test_one_quadrature_per_start_time_and_width(self, num_steps, monkeypatch):
+        """3 start times x 7 widths for the spike suite, plus 1 for value consistency."""
+        calls = []
+        real = verify_module._piece_quadrature
+
+        def counting(pieces):
+            calls.append(len(pieces))
+            return real(pieces)
+
+        monkeypatch.setattr(verify_module, "_piece_quadrature", counting)
+        sol = solve(base_coeffs(num_steps), ObjectiveSpec(1.0, MomentCombo((2.0,))))
+        report = verification_report(sol, spike={})
+        assert len(report["spike"]["cases"]) == 18
+        assert len(calls) == 21 + 1
