@@ -21,18 +21,8 @@ import numpy as np
 from . import coeffs as cf
 from .equilibrium import solve
 from .errors import ConfigError, EquicontrolError, NonFiniteResultError
-from .moments import DiscreteDistribution
-from .objectives import (
-    AmbiguousCos,
-    CosPenalty,
-    CoshPenalty,
-    ExpPenalty,
-    FourierEvenPenalty,
-    MomentCombo,
-    ObjectiveSpec,
-    StandardizedMoments,
-)
-from .verify import verification_report
+from .objectives import VARIANTS, ObjectiveSpec
+from .verify import MC_SEED_RANGE, verification_report
 
 try:
     from importlib.metadata import version as _dist_version
@@ -42,7 +32,8 @@ except Exception:  # pragma: no cover - metadata missing in odd install modes
     _VERSION = "unknown"
 
 _SOLVER_NAMES = ("auto", "closed_form", "ode", "algebraic")
-_SWEEP_PARAMETERS = ("kappa", "c", "kappa_2", "kappa_4", "T")
+# the mean weight, every family's own parameters, then the horizon
+_SWEEP_PARAMETERS = ("kappa", *dict.fromkeys(p for v in VARIANTS.values() for p in v.sweepable), "T")
 _CSV_HEADER = ("t", "y", "beta", "control_at_x0", "value_at_x0")
 
 
@@ -66,7 +57,10 @@ def _finite(value, context: str) -> float:
     """A finite float from a JSON number; JSON's NaN and Infinity literals are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{context} must be finite, got {value!r}")
     return value
@@ -98,6 +92,15 @@ def _at_least(minimum: int):
         return value
 
     return parse
+
+
+def _seed(value, context: str) -> int:
+    """A Monte Carlo seed: an integer the counter-based generator takes as a key word."""
+    seed = _integral(value, context)
+    lo, hi = MC_SEED_RANGE
+    if not lo <= seed <= hi:
+        raise ConfigError(f"{context} must lie in [{lo}, {hi}], got {seed}")
+    return seed
 
 
 def _number_list(value, context: str):
@@ -177,48 +180,29 @@ def parse_coefficients(section, grid: cf.TimeGrid) -> cf.CoefficientSet:
         raise ConfigError(f"coefficients: {exc}") from exc
 
 
+def _objective(kappa: float, build_variant) -> ObjectiveSpec:
+    """ObjectiveSpec(kappa, build_variant()), with invalid values as config errors."""
+    try:
+        return ObjectiveSpec(kappa, build_variant())
+    except EquicontrolError as exc:
+        raise ConfigError(f"objective: {exc}") from exc
+
+
 def parse_objective(section) -> ObjectiveSpec:
     section = _require_mapping(section, "objective")
     kind = section.get("variant")
     kappa = _number(section, "kappa", "objective")
-    try:
-        if kind in ("moment_combo", "standardized"):
-            _check_keys(section, ("variant", "kappa", "weights"), "objective")
-            weights = tuple(_number_list(section.get("weights"), "objective.weights"))
-            variant = (
-                MomentCombo(weights) if kind == "moment_combo" else StandardizedMoments(weights)
-            )
-        elif kind in ("exp", "cosh", "cos"):
-            _check_keys(section, ("variant", "kappa", "c"), "objective")
-            cls = {"exp": ExpPenalty, "cosh": CoshPenalty, "cos": CosPenalty}[kind]
-            variant = cls(_number(section, "c", "objective"))
-        elif kind == "ambiguous_cos":
-            _check_keys(section, ("variant", "kappa", "support", "probs"), "objective")
-            variant = AmbiguousCos(
-                DiscreteDistribution(
-                    tuple(_number_list(section.get("support"), "objective.support")),
-                    tuple(_number_list(section.get("probs"), "objective.probs")),
-                )
-            )
-        elif kind == "fourier_even":
-            _check_keys(
-                section, ("variant", "kappa", "frequencies", "density", "atom"), "objective"
-            )
-            variant = FourierEvenPenalty(
-                tuple(_number_list(section.get("frequencies"), "objective.frequencies")),
-                tuple(_number_list(section.get("density"), "objective.density")),
-                _number(section, "atom", "objective", default=0.0),
-            )
-        else:
-            raise ConfigError(
-                "objective.variant must be one of moment_combo, standardized, exp, cosh,"
-                f" cos, ambiguous_cos, fourier_even; got {kind!r}"
-            )
-        return ObjectiveSpec(kappa, variant)
-    except ConfigError:
-        raise
-    except EquicontrolError as exc:
-        raise ConfigError(f"objective: {exc}") from exc
+    cls = VARIANTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"objective.variant must be one of {', '.join(VARIANTS)}; got {kind!r}")
+    _check_keys(section, ("variant", "kappa", *(key for key, _, _ in cls.config_fields)), "objective")
+    values = [
+        _number(section, key, "objective", default)
+        if field_type is float
+        else tuple(_number_list(section.get(key), f"objective.{key}"))
+        for key, field_type, default in cls.config_fields
+    ]
+    return _objective(kappa, lambda: cls.from_config(*values))
 
 
 _TOP_KEYS = (
@@ -424,7 +408,7 @@ _SUITE_OPTIONS = {
     },
     "monte_carlo": {
         "x0": _finite,
-        "seed": _integral,
+        "seed": _seed,
         "num_paths": _at_least(2),
         "num_steps": _at_least(1),
         "orders": _integer_list,
@@ -468,8 +452,13 @@ def _verification_kwargs(problem: Problem, args) -> dict:
             kwargs[kw] = {
                 name: parsers[name](value, f"{context}.{name}") for name, value in options.items()
             }
+    horizon = problem.coeffs.grid.horizon
+    for key in ("spike", "fbsde"):
+        times = (kwargs[key] or {}).get("times", ())
+        if any(not 0.0 <= t <= horizon for t in times):
+            raise ConfigError(f"verification.{key}.times must lie in [0, {horizon}], got {times}")
     if kwargs["monte_carlo_cfg"] is not None and args.seed is not None:
-        kwargs["monte_carlo_cfg"]["seed"] = args.seed
+        kwargs["monte_carlo_cfg"]["seed"] = _seed(args.seed, "--seed")
     return kwargs
 
 
@@ -494,30 +483,6 @@ def cmd_verify(args) -> int:
 def _sweep_problem(problem: Problem, parameter: str, value: float) -> Problem:
     """A copy of the problem with one swept parameter replaced."""
     spec = problem.objective
-    if parameter == "kappa":
-        if value < 0.0:
-            raise ConfigError(f"kappa must be nonnegative, got {value}")
-        return dataclasses.replace(problem, objective=ObjectiveSpec(value, spec.variant))
-    if parameter == "c":
-        if spec.variant.kind not in ("exp", "cosh", "cos"):
-            raise ConfigError(
-                f"parameter 'c' needs an exp, cosh or cos objective, not {spec.variant.kind}"
-            )
-        variant = dataclasses.replace(spec.variant, c=value)
-        return dataclasses.replace(problem, objective=ObjectiveSpec(spec.kappa, variant))
-    if parameter in ("kappa_2", "kappa_4"):
-        if spec.variant.kind not in ("moment_combo", "standardized"):
-            raise ConfigError(
-                f"parameter {parameter!r} needs a moment_combo or standardized objective,"
-                f" not {spec.variant.kind}"
-            )
-        order = int(parameter.split("_")[1])
-        weights = list(spec.variant.weights)
-        while len(weights) < order - 1:
-            weights.append(0.0)
-        weights[order - 2] = value
-        variant = type(spec.variant)(tuple(weights))
-        return dataclasses.replace(problem, objective=ObjectiveSpec(spec.kappa, variant))
     if parameter == "T":
         if value <= 0.0:
             raise ConfigError(f"horizon must be positive, got {value}")
@@ -535,9 +500,21 @@ def _sweep_problem(problem: Problem, parameter: str, value: float) -> Problem:
         except EquicontrolError as exc:
             raise ConfigError(f"cannot sweep T to {value}: {exc}") from exc
         return dataclasses.replace(problem, coeffs=coeffs)
-    raise ConfigError(
-        f"unknown sweep parameter {parameter!r}; pick one of {', '.join(_SWEEP_PARAMETERS)}"
-    )
+    if parameter == "kappa":
+        objective = _objective(value, lambda: spec.variant)
+    elif parameter in spec.variant.sweepable:
+        objective = _objective(spec.kappa, lambda: spec.variant.swept(parameter, value))
+    elif parameter in _SWEEP_PARAMETERS:
+        families = [kind for kind, cls in VARIANTS.items() if parameter in cls.sweepable]
+        raise ConfigError(
+            f"parameter {parameter!r} needs one of the objectives {', '.join(families)},"
+            f" not {spec.variant.kind}"
+        )
+    else:
+        raise ConfigError(
+            f"unknown sweep parameter {parameter!r}; pick one of {', '.join(_SWEEP_PARAMETERS)}"
+        )
+    return dataclasses.replace(problem, objective=objective)
 
 
 def cmd_sweep(args) -> int:

@@ -56,9 +56,6 @@ class TimeGrid:
     def step(self) -> float:
         return self.horizon / self.num_steps
 
-    def refined(self, factor: int) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.num_steps * factor)
-
     def require_time(self, t):
         """Check t (scalar or array) lies in [0, horizon] up to rounding; clamp it there."""
         snap = _SNAP * max(1.0, self.horizon)
@@ -351,10 +348,6 @@ class CoefficientSet:
             raise CoefficientError(
                 f"control volatility magnitude {worst:.3e} below floor {self.d_min:.3e}"
             )
-
-    @cached_property
-    def a_nodes(self) -> np.ndarray:
-        return coefficient_nodes(self.state_drift, self.grid)
 
     @cached_property
     def b_nodes(self) -> np.ndarray:

@@ -14,17 +14,17 @@ gives a scalar backward equation for y alone,
 
     y'(t) + (kappa b(t) / d(t))^2 f(t, y(t))^2 = 0,   y(T) = 0,
 
-with gain f = -1 / (2 K).  Three solvers are provided: exact closed forms for
-the classical families, a backward RK4 integrator for the general case, and
-the exact first integral P(y) = kappa^2 theta for finite moment combinations,
-where P is the antiderivative of 4 K^2, a polynomial.  The first integral is
-inverted at all nodes (and at any query times) by one vectorized monotone
-root solve.
+with gain f = -1 / (2 K).  Where the objective family supplies the exact
+first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
+routine inverts it at all nodes (and at any query times): through the
+explicit inverse where there is one, else by one vectorized monotone root
+solve.  ``solve_closed_form`` and ``solve_algebraic`` (the polynomial P of
+finite moment combinations) are its two entry points; a backward RK4
+integrator covers the general case.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,18 +34,16 @@ from scipy.interpolate import CubicSpline
 from . import coeffs as cf
 from .errors import (
     ConcavityError,
-    CosDomainError,
     DomainError,
     OdeStepError,
     RootBracketError,
     UnsupportedVariantError,
 )
-from .moments import double_factorial
 from .objectives import (
+    FirstIntegral,
     ObjectiveSpec,
     curvature_sum,
     gaussian_psi,
-    has_closed_form_curvature,
     psi,  # noqa: F401  looked up here by perfbench/tracing.py
 )
 
@@ -93,7 +91,11 @@ class EquilibriumSolution:
         return self.beta / self.discount.growth + self.control_offset_nodes
 
     def y_many(self, t):
-        return np.maximum(np.asarray(self.y_fn(np.asarray(t, dtype=float)), dtype=float), 0.0)
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0 and t == 0.0:
+            # node 0 already holds y(0); y_fn would repeat the solve there
+            return self.y[0]
+        return np.maximum(np.asarray(self.y_fn(t), dtype=float), 0.0)
 
     def y_at(self, t: float) -> float:
         return float(self.y_many(self.grid.require_time(t)))
@@ -110,7 +112,7 @@ class EquilibriumSolution:
         spline reproduces the node values exactly).
         """
         t = np.asarray(t, dtype=float)
-        if has_closed_form_curvature(self.objective.variant):
+        if self.objective.variant.cheap_curvature:
             return curvature_sum(self.objective, t, self.y_many(t))
         return np.asarray(self._curvature_spline(t), dtype=float)
 
@@ -263,114 +265,57 @@ def _solve_increasing_many(fn, dfn, targets):
     return out
 
 
-def _first_integral_inverse(fn, dfn, k2, budget):
-    """y_fn(t) = fn^-1(kappa^2 theta(t)), one root solve per call, scalar in scalar out."""
+def _invert_first_integral(
+    coeffs: cf.CoefficientSet,
+    spec: ObjectiveSpec,
+    integral: FirstIntegral,
+    solver_name: str,
+    explicit: bool,
+) -> EquilibriumSolution:
+    """Solve P(y) = kappa^2 theta at every node; ``y_fn`` repeats it at any times.
+
+    With ``explicit`` and an explicit P^-1 the inverse is applied directly;
+    otherwise one vectorized monotone root solve inverts P per call.
+    """
+    k2 = spec.kappa * spec.kappa
+    budget = coeffs.theta_eval  # theta as a vectorized function of t
+    th = theta_nodes(coeffs)
+    top = k2 * float(th.max())
+    if top >= integral.supremum:
+        raise integral.error(
+            f"risk budget {top:.6g} exceeds the reachable range {integral.supremum:.6g}"
+            f" of the {spec.variant.kind} objective"
+        )
+    inverse = integral.inverse if explicit else None
+    if inverse is not None:
+
+        def y_fn(t):
+            return inverse(k2 * budget(t))
+
+        return _assemble(coeffs, spec, inverse(k2 * th), solver_name, y_fn)
+    p, dp = integral.p, integral.dp
 
     def y_fn(t):
-        out = _solve_increasing_many(fn, dfn, np.atleast_1d(k2 * budget(t)))
+        out = _solve_increasing_many(p, dp, np.atleast_1d(k2 * budget(t)))
         return out[0] if np.asarray(t).ndim == 0 else out
 
-    return y_fn
-
-
-def _is_plain_variance(variant) -> bool:
-    evens = variant.even_weights()
-    return variant.weight(2) > 0.0 and all(w == 0.0 for j, w in evens if j >= 4)
-
-
-def _is_variance_kurtosis(variant) -> bool:
-    evens = variant.even_weights()
-    return variant.weight(4) > 0.0 and all(w == 0.0 for j, w in evens if j >= 6)
+    return _assemble(coeffs, spec, _solve_increasing_many(p, dp, k2 * th), solver_name, y_fn)
 
 
 def solve_closed_form(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> EquilibriumSolution:
-    """Exact solution for the families with a known closed form.
+    """Exact solution for the families with a closed-form first integral.
 
-    Covers moment combinations up to order four and the exp / cosh / cos /
-    ambiguous-cos penalties.  Raises UnsupportedVariantError otherwise.
+    Covers moment combinations up to order four (explicit P^-1) and the exp /
+    cosh / cos / ambiguous-cos penalties.  Raises UnsupportedVariantError
+    otherwise.
     """
-    variant = spec.variant
-    kind = variant.kind
-    kappa = spec.kappa
-    budget = coeffs.theta_eval  # theta as a vectorized function of t
-    k2 = kappa * kappa
-    th = theta_nodes(coeffs)
-
-    if kind == "moment_combo":
-        if _is_plain_variance(variant):
-            w2 = variant.weight(2)
-
-            def y_fn(t):
-                return k2 * budget(t) / (w2 * w2)
-
-            return _assemble(coeffs, spec, k2 * th / (w2 * w2), "closed_form", y_fn)
-        if _is_variance_kurtosis(variant):
-            w2 = variant.weight(2)
-            w4 = variant.weight(4)
-
-            def y_fn(t):
-                return 2.0 * (np.cbrt(w2**3 + 1.5 * w4 * k2 * budget(t)) - w2) / w4
-
-            y_nodes = 2.0 * (np.cbrt(w2**3 + 1.5 * w4 * k2 * th) - w2) / w4
-            return _assemble(coeffs, spec, y_nodes, "closed_form", y_fn)
+    integral = getattr(spec.variant, "first_integral", None)
+    if integral is None or not integral.closed_form:
         raise UnsupportedVariantError(
-            "no closed form for moment combinations beyond order four; use the algebraic solver"
+            f"no closed form for this {spec.variant.kind} objective"
+            + ("; use the algebraic solver" if integral is not None else "")
         )
-
-    if kind in ("exp", "cosh"):
-        c = variant.c
-
-        def y_fn(t):
-            return np.log1p(k2 * budget(t)) / (c * c)
-
-        return _assemble(coeffs, spec, np.log1p(k2 * th) / (c * c), "closed_form", y_fn)
-
-    if kind == "cos":
-        c = variant.c
-        budget0 = k2 * float(th[0])
-        if budget0 >= 1.0:
-            raise CosDomainError(
-                f"cosine penalty unsolvable: squared risk budget {budget0:.6g} >= 1"
-            )
-
-        def y_fn(t):
-            return -np.log1p(-k2 * budget(t)) / (c * c)
-
-        return _assemble(coeffs, spec, -np.log1p(-k2 * th) / (c * c), "closed_form", y_fn)
-
-    if kind == "ambiguous_cos":
-        dist = variant.amplitude
-        v = np.asarray(dist.values)
-        p = np.asarray(dist.probs)
-        vi2 = v[:, None] ** 2 + v[None, :] ** 2
-        wij = p[:, None] * p[None, :] * (v[:, None] * v[None, :]) ** 2
-        pos = vi2 > 0.0
-        # pairs with vi2 = 0 have zero weight, so dropping them is exact
-        flat_vi2 = vi2[pos]
-        flat_w = wij[pos]
-        weighted_sq = p * v * v
-
-        def budget_many(y):
-            # int_0^y E[H^2 exp(-H^2 z / 2)]^2 dz, pairwise exact, vectorized
-            ramp = 2.0 * (1.0 - np.exp(-0.5 * np.multiply.outer(y, flat_vi2))) / flat_vi2
-            return ramp @ flat_w
-
-        def slope_many(y):
-            return (np.exp(-0.5 * np.multiply.outer(y, v * v)) @ weighted_sq) ** 2
-
-        supremum = float(np.sum(2.0 * flat_w / flat_vi2))
-        top = k2 * float(th.max())
-        if top >= supremum:
-            raise RootBracketError(
-                f"risk budget {top:.6g} exceeds the reachable range {supremum:.6g} "
-                "of the amplitude law"
-            )
-
-        y_nodes = _solve_increasing_many(budget_many, slope_many, k2 * th)
-        y_fn = _first_integral_inverse(budget_many, slope_many, k2, budget)
-        return _assemble(coeffs, spec, y_nodes, "closed_form", y_fn)
-
-    raise UnsupportedVariantError(f"no closed form for objective variant {kind!r}")
+    return _invert_first_integral(coeffs, spec, integral, "closed_form", explicit=True)
 
 
 def solve_algebraic(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> EquilibriumSolution:
@@ -381,21 +326,10 @@ def solve_algebraic(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> Equilibri
     is strictly increasing.  One vectorized monotone root solve inverts P at
     every node, and ``y_fn`` is the same inverse composed with theta.
     """
-    variant = spec.variant
-    if variant.kind != "moment_combo":
+    integral = getattr(spec.variant, "first_integral", None)
+    if integral is None or not integral.algebraic:
         raise UnsupportedVariantError("the algebraic solver handles finite moment combinations only")
-    q = np.polynomial.Polynomial(
-        [
-            variant.weight(2 * j + 2) / float(double_factorial(2 * j))
-            for j in range(max(variant.order // 2, 1))
-        ]
-    )
-    q_sq = q * q
-    p = q_sq.integ()
-    k2 = spec.kappa * spec.kappa
-    y_nodes = _solve_increasing_many(p, q_sq, k2 * theta_nodes(coeffs))
-    y_fn = _first_integral_inverse(p, q_sq, k2, coeffs.theta_eval)
-    return _assemble(coeffs, spec, y_nodes, "algebraic", y_fn)
+    return _invert_first_integral(coeffs, spec, integral, "algebraic", explicit=False)
 
 
 def solve_ode(
@@ -488,10 +422,9 @@ def solve(
         if chosen is solve_ode:
             return chosen(coeffs, spec, **ode_kwargs)
         return chosen(coeffs, spec)
-    try:
-        return solve_closed_form(coeffs, spec)
-    except UnsupportedVariantError:
-        pass
-    if spec.variant.kind == "moment_combo":
-        return solve_algebraic(coeffs, spec)
+    for first_integral_solver in (solve_closed_form, solve_algebraic):
+        try:
+            return first_integral_solver(coeffs, spec)
+        except UnsupportedVariantError:
+            pass
     return solve_ode(coeffs, spec, **ode_kwargs)

@@ -4,7 +4,8 @@ A centred Gaussian with variance y has central moments
 alpha(j, y) = (j-1)!! y^(j/2) for even j and zero for odd j.  Penalty-style
 objectives measure risk through the expectation of an even convex shape of
 the centred terminal state; for Gaussian laws those expectations collapse to
-the closed forms implemented here.
+closed forms, which each penalty family in ``objectives`` implements and
+``gaussian_penalty_expectation`` evaluates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ObjectiveError, QuadratureError
+from .errors import DomainError, ObjectiveError
 
 _MAX_EXACT_DOUBLE_FACTORIAL = 33  # 35!! no longer fits in 64 bits
 
@@ -176,60 +177,18 @@ class DiscreteDistribution:
         return float(out) if out.ndim == 0 else out
 
 
-# rows of the (variance x frequency) table built at once; bounds the memory
-# of a vectorized Fourier evaluation independently of the number of variances
-_FOURIER_ROWS = 256
-
-
-def _fourier_quadrature(freqs: np.ndarray, weights: np.ndarray):
-    """Trapezoid rule over the last axis, one integral per row of ``weights``."""
-    if freqs.size < 3:
-        raise QuadratureError("need at least 3 frequency samples")
-    if np.any(np.diff(freqs) <= 0.0):
-        raise QuadratureError("frequency samples must be strictly increasing")
-    scale = np.max(np.abs(weights), axis=-1)
-    edge = np.maximum(np.abs(weights[..., 0]), np.abs(weights[..., -1]))
-    if np.any((scale > 0.0) & (edge > 1e-6 * scale)):
-        raise QuadratureError(
-            "frequency-domain integrand has not decayed at the truncation window"
-        )
-    return np.trapezoid(weights, freqs, axis=-1)
-
-
 def gaussian_penalty_expectation(penalty, variance):
     """E[S(Z)] for the penalty shape S and Z centred Gaussian with this variance.
 
-    ``penalty`` is any object exposing ``kind`` plus the shape parameters:
-    exp / cosh / cos carry ``c``; ambiguous_cos carries ``amplitude`` (a
-    DiscreteDistribution); fourier_even carries ``freqs``, ``density`` (the
-    frequency-domain weight including the 1/2pi factor) and ``atom`` at zero.
-    Elementwise over a scalar or an array of variances.
+    ``penalty`` is any object with a ``gaussian_expectation(var)`` method over
+    float arrays, as every penalty family in ``objectives`` has.  Elementwise
+    over a scalar or an array of variances.
     """
     var = np.asarray(variance, dtype=float)
     if any_true(var < 0.0):
         raise DomainError(f"variance must be nonnegative, got {variance}")
-    kind = penalty.kind
-    if kind in ("exp", "cosh"):
-        c = penalty.c
-        out = np.expm1(0.5 * c * c * var) / c
-    elif kind == "cos":
-        c = penalty.c
-        out = -np.expm1(-0.5 * c * c * var) / c
-    elif kind == "ambiguous_cos":
-        out = 1.0 - penalty.amplitude.mean_exp_sq(var)
-    elif kind == "fourier_even":
-        freqs = np.asarray(penalty.freqs, dtype=float)
-        density = np.asarray(penalty.density, dtype=float)
-        if freqs.shape != density.shape:
-            raise QuadratureError("frequency grid and density have different lengths")
-        rate = -0.5 * freqs * freqs
-        flat = var.reshape(-1)
-        out = np.empty(flat.shape)
-        for lo in range(0, flat.size, _FOURIER_ROWS):
-            rows = flat[lo : lo + _FOURIER_ROWS]
-            weights = density * np.exp(np.multiply.outer(rows, rate))
-            out[lo : lo + _FOURIER_ROWS] = penalty.atom + _fourier_quadrature(freqs, weights)
-        out = out.reshape(var.shape)
-    else:
-        raise ObjectiveError(f"unknown penalty kind {kind!r}")
+    expectation = getattr(penalty, "gaussian_expectation", None)
+    if expectation is None:
+        raise ObjectiveError(f"not a penalty objective: {penalty!r}")
+    out = expectation(var)
     return float(out) if np.ndim(out) == 0 else out

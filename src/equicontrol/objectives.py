@@ -18,17 +18,21 @@ one.  The curvature sum
 
 drives both the equilibrium feedback gain and the spike-variation limit; a
 solvable objective keeps K strictly negative along the solution.
+
+Each family is one class implementing the ``Variant`` protocol, registered
+in ``VARIANTS`` under its config name; the functions below and the solvers
+call the protocol and never branch on the family.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ObjectiveError, QuadratureError
+from .errors import CosDomainError, DomainError, ObjectiveError, QuadratureError, RootBracketError
 from .moments import (
     DiscreteDistribution,
     MomentVector,
@@ -42,9 +46,104 @@ from .moments import (
 # up to 2 * SERIES_TERMS are kept).
 SERIES_TERMS = 20
 
+# rows of the (variance x frequency) table built at once; bounds the memory
+# of a vectorized Fourier evaluation independently of the number of variances
+_FOURIER_ROWS = 256
+
 
 @dataclass(frozen=True)
-class MomentCombo:
+class FirstIntegral:
+    """The exact first integral P(y) = kappa^2 theta(t) of the backward equation.
+
+    P is the antiderivative of 4 K^2 with P(0) = 0.  ``p`` and ``dp`` (P and
+    P') act elementwise on arrays; ``inverse`` is P^-1 where it is explicit.
+    A risk budget at or above ``supremum`` has no root and raises ``error``.
+    ``algebraic`` marks a polynomial P, which the algebraic solver inverts by
+    root solving; the closed-form solver takes every other P and the
+    polynomials with an explicit inverse.
+    """
+
+    p: object
+    dp: object
+    inverse: object = None
+    algebraic: bool = False
+    supremum: float = math.inf
+    error: type = RootBracketError
+
+    @property
+    def closed_form(self) -> bool:
+        return self.inverse is not None or not self.algebraic
+
+
+class Variant:
+    """The protocol of an objective family.
+
+    ``kind`` is the config name; ``config_fields`` lists the other config
+    keys as (key, float or list, default or None if required), passed in
+    order to ``from_config``; ``swept`` applies one of the ``sweepable``
+    parameters.  Families whose psi is linear in the slots define
+    ``slot_weight(j)``, the coefficient a_j of z_j / j! in psi, from which
+    ``psi_slots`` and ``grad_even`` follow; ``even_slots(terms)`` is the
+    number of even slots ``psi_grad_even`` reports.  Every family has a
+    vectorized ``curvature(y)`` (``cheap_curvature``: no quadrature per
+    point), penalties add ``gaussian_expectation(var)``, and a family with a
+    known first integral returns it from ``first_integral``.
+    """
+
+    kind = None
+    config_fields = ()
+    sweepable = ()
+    cheap_curvature = True
+    first_integral = None
+
+    @classmethod
+    def from_config(cls, *values):
+        return cls(*values)
+
+    def swept(self, parameter: str, value: float):
+        """A copy with one sweep parameter replaced."""
+        return replace(self, **{parameter: value})
+
+    def psi_slots(self, z: dict, order: int):
+        """psi on the central-moment slots z[2..order]; zero weights drop out.
+
+        Slots may be arrays of equal shape; psi is then evaluated elementwise.
+        """
+        weights = ((j, self.slot_weight(j)) for j in range(2, order + 1))
+        return sum(a / math.factorial(j) * z[j] for j, a in weights if a != 0.0)
+
+    def grad_even(self, y: float, m: int) -> list:
+        """psi_{z_2j} for j = 1..m at the Gaussian point with variance y."""
+        return [self.slot_weight(2 * j) / math.factorial(2 * j) for j in range(1, m + 1)]
+
+
+class _FiniteMoments(Variant):
+    """Families weighting the central moments 2..order through ``weights``."""
+
+    config_fields = (("weights", list, None),)
+    sweepable = ("kappa_2", "kappa_4")
+
+    @property
+    def order(self) -> int:
+        return len(self.weights) + 1
+
+    def weight(self, j: int) -> float:
+        if 2 <= j <= self.order:
+            return self.weights[j - 2]
+        return 0.0
+
+    def swept(self, parameter: str, value: float):
+        order = int(parameter.split("_")[1])
+        weights = list(self.weights) + [0.0] * max(order - 1 - len(self.weights), 0)
+        weights[order - 2] = value
+        return type(self)(tuple(weights))
+
+    def even_slots(self, terms) -> int:
+        return self.order // 2
+
+
+@dataclass(frozen=True)
+class MomentCombo(_FiniteMoments):
     """Linear combination of central moments 2..n with weights kappa_j.
 
     ``weights[j - 2]`` is kappa_j.  Even-order weights must be nonnegative
@@ -68,21 +167,44 @@ class MomentCombo:
         if not any(w > 0.0 for w in evens):
             raise ObjectiveError("need at least one positive even-order weight")
 
-    @property
-    def order(self) -> int:
-        return len(self.weights) + 1
-
-    def weight(self, j: int) -> float:
-        if 2 <= j <= self.order:
-            return self.weights[j - 2]
-        return 0.0
-
     def even_weights(self):
         return [(2 * j, self.weight(2 * j)) for j in range(1, self.order // 2 + 1)]
 
+    def slot_weight(self, j: int) -> float:
+        return (-1.0) ** (j + 1) * self.weight(j)
+
+    def curvature(self, y):
+        out = np.zeros_like(y)
+        for j, (_, w) in enumerate(self.even_weights(), start=1):
+            if w != 0.0:
+                out += w * y ** (j - 1) / float(double_factorial(2 * j - 2))
+        return -0.5 * out
+
+    @cached_property
+    def first_integral(self) -> FirstIntegral:
+        """P = int Q^2 with the polynomial Q = -2 K; explicit P^-1 up to order four."""
+        q = np.polynomial.Polynomial(
+            [self.weight(2 * j + 2) / float(double_factorial(2 * j)) for j in range(self.order // 2)]
+        )
+        q_sq = q * q
+        w2, w4 = self.weight(2), self.weight(4)
+        inverse = None
+        if all(w == 0.0 for j, w in self.even_weights() if j >= 6):
+            if w4 == 0.0:  # plain variance: P = w2^2 y
+
+                def inverse(x):
+                    return x / (w2 * w2)
+
+            else:  # variance and kurtosis: P = 2 (Q^3 - w2^3) / (3 w4)
+
+                def inverse(x):
+                    return 2.0 * (np.cbrt(w2**3 + 1.5 * w4 * x) - w2) / w4
+
+        return FirstIntegral(q_sq.integ(), q_sq, inverse, algebraic=True)
+
 
 @dataclass(frozen=True)
-class StandardizedMoments:
+class StandardizedMoments(_FiniteMoments):
     """Variance plus standardized higher moments (skewness, kurtosis, ...).
 
     psi = -kappa_2 z_2 / 2 + sum_{j>=3} (-1)^(j+1) (kappa_j / j!) z_j / |z_2|^(j/2).
@@ -98,42 +220,112 @@ class StandardizedMoments:
             raise ObjectiveError("standardized moments need kappa_2 > 0")
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def order(self) -> int:
-        return len(self.weights) + 1
+    def psi_slots(self, z: dict, order: int):
+        z2 = z[2]
+        total = -0.5 * self.weight(2) * z2
+        for j in range(3, self.order + 1):
+            zj = z[j]
+            # a slot that is zero (or underflowed to zero) drops out, even at z2 = 0
+            live = zj != 0.0
+            if not any_true(live) or self.weight(j) == 0.0:
+                continue
+            if any_true(live & (z2 == 0.0)):
+                raise DomainError("standardized moments undefined at zero variance")
+            total = total + np.divide(
+                (-1.0) ** (j + 1) * self.weight(j) / math.factorial(j) * zj,
+                abs(z2) ** (j / 2.0),
+                out=np.zeros(np.shape(live)),
+                where=live,
+            )
+        return total
 
-    def weight(self, j: int) -> float:
-        if 2 <= j <= self.order:
-            return self.weights[j - 2]
-        return 0.0
+    def grad_even(self, y: float, m: int) -> list:
+        """Slot 2m (m >= 2) gives c_2m / y^m with c_j = (-1)^(j+1) kappa_j / j!, and
+        slot 2 carries -(j/2) c_j (j-1)!! / y per live even order j; a live higher
+        even weight at zero (or underflowed) variance raises DomainError."""
+        values = [-0.5 * self.weight(2)] + [0.0] * (m - 1)
+        for j in range(2, m + 1):
+            c = -self.weight(2 * j) / math.factorial(2 * j)
+            if c == 0.0:
+                continue
+            scale = y**j
+            if scale == 0.0:
+                raise DomainError("standardized moments undefined at zero variance")
+            values[j - 1] = c / scale
+            values[0] -= j * c * double_factorial(2 * j - 1) / y
+        return values
+
+    def curvature(self, y):
+        # every z_j / z_2^(j/2) is scale-free on the Gaussian family, so its
+        # slot derivatives cancel in K exactly and only the variance term stays
+        return np.full_like(y, -0.5 * self.weight(2))
+
+
+class _Penalty(Variant):
+    """Families given by an even shape S: psi = -(E[S(X_T - mean)] - S(0))."""
+
+    def even_slots(self, terms) -> int:
+        return terms if terms is not None else SERIES_TERMS
+
+
+class _ScaledPenalty(_Penalty):
+    """Penalties with one positive scale c."""
+
+    config_fields = (("c", float, None),)
+    sweepable = ("c",)
+
+    def __post_init__(self):
+        if not (self.c > 0.0):
+            raise ObjectiveError(f"penalty scale must be positive, got {self.c}")
 
 
 @dataclass(frozen=True)
-class ExpPenalty:
+class ExpPenalty(_ScaledPenalty):
     """Exponential penalty of the centred state, shape (exp(-c x) - 1) / c."""
 
     c: float
     kind = "exp"
 
-    def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ObjectiveError(f"penalty scale must be positive, got {self.c}")
+    def slot_weight(self, j: int) -> float:
+        return (-self.c) ** (j - 1)
+
+    def curvature(self, y):
+        c = self.c
+        return -0.5 * c * np.exp(0.5 * c * c * y)
+
+    def gaussian_expectation(self, var):
+        c = self.c
+        return np.expm1(0.5 * c * c * var) / c
+
+    @property
+    def first_integral(self) -> FirstIntegral:
+        """P = e^(c^2 y) - 1."""
+        c2 = self.c * self.c
+        return FirstIntegral(
+            lambda y: np.expm1(c2 * y),
+            lambda y: c2 * np.exp(c2 * y),
+            lambda x: np.log1p(x) / c2,
+        )
 
 
 @dataclass(frozen=True)
-class CoshPenalty:
+class CoshPenalty(_ScaledPenalty):
     """Symmetric exponential penalty, shape (cosh(c x) - 1) / c."""
 
     c: float
     kind = "cosh"
 
-    def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ObjectiveError(f"penalty scale must be positive, got {self.c}")
+    def slot_weight(self, j: int) -> float:
+        return -(self.c ** (j - 1)) if j % 2 == 0 else 0.0
+
+    # the even part of the exp shape: the same Gaussian curvature, law and P
+    curvature = ExpPenalty.curvature
+    gaussian_expectation = ExpPenalty.gaussian_expectation
+    first_integral = ExpPenalty.first_integral
 
 
 @dataclass(frozen=True)
-class CosPenalty:
+class CosPenalty(_ScaledPenalty):
     """Bounded oscillatory penalty, shape (1 - cos(c x)) / c.
 
     Only solvable while the squared risk budget stays below one; the solver
@@ -143,25 +335,90 @@ class CosPenalty:
     c: float
     kind = "cos"
 
-    def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ObjectiveError(f"penalty scale must be positive, got {self.c}")
+    def slot_weight(self, j: int) -> float:
+        return (-1.0) ** (j // 2) * self.c ** (j - 1) if j % 2 == 0 else 0.0
+
+    def curvature(self, y):
+        c = self.c
+        return -0.5 * c * np.exp(-0.5 * c * c * y)
+
+    def gaussian_expectation(self, var):
+        c = self.c
+        return -np.expm1(-0.5 * c * c * var) / c
+
+    @property
+    def first_integral(self) -> FirstIntegral:
+        """P = 1 - e^(-c^2 y), bounded by 1."""
+        c2 = self.c * self.c
+        return FirstIntegral(
+            lambda y: -np.expm1(-c2 * y),
+            lambda y: c2 * np.exp(-c2 * y),
+            lambda x: -np.log1p(-x) / c2,
+            supremum=1.0,
+            error=CosDomainError,
+        )
 
 
 @dataclass(frozen=True)
-class AmbiguousCos:
+class AmbiguousCos(_Penalty):
     """Cosine penalty with a random amplitude: shape 1 - E[cos(H x)]."""
 
     amplitude: DiscreteDistribution
     kind = "ambiguous_cos"
+    config_fields = (("support", list, None), ("probs", list, None))
 
     def __post_init__(self):
         if self.amplitude.moment(2) <= 0.0:
             raise ObjectiveError("amplitude law must have positive second moment")
 
+    @classmethod
+    def from_config(cls, support, probs):
+        return cls(DiscreteDistribution(tuple(support), tuple(probs)))
+
+    def slot_weight(self, j: int) -> float:
+        return (-1.0) ** (j // 2) * self.amplitude.moment(j) if j % 2 == 0 else 0.0
+
+    def curvature(self, y):
+        v = self.amplitude._v
+        p = self.amplitude._p
+        return -0.5 * np.sum(p * v**2 * np.exp(-0.5 * np.multiply.outer(y, v**2)), axis=-1)
+
+    def gaussian_expectation(self, var):
+        return 1.0 - self.amplitude.mean_exp_sq(var)
+
+    @cached_property
+    def first_integral(self) -> FirstIntegral:
+        """P(y) = int_0^y E[H^2 exp(-H^2 z / 2)]^2 dz, summed exactly over amplitude pairs."""
+        v = self.amplitude._v
+        p = self.amplitude._p
+        vi2 = v[:, None] ** 2 + v[None, :] ** 2
+        wij = p[:, None] * p[None, :] * (v[:, None] * v[None, :]) ** 2
+        pos = vi2 > 0.0
+        # pairs with vi2 = 0 have zero weight, so dropping them is exact
+        flat_vi2 = vi2[pos]
+        flat_w = wij[pos]
+        weighted_sq = p * v * v
+
+        def budget(y):
+            ramp = 2.0 * (1.0 - np.exp(-0.5 * np.multiply.outer(y, flat_vi2))) / flat_vi2
+            return ramp @ flat_w
+
+        def slope(y):
+            return (np.exp(-0.5 * np.multiply.outer(y, v * v)) @ weighted_sq) ** 2
+
+        return FirstIntegral(budget, slope, supremum=float(np.sum(2.0 * flat_w / flat_vi2)))
+
+
+def _require_decay(weights, what: str) -> None:
+    """Raise QuadratureError unless every row of ``weights`` is negligible at both window edges."""
+    mags = np.abs(weights)
+    edge = np.maximum(mags[..., 0], mags[..., -1])
+    if np.any(edge > 1e-6 * mags.max(axis=-1)):
+        raise QuadratureError(f"{what} has not decayed at the window edge")
+
 
 @dataclass(frozen=True)
-class FourierEvenPenalty:
+class FourierEvenPenalty(_Penalty):
     """Even penalty given through its frequency-domain weight.
 
     ``density`` samples the weight (transform divided by 2 pi) on the
@@ -174,6 +431,8 @@ class FourierEvenPenalty:
     density: tuple
     atom: float = 0.0
     kind = "fourier_even"
+    config_fields = (("frequencies", list, None), ("density", list, None), ("atom", float, 0.0))
+    cheap_curvature = False
 
     def __post_init__(self):
         freqs = tuple(float(v) for v in self.freqs)
@@ -204,33 +463,41 @@ class FourierEvenPenalty:
     def frequency_moment(self, k: int) -> float:
         """Integral of density(h) h^k over the truncation window."""
         weights = self._g * self._f**k
-        scale = float(np.max(np.abs(weights)))
-        if scale > 0.0:
-            edge = max(abs(float(weights[0])), abs(float(weights[-1])))
-            if edge > 1e-6 * scale:
-                raise QuadratureError(
-                    f"frequency moment of order {k} has not decayed at the window edge"
-                )
+        _require_decay(weights, f"frequency moment of order {k}")
         return float(np.trapezoid(weights, self._f))
 
+    def slot_weight(self, j: int) -> float:
+        return (-1.0) ** (j // 2 + 1) * self.frequency_moment(j) if j % 2 == 0 else 0.0
 
-PENALTY_KINDS = ("exp", "cosh", "cos", "ambiguous_cos", "fourier_even")
+    def curvature(self, y):
+        # the sum over even orders collapses back to a frequency integral
+        weights = self._g_f_sq * np.exp(-0.5 * np.multiply.outer(y, self._f_sq))
+        _require_decay(weights, "curvature integrand")
+        return 0.5 * np.trapezoid(weights, self._f, axis=-1)
 
-# variants whose curvature K(t, y) has a vectorized closed form; fourier_even
-# needs a frequency quadrature per point instead
-CLOSED_FORM_CURVATURE_KINDS = (
-    "moment_combo",
-    "standardized",
-    "exp",
-    "cosh",
-    "cos",
-    "ambiguous_cos",
-)
+    def gaussian_expectation(self, var):
+        rate = -0.5 * self._f * self._f
+        flat = var.reshape(-1)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _FOURIER_ROWS):
+            weights = self._g * np.exp(np.multiply.outer(flat[lo : lo + _FOURIER_ROWS], rate))
+            _require_decay(weights, "frequency-domain integrand")
+            out[lo : lo + _FOURIER_ROWS] = self.atom + np.trapezoid(weights, self._f, axis=-1)
+        return out.reshape(var.shape)
 
 
-def has_closed_form_curvature(variant) -> bool:
-    """True when curvature_sum costs O(1) per point (no quadrature)."""
-    return getattr(variant, "kind", None) in CLOSED_FORM_CURVATURE_KINDS
+VARIANTS = {
+    cls.kind: cls
+    for cls in (
+        MomentCombo,
+        StandardizedMoments,
+        ExpPenalty,
+        CoshPenalty,
+        CosPenalty,
+        AmbiguousCos,
+        FourierEvenPenalty,
+    )
+}
 
 
 @dataclass(frozen=True)
@@ -248,7 +515,14 @@ class ObjectiveSpec:
 
     @property
     def is_penalty(self) -> bool:
-        return self.variant.kind in PENALTY_KINDS
+        return isinstance(self.variant, _Penalty)
+
+
+def _variant(spec: ObjectiveSpec) -> Variant:
+    variant = spec.variant
+    if not isinstance(variant, Variant):
+        raise ObjectiveError(f"unknown objective variant {variant.kind!r}")
+    return variant
 
 
 @dataclass(frozen=True)
@@ -264,75 +538,6 @@ class PsiGradient:
     values: tuple
 
 
-def _central_getter(central_by_order):
-    def get(j):
-        if j == 0:
-            return 1.0
-        if j == 1:
-            return 0.0
-        return central_by_order.get(j, 0.0)
-
-    return get
-
-
-def _psi_on_slots(variant, central_by_order: dict, order: int) -> float:
-    """psi evaluated on raw central-moment slots (no validation).
-
-    Slots may be arrays of equal shape; psi is then evaluated elementwise.
-    """
-    get = _central_getter(central_by_order)
-    kind = variant.kind
-    if kind == "moment_combo":
-        return sum(
-            (-1.0) ** (j + 1) * variant.weight(j) / math.factorial(j) * get(j)
-            for j in range(2, min(order, variant.order) + 1)
-        )
-    if kind == "standardized":
-        z2 = get(2)
-        total = -0.5 * variant.weight(2) * z2
-        for j in range(3, min(order, variant.order) + 1):
-            zj = get(j)
-            # a slot that is zero (or underflowed to zero) drops out, even at z2 = 0
-            live = zj != 0.0
-            if not any_true(live) or variant.weight(j) == 0.0:
-                continue
-            if any_true(live & (z2 == 0.0)):
-                raise DomainError("standardized moments undefined at zero variance")
-            total = total + np.divide(
-                (-1.0) ** (j + 1) * variant.weight(j) / math.factorial(j) * zj,
-                abs(z2) ** (j / 2.0),
-                out=np.zeros(np.shape(live)),
-                where=live,
-            )
-        return total
-    if kind == "exp":
-        c = variant.c
-        return sum((-c) ** (j - 1) / math.factorial(j) * get(j) for j in range(2, order + 1))
-    if kind == "cosh":
-        c = variant.c
-        return -sum(
-            c ** (2 * j - 1) / math.factorial(2 * j) * get(2 * j)
-            for j in range(1, order // 2 + 1)
-        )
-    if kind == "cos":
-        c = variant.c
-        return -sum(
-            (-1.0) ** (j - 1) * c ** (2 * j - 1) / math.factorial(2 * j) * get(2 * j)
-            for j in range(1, order // 2 + 1)
-        )
-    if kind == "ambiguous_cos":
-        return -sum(
-            (-1.0) ** (j - 1) * variant.amplitude.moment(2 * j) / math.factorial(2 * j) * get(2 * j)
-            for j in range(1, order // 2 + 1)
-        )
-    if kind == "fourier_even":
-        return sum(
-            (-1.0) ** (j + 1) * variant.frequency_moment(2 * j) / math.factorial(2 * j) * get(2 * j)
-            for j in range(1, order // 2 + 1)
-        )
-    raise ObjectiveError(f"unknown objective variant {kind!r}")
-
-
 def psi(spec: ObjectiveSpec, t: float, mv: MomentVector) -> float:
     """Risk part of the objective at the given moment vector.
 
@@ -340,15 +545,15 @@ def psi(spec: ObjectiveSpec, t: float, mv: MomentVector) -> float:
     otherwise the moment series is truncated at the vector's order.
     Normalized so that a degenerate (zero-variance) law gives zero.
     """
-    variant = spec.variant
-    if variant.kind in PENALTY_KINDS and mv.gaussian_y is not None:
+    variant = _variant(spec)
+    if spec.is_penalty and mv.gaussian_y is not None:
         return gaussian_psi(spec, t, mv.gaussian_y)
-    if variant.kind in ("moment_combo", "standardized") and mv.order < variant.order:
+    if mv.order < getattr(variant, "order", 0):
         raise DomainError(
             f"moment vector of order {mv.order} cannot feed an order-{variant.order} objective"
         )
     central = {j: mv.central_moment(j) for j in range(2, mv.order + 1)}
-    return _psi_on_slots(variant, central, mv.order)
+    return variant.psi_slots(central, mv.order)
 
 
 def gaussian_psi(spec: ObjectiveSpec, t, y):
@@ -359,72 +564,27 @@ def gaussian_psi(spec: ObjectiveSpec, t, y):
     moment slots alpha(j, y) for the finite families.
     """
     variant = spec.variant
-    if variant.kind in PENALTY_KINDS:
+    if spec.is_penalty:
         base = gaussian_penalty_expectation(variant, 0.0)
         return -(gaussian_penalty_expectation(variant, y) - base)
     y = np.asarray(y, dtype=float)
     order = max(variant.order, 2)
     slots = {j: alpha(j, y) for j in range(2, order + 1)}
-    out = _psi_on_slots(variant, slots, order)
+    out = variant.psi_slots(slots, order)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def _grad_slots(spec: ObjectiveSpec, terms: int | None) -> int:
-    variant = spec.variant
-    if variant.kind in ("moment_combo", "standardized"):
-        return max(variant.order // 2, 1)
-    return terms if terms is not None else SERIES_TERMS
 
 
 def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = None) -> PsiGradient:
     """psi_{z_2j} for j = 1..m at the Gaussian moment point with variance y.
 
-    Analytic for every variant; odd slots are never read.  For standardized
-    moments slot 2m (m >= 2) gives c_2m / y^m with c_j = (-1)^(j+1) kappa_j / j!,
-    and slot 2 carries -(j/2) c_j (j-1)!! / y per live even order j; a live
-    higher even weight at zero (or underflowed) variance raises DomainError.
-    Fourier penalties are linear in the slots.
+    Analytic for every variant; odd slots are never read.  Finite families
+    give their m = order // 2 even slots; penalties give ``terms`` slots of
+    their series (SERIES_TERMS by default).
     """
     if y < 0.0:
         raise DomainError(f"variance must be nonnegative, got {y}")
-    variant = spec.variant
-    m = _grad_slots(spec, terms)
-    kind = variant.kind
-    if kind == "moment_combo":
-        values = [-variant.weight(2 * j) / math.factorial(2 * j) for j in range(1, m + 1)]
-    elif kind == "standardized":
-        values = [-0.5 * variant.weight(2)] + [0.0] * (m - 1)
-        for j in range(2, m + 1):
-            c = -variant.weight(2 * j) / math.factorial(2 * j)
-            if c == 0.0:
-                continue
-            scale = y**j
-            if scale == 0.0:
-                raise DomainError("standardized moments undefined at zero variance")
-            values[j - 1] = c / scale
-            values[0] -= j * c * double_factorial(2 * j - 1) / y
-    elif kind in ("exp", "cosh"):
-        c = variant.c
-        values = [-(c ** (2 * j - 1)) / math.factorial(2 * j) for j in range(1, m + 1)]
-    elif kind == "cos":
-        c = variant.c
-        values = [
-            -((-1.0) ** (j - 1)) * c ** (2 * j - 1) / math.factorial(2 * j)
-            for j in range(1, m + 1)
-        ]
-    elif kind == "ambiguous_cos":
-        values = [
-            -((-1.0) ** (j - 1)) * variant.amplitude.moment(2 * j) / math.factorial(2 * j)
-            for j in range(1, m + 1)
-        ]
-    elif kind == "fourier_even":
-        values = [
-            (-1.0) ** (j + 1) * variant.frequency_moment(2 * j) / math.factorial(2 * j)
-            for j in range(1, m + 1)
-        ]
-    else:
-        raise ObjectiveError(f"unknown objective variant {kind!r}")
-    return PsiGradient(t, y, tuple(values))
+    variant = _variant(spec)
+    return PsiGradient(t, y, tuple(variant.grad_even(y, variant.even_slots(terms))))
 
 
 def curvature_sum(spec: ObjectiveSpec, t, y):
@@ -438,39 +598,5 @@ def curvature_sum(spec: ObjectiveSpec, t, y):
     scalar = y_arr.ndim == 0
     if np.any(y_arr < 0.0):
         raise DomainError("variance must be nonnegative")
-    variant = spec.variant
-    kind = variant.kind
-    if kind == "moment_combo":
-        out = np.zeros_like(y_arr)
-        for j, (_, w) in enumerate(variant.even_weights(), start=1):
-            if w != 0.0:
-                out += w * y_arr ** (j - 1) / float(double_factorial(2 * j - 2))
-        out = -0.5 * out
-    elif kind == "standardized":
-        # every z_j / z_2^(j/2) is scale-free on the Gaussian family, so its
-        # slot derivatives cancel in K exactly and only the variance term stays
-        out = np.full_like(y_arr, -0.5 * variant.weight(2))
-    elif kind in ("exp", "cosh"):
-        c = variant.c
-        out = -0.5 * c * np.exp(0.5 * c * c * y_arr)
-    elif kind == "cos":
-        c = variant.c
-        out = -0.5 * c * np.exp(-0.5 * c * c * y_arr)
-    elif kind == "ambiguous_cos":
-        v = np.asarray(variant.amplitude.values)
-        p = np.asarray(variant.amplitude.probs)
-        out = -0.5 * np.sum(
-            p * v**2 * np.exp(-0.5 * np.multiply.outer(y_arr, v**2)), axis=-1
-        )
-    elif kind == "fourier_even":
-        # the sum over even orders collapses back to a frequency integral
-        weights = variant._g_f_sq * np.exp(-0.5 * np.multiply.outer(y_arr, variant._f_sq))
-        scale = float(np.max(np.abs(weights)))
-        if scale > 0.0:
-            edge = float(np.max(np.abs(weights[..., [0, -1]])))
-            if edge > 1e-6 * scale:
-                raise QuadratureError("curvature integrand has not decayed at the window edge")
-        out = 0.5 * np.trapezoid(weights, variant._f, axis=-1)
-    else:
-        raise ObjectiveError(f"unknown objective variant {kind!r}")
+    out = _variant(spec).curvature(y_arr)
     return float(out) if scalar else out

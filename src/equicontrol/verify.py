@@ -34,6 +34,8 @@ _SNAP = 1e-12
 _MC_BLOCK = 1 << 17
 _MC_PATH_STEP_CAP = 1 << 34
 _MC_MAX_ORDER = 8
+# seeds the Philox key word takes: one signed or unsigned 64-bit integer
+MC_SEED_RANGE = (-(1 << 63), (1 << 64) - 1)
 
 
 def _gaussian_order(spec: ObjectiveSpec) -> int:
@@ -586,6 +588,8 @@ def monte_carlo(
     defaults to ``EQUICONTROL_THREADS`` or else the usable CPU count, and is
     capped at the number of blocks.
     """
+    if not MC_SEED_RANGE[0] <= seed <= MC_SEED_RANGE[1]:
+        raise DomainError(f"seed must lie in [{MC_SEED_RANGE[0]}, {MC_SEED_RANGE[1]}], got {seed}")
     if num_paths < 2:
         raise DomainError("need at least 2 paths")
     if num_steps < 1:

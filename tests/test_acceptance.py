@@ -7,7 +7,8 @@ random moment objectives, pointwise optimality residuals, spike-variation
 limits, adjoint diagonal conditions, Monte Carlo reproduction of the terminal
 law, the standardized-moments reduction, invariance under odd-moment
 preferences, moment-equation residuals, agreement of the claimed value with
-exact Gaussian evaluation, and the cosine domain guard.
+exact Gaussian evaluation, the cosine domain guard, and the paper's limit of
+finite moment objectives to the penalty objectives as the order grows.
 """
 
 import json
@@ -18,11 +19,19 @@ import numpy as np
 import pytest
 
 from equicontrol import (
+    AmbiguousCos,
+    CoshPenalty,
+    CosPenalty,
+    DiscreteDistribution,
     ExpPenalty,
     MomentCombo,
     ObjectiveSpec,
     StandardizedMoments,
+    alpha,
+    curvature_sum,
+    psi_grad_even,
     solve_algebraic,
+    solve_closed_form,
     solve_ode,
 )
 from equicontrol.cli import main as cli_main
@@ -34,7 +43,7 @@ from equicontrol.verify import (
     value_consistency_check,
 )
 
-from cases import base_coeffs, solve_all
+from cases import base_coeffs, fourier_gaussian_amplitude, solve_all
 
 
 def report(number, ok, detail):
@@ -206,3 +215,52 @@ def test_criterion_11_cos_domain_guard(tmp_path, capsys):
     with capsys.disabled():
         report(11, ok, f"exit status {code} (want 3), error tag present: "
                        f"{'CosDomainError' in err}")
+
+
+def test_criterion_12_moment_order_limit():
+    """Finite moment objectives tend to the penalty objectives as the order grows.
+
+    (a) The exp shape's moment series w_j = c^(j-1), cut at a finite order and
+    solved algebraically, approaches the cosh closed form; its odd weights
+    leave the solution bitwise unchanged.  (b) The even-slot series
+    sum_j j (2j - 1) alpha(2j - 2, y) psi_{z_2j} converges to the curvature of
+    every penalty whose even weights alternate in sign.
+    """
+    coeffs = base_coeffs(512)
+    orders = (4, 8, 12, 16, 20)
+    lines, ok = [], True
+    for c in (0.5, 1.0):
+        target = solve_closed_form(coeffs, ObjectiveSpec(1.0, CoshPenalty(c))).beta
+        gaps = []
+        for order in orders:
+            weights = tuple(c ** (j - 1) for j in range(2, order + 1))
+            evens = tuple(w if j % 2 == 0 else 0.0 for j, w in enumerate(weights, start=2))
+            beta = solve_algebraic(coeffs, ObjectiveSpec(1.0, MomentCombo(weights))).beta
+            even_beta = solve_algebraic(coeffs, ObjectiveSpec(1.0, MomentCombo(evens))).beta
+            ok = ok and beta.tobytes() == even_beta.tobytes()
+            gaps.append(float(np.max(np.abs(beta - target) / np.abs(target))))
+        ok = ok and all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-8
+        lines.append(f"c={c}: beta gaps " + ", ".join(f"{g:.1e}" for g in gaps))
+
+    worst = 0.0
+    for variant in (
+        CosPenalty(1.0),
+        CoshPenalty(1.0),
+        AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.5, 0.5))),
+        fourier_gaussian_amplitude(),
+    ):
+        spec = ObjectiveSpec(1.0, variant)
+        for y in (0.05, 0.3):
+            k = curvature_sum(spec, 0.0, y)
+            errs = []
+            for terms in orders:
+                grad = psi_grad_even(spec, 0.0, y, terms=terms).values
+                series = sum(
+                    j * (2 * j - 1) * alpha(2 * j - 2, y) * g for j, g in enumerate(grad, start=1)
+                )
+                errs.append(abs(series - k) / abs(k))
+            ok = ok and all(b <= a or b <= 1e-15 for a, b in zip(errs, errs[1:]))
+            worst = max(worst, errs[-1])
+    ok = ok and worst <= 1e-9
+    report(12, ok, "; ".join(lines) + f" (tol 1e-08 at order 20); curvature series"
+                   f" at 20 terms within {worst:.1e} (tol 1e-09)")

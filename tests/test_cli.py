@@ -3,13 +3,21 @@ import json
 import subprocess
 import sys
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equicontrol import ConfigError, ObjectiveSpec
 from equicontrol import coeffs as cf
 from equicontrol import equilibrium
-from equicontrol.cli import main
+from equicontrol.cli import _SWEEP_PARAMETERS, Problem, _sweep_problem, main, parse_objective
 from equicontrol.equilibrium import EquilibriumSolution
+from equicontrol.objectives import VARIANTS
+
+from cases import base_coeffs, curved_coeffs
 
 
 def write_config(path, **overrides):
@@ -412,6 +420,30 @@ class TestVerificationConfigErrors:
         assert f"verification.{suite}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [2**64, 2**70, -(2**63) - 1])
+    def test_seed_outside_key_range(self, tmp_path, capsys, seed):
+        code, out = self.run_verify(tmp_path, _mc_only(seed=seed))
+        assert code == 2
+        assert "verification.monte_carlo.seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_override_outside_key_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, verification=_mc_only())
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(cfg), "--out", str(out), "--seed", str(2**70)])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite, times", [("spike", [2.0]), ("spike", [0.5, 1.5]), ("fbsde", [-0.5])]
+    )
+    def test_times_outside_horizon(self, tmp_path, capsys, suite, times):
+        code, out = self.run_verify(tmp_path, {**_SUITES_OFF, suite: {"times": times}})
+        assert code == 2
+        assert f"verification.{suite}.times" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_options_accepted(self, tmp_path):
         code, out = self.run_verify(
             tmp_path, _mc_only(num_paths=5000.0, seed=7.0, threads=1.0, orders=[2.0, 4])
@@ -535,6 +567,51 @@ class TestSweep:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "objective, parameter, value",
+        [
+            ({"variant": "cosh", "kappa": 1.0, "c": 1.0}, "c", "-1"),
+            ({"variant": "moment_combo", "kappa": 1.0, "weights": [2.0]}, "kappa_2", "0"),
+            ({"variant": "standardized", "kappa": 1.0, "weights": [2.0]}, "kappa_2", "-1"),
+            ({"variant": "moment_combo", "kappa": 1.0, "weights": [2.0]}, "kappa", "-1"),
+        ],
+    )
+    def test_invalid_swept_value_is_config_error(
+        self, tmp_path, capsys, objective, parameter, value
+    ):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, objective=objective)
+        out = tmp_path / "o"
+        code = main([
+            "sweep", "--config", str(cfg), "--out", str(out),
+            "--parameter", parameter, "--values", f"1,{value}",
+        ])
+        assert code == 2
+        assert "config error: objective" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rows_read_node_zero(self, tmp_path, monkeypatch):
+        """A row's t = 0 values add no first-integral root solve to the solve itself."""
+        calls = []
+        original = equilibrium._solve_increasing_many
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(equilibrium, "_solve_increasing_many", counting)
+        cfg = write_config(
+            tmp_path / "m6.json",
+            grid_size=64,
+            objective={"variant": "moment_combo", "kappa": 1.0, "weights": [1.0, 0.0, 0.5, 0.0, 0.25]},
+            solver="algebraic",
+        )
+        code = main([
+            "sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--parameter", "kappa", "--values", "0.5,1,1.5",
+        ])
+        assert code == 0
+        assert len(calls) == 3  # one node solve per value
+
     def test_standardized_kurtosis_sweep(self, tmp_path):
         cfg = write_config(
             tmp_path / "std.json",
@@ -610,3 +687,69 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "closed_form" in proc.stdout
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+_FIELD_VALUES = _JSON | st.lists(st.integers() | st.floats(), max_size=6)
+_OBJECTIVE_KEYS = sorted(
+    {"kappa"} | {key for cls in VARIANTS.values() for key, _, _ in cls.config_fields}
+)
+_OBJECTIVE_SECTIONS = _JSON | st.fixed_dictionaries(
+    {"variant": st.sampled_from(sorted(VARIANTS)) | _JSON},
+    optional={key: _FIELD_VALUES for key in _OBJECTIVE_KEYS},
+)
+_PARSED_OBJECTIVES = (
+    {"variant": "moment_combo", "kappa": 1.0, "weights": [2.0, 0.5, 1.0]},
+    {"variant": "standardized", "kappa": 1.0, "weights": [2.0, 1.0]},
+    {"variant": "exp", "kappa": 1.0, "c": 1.0},
+    {"variant": "cosh", "kappa": 0.5, "c": 2.0},
+    {"variant": "cos", "kappa": 1.0, "c": 1.0},
+    {"variant": "ambiguous_cos", "kappa": 1.0, "support": [1.5, 2.5], "probs": [0.5, 0.5]},
+    {"variant": "fourier_even", "kappa": 1.0, "frequencies": [-2.0, 0.0, 2.0], "density": [0.0, 1.0, 0.0]},
+)
+
+
+def _problem(objective, coeffs):
+    return Problem(
+        coeffs=coeffs,
+        objective=parse_objective(objective),
+        x0=0.0,
+        solver="auto",
+        tolerances={},
+        verification={},
+        out_dir=Path("unused"),
+        config_sha256="",
+        config_path="",
+    )
+
+
+class TestParserProperties:
+    """Every input ends in a parsed value or a ConfigError (exit 2), never another error."""
+
+    @given(section=_OBJECTIVE_SECTIONS)
+    @settings(max_examples=400, deadline=None)
+    def test_objective_section(self, section):
+        try:
+            spec = parse_objective(section)
+        except ConfigError:
+            return
+        assert isinstance(spec, ObjectiveSpec)
+
+    @given(
+        objective=st.sampled_from(_PARSED_OBJECTIVES),
+        curved=st.booleans(),
+        parameter=st.sampled_from(_SWEEP_PARAMETERS) | st.text(max_size=8),
+        value=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_sweep_value(self, objective, curved, parameter, value):
+        problem = _problem(objective, curved_coeffs(16) if curved else base_coeffs(16))
+        try:
+            swept = _sweep_problem(problem, parameter, value)
+        except ConfigError:
+            return
+        assert isinstance(swept, Problem)

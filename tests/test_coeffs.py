@@ -35,11 +35,6 @@ class TestTimeGrid:
         assert len(grid.nodes) == 9
         assert grid.step == pytest.approx(0.25)
 
-    def test_refined(self):
-        grid = TimeGrid(1.0, 4).refined(4)
-        assert grid.num_steps == 16
-        assert grid.horizon == 1.0
-
     def test_invalid(self):
         with pytest.raises(DomainError):
             TimeGrid(-1.0, 8)

@@ -185,6 +185,26 @@ class TestSolveDispatch:
         with pytest.raises(UnsupportedVariantError):
             solve_algebraic(base_coeffs(), ObjectiveSpec(1.0, ExpPenalty(1.0)))
 
+    def test_closed_form_rejects_order_six_combination(self):
+        spec = ObjectiveSpec(1.0, MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)))
+        with pytest.raises(UnsupportedVariantError):
+            solve_closed_form(base_coeffs(64), spec)
+        assert solve(base_coeffs(64), spec).solver_name == "algebraic"
+
+    def test_auto_routing_per_case(self, all_solutions):
+        names = {name: sol.solver_name for name, sol in all_solutions}
+        closed = {n for n in names if n not in ("standardized", "fourier_even")}
+        assert {n for n, s in names.items() if s == "closed_form"} == closed
+        fourier = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
+        assert solve(base_coeffs(64, control_drift=0.1), fourier).solver_name == "ode"
+
+    def test_start_time_reads_node_zero_bitwise(self, all_solutions):
+        """y at t = 0 comes from node 0 and equals the y_fn value there bitwise."""
+        for name, sol in all_solutions:
+            assert sol.y_many(0.0) == max(float(sol.y_fn(0.0)), 0.0), name
+            assert sol.y_at(0.0) == sol.y[0], name
+            assert sol.beta_at(0.0) == sol.beta[0], name
+
     def test_auto_prefers_closed_form(self, all_solutions):
         names = dict(all_solutions)
         assert names["mean_variance"].solver_name == "closed_form"

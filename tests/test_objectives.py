@@ -23,7 +23,7 @@ from equicontrol import (
     psi_grad_even,
 )
 
-from equicontrol.objectives import gaussian_psi
+from equicontrol.objectives import VARIANTS, Variant, gaussian_psi
 
 from cases import fourier_gaussian_amplitude
 
@@ -333,3 +333,65 @@ class TestAnalyticCurvature:
             curvature_sum(spec, 0.0, 0.5)
         with pytest.raises(ObjectiveError):
             psi_grad_even(spec, 0.0, 0.5)
+
+
+FIRST_INTEGRAL_VARIANTS = (
+    MomentCombo((2.0,)),
+    MomentCombo((1.0, 0.0, 1.0)),
+    MomentCombo((0.0, 0.0, 1.5)),
+    MomentCombo((1.0, 0.3, 0.5, -2.0, 0.25)),
+    ExpPenalty(0.8),
+    CoshPenalty(1.3),
+    CosPenalty(0.9),
+    AmbiguousCos(DiscreteDistribution((0.0, 1.5, 2.5), (0.2, 0.4, 0.4))),
+)
+
+
+class TestVariantProtocol:
+    def test_registry_covers_every_family(self):
+        families = {type(v) for v in TestGaussianPsi.VARIANTS}
+        assert set(VARIANTS.values()) == families
+        for kind, cls in VARIANTS.items():
+            assert cls.kind == kind and issubclass(cls, Variant)
+
+    def test_penalties_have_no_order(self):
+        """verify reads getattr(variant, "order", 2) as the Gaussian vector order."""
+        for variant in TestGaussianPsi.VARIANTS:
+            spec = ObjectiveSpec(1.0, variant)
+            assert spec.is_penalty == (not hasattr(variant, "order")), variant.kind
+
+    @pytest.mark.parametrize("variant", FIRST_INTEGRAL_VARIANTS, ids=lambda v: v.kind)
+    def test_first_integral_derivative_is_four_k_squared(self, variant):
+        integral = variant.first_integral
+        ys = np.array([0.0, 0.05, 0.4, 1.3, 3.0])
+        k = curvature_sum(ObjectiveSpec(1.0, variant), 0.0, ys)
+        np.testing.assert_allclose(integral.dp(ys), 4.0 * k * k, rtol=1e-13)
+        assert float(integral.p(np.array([0.0]))[0]) == 0.0
+        # P' is the derivative of P: compare against a central difference
+        h = 1e-6
+        mid = ys[1:]
+        fd = (integral.p(mid + h) - integral.p(mid - h)) / (2.0 * h)
+        np.testing.assert_allclose(fd, integral.dp(mid), rtol=1e-7)
+
+    @pytest.mark.parametrize("variant", FIRST_INTEGRAL_VARIANTS, ids=lambda v: v.kind)
+    def test_explicit_inverse_inverts_p(self, variant):
+        integral = variant.first_integral
+        if integral.inverse is None:
+            assert integral.algebraic or integral.supremum < math.inf
+            return
+        targets = np.array([0.0, 1e-3, 0.2, 0.7]) * min(integral.supremum, 4.0)
+        np.testing.assert_allclose(integral.p(integral.inverse(targets)), targets, rtol=1e-13)
+
+    def test_first_integral_routing(self):
+        closed = {v.kind for v in FIRST_INTEGRAL_VARIANTS if v.first_integral.closed_form}
+        assert closed == {"moment_combo", "exp", "cosh", "cos", "ambiguous_cos"}
+        order6 = MomentCombo((1.0, 0.3, 0.5, -2.0, 0.25)).first_integral
+        assert order6.algebraic and not order6.closed_form and order6.inverse is None
+        for variant in (StandardizedMoments((2.0, 1.0)), fourier_gaussian_amplitude()):
+            assert variant.first_integral is None
+
+    def test_gaussian_expectation_needs_a_penalty(self):
+        from equicontrol import gaussian_penalty_expectation
+
+        with pytest.raises(ObjectiveError):
+            gaussian_penalty_expectation(MomentCombo((2.0,)), 0.5)

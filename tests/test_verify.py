@@ -18,6 +18,7 @@ from equicontrol import (
 from equicontrol import verify as verify_module
 from equicontrol.verify import (
     _MC_BLOCK,
+    MC_SEED_RANGE,
     DeterministicControl,
     _default_threads,
     _mc_block_sums,
@@ -248,6 +249,18 @@ class TestMonteCarlo:
             monte_carlo(mv_solution, 0.0, seed=1, num_paths=100, num_steps=8, orders=(2, 12))
         with pytest.raises(DomainError):
             monte_carlo(mv_solution, 0.0, seed=1, num_paths=1, num_steps=8)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**70, -(2**63) - 1])
+    def test_seed_outside_key_range(self, mv_solution, seed):
+        with pytest.raises(DomainError):
+            monte_carlo(mv_solution, 0.0, seed=seed, num_paths=100, num_steps=8)
+
+    def test_seed_range_ends_run(self, mv_solution):
+        lo, hi = MC_SEED_RANGE
+        assert (lo, hi) == (-(2**63), 2**64 - 1)
+        for seed in (lo, 2**63 - 1):
+            report = monte_carlo(mv_solution, 0.0, seed=seed, num_paths=100, num_steps=8)
+            assert report.seed == seed
 
 
 class TestValueConsistency:
