@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import coeffs as cf
-from .equilibrium import solve
-from .errors import ConfigError, EquicontrolError, NonFiniteResultError
+from .equilibrium import SOLVERS, solve
+from .errors import ConfigError, DomainError, EquicontrolError, NonFiniteResultError
 from .objectives import VARIANTS, ObjectiveSpec
 from .verify import MC_SEED_RANGE, verification_report
 
@@ -31,7 +31,7 @@ try:
 except Exception:  # pragma: no cover - metadata missing in odd install modes
     _VERSION = "unknown"
 
-_SOLVER_NAMES = ("auto", "closed_form", "ode", "algebraic")
+_SOLVER_NAMES = ("auto", *SOLVERS)
 # the mean weight, every family's own parameters, then the horizon
 _SWEEP_PARAMETERS = ("kappa", *dict.fromkeys(p for v in VARIANTS.values() for p in v.sweepable), "T")
 _CSV_HEADER = ("t", "y", "beta", "control_at_x0", "value_at_x0")
@@ -113,11 +113,21 @@ def _integer_list(value, context: str):
     return [_integral(v, f"{context} entry") for v in _number_list(value, context)]
 
 
+def _fields(section: dict, fields, context: str) -> list:
+    """The values of ``fields``, each (key, float or list, default or None if required)."""
+    return [
+        _number(section, key, context, default)
+        if field_type is float
+        else tuple(_number_list(section.get(key), f"{context}.{key}"))
+        for key, field_type, default in fields
+    ]
+
+
 def parse_coefficient(entry, context: str):
     """Build a coefficient descriptor from a config entry.
 
-    A bare number is shorthand for a constant path; otherwise an object with
-    a ``type`` of constant, polynomial, exponential or samples.
+    A bare number is shorthand for a constant path; otherwise an object whose
+    ``type`` names one of ``coeffs.COEFFICIENTS``.
     """
     if isinstance(entry, bool):
         raise ConfigError(f"{context} must be a number or an object")
@@ -125,57 +135,29 @@ def parse_coefficient(entry, context: str):
         return cf.ConstantCoefficient(_finite(entry, context))
     entry = _require_mapping(entry, context)
     kind = entry.get("type")
-    if kind == "constant":
-        _check_keys(entry, ("type", "value"), context)
-        return cf.ConstantCoefficient(_number(entry, "value", context))
-    if kind == "polynomial":
-        _check_keys(entry, ("type", "coefficients"), context)
-        return cf.PolynomialCoefficient(
-            tuple(_number_list(entry.get("coefficients"), f"{context}.coefficients"))
+    cls = cf.COEFFICIENTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(
+            f"{context}.type must be one of {', '.join(cf.COEFFICIENTS)}; got {kind!r}"
         )
-    if kind == "exponential":
-        _check_keys(entry, ("type", "scale", "rate", "offset"), context)
-        return cf.ExponentialCoefficient(
-            _number(entry, "scale", context),
-            _number(entry, "rate", context),
-            _number(entry, "offset", context, default=0.0),
-        )
-    if kind == "samples":
-        _check_keys(entry, ("type", "times", "values"), context)
-        times = _number_list(entry.get("times"), f"{context}.times")
-        values = _number_list(entry.get("values"), f"{context}.values")
-        try:
-            return cf.SampledCoefficient(np.array(times), np.array(values))
-        except EquicontrolError as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
-    raise ConfigError(
-        f"{context}.type must be one of constant, polynomial, exponential, samples;"
-        f" got {kind!r}"
-    )
-
-
-_COEFF_FIELDS = (
-    ("state_drift", 0.0),
-    ("control_drift", None),
-    ("drift_offset", 0.0),
-    ("control_vol", None),
-    ("vol_offset", 0.0),
-)
+    _check_keys(entry, ("type", *(key for key, _, _ in cls.config_fields)), context)
+    values = _fields(entry, cls.config_fields, context)
+    try:
+        return cls(*values)
+    except EquicontrolError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def parse_coefficients(section, grid: cf.TimeGrid) -> cf.CoefficientSet:
     section = _require_mapping(section, "coefficients")
-    _check_keys(section, [name for name, _ in _COEFF_FIELDS], "coefficients")
-    kwargs = {}
-    for name, default in _COEFF_FIELDS:
-        if name in section:
-            kwargs[name] = parse_coefficient(section[name], f"coefficients.{name}")
-        elif default is not None:
-            kwargs[name] = cf.ConstantCoefficient(default)
-        else:
+    _check_keys(section, [name for name, _ in cf.CoefficientSet.paths], "coefficients")
+    paths = {}
+    for name, default in cf.CoefficientSet.paths:
+        if name not in section and default is None:
             raise ConfigError(f"coefficients is missing required key {name!r}")
+        paths[name] = parse_coefficient(section.get(name, default), f"coefficients.{name}")
     try:
-        return cf.CoefficientSet(grid, **kwargs)
+        return cf.CoefficientSet(grid, **paths)
     except EquicontrolError as exc:
         raise ConfigError(f"coefficients: {exc}") from exc
 
@@ -196,13 +178,81 @@ def parse_objective(section) -> ObjectiveSpec:
     if cls is None:
         raise ConfigError(f"objective.variant must be one of {', '.join(VARIANTS)}; got {kind!r}")
     _check_keys(section, ("variant", "kappa", *(key for key, _, _ in cls.config_fields)), "objective")
-    values = [
-        _number(section, key, "objective", default)
-        if field_type is float
-        else tuple(_number_list(section.get(key), f"objective.{key}"))
-        for key, field_type, default in cls.config_fields
-    ]
+    values = _fields(section, cls.config_fields, "objective")
     return _objective(kappa, lambda: cls.from_config(*values))
+
+
+# the overrides each verification suite accepts, with the parser of each value
+_SUITE_OPTIONS = {
+    "spike": {
+        "times": _number_list,
+        "zetas": _number_list,
+        "epsilons": _number_list,
+        "limit_tol": _finite,
+        "match_tol": _finite,
+    },
+    "fbsde": {"times": _number_list, "tol": _finite},
+    "pde": {
+        "orders": _integer_list,
+        "t_samples": _number_list,
+        "x_samples": _number_list,
+        "tol": _finite,
+        "first_order_tol": _finite,
+    },
+    "monte_carlo": {
+        "x0": _finite,
+        "seed": _seed,
+        "num_paths": _at_least(2),
+        "num_steps": _at_least(1),
+        "orders": _integer_list,
+        "threads": _at_least(1),
+    },
+}
+# verification tolerance key -> (verification_report keyword, tolerance it defaults to)
+_VERIFY_TOLERANCES = {
+    "residual_tol": ("residual_tol", "residual"),
+    "self_consistency_tol": ("consistency_tol", "self_consistency"),
+    "value_tol": ("value_tol", "value"),
+}
+
+
+def _verification_kwargs(section, x0: float, tolerances: dict, horizon: float, seed) -> dict:
+    """The keyword arguments of ``verification_report`` for a verification section.
+
+    Each suite key may be true (defaults), false (skip) or an object of
+    overrides; by default every suite runs.  ``seed`` is the ``--seed``
+    override of the Monte Carlo seed, or None.  The suites check the ranges
+    of their own overrides when they run.
+    """
+    section = _require_mapping(section, "verification")
+    _check_keys(section, (*_SUITE_OPTIONS, *_VERIFY_TOLERANCES), "verification")
+    kwargs = {"x0": x0}
+    for key, (kw, name) in _VERIFY_TOLERANCES.items():
+        tol = _number(section, key, "verification", default=tolerances[name])
+        if tol < 0.0:
+            raise ConfigError(f"verification.{key} must be nonnegative, got {tol!r}")
+        kwargs[kw] = tol
+    for key, parsers in _SUITE_OPTIONS.items():
+        kw = "monte_carlo_cfg" if key == "monte_carlo" else key
+        choice = section.get(key, True)
+        if choice is True:
+            kwargs[kw] = {}
+        elif choice is False or choice is None:
+            kwargs[kw] = None
+        else:
+            context = f"verification.{key}"
+            options = _require_mapping(choice, context)
+            _check_keys(options, parsers, context)
+            kwargs[kw] = {
+                name: parsers[name](value, f"{context}.{name}") for name, value in options.items()
+            }
+    for key in ("spike", "fbsde"):
+        times = (kwargs[key] or {}).get("times", ())
+        if any(not 0.0 <= t <= horizon for t in times):
+            raise ConfigError(f"verification.{key}.times must lie in [0, {horizon}], got {times}")
+    if kwargs["monte_carlo_cfg"] is not None and seed is not None:
+        kwargs["monte_carlo_cfg"]["seed"] = _seed(seed, "--seed")
+    return kwargs
 
 
 _TOP_KEYS = (
@@ -216,7 +266,6 @@ _TOP_KEYS = (
     "verification",
     "output",
 )
-_TOLERANCE_KEYS = ("ode", "residual", "self_consistency", "value")
 _DEFAULT_TOLERANCES = {
     "ode": 1e-8,
     "residual": 1e-8,
@@ -227,7 +276,10 @@ _DEFAULT_TOLERANCES = {
 
 @dataclasses.dataclass(frozen=True)
 class Problem:
-    """A fully parsed configuration plus command-line overrides."""
+    """A fully parsed configuration plus command-line overrides.
+
+    ``verification`` holds the keyword arguments of ``verification_report``.
+    """
 
     coeffs: cf.CoefficientSet
     objective: ObjectiveSpec
@@ -253,16 +305,17 @@ def load_config(path: str) -> tuple[dict, str]:
 
 
 def build_problem(path: str, args) -> Problem:
+    """Parse and check every section of the config at ``path``, with the overrides in ``args``."""
     cfg, sha = load_config(path)
     _check_keys(cfg, _TOP_KEYS, "config")
     horizon = _number(cfg, "horizon", "config")
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
     grid_size = _integral(cfg.get("grid_size", 512), "config.grid_size")
     if args.grid is not None:
         grid_size = args.grid
-    if grid_size < 2:
-        raise ConfigError(f"grid_size must be at least 2, got {grid_size}")
+    try:
+        grid = cf.TimeGrid(horizon, grid_size)
+    except EquicontrolError as exc:
+        raise ConfigError(str(exc)) from exc
     x0 = _number(cfg, "x0", "config", default=0.0)
 
     solver = cfg.get("solver", "auto")
@@ -275,26 +328,22 @@ def build_problem(path: str, args) -> Problem:
 
     tolerances = dict(_DEFAULT_TOLERANCES)
     tol_section = _require_mapping(cfg.get("tolerances", {}), "tolerances")
-    _check_keys(tol_section, _TOLERANCE_KEYS, "tolerances")
+    _check_keys(tol_section, _DEFAULT_TOLERANCES, "tolerances")
     for key in tol_section:
         tolerances[key] = _number(tol_section, key, "tolerances")
-
-    verification = _require_mapping(cfg.get("verification", {}), "verification")
 
     output = _require_mapping(cfg.get("output", {}), "output")
     _check_keys(output, ("dir",), "output")
     out_dir = args.out or output.get("dir") or "equicontrol-out"
 
-    try:
-        grid = cf.TimeGrid(horizon, grid_size)
-    except EquicontrolError as exc:
-        raise ConfigError(str(exc)) from exc
-    if "coefficients" not in cfg:
-        raise ConfigError("config is missing required key 'coefficients'")
-    if "objective" not in cfg:
-        raise ConfigError("config is missing required key 'objective'")
+    for key in ("coefficients", "objective"):
+        if key not in cfg:
+            raise ConfigError(f"config is missing required key {key!r}")
     coeffs = parse_coefficients(cfg["coefficients"], grid)
     objective = parse_objective(cfg["objective"])
+    verification = _verification_kwargs(
+        cfg.get("verification", {}), x0, tolerances, horizon, args.seed
+    )
     return Problem(
         coeffs=coeffs,
         objective=objective,
@@ -338,41 +387,37 @@ def _write_manifest(problem: Problem, sol, command: str, outputs, extra=None) ->
     return path
 
 
-def _solution_rows(problem: Problem, sol):
-    nodes = sol.grid.nodes
-    y = sol.y_many(nodes)
-    beta = sol.beta_many(nodes)
-    control = sol.control_many(nodes)
-    values = sol.value_many(nodes, problem.x0)
-    return nodes, y, beta, control, values
+def _write_csv(out_dir: Path, name: str, header, columns) -> Path:
+    """Write equal-length columns as a CSV table under ``header``.
 
-
-def _require_finite(columns: dict) -> None:
-    """Refuse to write a result column that holds a NaN or an infinity."""
-    for name, column in columns.items():
+    A column that holds a NaN or an infinity is a ``NonFiniteResultError``,
+    raised before anything is written.
+    """
+    for key, column in zip(header, columns):
         bad = ~np.isfinite(np.asarray(column, dtype=float))
         if np.any(bad):
             raise NonFiniteResultError(
-                f"{name} is not finite at {int(np.count_nonzero(bad))} of {bad.size} rows"
+                f"{key} is not finite at {int(np.count_nonzero(bad))} of {bad.size} rows"
             )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / name
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
+    return path
 
 
 def cmd_solve(args) -> int:
     problem = build_problem(args.config, args)
     sol = _solve_problem(problem)
-    nodes, y, beta, control, values = _solution_rows(problem, sol)
-    _require_finite(
-        {"y": y, "beta": beta, "control_at_x0": control, "value_at_x0": values}
-    )
-    problem.out_dir.mkdir(parents=True, exist_ok=True)
-
-    csv_path = problem.out_dir / "solution.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for row in zip(nodes, y, beta, control, values):
-            writer.writerow([_fmt(v) for v in row])
-
+    nodes = sol.grid.nodes
+    y = sol.y_many(nodes)
+    beta = sol.beta_many(nodes)
+    control = sol.control_many(nodes)
+    values = sol.value_many(nodes, problem.x0)
+    columns = (nodes, y, beta, control, values)
+    csv_path = _write_csv(problem.out_dir, "solution.csv", _CSV_HEADER, columns)
     summary = {
         "y_0": float(y[0]),
         "beta_0": float(beta[0]),
@@ -389,87 +434,24 @@ def cmd_solve(args) -> int:
     return 0
 
 
-# the overrides each verification suite accepts, with the parser of each value
-_SUITE_OPTIONS = {
-    "spike": {
-        "times": _number_list,
-        "zetas": _number_list,
-        "epsilons": _number_list,
-        "limit_tol": _finite,
-        "match_tol": _finite,
-    },
-    "fbsde": {"times": _number_list, "tol": _finite},
-    "pde": {
-        "orders": _integer_list,
-        "t_samples": _number_list,
-        "x_samples": _number_list,
-        "tol": _finite,
-        "first_order_tol": _finite,
-    },
-    "monte_carlo": {
-        "x0": _finite,
-        "seed": _seed,
-        "num_paths": _at_least(2),
-        "num_steps": _at_least(1),
-        "orders": _integer_list,
-        "threads": _at_least(1),
-    },
-}
-# verification tolerance key -> (verification_report keyword, tolerance it defaults to)
-_VERIFY_TOLERANCES = {
-    "residual_tol": ("residual_tol", "residual"),
-    "self_consistency_tol": ("consistency_tol", "self_consistency"),
-    "value_tol": ("value_tol", "value"),
-}
-
-
-def _verification_kwargs(problem: Problem, args) -> dict:
-    """Translate the config verification section into suite options.
-
-    Each suite key may be true (defaults), false (skip) or an object of
-    overrides; by default every suite runs.
-    """
-    section = dict(problem.verification)
-    _check_keys(section, (*_SUITE_OPTIONS, *_VERIFY_TOLERANCES), "verification")
-    kwargs = {"x0": problem.x0}
-    for key, (kw, name) in _VERIFY_TOLERANCES.items():
-        tol = _number(section, key, "verification", default=problem.tolerances[name])
-        if tol < 0.0:
-            raise ConfigError(f"verification.{key} must be nonnegative, got {tol!r}")
-        kwargs[kw] = tol
-    names = {"spike": "spike", "fbsde": "fbsde", "pde": "pde", "monte_carlo": "monte_carlo_cfg"}
-    for key, kw in names.items():
-        choice = section.get(key, True)
-        if choice is True:
-            kwargs[kw] = {}
-        elif choice is False or choice is None:
-            kwargs[kw] = None
-        else:
-            context = f"verification.{key}"
-            options = _require_mapping(choice, context)
-            parsers = _SUITE_OPTIONS[key]
-            _check_keys(options, parsers, context)
-            kwargs[kw] = {
-                name: parsers[name](value, f"{context}.{name}") for name, value in options.items()
-            }
-    horizon = problem.coeffs.grid.horizon
-    for key in ("spike", "fbsde"):
-        times = (kwargs[key] or {}).get("times", ())
-        if any(not 0.0 <= t <= horizon for t in times):
-            raise ConfigError(f"verification.{key}.times must lie in [0, {horizon}], got {times}")
-    if kwargs["monte_carlo_cfg"] is not None and args.seed is not None:
-        kwargs["monte_carlo_cfg"]["seed"] = _seed(args.seed, "--seed")
-    return kwargs
-
-
 def cmd_verify(args) -> int:
     problem = build_problem(args.config, args)
-    kwargs = _verification_kwargs(problem, args)
     sol = _solve_problem(problem)
-    report = verification_report(sol, **kwargs)
+    try:
+        report = verification_report(sol, **problem.verification)
+    except DomainError as exc:
+        # the solution exists, so the only domain checks left to fail are the
+        # suites' range checks of their overrides: a configuration error
+        raise ConfigError(f"verification: {exc}") from exc
+    except OverflowError as exc:
+        raise NonFiniteResultError(f"a verification suite overflowed: {exc}") from exc
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteResultError("the verification report holds a NaN or an infinity") from exc
     problem.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = problem.out_dir / "verification.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(text)
     _write_manifest(problem, sol, "verify", [report_path], {"passed": report["passed"]})
 
     for key, value in report.items():
@@ -484,19 +466,9 @@ def _sweep_problem(problem: Problem, parameter: str, value: float) -> Problem:
     """A copy of the problem with one swept parameter replaced."""
     spec = problem.objective
     if parameter == "T":
-        if value <= 0.0:
-            raise ConfigError(f"horizon must be positive, got {value}")
-        old = problem.coeffs
         try:
-            grid = cf.TimeGrid(value, old.grid.num_steps)
-            coeffs = cf.CoefficientSet(
-                grid,
-                state_drift=old.state_drift,
-                control_drift=old.control_drift,
-                drift_offset=old.drift_offset,
-                control_vol=old.control_vol,
-                vol_offset=old.vol_offset,
-            )
+            grid = cf.TimeGrid(value, problem.coeffs.grid.num_steps)
+            coeffs = dataclasses.replace(problem.coeffs, grid=grid)
         except EquicontrolError as exc:
             raise ConfigError(f"cannot sweep T to {value}: {exc}") from exc
         return dataclasses.replace(problem, coeffs=coeffs)
@@ -527,11 +499,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"cannot parse sweep values {args.values!r}: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    if args.parameter not in _SWEEP_PARAMETERS:
-        raise ConfigError(
-            f"unknown sweep parameter {args.parameter!r};"
-            f" pick one of {', '.join(_SWEEP_PARAMETERS)}"
-        )
 
     rows = []
     for value in values:
@@ -548,14 +515,7 @@ def cmd_sweep(args) -> int:
         )
 
     header = (args.parameter, "beta_0", "control_at_x0", "value_at_x0", "y_0")
-    _require_finite(dict(zip(header, zip(*rows))))
-    problem.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = problem.out_dir / "sweep.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    csv_path = _write_csv(problem.out_dir, "sweep.csv", header, list(zip(*rows)))
     print(",".join(header))
     for row in rows:
         print(",".join(_fmt(v) for v in row))

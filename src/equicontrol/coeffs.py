@@ -7,8 +7,8 @@ The controlled state follows the linear dynamics
 on a finite horizon [0, T].  All five coefficient paths are deterministic
 functions of time, given either in closed form (constant, polynomial,
 exponential) or as samples with piecewise-linear interpolation.  The control
-loading on the diffusion must stay away from zero, which is enforced at
-construction through ``d_min``.
+loading on the diffusion must stay away from zero: construction rejects a
+path whose magnitude falls below ``D_MIN``.
 
 Every path exposes an exact antiderivative, so growth factors of the form
 exp(int_t^T a) are additive to rounding.  Quadrature of node-sampled paths
@@ -33,6 +33,8 @@ import numpy as np
 from .errors import CoefficientError, DomainError, GridMismatchError
 
 _SNAP = 1e-12
+# floor on the magnitude of the control loading d of the diffusion
+D_MIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,8 @@ class TimeGrid:
 @dataclass(frozen=True)
 class ConstantCoefficient:
     value: float
+    kind = "constant"
+    config_fields = (("value", float, None),)
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
@@ -87,6 +91,8 @@ class PolynomialCoefficient:
     """Polynomial in t with ascending coefficients."""
 
     coeffs: tuple
+    kind = "polynomial"
+    config_fields = (("coefficients", list, None),)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
@@ -118,6 +124,8 @@ class ExponentialCoefficient:
     scale: float
     rate: float
     offset: float = 0.0
+    kind = "exponential"
+    config_fields = (("scale", float, None), ("rate", float, None), ("offset", float, 0.0))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -139,6 +147,8 @@ class SampledCoefficient:
 
     times: tuple
     values: tuple
+    kind = "samples"
+    config_fields = (("times", list, None), ("values", list, None))
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -186,6 +196,20 @@ class SampledCoefficient:
 
     def integral(self, a: float, b: float) -> float:
         return float(self.antiderivative(b) - self.antiderivative(a))
+
+
+# every coefficient descriptor under its config ``type``; each class lists its
+# config keys in ``config_fields`` as (key, float or list, default or None if
+# required), passed in that order to the constructor
+COEFFICIENTS = {
+    cls.kind: cls
+    for cls in (
+        ConstantCoefficient,
+        PolynomialCoefficient,
+        ExponentialCoefficient,
+        SampledCoefficient,
+    )
+}
 
 
 def coefficient_nodes(path, grid: TimeGrid) -> np.ndarray:
@@ -320,19 +344,19 @@ class CoefficientSet:
     drift_offset: object
     control_vol: object
     vol_offset: object
-    d_min: float = 1e-10
+    # each path's config key with the constant it defaults to (None if required)
+    paths = (
+        ("state_drift", 0.0),
+        ("control_drift", None),
+        ("drift_offset", 0.0),
+        ("control_vol", None),
+        ("vol_offset", 0.0),
+    )
 
     def __post_init__(self):
-        if not (self.d_min > 0.0):
-            raise CoefficientError("d_min must be positive")
         snap = _SNAP * max(1.0, self.grid.horizon)
-        for path in (
-            self.state_drift,
-            self.control_drift,
-            self.drift_offset,
-            self.control_vol,
-            self.vol_offset,
-        ):
+        for name, _ in self.paths:
+            path = getattr(self, name)
             if isinstance(path, SampledCoefficient):
                 if path.times[0] > snap or path.times[-1] < self.grid.horizon - snap:
                     raise CoefficientError(
@@ -344,9 +368,9 @@ class CoefficientSet:
         )
         dvals = np.abs(np.asarray(self.control_vol(probe), dtype=float))
         worst = float(dvals.min())
-        if worst < self.d_min:
+        if worst < D_MIN:
             raise CoefficientError(
-                f"control volatility magnitude {worst:.3e} below floor {self.d_min:.3e}"
+                f"control volatility magnitude {worst:.3e} below floor {D_MIN:.3e}"
             )
 
     @cached_property
@@ -382,7 +406,7 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class DiscountCache:
-    """Node values of the terminal growth factor exp(int_t^T a) and its square.
+    """Node values of the terminal growth factor exp(int_t^T a).
 
     The integral of the state drift comes from the coefficient descriptor's
     exact antiderivative, so the cache is additive between nodes and the
@@ -390,9 +414,7 @@ class DiscountCache:
     """
 
     grid: TimeGrid
-    int_a: np.ndarray
     growth: np.ndarray
-    growth_sq: np.ndarray
     _path: object
 
     @classmethod
@@ -401,8 +423,7 @@ class DiscountCache:
         path = coeffs.state_drift
         end = float(np.asarray(path.antiderivative(grid.horizon)))
         ints = end - np.asarray(path.antiderivative(grid.nodes), dtype=float)
-        growth = np.exp(ints)
-        return cls(grid, ints, growth, growth * growth, path)
+        return cls(grid, np.exp(ints), path)
 
     def int_a_many(self, t):
         t = np.asarray(t, dtype=float)

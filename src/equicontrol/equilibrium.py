@@ -35,6 +35,7 @@ from . import coeffs as cf
 from .errors import (
     ConcavityError,
     DomainError,
+    NonFiniteResultError,
     OdeStepError,
     RootBracketError,
     UnsupportedVariantError,
@@ -49,6 +50,8 @@ from .objectives import (
 
 _BISECT_STEPS = 30
 _NEWTON_STEPS = 3
+# most RK4 substeps per grid cell before the backward march gives up
+_ODE_MAX_SUBSTEPS = 16
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,8 @@ def _concavity_nodes(coeffs, spec, y_nodes) -> ConcavityReport:
 
 def _assemble(coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0) -> EquilibriumSolution:
     y_nodes = np.maximum(np.asarray(y_nodes, dtype=float), 0.0)
+    if not np.all(np.isfinite(y_nodes)):
+        raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite y")
     report = _concavity_nodes(coeffs, spec, y_nodes)
     if not report.ok:
         raise ConcavityError(
@@ -208,6 +213,8 @@ def _assemble(coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0) -> Equ
         )
     lead = spec.kappa * coeffs.b_nodes / coeffs.d_nodes**2
     beta = lead * (-0.5 / report.margins)
+    if not np.all(np.isfinite(beta)):
+        raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite beta")
     if y_fn is None:
         y_fn = CubicSpline(coeffs.grid.nodes, y_nodes)
     cache = cf.DiscountCache.from_coeffs(coeffs)
@@ -337,13 +344,13 @@ def solve_ode(
     spec: ObjectiveSpec,
     *,
     tol: float = 1e-8,
-    max_substeps: int = 16,
 ) -> EquilibriumSolution:
     """Backward RK4 integration of the scalar equation for y.
 
     Integrates y' = -(kappa b / d)^2 f(t, y)^2 from the terminal condition
     y(T) = 0 on the master grid, with a Richardson half-step error estimate;
-    the step is refined only if the estimate misses ``tol``.
+    the step is halved, up to ``_ODE_MAX_SUBSTEPS`` substeps per cell, only
+    while the estimate misses ``tol``.
     """
     grid = coeffs.grid
     kappa = spec.kappa
@@ -386,7 +393,7 @@ def solve_ode(
     substeps = 2
     fine = run(substeps)
     est = float(np.max(np.abs(fine - coarse))) / 15.0
-    while est > tol and substeps < max_substeps:
+    while est > tol and substeps < _ODE_MAX_SUBSTEPS:
         coarse, substeps = fine, substeps * 2
         fine = run(substeps)
         est = float(np.max(np.abs(fine - coarse))) / 15.0
@@ -397,7 +404,7 @@ def solve_ode(
     return _assemble(coeffs, spec, fine, "ode", None, ode_err=est)
 
 
-_SOLVERS = {
+SOLVERS = {
     "closed_form": solve_closed_form,
     "ode": solve_ode,
     "algebraic": solve_algebraic,
@@ -414,10 +421,10 @@ def solve(
     ode_kwargs = {} if ode_tol is None else {"tol": float(ode_tol)}
     if solver != "auto":
         try:
-            chosen = _SOLVERS[solver]
+            chosen = SOLVERS[solver]
         except KeyError:
             raise DomainError(
-                f"unknown solver {solver!r}; pick one of auto, " + ", ".join(_SOLVERS)
+                f"unknown solver {solver!r}; pick one of auto, " + ", ".join(SOLVERS)
             ) from None
         if chosen is solve_ode:
             return chosen(coeffs, spec, **ode_kwargs)

@@ -55,7 +55,7 @@ class RootBracketError(SolverError):
 
 
 class NonFiniteResultError(SolverError):
-    """A solution column that would be written holds a NaN or an infinity."""
+    """A solution, or a result that would be written, holds a NaN or an infinity."""
 
 
 class ConfigError(EquicontrolError, ValueError):

@@ -379,9 +379,7 @@ class AmbiguousCos(_Penalty):
         return (-1.0) ** (j // 2) * self.amplitude.moment(j) if j % 2 == 0 else 0.0
 
     def curvature(self, y):
-        v = self.amplitude._v
-        p = self.amplitude._p
-        return -0.5 * np.sum(p * v**2 * np.exp(-0.5 * np.multiply.outer(y, v**2)), axis=-1)
+        return -0.5 * self.amplitude.mean_exp_sq(y, weight_power=2)
 
     def gaussian_expectation(self, var):
         return 1.0 - self.amplitude.mean_exp_sq(var)

@@ -26,14 +26,15 @@ import numpy as np
 
 from . import coeffs as cf
 from .equilibrium import EquilibriumSolution
-from .errors import ConfigError, DomainError, GridMismatchError
+from .errors import ConfigError, DomainError, GridMismatchError, NonFiniteResultError
 from .moments import MomentVector, alpha, double_factorial, raw_to_central
 from .objectives import ObjectiveSpec, curvature_sum, psi
 
 _SNAP = 1e-12
 _MC_BLOCK = 1 << 17
 _MC_PATH_STEP_CAP = 1 << 34
-_MC_MAX_ORDER = 8
+# highest moment order the PDE and Monte Carlo suites check
+_MAX_ORDER = 8
 # seeds the Philox key word takes: one signed or unsigned 64-bit integer
 MC_SEED_RANGE = (-(1 << 63), (1 << 64) - 1)
 
@@ -296,7 +297,7 @@ def spike_suite(
             row.append((spiked.value - j0) / eps)
 
     d_t = float(sol.coeffs.control_vol(t))
-    growth_sq = math.exp(2.0 * cache.int_a_at(t))
+    growth_sq = cache.growth_sq_at(t)
     curvature = curvature_sum(sol.objective, t, sol.y_at(t))
     reports = []
     for zeta, row in zip(zetas, ratios):
@@ -399,10 +400,13 @@ def _moment_surface(sol: EquilibriumSolution):
     nodes = coeffs.grid.nodes
     horizon = coeffs.grid.horizon
     drift_nodes = cf.drift_offset_nodes(coeffs, cache)
+    feed_nodes = coeffs.b_nodes * sol.beta
+    if not (np.all(np.isfinite(drift_nodes)) and np.all(np.isfinite(feed_nodes))):
+        raise NonFiniteResultError("the drift of the terminal mean is not finite")
     # smooth antiderivatives keep the finite-difference stencil off the
     # kinks a piecewise-linear quadrature rule would introduce
     drift_anti = CubicSpline(nodes, drift_nodes).antiderivative()
-    feed_anti = CubicSpline(nodes, coeffs.b_nodes * sol.beta).antiderivative()
+    feed_anti = CubicSpline(nodes, feed_nodes).antiderivative()
 
     def moment(order, ts, x):
         ts = np.asarray(ts, dtype=float)
@@ -447,6 +451,8 @@ def pde_residual_check(
     t_samples = np.asarray(t_samples, dtype=float)
     if np.any(t_samples < 2.0 * dt) or np.any(t_samples > horizon - 2.0 * dt):
         raise DomainError("time samples must keep the 5-point stencil inside the horizon")
+    if any(not 1 <= j <= _MAX_ORDER for j in orders):
+        raise DomainError(f"moment orders must lie in 1..{_MAX_ORDER}")
     x_samples = np.asarray(x_samples, dtype=float)
 
     moment = _moment_surface(sol)
@@ -599,8 +605,8 @@ def monte_carlo(
             f"simulation of {num_paths} x {num_steps} exceeds the resource cap"
         )
     orders = tuple(int(j) for j in orders)
-    if any(j < 2 for j in orders) or max(orders) > _MC_MAX_ORDER:
-        raise DomainError(f"central moment orders must lie in 2..{_MC_MAX_ORDER}")
+    if any(j < 2 for j in orders) or max(orders) > _MAX_ORDER:
+        raise DomainError(f"central moment orders must lie in 2..{_MAX_ORDER}")
     if threads is None:
         threads = _default_threads()
     elif threads < 1:
@@ -634,11 +640,8 @@ def monte_carlo(
         return _mc_block_sums(x0, drift, growth, vol, sqdt, bsize, [seed, bstart], max_power)
 
     threads = min(threads, len(blocks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_block, blocks))
-    else:
-        partials = [run_block(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        partials = list(pool.map(run_block, blocks))
     total = np.zeros(max_power)
     for part in partials:  # fixed reduction order keeps the result thread-independent
         total += part
@@ -710,7 +713,7 @@ def _plain(obj):
 
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]

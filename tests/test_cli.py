@@ -1,7 +1,12 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
 
 from pathlib import Path
 
@@ -13,7 +18,14 @@ from hypothesis import strategies as st
 from equicontrol import ConfigError, ObjectiveSpec
 from equicontrol import coeffs as cf
 from equicontrol import equilibrium
-from equicontrol.cli import _SWEEP_PARAMETERS, Problem, _sweep_problem, main, parse_objective
+from equicontrol.cli import (
+    _SWEEP_PARAMETERS,
+    Problem,
+    _sweep_problem,
+    build_problem,
+    main,
+    parse_objective,
+)
 from equicontrol.equilibrium import EquilibriumSolution
 from equicontrol.objectives import VARIANTS
 
@@ -676,6 +688,124 @@ class TestCoefficientParsing:
         assert main(["solve", "--config", str(cfg2), "--out", str(out)]) == 0
 
 
+class TestOneParse:
+    """Every command parses and checks the whole config, the verification section included."""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "verification", [{"spkie": True}, {"monte_carlo": {"num_paths": "many"}}]
+    )
+    def test_every_command_checks_verification(self, tmp_path, capsys, command, verification):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, verification=verification)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--parameter", "kappa", "--values", "1"]
+        assert main(argv) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_problem_holds_report_keywords(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            x0=0.5,
+            tolerances={"value": 1e-7},
+            verification={"spike": False, "pde": {"orders": [2]}},
+        )
+        args = argparse.Namespace(out=None, seed=99, grid=None, solver=None)
+        kwargs = build_problem(str(cfg), args).verification
+        assert kwargs == {
+            "x0": 0.5,
+            "residual_tol": 1e-8,
+            "consistency_tol": 5e-6,
+            "value_tol": 1e-7,
+            "spike": None,
+            "fbsde": {},
+            "pde": {"orders": [2]},
+            "monte_carlo_cfg": {"seed": 99},
+        }
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"spike": {"times": [1.0]}},
+            {"spike": {"epsilons": [-0.1]}},
+            {"spike": {"epsilons": [0.5]}},
+            {"pde": {"t_samples": [1.5]}},
+            {"pde": {"orders": [-1]}},
+            {"monte_carlo": {"orders": [1], "num_paths": 64, "num_steps": 4}},
+            {"monte_carlo": {"num_paths": 1048576, "num_steps": 32768}},
+        ],
+    )
+    def test_override_a_suite_rejects_exits_2(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, verification={**_SUITES_OFF, **override})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: verification: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"type": "spline"}, "must be one of constant, polynomial, exponential, samples"),
+            (
+                {"type": "exponential", "scale": 0.3, "rate": "fast"},
+                "coefficients.control_drift.rate must be a number",
+            ),
+            ({"type": "samples", "times": [0.0, 1.0], "values": [0.3]}, "coefficients.control_drift: "),
+        ],
+    )
+    def test_coefficient_errors(self, tmp_path, capsys, entry, message):
+        cfg = write_config(
+            tmp_path / "c.json", coefficients={"control_drift": entry, "control_vol": 0.2}
+        )
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestVerifyNonFinite:
+    """A verify run that overflows exits 3 and writes nothing."""
+
+    def run_verify(self, tmp_path, capsys, verification=_SUITES_OFF, **overrides):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, verification=verification, **overrides)
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        assert code == 3
+        assert "NonFiniteResultError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("state_drift", [800.0, 700.0])
+    def test_overflowing_growth(self, tmp_path, capsys, state_drift):
+        """exp(800) overflows a float; exp(700) squared overflows the value check."""
+        coefficients = {
+            "state_drift": state_drift,
+            "control_drift": 0.3,
+            "drift_offset": 0.1,
+            "control_vol": 0.2,
+        }
+        self.run_verify(tmp_path, capsys, x0=1.0, coefficients=coefficients)
+
+    def test_overflowing_monte_carlo_moments(self, tmp_path, capsys):
+        self.run_verify(tmp_path, capsys, verification=_mc_only(x0=1e200, num_paths=64))
+
+    def test_large_growth_solve_raises_no_warning(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=64,
+            x0=1.0,
+            coefficients={
+                "state_drift": 400.0,
+                "control_drift": 0.3,
+                "drift_offset": 0.1,
+                "control_vol": 0.2,
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, mv_config, tmp_path):
         out = tmp_path / "out"
@@ -711,6 +841,130 @@ _PARSED_OBJECTIVES = (
     {"variant": "ambiguous_cos", "kappa": 1.0, "support": [1.5, 2.5], "probs": [0.5, 0.5]},
     {"variant": "fourier_even", "kappa": 1.0, "frequencies": [-2.0, 0.0, 2.0], "density": [0.0, 1.0, 0.0]},
 )
+
+
+_NUMBERS = st.integers(-3, 3) | st.floats(-1e3, 1e3) | st.floats()
+_NUMBER_LISTS = st.lists(_NUMBERS, max_size=5)
+_COEFFICIENT_ENTRIES = st.one_of(
+    _NUMBERS,
+    st.fixed_dictionaries({"type": st.just("constant"), "value": _NUMBERS}),
+    st.fixed_dictionaries({"type": st.just("polynomial"), "coefficients": _NUMBER_LISTS}),
+    st.fixed_dictionaries(
+        {"type": st.just("exponential"), "scale": _NUMBERS, "rate": _NUMBERS},
+        optional={"offset": _NUMBERS},
+    ),
+    st.lists(_NUMBERS, min_size=2, max_size=5).map(
+        lambda values: {
+            "type": "samples",
+            "times": np.linspace(0.0, 1.0, len(values)).tolist(),
+            "values": values,
+        }
+    ),
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(sorted(cf.COEFFICIENTS)) | _JSON},
+        optional={
+            key: _FIELD_VALUES
+            for cls in cf.COEFFICIENTS.values()
+            for key, _, _ in cls.config_fields
+        },
+    ),
+    _JSON,
+)
+_COEFFICIENT_SECTIONS = st.fixed_dictionaries(
+    {
+        "control_drift": _COEFFICIENT_ENTRIES,
+        "control_vol": st.floats(0.01, 10.0) | _COEFFICIENT_ENTRIES,
+    },
+    optional={name: _COEFFICIENT_ENTRIES for name in ("state_drift", "drift_offset", "vol_offset")},
+)
+_TIMES = st.lists(st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0]), min_size=1, max_size=4)
+_ORDERS = st.lists(st.integers(-2, 10), min_size=1, max_size=4)
+_WIDE = st.lists(_NUMBERS, min_size=1, max_size=4)
+# each suite's overrides with values of the right type in any range
+_TYPED_OPTIONS = {
+    "spike": {
+        "times": _TIMES,
+        "zetas": _WIDE,
+        "epsilons": st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=4),
+        "limit_tol": _NUMBERS,
+        "match_tol": _NUMBERS,
+    },
+    "fbsde": {"times": _TIMES, "tol": _NUMBERS},
+    "pde": {
+        "orders": _ORDERS,
+        "t_samples": _TIMES,
+        "x_samples": _WIDE,
+        "tol": _NUMBERS,
+        "first_order_tol": _NUMBERS,
+    },
+    "monte_carlo": {
+        "x0": _NUMBERS,
+        "seed": st.integers(),
+        "orders": _ORDERS,
+        "threads": st.integers(-1, 4),
+    },
+}
+_MONTE_CARLO_SIZE = {"num_paths": st.integers(2, 64), "num_steps": st.integers(1, 16)}
+
+
+def _at_most_64(value):
+    return not isinstance(value, (int, float)) or value <= 64
+
+
+def _suite(name, typed):
+    """A suite entry: on, off, or overrides of the right type (typed) or of any JSON value."""
+    options = {key: value if typed else _JSON for key, value in _TYPED_OPTIONS[name].items()}
+    if name != "monte_carlo":
+        return st.booleans() | st.none() | st.fixed_dictionaries({}, optional=options)
+    # Monte Carlo is off or runs at most 64 paths of at most 64 steps
+    size = {
+        key: (value if typed else _JSON).filter(_at_most_64)
+        for key, value in _MONTE_CARLO_SIZE.items()
+    }
+    return st.just(False) | st.fixed_dictionaries(size, optional=options)
+
+
+# typed sections come twice as often as untyped ones
+_VERIFICATION_SECTIONS = st.one_of(
+    _JSON.filter(lambda v: not isinstance(v, dict)),
+    *(
+        st.fixed_dictionaries(
+            {"monte_carlo": _suite("monte_carlo", typed)},
+            optional={
+                **{name: _suite(name, typed) for name in ("spike", "fbsde", "pde")},
+                **{
+                    key: st.floats(0.0, 1.0) if typed else _JSON
+                    for key in ("residual_tol", "self_consistency_tol", "value_tol")
+                },
+            },
+        )
+        for typed in (True, True, False)
+    ),
+)
+_SMALL_VERIFICATION = {"monte_carlo": {"num_paths": 64, "num_steps": 16}}
+
+
+def _verify_exit(coefficients, verification):
+    """Run ``verify`` at grid 16 on the mean-variance objective; (exit code, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(
+            Path(tmp) / "c.json",
+            grid_size=16,
+            coefficients=coefficients,
+            verification=verification,
+        )
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with np.errstate(all="ignore"):
+                code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        if code in (2, 3):
+            assert not out.exists()
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    if code == 3:
+        assert "solver error (" in err, err
+    return code, err
 
 
 def _problem(objective, coeffs):
@@ -753,3 +1007,16 @@ class TestParserProperties:
         except ConfigError:
             return
         assert isinstance(swept, Problem)
+
+    @given(section=_COEFFICIENT_SECTIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_coefficient_section_through_verify(self, section):
+        """verify ends in 0, 1, 2 or a solver error (3), never in a traceback."""
+        _verify_exit(section, _SMALL_VERIFICATION)
+
+    @given(section=_VERIFICATION_SECTIONS)
+    @settings(max_examples=150, deadline=None)
+    def test_verification_section_through_verify(self, section):
+        code, err = _verify_exit({"control_drift": 0.3, "control_vol": 0.2}, section)
+        # the suites' own range checks are configuration errors, never solver errors
+        assert not (code == 3 and "DomainError" in err), err

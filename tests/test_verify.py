@@ -20,6 +20,7 @@ from equicontrol.verify import (
     _MC_BLOCK,
     MC_SEED_RANGE,
     DeterministicControl,
+    PdeResidualReport,
     _default_threads,
     _mc_block_sums,
     evaluate_deterministic,
@@ -201,6 +202,20 @@ class TestPdeResiduals:
     def test_stencil_bounds(self, mv_solution):
         with pytest.raises(DomainError):
             pde_residual_check(mv_solution, t_samples=(0.0,))
+
+    @pytest.mark.parametrize("orders", [(-1,), (0, 2), (2, 9)])
+    def test_orders_outside_range(self, mv_solution, orders):
+        with pytest.raises(DomainError, match="1..8"):
+            pde_residual_check(mv_solution, orders=orders)
+
+    def test_numpy_verdicts_are_json_ready(self):
+        """A nonzero numpy terminal gap makes a numpy bool verdict; the report stays JSON."""
+        gap = np.float64(1e-9)
+        report = PdeResidualReport((), gap, gap <= 1e-10)
+        plain = verify_module._plain(report)
+        assert plain == {"rows": [], "terminal_gap": 1e-9, "passed": False}
+        assert type(plain["passed"]) is bool
+        assert json.loads(json.dumps(plain)) == plain
 
 
 class TestMonteCarlo:
