@@ -8,7 +8,6 @@ README.  Exit statuses: 0 success (and all checks passed for ``verify``),
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -63,6 +62,14 @@ def _finite(value, context: str) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f"{context} must be finite, got {value!r}")
+    return value
+
+
+def _tolerance(value, context: str, positive: bool = False) -> float:
+    value = _finite(value, context)
+    if value < 0.0 or (positive and value == 0.0):
+        bound = "positive" if positive else "nonnegative"
+        raise ConfigError(f"{context} must be {bound}, got {value!r}")
     return value
 
 
@@ -228,10 +235,7 @@ def _verification_kwargs(section, x0: float, tolerances: dict, horizon: float, s
     _check_keys(section, (*_SUITE_OPTIONS, *_VERIFY_TOLERANCES), "verification")
     kwargs = {"x0": x0}
     for key, (kw, name) in _VERIFY_TOLERANCES.items():
-        tol = _number(section, key, "verification", default=tolerances[name])
-        if tol < 0.0:
-            raise ConfigError(f"verification.{key} must be nonnegative, got {tol!r}")
-        kwargs[kw] = tol
+        kwargs[kw] = _tolerance(section.get(key, tolerances[name]), f"verification.{key}")
     for key, parsers in _SUITE_OPTIONS.items():
         kw = "monte_carlo_cfg" if key == "monte_carlo" else key
         choice = section.get(key, True)
@@ -329,12 +333,15 @@ def build_problem(path: str, args) -> Problem:
     tolerances = dict(_DEFAULT_TOLERANCES)
     tol_section = _require_mapping(cfg.get("tolerances", {}), "tolerances")
     _check_keys(tol_section, _DEFAULT_TOLERANCES, "tolerances")
-    for key in tol_section:
-        tolerances[key] = _number(tol_section, key, "tolerances")
+    for key, value in tol_section.items():
+        # the ODE tolerance is a step target, the others are bounds a check may meet exactly
+        tolerances[key] = _tolerance(value, f"tolerances.{key}", positive=key == "ode")
 
     output = _require_mapping(cfg.get("output", {}), "output")
     _check_keys(output, ("dir",), "output")
-    out_dir = args.out or output.get("dir") or "equicontrol-out"
+    out_dir = output.get("dir", "equicontrol-out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"output.dir must be a nonempty string, got {out_dir!r}")
 
     for key in ("coefficients", "objective"):
         if key not in cfg:
@@ -351,7 +358,7 @@ def build_problem(path: str, args) -> Problem:
         solver=solver,
         tolerances=tolerances,
         verification=verification,
-        out_dir=Path(out_dir),
+        out_dir=Path(args.out or out_dir),
         config_sha256=sha,
         config_path=str(path),
     )
@@ -393,18 +400,20 @@ def _write_csv(out_dir: Path, name: str, header, columns) -> Path:
     A column that holds a NaN or an infinity is a ``NonFiniteResultError``,
     raised before anything is written.
     """
+    columns = [np.asarray(c, dtype=float) for c in columns]
     for key, column in zip(header, columns):
-        bad = ~np.isfinite(np.asarray(column, dtype=float))
+        bad = ~np.isfinite(column)
         if np.any(bad):
             raise NonFiniteResultError(
                 f"{key} is not finite at {int(np.count_nonzero(bad))} of {bad.size} rows"
             )
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
+    line = ("%.17g," * len(header))[:-1] + "\n"
+    rows = zip(*(c.tolist() for c in columns))
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
     return path
 
 
@@ -443,8 +452,6 @@ def cmd_verify(args) -> int:
         # the solution exists, so the only domain checks left to fail are the
         # suites' range checks of their overrides: a configuration error
         raise ConfigError(f"verification: {exc}") from exc
-    except OverflowError as exc:
-        raise NonFiniteResultError(f"a verification suite overflowed: {exc}") from exc
     try:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -558,7 +565,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"solve": cmd_solve, "verify": cmd_verify, "sweep": cmd_sweep}
     try:
-        return handlers[args.command](args)
+        # numpy's floating-point warnings are off: every number a command
+        # writes is checked first, and a non-finite one is a solver error
+        with np.errstate(all="ignore"):
+            try:
+                return handlers[args.command](args)
+            except OverflowError as exc:  # Python float arithmetic, e.g. x ** 2
+                raise NonFiniteResultError(f"a computation overflowed: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

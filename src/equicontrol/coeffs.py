@@ -25,6 +25,7 @@ so the two agree bitwise at the nodes; ``SuffixQuadrature`` builds on it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,6 @@ import numpy as np
 
 from .errors import CoefficientError, DomainError, GridMismatchError
 
-_SNAP = 1e-12
 # floor on the magnitude of the control loading d of the diffusion
 D_MIN = 1e-10
 
@@ -49,6 +49,8 @@ class TimeGrid:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.num_steps < 2:
             raise DomainError(f"need at least 2 steps, got {self.num_steps}")
+        if self.horizon / self.num_steps < sys.float_info.min:
+            raise DomainError(f"step {self.step} is below the smallest normal float")
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -58,9 +60,14 @@ class TimeGrid:
     def step(self) -> float:
         return self.horizon / self.num_steps
 
+    @property
+    def snap(self) -> float:
+        """Width within which two times count as equal: 1e-12 of the horizon."""
+        return 1e-12 * self.horizon
+
     def require_time(self, t):
         """Check t (scalar or array) lies in [0, horizon] up to rounding; clamp it there."""
-        snap = _SNAP * max(1.0, self.horizon)
+        snap = self.snap
         if isinstance(t, np.ndarray):
             if not np.all((-snap <= t) & (t <= self.horizon + snap)):
                 raise DomainError(f"times outside [0, {self.horizon}]")
@@ -277,7 +284,7 @@ def suffix_integrals(values, grid: TimeGrid) -> np.ndarray:
 def integrate(values, grid: TimeGrid, a: float, b: float) -> float:
     """Integrate a node-sampled path over [a, b] inside [0, horizon]."""
     v = _checked_nodes(values, grid)
-    snap = _SNAP * max(1.0, grid.horizon)
+    snap = grid.snap
     if not (-snap <= a <= b + snap and b <= grid.horizon + snap):
         raise DomainError(f"bad integration range [{a}, {b}] on [0, {grid.horizon}]")
     a = min(max(a, 0.0), grid.horizon)
@@ -321,8 +328,7 @@ class SuffixQuadrature:
         scalar = t.ndim == 0
         ts = np.atleast_1d(np.clip(t, 0.0, self.grid.horizon))
         h = self.grid.step
-        snap = _SNAP * max(1.0, self.grid.horizon)
-        i0 = np.clip(np.ceil((ts - snap) / h).astype(int), 0, self.grid.num_steps)
+        i0 = np.clip(np.ceil((ts - self.grid.snap) / h).astype(int), 0, self.grid.num_steps)
         width = np.maximum(i0 * h - ts, 0.0)
         left = np.interp(ts, self.grid.nodes, self.values)
         out = self._suffix[i0] + 0.5 * width * (left + self.values[i0])
@@ -354,7 +360,7 @@ class CoefficientSet:
     )
 
     def __post_init__(self):
-        snap = _SNAP * max(1.0, self.grid.horizon)
+        snap = self.grid.snap
         for name, _ in self.paths:
             path = getattr(self, name)
             if isinstance(path, SampledCoefficient):
@@ -372,6 +378,10 @@ class CoefficientSet:
             raise CoefficientError(
                 f"control volatility magnitude {worst:.3e} below floor {D_MIN:.3e}"
             )
+
+    def at(self, t) -> tuple:
+        """The five paths (a, b, c, d, f) at times t, as float arrays."""
+        return tuple(np.asarray(getattr(self, name)(t), dtype=float) for name, _ in self.paths)
 
     @cached_property
     def b_nodes(self) -> np.ndarray:

@@ -19,8 +19,9 @@ first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
 routine inverts it at all nodes (and at any query times): through the
 explicit inverse where there is one, else by one vectorized monotone root
 solve.  ``solve_closed_form`` and ``solve_algebraic`` (the polynomial P of
-finite moment combinations) are its two entry points; a backward RK4
-integrator covers the general case.
+finite moment combinations) are its two entry points.  A backward RK4
+integrator covers the families without a P and serves as an independent
+check of the others; ``solve`` lets the family's first integral choose.
 """
 
 from __future__ import annotations
@@ -86,12 +87,8 @@ class EquilibriumSolution:
         return self.coeffs.grid
 
     @cached_property
-    def control_offset_nodes(self) -> np.ndarray:
-        return -self.coeffs.f_nodes / self.coeffs.d_nodes
-
-    @cached_property
     def control_nodes(self) -> np.ndarray:
-        return self.beta / self.discount.growth + self.control_offset_nodes
+        return self.beta / self.discount.growth - self.coeffs.f_nodes / self.coeffs.d_nodes
 
     def y_many(self, t):
         t = np.asarray(t, dtype=float)
@@ -105,7 +102,7 @@ class EquilibriumSolution:
 
     @cached_property
     def _curvature_spline(self):
-        return CubicSpline(self.grid.nodes, self.concavity.margins)
+        return _node_spline(self.grid, self.concavity.margins)
 
     def curvature_many(self, t):
         """K(t, y_t) along the solution, vectorized.
@@ -196,27 +193,27 @@ class EquilibriumSolution:
         return self.concavity
 
 
-def _concavity_nodes(coeffs, spec, y_nodes) -> ConcavityReport:
-    margins = np.asarray(curvature_sum(spec, coeffs.grid.nodes, y_nodes), dtype=float)
-    worst = float(margins.max())
-    return ConcavityReport(margins, worst, worst < 0.0)
+def _node_spline(grid: cf.TimeGrid, values):
+    """Cubic spline through node values, fitted in t / T to stay finite for any horizon."""
+    spline = CubicSpline(grid.nodes / grid.horizon, values)
+    return lambda t: spline(np.asarray(t, dtype=float) / grid.horizon)
 
 
 def _assemble(coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0) -> EquilibriumSolution:
     y_nodes = np.maximum(np.asarray(y_nodes, dtype=float), 0.0)
     if not np.all(np.isfinite(y_nodes)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite y")
-    report = _concavity_nodes(coeffs, spec, y_nodes)
+    margins = np.asarray(curvature_sum(spec, coeffs.grid.nodes, y_nodes), dtype=float)
+    worst = float(margins.max())
+    report = ConcavityReport(margins, worst, worst < 0.0)
     if not report.ok:
-        raise ConcavityError(
-            f"curvature condition failed: max K = {report.worst:.6g} (needs K < 0)"
-        )
+        raise ConcavityError(f"curvature condition failed: max K = {report.worst:.6g} (needs K < 0)")
     lead = spec.kappa * coeffs.b_nodes / coeffs.d_nodes**2
     beta = lead * (-0.5 / report.margins)
     if not np.all(np.isfinite(beta)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite beta")
     if y_fn is None:
-        y_fn = CubicSpline(coeffs.grid.nodes, y_nodes)
+        y_fn = _node_spline(coeffs.grid, y_nodes)
     cache = cf.DiscountCache.from_coeffs(coeffs)
     return EquilibriumSolution(
         coeffs=coeffs,
@@ -229,10 +226,6 @@ def _assemble(coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0) -> Equ
         y_fn=y_fn,
         ode_error_estimate=ode_err,
     )
-
-
-def theta_nodes(coeffs: cf.CoefficientSet) -> np.ndarray:
-    return np.maximum(coeffs.theta_eval(coeffs.grid.nodes), 0.0)
 
 
 def _solve_increasing_many(fn, dfn, targets):
@@ -272,13 +265,7 @@ def _solve_increasing_many(fn, dfn, targets):
     return out
 
 
-def _invert_first_integral(
-    coeffs: cf.CoefficientSet,
-    spec: ObjectiveSpec,
-    integral: FirstIntegral,
-    solver_name: str,
-    explicit: bool,
-) -> EquilibriumSolution:
+def _invert_first_integral(coeffs, spec, integral: FirstIntegral, solver_name: str, explicit: bool):
     """Solve P(y) = kappa^2 theta at every node; ``y_fn`` repeats it at any times.
 
     With ``explicit`` and an explicit P^-1 the inverse is applied directly;
@@ -286,35 +273,31 @@ def _invert_first_integral(
     """
     k2 = spec.kappa * spec.kappa
     budget = coeffs.theta_eval  # theta as a vectorized function of t
-    th = theta_nodes(coeffs)
+    th = np.maximum(budget(coeffs.grid.nodes), 0.0)
     top = k2 * float(th.max())
     if top >= integral.supremum:
         raise integral.error(
             f"risk budget {top:.6g} exceeds the reachable range {integral.supremum:.6g}"
             f" of the {spec.variant.kind} objective"
         )
-    inverse = integral.inverse if explicit else None
-    if inverse is not None:
+    invert = integral.inverse if explicit else None
+    if invert is None:
 
-        def y_fn(t):
-            return inverse(k2 * budget(t))
-
-        return _assemble(coeffs, spec, inverse(k2 * th), solver_name, y_fn)
-    p, dp = integral.p, integral.dp
+        def invert(x):
+            return _solve_increasing_many(integral.p, integral.dp, x)
 
     def y_fn(t):
-        out = _solve_increasing_many(p, dp, np.atleast_1d(k2 * budget(t)))
-        return out[0] if np.asarray(t).ndim == 0 else out
+        return invert(k2 * budget(t))
 
-    return _assemble(coeffs, spec, _solve_increasing_many(p, dp, k2 * th), solver_name, y_fn)
+    return _assemble(coeffs, spec, invert(k2 * th), solver_name, y_fn)
 
 
 def solve_closed_form(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> EquilibriumSolution:
     """Exact solution for the families with a closed-form first integral.
 
-    Covers moment combinations up to order four (explicit P^-1) and the exp /
-    cosh / cos / ambiguous-cos penalties.  Raises UnsupportedVariantError
-    otherwise.
+    Covers moment combinations up to order four (explicit P^-1), standardized
+    moments and the exp / cosh / cos / ambiguous-cos penalties.  Raises
+    UnsupportedVariantError otherwise.
     """
     integral = getattr(spec.variant, "first_integral", None)
     if integral is None or not integral.closed_form:
@@ -417,21 +400,20 @@ def solve(
     solver: str = "auto",
     ode_tol: float | None = None,
 ) -> EquilibriumSolution:
-    """Solve with the named solver, or pick the best available one."""
-    ode_kwargs = {} if ode_tol is None else {"tol": float(ode_tol)}
-    if solver != "auto":
-        try:
-            chosen = SOLVERS[solver]
-        except KeyError:
-            raise DomainError(
-                f"unknown solver {solver!r}; pick one of auto, " + ", ".join(SOLVERS)
-            ) from None
-        if chosen is solve_ode:
-            return chosen(coeffs, spec, **ode_kwargs)
-        return chosen(coeffs, spec)
-    for first_integral_solver in (solve_closed_form, solve_algebraic):
-        try:
-            return first_integral_solver(coeffs, spec)
-        except UnsupportedVariantError:
-            pass
-    return solve_ode(coeffs, spec, **ode_kwargs)
+    """Solve with the named solver; ``auto`` lets the family's first integral choose.
+
+    ``auto`` is ``closed_form`` for an explicit P^-1 or a P that is no
+    polynomial, ``algebraic`` for the other polynomials, ``ode`` without a P.
+    """
+    if solver == "auto":
+        integral = getattr(spec.variant, "first_integral", None)
+        if integral is None:
+            solver = "ode"
+        else:
+            solver = "closed_form" if integral.closed_form else "algebraic"
+    chosen = SOLVERS.get(solver)
+    if chosen is None:
+        raise DomainError(f"unknown solver {solver!r}; pick one of auto, " + ", ".join(SOLVERS))
+    if solver == "ode" and ode_tol is not None:
+        return chosen(coeffs, spec, tol=float(ode_tol))
+    return chosen(coeffs, spec)

@@ -260,6 +260,11 @@ class StandardizedMoments(_FiniteMoments):
         # slot derivatives cancel in K exactly and only the variance term stays
         return np.full_like(y, -0.5 * self.weight(2))
 
+    @cached_property
+    def first_integral(self) -> FirstIntegral:
+        """Plain variance's P = kappa_2^2 y, since K = -kappa_2 / 2 exactly."""
+        return MomentCombo((self.weight(2),)).first_integral
+
 
 class _Penalty(Variant):
     """Families given by an even shape S: psi = -(E[S(X_T - mean)] - S(0))."""

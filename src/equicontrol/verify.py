@@ -30,7 +30,6 @@ from .errors import ConfigError, DomainError, GridMismatchError, NonFiniteResult
 from .moments import MomentVector, alpha, double_factorial, raw_to_central
 from .objectives import ObjectiveSpec, curvature_sum, psi
 
-_SNAP = 1e-12
 _MC_BLOCK = 1 << 17
 _MC_PATH_STEP_CAP = 1 << 34
 # highest moment order the PDE and Monte Carlo suites check
@@ -156,7 +155,7 @@ def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes, cache):
     t = grid.require_time(t)
     horizon = grid.horizon
     cache = cache or cf.DiscountCache.from_coeffs(coeffs)
-    snap = _SNAP * max(1.0, horizon)
+    snap = grid.snap
     if control.fn is None:
         if control.times[0] > t + snap or control.times[-1] < horizon - snap:
             raise DomainError("control samples do not cover [t, horizon]")
@@ -167,15 +166,8 @@ def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes, cache):
         )
         return [DeterministicEvaluation(mean, 0.0, value)] * len(amplitudes)
 
-    cuts = [t, horizon]
-    for s in control.times:
-        if t + snap < s < horizon - snap:
-            cuts.append(float(s))
-    for start, stop, _ in control.offsets:
-        for s in (start, stop):
-            if t + snap < s < horizon - snap:
-                cuts.append(float(s))
-    cuts = sorted(set(cuts))
+    edges = [*control.times, *(s for start, stop, _ in control.offsets for s in (start, stop))]
+    cuts = sorted({t, horizon, *(float(s) for s in edges if t + snap < s < horizon - snap)})
     # merge cuts closer than the snap width
     pieces = []
     h_ref = grid.step
@@ -458,11 +450,7 @@ def pde_residual_check(
     moment = _moment_surface(sol)
     coeffs = sol.coeffs
     u = sol.control_many(t_samples)
-    a_t = np.asarray(coeffs.state_drift(t_samples), dtype=float)
-    b_t = np.asarray(coeffs.control_drift(t_samples), dtype=float)
-    c_t = np.asarray(coeffs.drift_offset(t_samples), dtype=float)
-    d_t = np.asarray(coeffs.control_vol(t_samples), dtype=float)
-    f_t = np.asarray(coeffs.vol_offset(t_samples), dtype=float)
+    a_t, b_t, c_t, d_t, f_t = coeffs.at(t_samples)
     vol_sq = (d_t * u + f_t) ** 2
 
     rows = []
@@ -619,11 +607,7 @@ def monte_carlo(
     s_left = np.linspace(0.0, horizon, num_steps + 1)[:-1]
     u = sol.control_many(s_left)
     coeffs = sol.coeffs
-    a = np.asarray(coeffs.state_drift(s_left), dtype=float)
-    b = np.asarray(coeffs.control_drift(s_left), dtype=float)
-    c = np.asarray(coeffs.drift_offset(s_left), dtype=float)
-    d = np.asarray(coeffs.control_vol(s_left), dtype=float)
-    f = np.asarray(coeffs.vol_offset(s_left), dtype=float)
+    a, b, c, d, f = coeffs.at(s_left)
     growth = 1.0 + a * dt
     drift = (b * u + c) * dt
     vol = d * u + f
@@ -635,9 +619,12 @@ def monte_carlo(
         blocks.append((start, min(_MC_BLOCK, num_paths - start)))
         start += _MC_BLOCK
 
+    errstate = np.geterr()  # pool threads start from numpy's default, not the caller's
+
     def run_block(block):
         bstart, bsize = block
-        return _mc_block_sums(x0, drift, growth, vol, sqdt, bsize, [seed, bstart], max_power)
+        with np.errstate(**errstate):
+            return _mc_block_sums(x0, drift, growth, vol, sqdt, bsize, [seed, bstart], max_power)
 
     threads = min(threads, len(blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -163,6 +164,130 @@ class TestConfigErrors:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         _, rows = read_csv(out / "solution.csv")
         assert len(rows) == 65
+
+
+class TestTopLevelKeys:
+    """Each top-level setting is checked where it is parsed; a bad one exits 2, writing nothing."""
+
+    def run_solve(self, tmp_path, **overrides):
+        cfg = write_config(tmp_path / "c.json", grid_size=16, **overrides)
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        if code == 2:
+            assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("value", [5, True, {}, [], "", None])
+    def test_output_dir_must_be_a_nonempty_string(self, tmp_path, capsys, value):
+        assert self.run_solve(tmp_path, output={"dir": value}) == 2
+        assert "output.dir must be a nonempty string" in capsys.readouterr().err
+
+    def test_output_dir_is_used_without_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "c.json", grid_size=16, output={"dir": "run"})
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert (tmp_path / "run" / "solution.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("ode", -1.0, "tolerances.ode must be positive"),
+            ("ode", 0.0, "tolerances.ode must be positive"),
+            ("residual", -1.0, "tolerances.residual must be nonnegative"),
+            ("self_consistency", -1e-9, "tolerances.self_consistency must be nonnegative"),
+            ("value", -2, "tolerances.value must be nonnegative"),
+            ("ode", "tight", "tolerances.ode must be a number"),
+        ],
+    )
+    def test_tolerance_ranges(self, tmp_path, capsys, key, value, message):
+        assert self.run_solve(tmp_path, solver="ode", tolerances={key: value}) == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_check_tolerances_accepted(self, tmp_path):
+        tolerances = {"residual": 0.0, "self_consistency": 0.0, "value": 0.0}
+        assert self.run_solve(tmp_path, tolerances=tolerances) == 0
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("horizon", [1e-320, 5e-324])
+    def test_subnormal_step_is_a_config_error(self, tmp_path, capsys, command, horizon):
+        cfg = write_config(tmp_path / "c.json", grid_size=16, horizon=horizon)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "smallest normal float" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_to_subnormal_step_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", grid_size=16)
+        out = tmp_path / "out"
+        code = main(
+            ["sweep", "--config", str(cfg), "--out", str(out),
+             "--parameter", "T", "--values", "1,1e-320"]
+        )
+        assert code == 2
+        assert "smallest normal float" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestCsvBytes:
+    """The CSV files are exactly what csv.writer writes for "%.17g" cells."""
+
+    @staticmethod
+    def rendered(header, columns):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(["%.17g" % float(v) for v in row] for row in zip(*columns))
+        return text.getvalue()
+
+    def test_solution_csv(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=64,
+            x0=0.7,
+            coefficients={
+                "state_drift": {"type": "exponential", "scale": 0.1, "rate": 0.5},
+                "control_drift": 0.3,
+                "drift_offset": 0.05,
+                "control_vol": 0.2,
+                "vol_offset": 0.1,
+            },
+            objective={"variant": "exp", "kappa": 1.3, "c": 0.9},
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        objective = parse_objective(json.loads(cfg.read_text())["objective"])
+        sol = equilibrium.solve(curved_coeffs(64), objective)
+        nodes = sol.grid.nodes
+        columns = (
+            nodes,
+            sol.y_many(nodes),
+            sol.beta_many(nodes),
+            sol.control_many(nodes),
+            sol.value_many(nodes, 0.7),
+        )
+        expect = self.rendered(("t", "y", "beta", "control_at_x0", "value_at_x0"), columns)
+        assert (out / "solution.csv").read_bytes() == expect.encode()
+
+    def test_sweep_csv(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, x0=-0.4)
+        out = tmp_path / "out"
+        values = (0.8, 1.05, 1.3)
+        code = main(
+            ["sweep", "--config", str(cfg), "--out", str(out),
+             "--parameter", "kappa", "--values", ",".join(map(str, values))]
+        )
+        assert code == 0
+        rows = []
+        for kappa in values:
+            objective = {"variant": "moment_combo", "kappa": kappa, "weights": [2.0]}
+            sol = equilibrium.solve(base_coeffs(64), parse_objective(objective))
+            x0 = -0.4
+            rows.append(
+                (kappa, sol.beta_at(0.0), sol.control(0.0, x0), sol.value(0.0, x0), sol.y_at(0.0))
+            )
+        header = ("kappa", "beta_0", "control_at_x0", "value_at_x0", "y_0")
+        expect = self.rendered(header, list(zip(*rows)))
+        assert (out / "sweep.csv").read_bytes() == expect.encode()
 
 
 class TestNonFiniteConfig:
@@ -789,6 +914,12 @@ class TestVerifyNonFinite:
     def test_overflowing_monte_carlo_moments(self, tmp_path, capsys):
         self.run_verify(tmp_path, capsys, verification=_mc_only(x0=1e200, num_paths=64))
 
+    def test_monte_carlo_workers_keep_the_callers_errstate(self, tmp_path, capsys):
+        """Pool threads run under the caller's np.errstate, so no overflow warning escapes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.run_verify(tmp_path, capsys, verification=_mc_only(x0=1e200, num_paths=64))
+
     def test_large_growth_solve_raises_no_warning(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -967,6 +1098,73 @@ def _verify_exit(coefficients, verification):
     return code, err
 
 
+_TOLERANCE_KEYS = ("ode", "residual", "self_consistency", "value")
+# output.dir strings stay inside the working directory: no separators, no dots
+_OUTPUT_DIRS = st.text("ab", max_size=2) | _JSON.filter(lambda v: not isinstance(v, str))
+_OUTPUT_SECTIONS = st.fixed_dictionaries({}, optional={"dir": _OUTPUT_DIRS}) | _JSON.filter(
+    lambda v: not (isinstance(v, dict) and "dir" in v)
+)
+_EDGE_HORIZONS = [1e-11, 1e-20, 1e-300, 1e-320, 5e-324, 1e308]
+# the top-level keys, each of the right type in any range or any JSON value
+_TOP_LEVEL = st.fixed_dictionaries(
+    {"grid_size": (st.integers(-2, 64) | _JSON).filter(_at_most_64)},
+    optional={
+        "horizon": _NUMBERS | st.sampled_from(_EDGE_HORIZONS) | _JSON,
+        "x0": _NUMBERS | _JSON,
+        "solver": st.sampled_from(["auto", "ode", "closed_form", "algebraic"]) | _JSON,
+        "tolerances": st.fixed_dictionaries(
+            {}, optional={key: _NUMBERS | _JSON for key in _TOLERANCE_KEYS}
+        )
+        | _JSON,
+        "output": _OUTPUT_SECTIONS,
+    },
+)
+_SWEEPS = st.tuples(
+    st.sampled_from(["kappa", "T"]), st.lists(_NUMBERS, min_size=1, max_size=3)
+)
+
+
+@contextlib.contextmanager
+def _working_dir(path):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
+def _top_level_exit(top, sweep=None):
+    """Run solve (or sweep) on ``top`` with warnings as errors, in an empty working directory."""
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as work:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "coefficients": {"control_drift": 0.3, "control_vol": 0.2},
+                    "objective": {"variant": "moment_combo", "kappa": 1.0, "weights": [2.0]},
+                    "horizon": 1.0,
+                    **top,
+                }
+            )
+        )
+        argv = ["solve", "--config", str(cfg)]
+        if sweep is not None:
+            parameter, values = sweep
+            argv = ["sweep", "--config", str(cfg), "--parameter", parameter,
+                    "--values=" + ",".join(repr(float(v)) for v in values)]
+        err = io.StringIO()
+        with _working_dir(work), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        if code != 0:
+            assert not any(Path(work).iterdir())
+        if code == 3:
+            assert "solver error (" in err.getvalue()
+
+
 def _problem(objective, coeffs):
     return Problem(
         coeffs=coeffs,
@@ -1007,6 +1205,17 @@ class TestParserProperties:
         except ConfigError:
             return
         assert isinstance(swept, Problem)
+
+    @given(top=_TOP_LEVEL)
+    @settings(max_examples=150, deadline=None)
+    def test_top_level_keys_through_solve(self, top):
+        """solve exits 0, 2 or 3, never with a traceback or a warning."""
+        _top_level_exit(top)
+
+    @given(top=_TOP_LEVEL, sweep=_SWEEPS)
+    @settings(max_examples=60, deadline=None)
+    def test_top_level_keys_through_sweep(self, top, sweep):
+        _top_level_exit(top, sweep)
 
     @given(section=_COEFFICIENT_SECTIONS)
     @settings(max_examples=150, deadline=None)

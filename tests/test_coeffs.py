@@ -41,6 +41,20 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             TimeGrid(1.0, 1)
 
+    def test_step_below_smallest_normal_float(self):
+        assert TimeGrid(1e-300, 512).step > 0.0
+        for horizon, steps in ((1e-320, 16), (5e-324, 16), (1e-300, 10**9)):
+            with pytest.raises(DomainError):
+                TimeGrid(horizon, steps)
+
+    def test_snap_is_relative_to_horizon(self):
+        for horizon in (1e-11, 1.0, 50.0):
+            grid = TimeGrid(horizon, 8)
+            assert grid.snap == 1e-12 * horizon
+            assert grid.require_time(horizon * (1.0 + 1e-13)) == horizon
+            with pytest.raises(DomainError):
+                grid.require_time(horizon * (1.0 + 1e-11))
+
     def test_require_time(self):
         grid = TimeGrid(1.0, 8)
         assert grid.require_time(0.5) == 0.5

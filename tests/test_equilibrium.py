@@ -11,6 +11,7 @@ from equicontrol import (
     ConcavityError,
     ConstantCoefficient,
     CosDomainError,
+    CoshPenalty,
     CosPenalty,
     DiscreteDistribution,
     DomainError,
@@ -30,7 +31,7 @@ from equicontrol import (
 )
 
 from equicontrol import coeffs as cf
-from equicontrol.equilibrium import _solve_increasing_many
+from equicontrol.equilibrium import SOLVERS, _solve_increasing_many
 from equicontrol.moments import MomentVector
 from equicontrol.objectives import psi
 from equicontrol.verify import DeterministicControl, evaluate_deterministic
@@ -177,7 +178,7 @@ class TestSolveDispatch:
             solve(base_coeffs(), ObjectiveSpec(1.0, MomentCombo((2.0,))), solver="magic")
 
     def test_closed_form_unsupported_variant(self):
-        spec = ObjectiveSpec(1.0, StandardizedMoments((2.0, 1.0)))
+        spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
         with pytest.raises(UnsupportedVariantError):
             solve_closed_form(base_coeffs(), spec)
 
@@ -198,6 +199,48 @@ class TestSolveDispatch:
         fourier = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
         assert solve(base_coeffs(64, control_drift=0.1), fourier).solver_name == "ode"
 
+    def test_auto_marches_only_without_a_first_integral(self, monkeypatch):
+        """auto calls solve_ode for fourier_even, the one family with no P, and nothing else."""
+        marched = []
+        ode = SOLVERS["ode"]
+
+        def counting_ode(coeffs, spec, **kwargs):
+            marched.append(spec.variant.kind)
+            return ode(coeffs, spec, **kwargs)
+
+        monkeypatch.setitem(SOLVERS, "ode", counting_ode)
+        full, small = base_coeffs(64), base_coeffs(64, control_drift=0.1)
+        roster = [
+            (full, MomentCombo((2.0,))),
+            (full, MomentCombo((1.0, 0.0, 1.0))),
+            (full, MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25))),
+            (full, StandardizedMoments((2.0, 1.0))),
+            (full, StandardizedMoments((2.0, 0.0, 1.0))),
+            (full, ExpPenalty(1.0)),
+            (full, CoshPenalty(1.0)),
+            (small, CosPenalty(1.0)),
+            (full, AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.5, 0.5)))),
+            (small, fourier_gaussian_amplitude()),
+        ]
+        for coeffs, variant in roster:
+            solve(coeffs, ObjectiveSpec(1.0, variant))
+        assert marched == ["fourier_even"]
+        assert solve(full, ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="ode").solver_name == "ode"
+        assert marched == ["fourier_even", "exp"]
+
+    @pytest.mark.parametrize("weights", [(2.0, 1.0), (2.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("make_coeffs", [base_coeffs, curved_coeffs])
+    def test_auto_solves_standardized_as_plain_variance(self, weights, make_coeffs):
+        """K = -kappa_2 / 2 exactly, so standardized shares mean-variance's P = kappa_2^2 y."""
+        coeffs = make_coeffs(512)
+        sol = solve(coeffs, ObjectiveSpec(1.3, StandardizedMoments(weights)))
+        plain = solve(coeffs, ObjectiveSpec(1.3, MomentCombo((weights[0],))))
+        assert sol.solver_name == "closed_form"
+        np.testing.assert_array_equal(sol.y, plain.y)
+        np.testing.assert_array_equal(sol.beta, plain.beta)
+        ode = solve_ode(coeffs, ObjectiveSpec(1.3, StandardizedMoments(weights)))
+        np.testing.assert_allclose(sol.beta, ode.beta, rtol=1e-12, atol=0.0)
+
     def test_start_time_reads_node_zero_bitwise(self, all_solutions):
         """y at t = 0 comes from node 0 and equals the y_fn value there bitwise."""
         for name, sol in all_solutions:
@@ -209,6 +252,19 @@ class TestSolveDispatch:
         names = dict(all_solutions)
         assert names["mean_variance"].solver_name == "closed_form"
         assert names["standardized"].solver_name == "ode"
+
+
+class TestTinyHorizons:
+    @pytest.mark.parametrize("horizon", [1.0, 0.3, 1e-9, 1e-10, 1e-11, 1e-100, 1e-300])
+    def test_nodes_match_closed_form(self, horizon):
+        """Times snap within 1e-12 of the horizon, so no step is too small to resolve."""
+        sol = solve(base_coeffs(512, horizon=horizon), ObjectiveSpec(1.0, MomentCombo((2.0,))))
+        nodes = sol.grid.nodes
+        # y = kappa^2 (b / d)^2 (T - t) / kappa_2
+        expect = 2.25 * (horizon - nodes) / 4.0
+        np.testing.assert_allclose(sol.y, expect, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sol.y_many(nodes), expect, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sol.beta, 3.75, rtol=1e-12)
 
 
 class TestDegenerateMean:

@@ -344,6 +344,8 @@ FIRST_INTEGRAL_VARIANTS = (
     CoshPenalty(1.3),
     CosPenalty(0.9),
     AmbiguousCos(DiscreteDistribution((0.0, 1.5, 2.5), (0.2, 0.4, 0.4))),
+    StandardizedMoments((2.0, 1.0)),
+    StandardizedMoments((2.0, 0.0, 1.0)),
 )
 
 
@@ -384,11 +386,10 @@ class TestVariantProtocol:
 
     def test_first_integral_routing(self):
         closed = {v.kind for v in FIRST_INTEGRAL_VARIANTS if v.first_integral.closed_form}
-        assert closed == {"moment_combo", "exp", "cosh", "cos", "ambiguous_cos"}
+        assert closed == {"moment_combo", "exp", "cosh", "cos", "ambiguous_cos", "standardized"}
         order6 = MomentCombo((1.0, 0.3, 0.5, -2.0, 0.25)).first_integral
         assert order6.algebraic and not order6.closed_form and order6.inverse is None
-        for variant in (StandardizedMoments((2.0, 1.0)), fourier_gaussian_amplitude()):
-            assert variant.first_integral is None
+        assert fourier_gaussian_amplitude().first_integral is None
 
     def test_gaussian_expectation_needs_a_penalty(self):
         from equicontrol import gaussian_penalty_expectation

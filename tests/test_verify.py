@@ -270,6 +270,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo(mv_solution, 0.0, seed=seed, num_paths=100, num_steps=8)
 
+    def test_workers_run_under_callers_errstate(self, mv_solution):
+        """x0 = 1e200 overflows the power sums in a pool thread: raised, as the caller asks."""
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                monte_carlo(mv_solution, 1e200, seed=1, num_paths=64, num_steps=8)
+
     def test_seed_range_ends_run(self, mv_solution):
         lo, hi = MC_SEED_RANGE
         assert (lo, hi) == (-(2**63), 2**64 - 1)
