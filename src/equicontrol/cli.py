@@ -195,16 +195,16 @@ _SUITE_OPTIONS = {
         "times": _number_list,
         "zetas": _number_list,
         "epsilons": _number_list,
-        "limit_tol": _finite,
-        "match_tol": _finite,
+        "limit_tol": _tolerance,
+        "match_tol": _tolerance,
     },
-    "fbsde": {"times": _number_list, "tol": _finite},
+    "fbsde": {"times": _number_list, "tol": _tolerance},
     "pde": {
         "orders": _integer_list,
         "t_samples": _number_list,
         "x_samples": _number_list,
-        "tol": _finite,
-        "first_order_tol": _finite,
+        "tol": _tolerance,
+        "first_order_tol": _tolerance,
     },
     "monte_carlo": {
         "x0": _finite,
@@ -432,7 +432,7 @@ def cmd_solve(args) -> int:
         "beta_0": float(beta[0]),
         "control_at_x0_0": float(control[0]),
         "value_at_x0_0": float(values[0]),
-        "concavity_worst_margin": sol.concavity.worst,
+        "concavity_worst_margin": float(sol.margins.max()),
         "ode_error_estimate": sol.ode_error_estimate,
     }
     _write_manifest(problem, sol, "solve", [csv_path], {"summary": summary})

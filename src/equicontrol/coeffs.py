@@ -399,11 +399,6 @@ class CoefficientSet:
     def f_nodes(self) -> np.ndarray:
         return coefficient_nodes(self.vol_offset, self.grid)
 
-    def int_state_drift(self, t: float) -> float:
-        """Exact integral of the state drift coefficient over [t, horizon]."""
-        t = self.grid.require_time(t)
-        return float(self.state_drift.integral(t, self.grid.horizon))
-
     @cached_property
     def budget_rate_nodes(self) -> np.ndarray:
         """(b/d)^2 on the nodes, the decay rate of the control budget."""
@@ -413,45 +408,34 @@ class CoefficientSet:
     def theta_eval(self) -> SuffixQuadrature:
         return SuffixQuadrature(self.budget_rate_nodes, self.grid)
 
-
-@dataclass(frozen=True)
-class DiscountCache:
-    """Node values of the terminal growth factor exp(int_t^T a).
-
-    The integral of the state drift comes from the coefficient descriptor's
-    exact antiderivative, so the cache is additive between nodes and the
-    semigroup identity holds to rounding.
-    """
-
-    grid: TimeGrid
-    growth: np.ndarray
-    _path: object
-
-    @classmethod
-    def from_coeffs(cls, coeffs: CoefficientSet) -> "DiscountCache":
-        grid = coeffs.grid
-        path = coeffs.state_drift
-        end = float(np.asarray(path.antiderivative(grid.horizon)))
-        ints = end - np.asarray(path.antiderivative(grid.nodes), dtype=float)
-        return cls(grid, np.exp(ints), path)
+    @cached_property
+    def _anti_a_end(self) -> float:
+        return float(np.asarray(self.state_drift.antiderivative(self.grid.horizon)))
 
     def int_a_many(self, t):
+        """int_t^T a from the state drift's exact antiderivative, vectorized over t."""
         t = np.asarray(t, dtype=float)
-        end = float(np.asarray(self._path.antiderivative(self.grid.horizon)))
-        return end - np.asarray(self._path.antiderivative(t), dtype=float)
+        return self._anti_a_end - np.asarray(self.state_drift.antiderivative(t), dtype=float)
 
     def int_a_at(self, t: float) -> float:
-        t = self.grid.require_time(t)
-        return float(self.int_a_many(t))
-
-    def growth_many(self, t):
-        return np.exp(self.int_a_many(t))
+        return float(self.int_a_many(self.grid.require_time(t)))
 
     def growth_at(self, t: float) -> float:
         return math.exp(self.int_a_at(t))
 
-    def growth_sq_at(self, t: float) -> float:
-        return math.exp(2.0 * self.int_a_at(t))
+    @cached_property
+    def growth(self) -> np.ndarray:
+        """The terminal growth factor exp(int_t^T a) on the nodes."""
+        return np.exp(self.int_a_many(self.grid.nodes))
+
+    @cached_property
+    def drift_offset_nodes(self) -> np.ndarray:
+        """exp(int_s^T a) (c(s) - b(s) f(s) / d(s)) on the nodes, the drift part of big_theta."""
+        return self.growth * (self.c_nodes - self.b_nodes * self.f_nodes / self.d_nodes)
+
+    @cached_property
+    def offset_eval(self) -> SuffixQuadrature:
+        return SuffixQuadrature(self.drift_offset_nodes, self.grid)
 
 
 def theta(coeffs: CoefficientSet, t: float) -> float:
@@ -461,21 +445,15 @@ def theta(coeffs: CoefficientSet, t: float) -> float:
     return max(val, 0.0)
 
 
-def drift_offset_nodes(coeffs: CoefficientSet, cache: DiscountCache) -> np.ndarray:
-    """exp(int_s^T a) (c(s) - b(s) f(s) / d(s)) on the nodes, the drift part of big_theta."""
-    return cache.growth * (coeffs.c_nodes - coeffs.b_nodes * coeffs.f_nodes / coeffs.d_nodes)
-
-
-def big_theta(coeffs: CoefficientSet, t: float, x: float, cache: DiscountCache | None = None) -> float:
+def big_theta(coeffs: CoefficientSet, t: float, x: float) -> float:
     """Conditional terminal mean of the state when the control only offsets risk.
 
     Equals x * exp(int_t^T a) plus the accumulated drift offset
     int_t^T exp(int_s^T a) (c(s) - b(s) f(s) / d(s)) ds.
     """
     t = coeffs.grid.require_time(t)
-    cache = cache or DiscountCache.from_coeffs(coeffs)
-    drift = integrate(drift_offset_nodes(coeffs, cache), coeffs.grid, t, coeffs.grid.horizon)
-    return x * cache.growth_at(t) + drift
+    drift = integrate(coeffs.drift_offset_nodes, coeffs.grid, t, coeffs.grid.horizon)
+    return x * coeffs.growth_at(t) + drift
 
 
 def y_from_beta(coeffs: CoefficientSet, beta, t: float) -> float:

@@ -55,13 +55,6 @@ _NEWTON_STEPS = 3
 _ODE_MAX_SUBSTEPS = 16
 
 
-@dataclass(frozen=True)
-class ConcavityReport:
-    margins: np.ndarray  # K(t_k, y_k) per node
-    worst: float
-    ok: bool
-
-
 @dataclass(frozen=True, eq=False)
 class EquilibriumSolution:
     """Equilibrium loading and induced value function on the grid.
@@ -69,16 +62,16 @@ class EquilibriumSolution:
     ``y_fn`` evaluates the terminal feedback variance between nodes: exactly
     for solvers with a closed form, through a cubic spline of the node values
     otherwise.  The loading between nodes is always recovered from the
-    pointwise condition beta = kappa b / d^2 * (-1 / (2 K)).
+    pointwise condition beta = kappa b / d^2 * (-1 / (2 K)).  ``margins``
+    holds the curvature K(t_k, y_k) at each node, all negative.
     """
 
     coeffs: cf.CoefficientSet
     objective: ObjectiveSpec
-    discount: cf.DiscountCache
     y: np.ndarray
     beta: np.ndarray
     solver_name: str
-    concavity: ConcavityReport
+    margins: np.ndarray
     y_fn: object
     ode_error_estimate: float = 0.0
 
@@ -88,7 +81,7 @@ class EquilibriumSolution:
 
     @cached_property
     def control_nodes(self) -> np.ndarray:
-        return self.beta / self.discount.growth - self.coeffs.f_nodes / self.coeffs.d_nodes
+        return self.beta / self.coeffs.growth - self.coeffs.f_nodes / self.coeffs.d_nodes
 
     def y_many(self, t):
         t = np.asarray(t, dtype=float)
@@ -102,7 +95,7 @@ class EquilibriumSolution:
 
     @cached_property
     def _curvature_spline(self):
-        return _node_spline(self.grid, self.concavity.margins)
+        return _node_spline(self.grid, self.margins)
 
     def curvature_many(self, t):
         """K(t, y_t) along the solution, vectorized.
@@ -133,15 +126,11 @@ class EquilibriumSolution:
         t = np.asarray(t, dtype=float)
         d = np.asarray(self.coeffs.control_vol(t), dtype=float)
         f = np.asarray(self.coeffs.vol_offset(t), dtype=float)
-        return self.beta_many(t) * np.exp(-self.discount.int_a_many(t)) - f / d
+        return self.beta_many(t) * np.exp(-self.coeffs.int_a_many(t)) - f / d
 
     def control(self, t: float, x: float = 0.0) -> float:
         """Equilibrium control; the state argument is accepted but unused."""
         return float(self.control_many(self.grid.require_time(t)))
-
-    @cached_property
-    def _offset_quadrature(self) -> cf.SuffixQuadrature:
-        return cf.SuffixQuadrature(cf.drift_offset_nodes(self.coeffs, self.discount), self.grid)
 
     @cached_property
     def _feedback_quadrature(self) -> cf.SuffixQuadrature:
@@ -149,7 +138,7 @@ class EquilibriumSolution:
 
     def _terminal_mean_parts(self, t, x: float):
         """big_theta(t, x) and the feedback drift int_t^T b beta, vectorized over t."""
-        offset = x * self.discount.growth_many(t) + self._offset_quadrature(t)
+        offset = x * np.exp(self.coeffs.int_a_many(t)) + self.coeffs.offset_eval(t)
         return offset, self._feedback_quadrature(t)
 
     def value_many(self, t, x: float):
@@ -177,7 +166,7 @@ class EquilibriumSolution:
     def integral_equation_residuals(self) -> np.ndarray:
         """Scaled residual of the pointwise equilibrium condition per node."""
         lead = self.objective.kappa * self.coeffs.b_nodes / self.coeffs.d_nodes**2
-        res = lead + 2.0 * self.beta * self.concavity.margins
+        res = lead + 2.0 * self.beta * self.margins
         return np.abs(res) / (1.0 + np.abs(lead))
 
     def self_consistency_error(self) -> float:
@@ -188,9 +177,6 @@ class EquilibriumSolution:
         """
         feedback = cf.suffix_integrals((self.coeffs.d_nodes * self.beta) ** 2, self.grid)
         return float(np.max(np.abs(np.maximum(feedback, 0.0) - self.y)))
-
-    def concavity_check(self) -> ConcavityReport:
-        return self.concavity
 
 
 def _node_spline(grid: cf.TimeGrid, values):
@@ -205,27 +191,15 @@ def _assemble(coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0) -> Equ
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite y")
     margins = np.asarray(curvature_sum(spec, coeffs.grid.nodes, y_nodes), dtype=float)
     worst = float(margins.max())
-    report = ConcavityReport(margins, worst, worst < 0.0)
-    if not report.ok:
-        raise ConcavityError(f"curvature condition failed: max K = {report.worst:.6g} (needs K < 0)")
+    if not worst < 0.0:
+        raise ConcavityError(f"curvature condition failed: max K = {worst:.6g} (needs K < 0)")
     lead = spec.kappa * coeffs.b_nodes / coeffs.d_nodes**2
-    beta = lead * (-0.5 / report.margins)
+    beta = lead * (-0.5 / margins)
     if not np.all(np.isfinite(beta)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite beta")
     if y_fn is None:
         y_fn = _node_spline(coeffs.grid, y_nodes)
-    cache = cf.DiscountCache.from_coeffs(coeffs)
-    return EquilibriumSolution(
-        coeffs=coeffs,
-        objective=spec,
-        discount=cache,
-        y=y_nodes,
-        beta=beta,
-        solver_name=solver_name,
-        concavity=report,
-        y_fn=y_fn,
-        ode_error_estimate=ode_err,
-    )
+    return EquilibriumSolution(coeffs, spec, y_nodes, beta, solver_name, margins, y_fn, ode_err)
 
 
 def _solve_increasing_many(fn, dfn, targets):

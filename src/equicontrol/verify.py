@@ -27,15 +27,16 @@ import numpy as np
 from . import coeffs as cf
 from .equilibrium import EquilibriumSolution
 from .errors import ConfigError, DomainError, GridMismatchError, NonFiniteResultError
-from .moments import MomentVector, alpha, double_factorial, raw_to_central
+from .moments import MomentVector, alpha, raw_to_central
 from .objectives import ObjectiveSpec, curvature_sum, psi
 
 _MC_BLOCK = 1 << 17
 _MC_PATH_STEP_CAP = 1 << 34
 # highest moment order the PDE and Monte Carlo suites check
 _MAX_ORDER = 8
-# seeds the Philox key word takes: one signed or unsigned 64-bit integer
-MC_SEED_RANGE = (-(1 << 63), (1 << 64) - 1)
+# seeds the Philox key word takes as one signed 64-bit integer; larger ones
+# would reach it as float64 and share streams with their neighbours
+MC_SEED_RANGE = (-(1 << 63), (1 << 63) - 1)
 
 
 def _gaussian_order(spec: ObjectiveSpec) -> int:
@@ -127,7 +128,6 @@ def evaluate_deterministic(
     t: float,
     x: float,
     control: DeterministicControl,
-    cache: cf.DiscountCache | None = None,
 ) -> DeterministicEvaluation:
     """Exact objective of a deterministic control started at (t, x).
 
@@ -141,10 +141,10 @@ def evaluate_deterministic(
     windows far smaller than a grid cell are integrated exactly.
     """
     amplitude = control.offsets[-1][2] if control.offsets else 0.0
-    return _evaluate_amplitudes(coeffs, spec, t, x, control, (amplitude,), cache)[0]
+    return _evaluate_amplitudes(coeffs, spec, t, x, control, (amplitude,))[0]
 
 
-def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes, cache):
+def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes):
     """``evaluate_deterministic`` for each amplitude of the last offset window.
 
     Every amplitude replaces the delta of the control's last offset (and is
@@ -154,13 +154,12 @@ def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes, cache):
     grid = coeffs.grid
     t = grid.require_time(t)
     horizon = grid.horizon
-    cache = cache or cf.DiscountCache.from_coeffs(coeffs)
     snap = grid.snap
     if control.fn is None:
         if control.times[0] > t + snap or control.times[-1] < horizon - snap:
             raise DomainError("control samples do not cover [t, horizon]")
     if horizon - t <= snap:
-        mean = x * cache.growth_at(t)
+        mean = x * coeffs.growth_at(t)
         value = spec.kappa * mean + psi(
             spec, t, MomentVector.gaussian(_gaussian_order(spec), 0.0)
         )
@@ -190,13 +189,13 @@ def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes, cache):
     else:
         rows = [u] * len(amplitudes)
 
-    growth = np.exp(cache.int_a_many(pts))
+    growth = np.exp(coeffs.int_a_many(pts))
     b = np.asarray(coeffs.control_drift(pts), dtype=float)
     c = np.asarray(coeffs.drift_offset(pts), dtype=float)
     d = np.asarray(coeffs.control_vol(pts), dtype=float)
     f = np.asarray(coeffs.vol_offset(pts), dtype=float)
 
-    start_mean = x * cache.growth_at(t)
+    start_mean = x * coeffs.growth_at(t)
     out = []
     for u in rows:
         mean = start_mean + float(np.dot(wts, growth * (b * u + c)))
@@ -277,19 +276,16 @@ def spike_suite(
     zetas = tuple(zetas)
 
     base = DeterministicControl.from_solution(sol)
-    cache = sol.discount
     ratios = [[] for _ in zetas]
     for eps in epsilons:
         window = base.with_offset(t, min(t + eps, grid.horizon), 0.0)
-        evals = _evaluate_amplitudes(
-            sol.coeffs, sol.objective, t, x, window, (0.0, *zetas), cache
-        )
+        evals = _evaluate_amplitudes(sol.coeffs, sol.objective, t, x, window, (0.0, *zetas))
         j0 = evals[0].value
         for row, spiked in zip(ratios, evals[1:]):
             row.append((spiked.value - j0) / eps)
 
     d_t = float(sol.coeffs.control_vol(t))
-    growth_sq = cache.growth_sq_at(t)
+    growth_sq = math.exp(2.0 * sol.coeffs.int_a_at(t))
     curvature = curvature_sum(sol.objective, t, sol.y_at(t))
     reports = []
     for zeta, row in zip(zetas, ratios):
@@ -339,7 +335,7 @@ class FbsdeDiagnostic:
 def fbsde_diagonal_check(sol: EquilibriumSolution, t: float, tol: float = 1e-8) -> FbsdeDiagnostic:
     t = sol.grid.require_time(t)
     kappa = sol.objective.kappa
-    growth = math.exp(sol.discount.int_a_at(t))
+    growth = sol.coeffs.growth_at(t)
     curv2 = 2.0 * float(curvature_sum(sol.objective, t, sol.y_at(t)))
     d_t = float(sol.coeffs.control_vol(t))
     b_t = float(sol.coeffs.control_drift(t))
@@ -378,43 +374,39 @@ class PdeResidualReport:
     passed: bool
 
 
-def _moment_surface(sol: EquilibriumSolution):
-    """Closed-form conditional raw moments m_j(t, x) of the terminal state.
+def _moment_excess(sol: EquilibriumSolution):
+    """Closed-form excess m_j(t, x) - x^j of the conditional raw moments of X_T.
 
-    Under the equilibrium feedback the terminal law from (t, x) is Gaussian
-    with mean mu(t, x) and variance y(t), so
-    m_j = sum_k C(j, k) mu^(j-k) alpha(k, y).
+    Under the equilibrium feedback X_T - x from (t, x) is Gaussian with mean
+    delta = x expm1(int_t^T a) + int_t^T (drift offset + b beta) and variance
+    y(t), so m_j - x^j = sum_{n >= 1} C(j, n) x^(j-n) E[(X_T - x)^n].  Built
+    from delta and y alone, the excess keeps its relative precision at short
+    horizons, where m_j is close to x^j.
     """
     from scipy.interpolate import CubicSpline
 
-    coeffs = sol.coeffs
-    cache = sol.discount
-    nodes = coeffs.grid.nodes
-    horizon = coeffs.grid.horizon
-    drift_nodes = cf.drift_offset_nodes(coeffs, cache)
-    feed_nodes = coeffs.b_nodes * sol.beta
-    if not (np.all(np.isfinite(drift_nodes)) and np.all(np.isfinite(feed_nodes))):
+    horizon = sol.grid.horizon
+    drift_nodes = sol.coeffs.drift_offset_nodes + sol.coeffs.b_nodes * sol.beta
+    if not np.all(np.isfinite(drift_nodes)):
         raise NonFiniteResultError("the drift of the terminal mean is not finite")
-    # smooth antiderivatives keep the finite-difference stencil off the
-    # kinks a piecewise-linear quadrature rule would introduce
-    drift_anti = CubicSpline(nodes, drift_nodes).antiderivative()
-    feed_anti = CubicSpline(nodes, feed_nodes).antiderivative()
+    # a smooth antiderivative, fitted in t / T to stay finite for any horizon,
+    # keeps the finite-difference stencil off the kinks of a quadrature rule
+    anti = CubicSpline(sol.grid.nodes / horizon, drift_nodes).antiderivative()
+    end = anti(1.0)
 
-    def moment(order, ts, x):
+    def excess(order, ts, x):
         ts = np.asarray(ts, dtype=float)
-        mu = (
-            x * np.exp(cache.int_a_many(ts))
-            + (drift_anti(horizon) - drift_anti(ts))
-            + (feed_anti(horizon) - feed_anti(ts))
-        )
+        delta = x * np.expm1(sol.coeffs.int_a_many(ts)) + horizon * (end - anti(ts / horizon))
         y = sol.y_many(ts)
-        out = np.zeros_like(mu)
-        for k in range(0, order + 1, 2):
-            coef = math.comb(order, k) * float(double_factorial(k - 1))
-            out = out + coef * mu ** (order - k) * y ** (k // 2)
+        out = np.zeros_like(delta)
+        for n in range(1, order + 1):
+            shift_moment = sum(
+                math.comb(n, k) * delta ** (n - k) * alpha(k, y) for k in range(0, n + 1, 2)
+            )
+            out = out + math.comb(order, n) * x ** (order - n) * shift_moment
         return out
 
-    return moment
+    return excess
 
 
 def pde_residual_check(
@@ -431,9 +423,10 @@ def pde_residual_check(
 
         0 = dm/dt + (a x + b u + c) dm/dx + 1/2 (d u + f)^2 d2m/dx2
 
-    with terminal data x^j.  Derivatives are taken with 5-point central
-    finite differences (dt = horizon / 4096, dx = 1e-3 (1 + |x|)) and the
-    residual is scaled by the largest moment magnitude over the sample set.
+    with terminal data x^j.  Derivatives of the excess m_j - x^j are taken
+    with 5-point central finite differences (dt = horizon / 4096,
+    dx = 1e-3 (1 + |x|)), those of x^j exactly, and the residual is scaled
+    by the largest moment magnitude over the sample set.
     """
     grid = sol.grid
     horizon = grid.horizon
@@ -447,7 +440,7 @@ def pde_residual_check(
         raise DomainError(f"moment orders must lie in 1..{_MAX_ORDER}")
     x_samples = np.asarray(x_samples, dtype=float)
 
-    moment = _moment_surface(sol)
+    excess = _moment_excess(sol)
     coeffs = sol.coeffs
     u = sol.control_many(t_samples)
     a_t, b_t, c_t, d_t, f_t = coeffs.at(t_samples)
@@ -460,26 +453,25 @@ def pde_residual_check(
         scale = 0.0
         for x in x_samples:
             dx = 1e-3 * (1.0 + abs(x))
-            m0 = moment(order, t_samples, x)
-            scale = max(scale, float(np.max(np.abs(m0))))
+            e0 = excess(order, t_samples, x)
+            scale = max(scale, float(np.max(np.abs(e0 + x**order))))
             m_t = (
-                -moment(order, t_samples + 2 * dt, x)
-                + 8.0 * moment(order, t_samples + dt, x)
-                - 8.0 * moment(order, t_samples - dt, x)
-                + moment(order, t_samples - 2 * dt, x)
+                -excess(order, t_samples + 2 * dt, x)
+                + 8.0 * excess(order, t_samples + dt, x)
+                - 8.0 * excess(order, t_samples - dt, x)
+                + excess(order, t_samples - 2 * dt, x)
             ) / (12.0 * dt)
-            mp2 = moment(order, t_samples, x + 2 * dx)
-            mp1 = moment(order, t_samples, x + dx)
-            mm1 = moment(order, t_samples, x - dx)
-            mm2 = moment(order, t_samples, x - 2 * dx)
-            m_x = (-mp2 + 8.0 * mp1 - 8.0 * mm1 + mm2) / (12.0 * dx)
-            m_xx = (-mp2 + 16.0 * mp1 - 30.0 * m0 + 16.0 * mm1 - mm2) / (12.0 * dx * dx)
+            ep2 = excess(order, t_samples, x + 2 * dx)
+            ep1 = excess(order, t_samples, x + dx)
+            em1 = excess(order, t_samples, x - dx)
+            em2 = excess(order, t_samples, x - 2 * dx)
+            m_x = (-ep2 + 8.0 * ep1 - 8.0 * em1 + em2) / (12.0 * dx) + order * x ** (order - 1)
+            m_xx = (-ep2 + 16.0 * ep1 - 30.0 * e0 + 16.0 * em1 - em2) / (12.0 * dx * dx) + (
+                order * (order - 1) * x ** max(order - 2, 0)
+            )
             resid = m_t + (a_t * x + b_t * u + c_t) * m_x + 0.5 * vol_sq * m_xx
             worst = max(worst, float(np.max(np.abs(resid))))
-            terminal_gap = max(
-                terminal_gap,
-                abs(float(moment(order, np.array([horizon]), x)[0]) - x**order),
-            )
+            terminal_gap = max(terminal_gap, abs(float(excess(order, np.array([horizon]), x)[0])))
         denom = max(1.0, scale)
         row_tol = first_order_tol if order == 1 else tol
         rows.append(
@@ -528,15 +520,15 @@ class McReport:
     passed: bool
 
 
-def _mc_block_sums(x0, drift, growth, vol, sqdt, n_paths, key, max_power):
+def _mc_block_sums(growth, vol, sqdt, n_paths, key, max_power):
+    """Power sums of the zero-mean noise part of the Euler paths, started at 0."""
     rng = np.random.Generator(np.random.Philox(key=key))
-    x = np.full(n_paths, float(x0))
+    x = np.zeros(n_paths)
     z = np.empty(n_paths)
-    # x = x * growth + drift + (vol * sqdt) * z, in place and in that order
-    for k in range(drift.size):
+    # x = x * growth + (vol * sqdt) * z, in place and in that order
+    for k in range(growth.size):
         rng.standard_normal(out=z)
         np.multiply(x, growth[k], out=x)
-        x += drift[k]
         z *= vol[k] * sqdt
         x += z
     sums = np.empty(max_power)
@@ -578,7 +570,9 @@ def monte_carlo(
 
     Reproducible by construction: paths are generated in fixed blocks, each
     block with a counter-based generator keyed by (seed, first path index),
-    so results do not depend on scheduling or thread count.  ``threads``
+    so results do not depend on scheduling or thread count.  The blocks
+    simulate only the noise part of the paths; the noise-free Euler endpoint
+    is added to the sample mean, so no precision is lost at large states.  ``threads``
     defaults to ``EQUICONTROL_THREADS`` or else the usable CPU count, and is
     capped at the number of blocks.
     """
@@ -624,7 +618,7 @@ def monte_carlo(
     def run_block(block):
         bstart, bsize = block
         with np.errstate(**errstate):
-            return _mc_block_sums(x0, drift, growth, vol, sqdt, bsize, [seed, bstart], max_power)
+            return _mc_block_sums(growth, vol, sqdt, bsize, [seed, bstart], max_power)
 
     threads = min(threads, len(blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -632,14 +626,17 @@ def monte_carlo(
     total = np.zeros(max_power)
     for part in partials:  # fixed reduction order keeps the result thread-independent
         total += part
-    raw = tuple(total / num_paths)
-    sample = raw_to_central(raw)
+    sample = raw_to_central(tuple(total / num_paths))
+    endpoint = float(x0)
+    for g, step in zip(growth.tolist(), drift.tolist()):
+        endpoint = endpoint * g + step
+    mean_estimate = endpoint + sample.mean
 
     mean_target = sol.terminal_mean(0.0, x0)
     y0 = sol.y_at(0.0)
     mean_se = math.sqrt(max(sample.central_moment(2), 0.0) / num_paths)
     disc_allow = dt * (1.0 + abs(mean_target))
-    mean_err = abs(sample.mean - mean_target)
+    mean_err = abs(mean_estimate - mean_target)
     mean_passed = mean_err <= 3.0 * mean_se if mean_se > 0.0 else mean_err <= disc_allow
 
     rows = []
@@ -664,7 +661,7 @@ def monte_carlo(
         num_steps=num_steps,
         threads=threads,
         mean_target=mean_target,
-        mean_estimate=sample.mean,
+        mean_estimate=mean_estimate,
         mean_std_error=mean_se,
         mean_passed=mean_passed,
         rows=tuple(rows),
@@ -686,9 +683,8 @@ def value_consistency_check(
     sol: EquilibriumSolution, x: float, t: float = 0.0, tol: float = 1e-8
 ) -> ValueConsistency:
     """The deterministic evaluation of the equilibrium control matches V(t, x)."""
-    det = evaluate_deterministic(
-        sol.coeffs, sol.objective, t, x, DeterministicControl.from_solution(sol), sol.discount
-    )
+    control = DeterministicControl.from_solution(sol)
+    det = evaluate_deterministic(sol.coeffs, sol.objective, t, x, control)
     v = sol.value(t, x)
     gap = abs(det.value - v)
     return ValueConsistency(v, det.value, gap, tol, gap <= tol * (1.0 + abs(v)))
@@ -750,8 +746,8 @@ def verification_report(
         "passed": self_err <= consistency_tol,
     }
 
-    conc = sol.concavity_check()
-    report["concavity"] = {"worst_margin": conc.worst, "passed": conc.ok}
+    worst_margin = float(sol.margins.max())
+    report["concavity"] = {"worst_margin": worst_margin, "passed": worst_margin < 0.0}
 
     report["value_consistency"] = _plain(value_consistency_check(sol, x0, tol=value_tol))
 

@@ -549,6 +549,11 @@ class TestVerificationConfigErrors:
             ("spike", {"zetas": ["1"]}),
             ("fbsde", {"bogus": 1}),
             ("pde", {"orders": [1.5]}),
+            ("spike", {"limit_tol": -1}),
+            ("spike", {"match_tol": -1}),
+            ("fbsde", {"tol": -1}),
+            ("pde", {"tol": -1}),
+            ("pde", {"first_order_tol": -1}),
         ],
     )
     def test_bad_suite_options(self, tmp_path, capsys, suite, override):
@@ -557,7 +562,18 @@ class TestVerificationConfigErrors:
         assert f"verification.{suite}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", [2**64, 2**70, -(2**63) - 1])
+    def test_zero_suite_tolerances_accepted(self, tmp_path):
+        verification = {
+            **_SUITES_OFF,
+            "spike": {"limit_tol": 0, "match_tol": 0},
+            "fbsde": {"tol": 0},
+            "pde": {"tol": 0, "first_order_tol": 0},
+        }
+        code, out = self.run_verify(tmp_path, verification)
+        assert code in (0, 1)  # a legal bound, which a check may miss
+        assert (out / "verification.json").exists()
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64, 2**70, -(2**63) - 1])
     def test_seed_outside_key_range(self, tmp_path, capsys, seed):
         code, out = self.run_verify(tmp_path, _mc_only(seed=seed))
         assert code == 2
@@ -911,14 +927,19 @@ class TestVerifyNonFinite:
         }
         self.run_verify(tmp_path, capsys, x0=1.0, coefficients=coefficients)
 
+    # a loading of order 1e40 makes the eighth power of the paths overflow
+    HUGE_KAPPA = {"variant": "moment_combo", "kappa": 1e40, "weights": [2.0]}
+
     def test_overflowing_monte_carlo_moments(self, tmp_path, capsys):
-        self.run_verify(tmp_path, capsys, verification=_mc_only(x0=1e200, num_paths=64))
+        verification = _mc_only(num_paths=64)
+        self.run_verify(tmp_path, capsys, verification=verification, objective=self.HUGE_KAPPA)
 
     def test_monte_carlo_workers_keep_the_callers_errstate(self, tmp_path, capsys):
         """Pool threads run under the caller's np.errstate, so no overflow warning escapes."""
+        verification = _mc_only(num_paths=64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.run_verify(tmp_path, capsys, verification=_mc_only(x0=1e200, num_paths=64))
+            self.run_verify(tmp_path, capsys, verification=verification, objective=self.HUGE_KAPPA)
 
     def test_large_growth_solve_raises_no_warning(self, tmp_path):
         cfg = write_config(

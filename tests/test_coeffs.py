@@ -9,7 +9,6 @@ from equicontrol import (
     CoefficientError,
     CoefficientSet,
     ConstantCoefficient,
-    DiscountCache,
     DomainError,
     ExponentialCoefficient,
     GridMismatchError,
@@ -245,7 +244,7 @@ class TestCoefficientSet:
         np.testing.assert_allclose(nodes, coeffs.b_nodes)
 
 
-class TestDiscountCache:
+class TestGrowth:
     def test_constant_drift_semigroup(self):
         grid = TimeGrid(1.0, 64)
         coeffs = CoefficientSet(
@@ -256,9 +255,10 @@ class TestDiscountCache:
             control_vol=ConstantCoefficient(0.2),
             vol_offset=ConstantCoefficient(0.0),
         )
-        cache = DiscountCache.from_coeffs(coeffs)
-        assert cache.growth_at(0.0) == pytest.approx(math.exp(0.4), rel=1e-14)
-        assert cache.growth_sq_at(0.25) == pytest.approx(math.exp(0.8 * 0.75), rel=1e-14)
+        assert coeffs.growth_at(0.0) == pytest.approx(math.exp(0.4), rel=1e-14)
+        growth_sq = math.exp(2.0 * coeffs.int_a_at(0.25))
+        assert growth_sq == pytest.approx(math.exp(0.8 * 0.75), rel=1e-14)
+        np.testing.assert_allclose(coeffs.growth, np.exp(0.4 * (1.0 - grid.nodes)), rtol=1e-14)
 
     @given(t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -273,9 +273,9 @@ class TestDiscountCache:
             control_vol=ConstantCoefficient(0.2),
             vol_offset=ConstantCoefficient(0.0),
         )
-        cache = DiscountCache.from_coeffs(coeffs)
-        lhs = cache.int_a_at(t)
-        rhs = cache.int_a_at(s) + coeffs.int_state_drift(t) - coeffs.int_state_drift(s)
+        drift = coeffs.state_drift
+        lhs = coeffs.int_a_at(t)
+        rhs = coeffs.int_a_at(s) + drift.integral(t, 1.0) - drift.integral(s, 1.0)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

@@ -199,6 +199,28 @@ class TestPdeResiduals:
         sol = solve(curved_coeffs(), ObjectiveSpec(1.0, ExpPenalty(1.0)))
         assert pde_residual_check(sol).passed
 
+    @staticmethod
+    def ode_mean_variance(horizon):
+        return solve(
+            base_coeffs(64, horizon=horizon), ObjectiveSpec(1.0, MomentCombo((2.0,))), solver="ode"
+        )
+
+    @pytest.mark.parametrize("horizon", [1e-9, 1e-200])
+    def test_short_horizons_pass(self, horizon):
+        """The stencil differentiates m_j - x^j, which scales with the horizon."""
+        report = pde_residual_check(self.ode_mean_variance(horizon))
+        assert report.passed
+        assert max(row.scaled_residual for row in report.rows) <= 1e-10
+
+    @pytest.mark.parametrize("horizon", [1.0, 1e-9])
+    def test_variance_error_fails(self, horizon):
+        """y off by 0.1% breaks the moment equations of order 2 and up."""
+        sol = self.ode_mean_variance(horizon)
+        wrong = dataclasses.replace(sol, y=1.001 * sol.y, y_fn=lambda t: 1.001 * sol.y_fn(t))
+        report = pde_residual_check(wrong)
+        assert not report.passed
+        assert all(row.scaled_residual > 1e-5 for row in report.rows if row.order >= 2)
+
     def test_stencil_bounds(self, mv_solution):
         with pytest.raises(DomainError):
             pde_residual_check(mv_solution, t_samples=(0.0,))
@@ -265,21 +287,22 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             monte_carlo(mv_solution, 0.0, seed=1, num_paths=1, num_steps=8)
 
-    @pytest.mark.parametrize("seed", [2**64, 2**70, -(2**63) - 1])
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64, 2**70, -(2**63) - 1])
     def test_seed_outside_key_range(self, mv_solution, seed):
         with pytest.raises(DomainError):
             monte_carlo(mv_solution, 0.0, seed=seed, num_paths=100, num_steps=8)
 
-    def test_workers_run_under_callers_errstate(self, mv_solution):
-        """x0 = 1e200 overflows the power sums in a pool thread: raised, as the caller asks."""
+    def test_workers_run_under_callers_errstate(self):
+        """kappa = 1e40 overflows the power sums in a pool thread: raised, as the caller asks."""
+        sol = solve(base_coeffs(), ObjectiveSpec(1e40, MomentCombo((2.0,))))
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                monte_carlo(mv_solution, 1e200, seed=1, num_paths=64, num_steps=8)
+                monte_carlo(sol, 0.0, seed=1, num_paths=64, num_steps=8)
 
     def test_seed_range_ends_run(self, mv_solution):
         lo, hi = MC_SEED_RANGE
-        assert (lo, hi) == (-(2**63), 2**64 - 1)
-        for seed in (lo, 2**63 - 1):
+        assert (lo, hi) == (-(2**63), 2**63 - 1)
+        for seed in (lo, hi):
             report = monte_carlo(mv_solution, 0.0, seed=seed, num_paths=100, num_steps=8)
             assert report.seed == seed
 
@@ -341,7 +364,7 @@ def _reference_mc_block_sums(x0, drift, growth, vol, sqdt, n_paths, key, max_pow
     return sums
 
 
-def _reference_evaluate(coeffs, spec, t, x, control, cache):
+def _reference_evaluate(coeffs, spec, t, x, control):
     from equicontrol.moments import MomentVector
     from equicontrol.objectives import psi
     from equicontrol.verify import _gaussian_order, _piece_quadrature
@@ -370,12 +393,12 @@ def _reference_evaluate(coeffs, spec, t, x, control, cache):
     u = control.base_sample(pts)
     for start, stop, delta in control.offsets:
         u = u + delta * ((mids >= start) & (mids < stop))
-    growth = np.exp(cache.int_a_many(pts))
+    growth = np.exp(coeffs.int_a_many(pts))
     b = np.asarray(coeffs.control_drift(pts), dtype=float)
     c = np.asarray(coeffs.drift_offset(pts), dtype=float)
     d = np.asarray(coeffs.control_vol(pts), dtype=float)
     f = np.asarray(coeffs.vol_offset(pts), dtype=float)
-    mean = x * cache.growth_at(t) + float(np.dot(wts, growth * (b * u + c)))
+    mean = x * coeffs.growth_at(t) + float(np.dot(wts, growth * (b * u + c)))
     variance = max(float(np.dot(wts, growth * growth * (d * u + f) ** 2)), 0.0)
     value = spec.kappa * mean + psi(
         spec, t, MomentVector.gaussian(_gaussian_order(spec), variance)
@@ -392,16 +415,12 @@ def _reference_spike(sol, t, zeta, x=0.0):
     ratios = []
     for eps in tuple(remaining * 2.0**-k for k in range(4, 11)):
         stop = min(t + eps, sol.grid.horizon)
-        j0 = _reference_evaluate(
-            sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, 0.0), sol.discount
-        )[2]
-        j1 = _reference_evaluate(
-            sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, zeta), sol.discount
-        )[2]
+        j0 = _reference_evaluate(sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, 0.0))[2]
+        j1 = _reference_evaluate(sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, zeta))[2]
         ratios.append((j1 - j0) / eps)
     d_t = float(sol.coeffs.control_vol(t))
     predicted = (
-        math.exp(2.0 * sol.discount.int_a_at(t))
+        math.exp(2.0 * sol.coeffs.int_a_at(t))
         * d_t
         * d_t
         * zeta
@@ -414,24 +433,41 @@ def _reference_spike(sol, t, zeta, x=0.0):
 class TestMonteCarloInPlace:
     @pytest.mark.parametrize("n_paths", [2, 1000, _MC_BLOCK + 17])
     def test_block_sums_match_reference_bitwise(self, n_paths):
-        """Curved coefficients, x0 != 0, and a partial block."""
+        """Curved coefficients and a partial block; the noise part starts at 0 with no drift."""
         rng = np.random.default_rng(11)
         steps = 24
-        drift = 0.01 * rng.normal(size=steps)
         growth = 1.0 + 0.003 * rng.normal(size=steps)
         vol = 0.2 + 0.05 * rng.normal(size=steps)
-        args = (0.7, drift, growth, vol, math.sqrt(1.0 / steps), n_paths, [5, 3], 8)
+        args = (growth, vol, math.sqrt(1.0 / steps), n_paths, [5, 3], 8)
         new = _mc_block_sums(*args)
-        assert new.tobytes() == _reference_mc_block_sums(*args).tobytes()
+        ref = _reference_mc_block_sums(0.0, np.zeros(steps), *args)
+        assert new.tobytes() == ref.tobytes()
 
     def test_curved_solution_matches_reference_bitwise(self, monkeypatch):
         """A whole run on curved coefficients, x0 != 0, two blocks, the second partial."""
         sol = solve(curved_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)))
         kwargs = dict(seed=9, num_paths=_MC_BLOCK + 1001, num_steps=16, threads=2)
         new = monte_carlo(sol, 0.4, **kwargs)
-        monkeypatch.setattr(verify_module, "_mc_block_sums", _reference_mc_block_sums)
+
+        def reference(growth, *rest):
+            return _reference_mc_block_sums(0.0, np.zeros_like(growth), growth, *rest)
+
+        monkeypatch.setattr(verify_module, "_mc_block_sums", reference)
         old = monte_carlo(sol, 0.4, **kwargs)
         assert new == old
+
+    def test_large_start_states_keep_the_sampling_error(self, mv_solution):
+        """Shifting x0 moves only the mean: central moments and errors stay bitwise equal."""
+        kwargs = dict(seed=5, num_paths=20_000, num_steps=64)
+        base = monte_carlo(mv_solution, 0.0, **kwargs)
+        assert base.passed
+        for x0 in (1e2, 1e4, 1e5):
+            shifted = monte_carlo(mv_solution, x0, **kwargs)
+            assert shifted.rows == base.rows, x0
+            assert shifted.mean_std_error == base.mean_std_error, x0
+            gap = shifted.mean_estimate - shifted.mean_target
+            assert gap == pytest.approx(base.mean_estimate - base.mean_target, abs=1e-12 * x0)
+            assert shifted.passed, x0
 
     def test_default_thread_count_matches_serial(self, mv_solution, monkeypatch):
         monkeypatch.delenv("EQUICONTROL_THREADS", raising=False)
@@ -497,8 +533,8 @@ class TestSpikeSuite:
             )
             for ctl in controls:
                 for t, x in ((0.0, 0.0), (0.3, -1.0)):
-                    out = evaluate_deterministic(sol.coeffs, sol.objective, t, x, ctl, sol.discount)
-                    ref = _reference_evaluate(sol.coeffs, sol.objective, t, x, ctl, sol.discount)
+                    out = evaluate_deterministic(sol.coeffs, sol.objective, t, x, ctl)
+                    ref = _reference_evaluate(sol.coeffs, sol.objective, t, x, ctl)
                     assert (out.mean, out.variance, out.value) == ref, (name, t, x)
 
     @pytest.mark.parametrize("num_steps", [64, 512])
