@@ -434,6 +434,7 @@ def cmd_solve(args) -> int:
         "value_at_x0_0": float(values[0]),
         "concavity_worst_margin": float(sol.margins.max()),
         "ode_error_estimate": sol.ode_error_estimate,
+        "ode_substeps": sol.ode_substeps,
     }
     _write_manifest(problem, sol, "solve", [csv_path], {"summary": summary})
     print(f"solver: {sol.solver_name}")

@@ -63,7 +63,9 @@ class EquilibriumSolution:
     for solvers with a closed form, through a cubic spline of the node values
     otherwise.  The loading between nodes is always recovered from the
     pointwise condition beta = kappa b / d^2 * (-1 / (2 K)).  ``margins``
-    holds the curvature K(t_k, y_k) at each node, all negative.
+    holds the curvature K(t_k, y_k) at each node, all negative.  The ``ode``
+    solver records its Richardson estimate and final substeps per grid cell
+    in ``ode_error_estimate`` and ``ode_substeps``; both are 0 for the others.
     """
 
     coeffs: cf.CoefficientSet
@@ -74,6 +76,7 @@ class EquilibriumSolution:
     margins: np.ndarray
     y_fn: object
     ode_error_estimate: float = 0.0
+    ode_substeps: int = 0
 
     @property
     def grid(self) -> cf.TimeGrid:
@@ -185,7 +188,9 @@ def _node_spline(grid: cf.TimeGrid, values):
     return lambda t: spline(np.asarray(t, dtype=float) / grid.horizon)
 
 
-def _assemble(coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0) -> EquilibriumSolution:
+def _assemble(
+    coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0, ode_substeps=0
+) -> EquilibriumSolution:
     y_nodes = np.maximum(np.asarray(y_nodes, dtype=float), 0.0)
     if not np.all(np.isfinite(y_nodes)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite y")
@@ -199,7 +204,9 @@ def _assemble(coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0) -> Equ
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite beta")
     if y_fn is None:
         y_fn = _node_spline(coeffs.grid, y_nodes)
-    return EquilibriumSolution(coeffs, spec, y_nodes, beta, solver_name, margins, y_fn, ode_err)
+    return EquilibriumSolution(
+        coeffs, spec, y_nodes, beta, solver_name, margins, y_fn, ode_err, ode_substeps
+    )
 
 
 def _solve_increasing_many(fn, dfn, targets):
@@ -307,42 +314,52 @@ def solve_ode(
     Integrates y' = -(kappa b / d)^2 f(t, y)^2 from the terminal condition
     y(T) = 0 on the master grid, with a Richardson half-step error estimate;
     the step is halved, up to ``_ODE_MAX_SUBSTEPS`` substeps per cell, only
-    while the estimate misses ``tol``.
+    while the estimate misses ``tol``.  No family's f depends on t, so each
+    run evaluates (kappa b / d)^2 at all its stage times in one vectorized
+    call and marches on Python floats through the family's
+    ``curvature_scalar``.
     """
     grid = coeffs.grid
     kappa = spec.kappa
-
-    def rate(t, y):
-        if y < 0.0:
-            if y < -1e-12:
-                raise OdeStepError(f"backward step left the admissible region: y = {y:.3e}")
-            y = 0.0
-        kk = curvature_sum(spec, t, y)
-        if not (kk < 0.0):
-            raise ConcavityError(
-                f"curvature condition failed during integration: K({t:.6g}, {y:.6g}) = {kk:.6g}"
-            )
-        b = float(coeffs.control_drift(t))
-        d = float(coeffs.control_vol(t))
-        f_gain = -0.5 / kk
-        return (kappa * b / d) ** 2 * f_gain * f_gain
+    curvature = spec.variant.curvature_scalar
 
     def run(substeps: int) -> np.ndarray:
         n = grid.num_steps
         h = grid.step / substeps
+        # stage times t1, t1 - h/2, t1 - h of every substep, in marching order
+        t1 = (grid.nodes[n:0:-1, None] - np.arange(substeps) * h).reshape(-1)
+        times = np.stack([t1, t1 - 0.5 * h, t1 - h], axis=-1).reshape(-1)
+        b = np.asarray(coeffs.control_drift(times), dtype=float)
+        d = np.asarray(coeffs.control_vol(times), dtype=float)
+        gains = [r**2 for r in (kappa * b / d).tolist()]
+
+        def rate(i, y):
+            if y < 0.0:
+                if y < -1e-12:
+                    raise OdeStepError(f"backward step left the admissible region: y = {y:.3e}")
+                y = 0.0
+            kk = curvature(y)
+            if not (kk < 0.0):
+                raise ConcavityError(
+                    "curvature condition failed during integration:"
+                    f" K({times[i]:.6g}, {y:.6g}) = {kk:.6g}"
+                )
+            f_gain = -0.5 / kk
+            return gains[i] * f_gain * f_gain
+
         out = np.empty(n + 1)
         out[n] = 0.0
         y = 0.0
+        i = 0
         # march backward in time from the horizon
         for k in range(n, 0, -1):
-            t_right = grid.nodes[k]
-            for j in range(substeps):
-                t1 = t_right - j * h
-                k1 = rate(t1, y)
-                k2 = rate(t1 - 0.5 * h, y + 0.5 * h * k1)
-                k3 = rate(t1 - 0.5 * h, y + 0.5 * h * k2)
-                k4 = rate(t1 - h, y + h * k3)
+            for _ in range(substeps):
+                k1 = rate(i, y)
+                k2 = rate(i + 1, y + 0.5 * h * k1)
+                k3 = rate(i + 1, y + 0.5 * h * k2)
+                k4 = rate(i + 2, y + h * k3)
                 y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                i += 3
             out[k - 1] = y
         return out
 
@@ -358,7 +375,7 @@ def solve_ode(
         raise OdeStepError(
             f"backward integration stalled at error estimate {est:.3e} > tol {tol:.3e}"
         )
-    return _assemble(coeffs, spec, fine, "ode", None, ode_err=est)
+    return _assemble(coeffs, spec, fine, "ode", None, ode_err=est, ode_substeps=substeps)
 
 
 SOLVERS = {

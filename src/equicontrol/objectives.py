@@ -86,8 +86,9 @@ class Variant:
     ``psi_slots`` and ``grad_even`` follow; ``even_slots(terms)`` is the
     number of even slots ``psi_grad_even`` reports.  Every family has a
     vectorized ``curvature(y)`` (``cheap_curvature``: no quadrature per
-    point), penalties add ``gaussian_expectation(var)``, and a family with a
-    known first integral returns it from ``first_integral``.
+    point) and its value at one Python float, ``curvature_scalar(y)``;
+    penalties add ``gaussian_expectation(var)``, and a family with a known
+    first integral returns it from ``first_integral``.
     """
 
     kind = None
@@ -115,6 +116,26 @@ class Variant:
     def grad_even(self, y: float, m: int) -> list:
         """psi_{z_2j} for j = 1..m at the Gaussian point with variance y."""
         return [self.slot_weight(2 * j) / math.factorial(2 * j) for j in range(1, m + 1)]
+
+    def curvature_scalar(self, y: float) -> float:
+        """``curvature`` at one variance y >= 0, as a float.
+
+        Families with a closed-form K override this with float arithmetic in
+        the vectorized operation order, which the RK4 march calls per stage.
+        """
+        return float(self.curvature(np.asarray(y, dtype=float)))
+
+
+def _array_power(y: float, power: int) -> float:
+    """y ** power as numpy computes it on a float array: powers above 2 go
+    through the power ufunc, whose SIMD pow can round apart from ``math.pow``."""
+    if power == 0:
+        return 1.0
+    if power == 1:
+        return y
+    if power == 2:
+        return y * y
+    return float(np.power(y, power))
 
 
 class _FiniteMoments(Variant):
@@ -173,11 +194,25 @@ class MomentCombo(_FiniteMoments):
     def slot_weight(self, j: int) -> float:
         return (-1.0) ** (j + 1) * self.weight(j)
 
+    @cached_property
+    def _curvature_terms(self) -> tuple:
+        """(power, weight, (2j - 2)!!) of each nonzero even weight kappa_2j."""
+        return tuple(
+            (j - 1, w, float(double_factorial(2 * j - 2)))
+            for j, (_, w) in enumerate(self.even_weights(), start=1)
+            if w != 0.0
+        )
+
     def curvature(self, y):
         out = np.zeros_like(y)
-        for j, (_, w) in enumerate(self.even_weights(), start=1):
-            if w != 0.0:
-                out += w * y ** (j - 1) / float(double_factorial(2 * j - 2))
+        for power, w, scale in self._curvature_terms:
+            out += w * y**power / scale
+        return -0.5 * out
+
+    def curvature_scalar(self, y: float) -> float:
+        out = 0.0
+        for power, w, scale in self._curvature_terms:
+            out += w * _array_power(y, power) / scale
         return -0.5 * out
 
     @cached_property
@@ -260,6 +295,9 @@ class StandardizedMoments(_FiniteMoments):
         # slot derivatives cancel in K exactly and only the variance term stays
         return np.full_like(y, -0.5 * self.weight(2))
 
+    def curvature_scalar(self, y: float) -> float:
+        return -0.5 * self.weights[0]
+
     @cached_property
     def first_integral(self) -> FirstIntegral:
         """Plain variance's P = kappa_2^2 y, since K = -kappa_2 / 2 exactly."""
@@ -298,6 +336,13 @@ class ExpPenalty(_ScaledPenalty):
         c = self.c
         return -0.5 * c * np.exp(0.5 * c * c * y)
 
+    def curvature_scalar(self, y: float) -> float:
+        c = self.c
+        try:
+            return -0.5 * c * math.exp(0.5 * c * c * y)
+        except OverflowError:  # np.exp gives inf here
+            return -math.inf
+
     def gaussian_expectation(self, var):
         c = self.c
         return np.expm1(0.5 * c * c * var) / c
@@ -325,6 +370,7 @@ class CoshPenalty(_ScaledPenalty):
 
     # the even part of the exp shape: the same Gaussian curvature, law and P
     curvature = ExpPenalty.curvature
+    curvature_scalar = ExpPenalty.curvature_scalar
     gaussian_expectation = ExpPenalty.gaussian_expectation
     first_integral = ExpPenalty.first_integral
 
@@ -346,6 +392,10 @@ class CosPenalty(_ScaledPenalty):
     def curvature(self, y):
         c = self.c
         return -0.5 * c * np.exp(-0.5 * c * c * y)
+
+    def curvature_scalar(self, y: float) -> float:
+        c = self.c
+        return -0.5 * c * math.exp(-0.5 * c * c * y)
 
     def gaussian_expectation(self, var):
         c = self.c

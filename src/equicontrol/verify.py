@@ -739,11 +739,12 @@ def verification_report(
         "passed": worst_resid <= residual_tol,
     }
 
+    # relative to the variance once it exceeds one, as value_consistency's tol (1 + |v|)
     self_err = sol.self_consistency_error()
     report["self_consistency"] = {
         "error": self_err,
         "tol": consistency_tol,
-        "passed": self_err <= consistency_tol,
+        "passed": self_err <= consistency_tol * max(1.0, float(sol.y.max())),
     }
 
     worst_margin = float(sol.margins.max())

@@ -83,6 +83,24 @@ def solved_cases(num_steps=512):
     ]
 
 
+def criterion_02_draws():
+    """The 20 random moment combinations of acceptance criterion 02.
+
+    The variance weight is drawn from [0.1, 5] rather than [0, 5]: the
+    backward integration starts from y(T) = 0, where the curvature vanishes
+    whenever kappa_2 = 0 and the ODE initial value problem is singular.
+    """
+    rng = np.random.default_rng(20260814)
+    draws = []
+    for _ in range(20):
+        weights = [float(rng.uniform(0.1, 5.0)), 0.0]
+        for _ in range((int(rng.integers(0, 4)))):
+            even = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(0.0, 5.0))
+            weights.extend([even, 0.0])
+        draws.append(ObjectiveSpec(1.0, MomentCombo(tuple(weights[:7]))))
+    return draws
+
+
 def _with_vol_offset(num_steps):
     grid = TimeGrid(1.0, num_steps)
     return CoefficientSet(

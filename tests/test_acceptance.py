@@ -43,7 +43,7 @@ from equicontrol.verify import (
     value_consistency_check,
 )
 
-from cases import base_coeffs, fourier_gaussian_amplitude, solve_all
+from cases import base_coeffs, criterion_02_draws, fourier_gaussian_amplitude, solve_all
 
 
 def report(number, ok, detail):
@@ -67,22 +67,11 @@ def test_criterion_01_ode_matches_exp_closed_form():
 
 
 def test_criterion_02_cross_solver_equivalence():
-    """ODE and algebraic solvers agree on random moment combinations.
-
-    The variance weight is drawn from [0.1, 5] rather than [0, 5]: the
-    backward integration starts from y(T) = 0, where the curvature vanishes
-    whenever kappa_2 = 0 and the ODE initial value problem is singular.
-    """
-    rng = np.random.default_rng(20260814)
+    """ODE and algebraic solvers agree on random moment combinations."""
     coeffs = base_coeffs(512)
     start = time.perf_counter()
     worst = 0.0
-    for _ in range(20):
-        weights = [float(rng.uniform(0.1, 5.0)), 0.0]
-        for _ in range((int(rng.integers(0, 4)))):
-            even = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(0.0, 5.0))
-            weights.extend([even, 0.0])
-        spec = ObjectiveSpec(1.0, MomentCombo(tuple(weights[:7])))
+    for spec in criterion_02_draws():
         ode = solve_ode(coeffs, spec)
         alg = solve_algebraic(coeffs, spec)
         rel = float(np.max(np.abs(ode.beta - alg.beta) / np.abs(alg.beta)))

@@ -425,7 +425,60 @@ class TestNoPerNodeLoops:
         assert seen[0] == seen[1]
 
 
+class TestOdeRecord:
+    CURVED = {
+        "state_drift": {"type": "exponential", "scale": 0.1, "rate": 0.5},
+        "control_drift": 0.3,
+        "drift_offset": 0.05,
+        "control_vol": 0.2,
+        "vol_offset": 0.1,
+    }
+
+    def test_manifest_records_substeps(self, tmp_path):
+        objective = {"variant": "cosh", "kappa": 1.0, "c": 1.0}
+        cfg = write_config(
+            tmp_path / "c.json", coefficients=self.CURVED, objective=objective, solver="ode"
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["ode_substeps"] == 2
+        assert 0.0 < summary["ode_error_estimate"] <= 1e-8
+        # the table carries no trace: it is the solution's columns, nothing more
+        sol = equilibrium.solve(curved_coeffs(512), parse_objective(objective), "ode")
+        nodes = sol.grid.nodes
+        columns = (
+            nodes,
+            sol.y_many(nodes),
+            sol.beta_many(nodes),
+            sol.control_many(nodes),
+            sol.value_many(nodes, 0.0),
+        )
+        expect = TestCsvBytes.rendered(("t", "y", "beta", "control_at_x0", "value_at_x0"), columns)
+        assert (out / "solution.csv").read_bytes() == expect.encode()
+
+    def test_closed_form_records_no_substeps(self, mv_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(mv_config), "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["ode_substeps"] == 0
+        assert summary["ode_error_estimate"] == 0.0
+
+
 class TestSolverErrors:
+    def test_ode_stall_exits_3(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "stall.json",
+            grid_size=16,
+            objective={"variant": "exp", "kappa": 1.0, "c": 1.0},
+            solver="ode",
+            tolerances={"ode": 1e-300},
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "OdeStepError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cos_domain_guard_is_distinct(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cos.json",

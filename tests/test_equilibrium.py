@@ -18,6 +18,7 @@ from equicontrol import (
     ExpPenalty,
     MomentCombo,
     ObjectiveSpec,
+    OdeStepError,
     RootBracketError,
     SampledCoefficient,
     StandardizedMoments,
@@ -36,7 +37,15 @@ from equicontrol.moments import MomentVector
 from equicontrol.objectives import psi
 from equicontrol.verify import DeterministicControl, evaluate_deterministic
 
-from cases import base_coeffs, curved_coeffs, fourier_gaussian_amplitude, solve_all
+from cases import (
+    base_coeffs,
+    criterion_02_draws,
+    curved_coeffs,
+    fourier_gaussian_amplitude,
+    solve_all,
+    solved_cases,
+)
+from ode_reference import reference_solve_ode
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +154,99 @@ class TestOdeSolver:
         loose = solve(base_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="ode", ode_tol=1e-3)
         tight = solve(base_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="ode", ode_tol=1e-12)
         assert tight.ode_error_estimate <= loose.ode_error_estimate
+
+
+class CountingCoefficient(ConstantCoefficient):
+    calls = 0
+
+    def __call__(self, t):
+        CountingCoefficient.calls += 1
+        return super().__call__(t)
+
+
+class TestOdeMarch:
+    """The Python-float march against a kept copy of the per-stage numpy march."""
+
+    # math.exp may round one ulp apart from np.exp
+    ULP_FAMILIES = {"exp", "cosh", "cos"}
+
+    @staticmethod
+    def assert_matches_reference(coeffs, spec, label):
+        got = solve_ode(coeffs, spec)
+        ref = reference_solve_ode(coeffs, spec)
+        assert got.ode_substeps == ref.ode_substeps, label
+        if spec.variant.kind in TestOdeMarch.ULP_FAMILIES:
+            np.testing.assert_allclose(got.y, ref.y, rtol=1e-15, atol=0.0, err_msg=label)
+            np.testing.assert_allclose(got.beta, ref.beta, rtol=1e-15, atol=0.0, err_msg=label)
+            # the estimate is a difference of two marches, so it can move by
+            # the y gap: near the rounding floor (cos) that is most of it
+            gap = abs(got.ode_error_estimate - ref.ode_error_estimate)
+            assert gap <= 1e-15 * float(ref.y.max()), label
+        else:
+            assert got.y.tobytes() == ref.y.tobytes(), label
+            assert got.beta.tobytes() == ref.beta.tobytes(), label
+            assert got.ode_error_estimate == ref.ode_error_estimate, label
+
+    @pytest.mark.parametrize("case", solved_cases(512), ids=lambda case: case[0])
+    def test_solved_cases_match_reference(self, case):
+        name, coeffs, spec, _ = case
+        self.assert_matches_reference(coeffs, spec, name)
+
+    def test_criterion_02_draws_match_reference(self):
+        coeffs = base_coeffs(512)
+        for i, spec in enumerate(criterion_02_draws()):
+            self.assert_matches_reference(coeffs, spec, f"draw {i}")
+
+    def test_coefficient_calls_do_not_grow_with_grid(self):
+        """Each run evaluates b and d once over all its stage times."""
+        counts = []
+        for n in (64, 1024):
+            coeffs = CoefficientSet(
+                TimeGrid(1.0, n),
+                state_drift=ConstantCoefficient(0.0),
+                control_drift=CountingCoefficient(0.3),
+                drift_offset=ConstantCoefficient(0.0),
+                control_vol=CountingCoefficient(0.2),
+                vol_offset=ConstantCoefficient(0.0),
+            )
+            CountingCoefficient.calls = 0
+            sol = solve_ode(coeffs, ObjectiveSpec(1.0, CoshPenalty(1.0)))
+            counts.append((CountingCoefficient.calls, sol.ode_substeps))
+        assert counts[0] == counts[1]
+        assert counts[0][0] < 20
+
+    def test_records_substeps(self):
+        spec = ObjectiveSpec(1.0, CoshPenalty(1.0))
+        assert solve_ode(curved_coeffs(512), spec).ode_substeps == 2
+        assert solve(curved_coeffs(512), spec).ode_substeps == 0
+
+    def test_overflowing_stage_stalls_as_before(self):
+        """A stage y past exp's range gives K = -inf (f = 0) as np.exp did, not an OverflowError."""
+        spec = ObjectiveSpec(1e3, ExpPenalty(1.0))
+        with pytest.raises(OdeStepError) as ref, np.errstate(over="ignore"):
+            reference_solve_ode(base_coeffs(16), spec)
+        with pytest.raises(OdeStepError) as got:
+            solve_ode(base_coeffs(16), spec)
+        assert str(got.value) == str(ref.value)
+
+    def test_concavity_failure_names_the_stage(self):
+        from equicontrol import FourierEvenPenalty
+
+        freqs = np.linspace(-12.0, 12.0, 1201)
+        density = np.exp(-0.5 * freqs**2) / math.sqrt(2.0 * math.pi)  # positive weight
+        spec = ObjectiveSpec(1.0, FourierEvenPenalty(tuple(freqs), tuple(density)))
+        coeffs = curved_coeffs(16)
+        with pytest.raises(ConcavityError) as ref:
+            reference_solve_ode(coeffs, spec)
+        with pytest.raises(ConcavityError) as got:
+            solve_ode(coeffs, spec)
+        assert str(got.value) == str(ref.value)
+        assert "during integration: K(1, 0)" in str(got.value)
+
+    def test_stall_raises(self):
+        """No substep count reaches a tolerance below the rounding floor."""
+        with pytest.raises(OdeStepError, match="stalled"):
+            solve_ode(base_coeffs(16), ObjectiveSpec(1.0, ExpPenalty(1.0)), tol=1e-300)
 
 
 class TestAmbiguousCos:

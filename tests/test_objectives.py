@@ -391,6 +391,26 @@ class TestVariantProtocol:
         assert order6.algebraic and not order6.closed_form and order6.inverse is None
         assert fourier_gaussian_amplitude().first_integral is None
 
+    # the roster covers every family (test_registry_covers_every_family); these
+    # repeat the vectorized float operations exactly, while the exp-shaped
+    # families call math.exp, within an ulp of np.exp
+    SCALAR_BITWISE = {"moment_combo", "standardized", "ambiguous_cos", "fourier_even"}
+
+    @pytest.mark.parametrize(
+        "variant",
+        TestGaussianPsi.VARIANTS + (MomentCombo((1.0, 0.3, 0.5, 0.0, 0.25, 0.0, 0.7)),),
+        ids=lambda v: v.kind,
+    )
+    def test_curvature_scalar_matches_curvature(self, variant):
+        for y in (0.0, 1e-300, 1e-8, 0.3, 1.7, 25.0):
+            got = variant.curvature_scalar(y)
+            expect = float(variant.curvature(np.asarray(y)))
+            assert type(got) is float
+            if variant.kind in self.SCALAR_BITWISE:
+                assert got == expect, (variant.kind, y)
+            else:
+                assert abs(got - expect) <= math.ulp(expect), (variant.kind, y)
+
     def test_gaussian_expectation_needs_a_penalty(self):
         from equicontrol import gaussian_penalty_expectation
 

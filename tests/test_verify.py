@@ -344,6 +344,24 @@ class TestVerificationReport:
         assert not report["value_consistency"]["passed"]
         assert not report["passed"]
 
+    def test_self_consistency_scales_with_large_variance(self):
+        """At kappa = 1e6, y(0) = 5.6e11 and the rounding gap exceeds the absolute tol."""
+        sol = solve(base_coeffs(512), ObjectiveSpec(1e6, MomentCombo((2.0,))))
+        section = verification_report(sol)["self_consistency"]
+        assert section["error"] > section["tol"] == 5e-6
+        assert section["passed"]
+        off = dataclasses.replace(sol, y=sol.y * (1.0 + 1e-3))
+        assert not verification_report(off)["self_consistency"]["passed"]
+
+    def test_self_consistency_is_absolute_below_unit_variance(self, mv_solution):
+        assert float(mv_solution.y.max()) < 1.0
+        assert verification_report(mv_solution)["self_consistency"]["passed"]
+        # a gap of 5.6e-6 fails against the absolute 5e-6, as it always did
+        off = dataclasses.replace(mv_solution, y=mv_solution.y * (1.0 + 1e-5))
+        section = verification_report(off)["self_consistency"]
+        assert 5e-6 < section["error"] < 6e-6
+        assert not section["passed"]
+
 
 # ---------------------------------------------------------------- reference
 # Copies of the routines as they were before the in-place Monte Carlo step and
