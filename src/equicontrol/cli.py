@@ -433,6 +433,7 @@ def cmd_solve(args) -> int:
         "control_at_x0_0": float(control[0]),
         "value_at_x0_0": float(values[0]),
         "concavity_worst_margin": float(sol.margins.max()),
+        "concavity_worst_t": float(nodes[np.argmax(sol.margins)]),
         "ode_error_estimate": sol.ode_error_estimate,
         "ode_substeps": sol.ode_substeps,
     }

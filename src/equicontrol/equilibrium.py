@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import coeffs as cf
 from .errors import (
@@ -63,7 +62,10 @@ class EquilibriumSolution:
     for solvers with a closed form, through a cubic spline of the node values
     otherwise.  The loading between nodes is always recovered from the
     pointwise condition beta = kappa b / d^2 * (-1 / (2 K)).  ``margins``
-    holds the curvature K(t_k, y_k) at each node, all negative.  The ``ode``
+    holds the curvature K(t_k, y_k) at each node, all negative.  A query at
+    node 0 or at the whole node array returns the stored ``y`` and
+    ``margins`` (and the loading from them); a spline is built, and scipy
+    imported, only on the first query between nodes.  The ``ode``
     solver records its Richardson estimate and final substeps per grid cell
     in ``ode_error_estimate`` and ``ode_substeps``; both are 0 for the others.
     """
@@ -86,11 +88,22 @@ class EquilibriumSolution:
     def control_nodes(self) -> np.ndarray:
         return self.beta / self.coeffs.growth - self.coeffs.f_nodes / self.coeffs.d_nodes
 
+    def _node_index(self, t: np.ndarray):
+        """0 for t = 0, a full slice for the node array, else None.
+
+        The node values were solved once; evaluating y_fn there would repeat
+        the solve, or build the node spline, for the same numbers.
+        """
+        if t.ndim == 0:
+            return 0 if t == 0.0 else None
+        nodes = self.grid.nodes
+        return slice(None) if t.shape == nodes.shape and np.array_equal(t, nodes) else None
+
     def y_many(self, t):
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0 and t == 0.0:
-            # node 0 already holds y(0); y_fn would repeat the solve there
-            return self.y[0]
+        at = self._node_index(t)
+        if at is not None:
+            return self.y[at]
         return np.maximum(np.asarray(self.y_fn(t), dtype=float), 0.0)
 
     def y_at(self, t: float) -> float:
@@ -103,11 +116,14 @@ class EquilibriumSolution:
     def curvature_many(self, t):
         """K(t, y_t) along the solution, vectorized.
 
-        Variants whose curvature needs a frequency quadrature per query point
-        (fourier_even) are interpolated from the node margins instead (the
-        spline reproduces the node values exactly).
+        Node queries return the stored margins.  Between nodes, variants
+        whose curvature needs a frequency quadrature per query point
+        (fourier_even) are interpolated from the node margins instead.
         """
         t = np.asarray(t, dtype=float)
+        at = self._node_index(t)
+        if at is not None:
+            return self.margins[at]
         if self.objective.variant.cheap_curvature:
             return curvature_sum(self.objective, t, self.y_many(t))
         return np.asarray(self._curvature_spline(t), dtype=float)
@@ -183,9 +199,21 @@ class EquilibriumSolution:
 
 
 def _node_spline(grid: cf.TimeGrid, values):
-    """Cubic spline through node values, fitted in t / T to stay finite for any horizon."""
-    spline = CubicSpline(grid.nodes / grid.horizon, values)
-    return lambda t: spline(np.asarray(t, dtype=float) / grid.horizon)
+    """Cubic spline through node values, fitted in t / T to stay finite for any horizon.
+
+    The spline is built on the first call and kept; scipy is imported only then.
+    """
+    spline = None
+
+    def evaluate(t):
+        nonlocal spline
+        if spline is None:
+            from scipy.interpolate import CubicSpline
+
+            spline = CubicSpline(grid.nodes / grid.horizon, values)
+        return spline(np.asarray(t, dtype=float) / grid.horizon)
+
+    return evaluate
 
 
 def _assemble(

@@ -34,6 +34,10 @@ _MC_BLOCK = 1 << 17
 _MC_PATH_STEP_CAP = 1 << 34
 # highest moment order the PDE and Monte Carlo suites check
 _MAX_ORDER = 8
+# each suite raises its amplitudes or states to at most a power m (its highest
+# moment order) and keeps |v|^m within this ceiling, so the products it forms
+# with the coefficients and the variance stay far inside the float range
+_POWER_CEILING = 1e150
 # seeds the Philox key word takes as one signed 64-bit integer; larger ones
 # would reach it as float64 and share streams with their neighbours
 MC_SEED_RANGE = (-(1 << 63), (1 << 63) - 1)
@@ -42,6 +46,15 @@ MC_SEED_RANGE = (-(1 << 63), (1 << 63) - 1)
 def _gaussian_order(spec: ObjectiveSpec) -> int:
     variant = spec.variant
     return max(getattr(variant, "order", 2), 2)
+
+
+def _require_power_range(values, power: int, what: str) -> None:
+    """DomainError unless |v|^power stays within ``_POWER_CEILING`` for every v."""
+    bound = _POWER_CEILING ** (1.0 / power)
+    if any(not abs(v) <= bound for v in values):
+        raise DomainError(
+            f"{what} must lie in [-{bound:.6g}, {bound:.6g}] (power {power}), got {list(values)}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +274,13 @@ def spike_suite(
     evaluated exactly on one shared quadrature decomposition, so the common
     part of the integrals cancels to rounding and the quadrature is built
     once per width rather than once per amplitude.
+
+    A spike of amplitude zeta adds zeta^2 to the variance, and psi takes the
+    variance to the objective's highest moment order m, so |zeta|^m must
+    stay within ``_POWER_CEILING``.  The exp and cosh penalties grow
+    exponentially in the variance, where no power bound suffices: there an
+    amplitude whose spiked objective leaves the float range is a
+    DomainError as well.
     """
     grid = sol.grid
     t = grid.require_time(t)
@@ -274,6 +294,7 @@ def spike_suite(
         if any(e <= 0.0 or e > remaining for e in epsilons):
             raise DomainError("spike widths must lie in (0, horizon - t]")
     zetas = tuple(zetas)
+    _require_power_range(zetas, _gaussian_order(sol.objective), "spike amplitudes")
 
     base = DeterministicControl.from_solution(sol)
     ratios = [[] for _ in zetas]
@@ -281,8 +302,11 @@ def spike_suite(
         window = base.with_offset(t, min(t + eps, grid.horizon), 0.0)
         evals = _evaluate_amplitudes(sol.coeffs, sol.objective, t, x, window, (0.0, *zetas))
         j0 = evals[0].value
-        for row, spiked in zip(ratios, evals[1:]):
-            row.append((spiked.value - j0) / eps)
+        for zeta, row, spiked in zip(zetas, ratios, evals[1:]):
+            ratio = (spiked.value - j0) / eps
+            if math.isfinite(j0) and not math.isfinite(ratio):
+                raise DomainError(f"spike amplitude {zeta} takes the objective out of the float range")
+            row.append(ratio)
 
     d_t = float(sol.coeffs.control_vol(t))
     growth_sq = math.exp(2.0 * sol.coeffs.int_a_at(t))
@@ -426,7 +450,9 @@ def pde_residual_check(
     with terminal data x^j.  Derivatives of the excess m_j - x^j are taken
     with 5-point central finite differences (dt = horizon / 4096,
     dx = 1e-3 (1 + |x|)), those of x^j exactly, and the residual is scaled
-    by the largest moment magnitude over the sample set.
+    by the largest moment magnitude over the sample set.  The states are
+    raised to the highest order checked, so |x|^max(orders) must stay within
+    ``_POWER_CEILING``.
     """
     grid = sol.grid
     horizon = grid.horizon
@@ -438,6 +464,7 @@ def pde_residual_check(
         raise DomainError("time samples must keep the 5-point stencil inside the horizon")
     if any(not 1 <= j <= _MAX_ORDER for j in orders):
         raise DomainError(f"moment orders must lie in 1..{_MAX_ORDER}")
+    _require_power_range(x_samples, max(orders, default=1), "pde state samples")
     x_samples = np.asarray(x_samples, dtype=float)
 
     excess = _moment_excess(sol)
@@ -572,12 +599,14 @@ def monte_carlo(
     block with a counter-based generator keyed by (seed, first path index),
     so results do not depend on scheduling or thread count.  The blocks
     simulate only the noise part of the paths; the noise-free Euler endpoint
-    is added to the sample mean, so no precision is lost at large states.  ``threads``
-    defaults to ``EQUICONTROL_THREADS`` or else the usable CPU count, and is
-    capped at the number of blocks.
+    is added to the sample mean, so no precision is lost at large states.
+    x0 enters that mean alone, to the first power, so |x0| must stay within
+    ``_POWER_CEILING``.  ``threads`` defaults to ``EQUICONTROL_THREADS`` or
+    else the usable CPU count, and is capped at the number of blocks.
     """
     if not MC_SEED_RANGE[0] <= seed <= MC_SEED_RANGE[1]:
         raise DomainError(f"seed must lie in [{MC_SEED_RANGE[0]}, {MC_SEED_RANGE[1]}], got {seed}")
+    _require_power_range((x0,), 1, "the Monte Carlo start state")
     if num_paths < 2:
         raise DomainError("need at least 2 paths")
     if num_steps < 1:

@@ -1011,6 +1011,77 @@ class TestVerifyNonFinite:
             assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+class TestSuiteRanges:
+    """Amplitudes and states beyond a suite's documented range are config errors."""
+
+    def run_verify(self, tmp_path, capsys, suite, options, objective=None):
+        verification = {**_SUITES_OFF, suite: options}
+        extra = {"objective": objective} if objective else {}
+        cfg = write_config(tmp_path / "c.json", grid_size=16, verification=verification, **extra)
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(cfg), "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize(
+        "suite, options",
+        [
+            ("spike", {"zetas": [1e300]}),
+            ("pde", {"x_samples": [1e300]}),
+            ("monte_carlo", {"x0": 1e200}),
+            ("pde", {"x_samples": [1e19], "orders": [8]}),
+        ],
+    )
+    def test_out_of_range_exits_2(self, tmp_path, capsys, suite, options):
+        code, err, out = self.run_verify(tmp_path, capsys, suite, options)
+        assert code == 2
+        assert "config error: verification:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suite, options",
+        [
+            ("spike", {"zetas": [1e75, -1e75]}),
+            ("pde", {"x_samples": [3.1e37, -3.1e37]}),
+            ("monte_carlo", {"x0": -1e150, "num_paths": 64, "num_steps": 16}),
+        ],
+    )
+    def test_range_bounds_run(self, tmp_path, capsys, suite, options):
+        """At the bound every number stays finite: the mean-variance suites pass."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err, _ = self.run_verify(tmp_path, capsys, suite, options)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("variant", ["exp", "cosh"])
+    def test_spike_that_overflows_an_exponential_penalty_exits_2(self, tmp_path, capsys, variant):
+        objective = {"variant": variant, "kappa": 1.0, "c": 1.0}
+        code, err, out = self.run_verify(tmp_path, capsys, "spike", {"zetas": [1e4]}, objective)
+        assert code == 2
+        assert "config error: verification: spike amplitude" in err
+        assert not out.exists()
+
+
+class TestConcavityLocation:
+    @pytest.mark.parametrize("solver", ["closed_form", "ode"])
+    def test_summary_names_the_worst_node(self, tmp_path, solver):
+        """K = -(c/2) exp(c^2 y / 2) is least negative where y = 0, at the horizon."""
+        objective = {"variant": "exp", "kappa": 1.0, "c": 1.0}
+        cfg = write_config(tmp_path / "c.json", grid_size=64, objective=objective, solver=solver)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        sol = equilibrium.solve(base_coeffs(64), parse_objective(objective), solver)
+        worst = int(np.argmax(sol.margins))
+        assert worst == 64
+        assert summary["concavity_worst_t"] == 1.0
+        assert summary["concavity_worst_margin"] == float(sol.margins[worst]) == -0.5
+        # the table holds the stored node arrays; the summary adds nothing to it
+        nodes = sol.grid.nodes
+        columns = (nodes, sol.y, sol.beta, sol.control_many(nodes), sol.value_many(nodes, 0.0))
+        expect = TestCsvBytes.rendered(("t", "y", "beta", "control_at_x0", "value_at_x0"), columns)
+        assert (out / "solution.csv").read_bytes() == expect.encode()
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, mv_config, tmp_path):
         out = tmp_path / "out"
