@@ -46,9 +46,11 @@ from .moments import (
 # up to 2 * SERIES_TERMS are kept).
 SERIES_TERMS = 20
 
-# rows of the (variance x frequency) table built at once; bounds the memory
-# of a vectorized Fourier evaluation independently of the number of variances
-_FOURIER_ROWS = 256
+# rows of the (variance x frequency) table built at once: it bounds the memory
+# of a vectorized Fourier evaluation independently of the number of variances,
+# and 32 rows of a 2,401-frequency window (0.6 MB) keep each block's table and
+# its temporaries in cache
+_FOURIER_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,10 @@ class Variant:
     ``psi_slots`` and ``grad_even`` follow; ``even_slots(terms)`` is the
     number of even slots ``psi_grad_even`` reports.  Every family has a
     vectorized ``curvature(y)`` (``cheap_curvature``: no quadrature per
-    point) and its value at one Python float, ``curvature_scalar(y)``;
-    penalties add ``gaussian_expectation(var)``, and a family with a known
-    first integral returns it from ``first_integral``.
+    point) and its value at one Python float, ``curvature_scalar(y)``, in
+    float arithmetic that repeats the vectorized operations (the RK4 march
+    calls it per stage); penalties add ``gaussian_expectation(var)``, and a
+    family with a known first integral returns it from ``first_integral``.
     """
 
     kind = None
@@ -116,14 +119,6 @@ class Variant:
     def grad_even(self, y: float, m: int) -> list:
         """psi_{z_2j} for j = 1..m at the Gaussian point with variance y."""
         return [self.slot_weight(2 * j) / math.factorial(2 * j) for j in range(1, m + 1)]
-
-    def curvature_scalar(self, y: float) -> float:
-        """``curvature`` at one variance y >= 0, as a float.
-
-        Families with a closed-form K override this with float arithmetic in
-        the vectorized operation order, which the RK4 march calls per stage.
-        """
-        return float(self.curvature(np.asarray(y, dtype=float)))
 
 
 def _array_power(y: float, power: int) -> float:
@@ -436,6 +431,16 @@ class AmbiguousCos(_Penalty):
     def curvature(self, y):
         return -0.5 * self.amplitude.mean_exp_sq(y, weight_power=2)
 
+    @cached_property
+    def _scalar_terms(self) -> tuple:
+        """(-v^2 / 2, p v^2) over the amplitude support, as ``mean_exp_sq`` forms them."""
+        v = self.amplitude._v
+        return -0.5 * v**2, self.amplitude._p * v**2
+
+    def curvature_scalar(self, y: float) -> float:
+        rate, weights = self._scalar_terms
+        return -0.5 * float((weights * np.exp(y * rate)).sum())
+
     def gaussian_expectation(self, var):
         return 1.0 - self.amplitude.mean_exp_sq(var)
 
@@ -460,14 +465,6 @@ class AmbiguousCos(_Penalty):
             return (np.exp(-0.5 * np.multiply.outer(y, v * v)) @ weighted_sq) ** 2
 
         return FirstIntegral(budget, slope, supremum=float(np.sum(2.0 * flat_w / flat_vi2)))
-
-
-def _require_decay(weights, what: str) -> None:
-    """Raise QuadratureError unless every row of ``weights`` is negligible at both window edges."""
-    mags = np.abs(weights)
-    edge = np.maximum(mags[..., 0], mags[..., -1])
-    if np.any(edge > 1e-6 * mags.max(axis=-1)):
-        raise QuadratureError(f"{what} has not decayed at the window edge")
 
 
 @dataclass(frozen=True)
@@ -513,30 +510,70 @@ class FourierEvenPenalty(_Penalty):
     def _g_f_sq(self):
         return (self._g * self._f) * self._f
 
+    @cached_property
+    def _widths(self):
+        return np.diff(self._f)
+
+    def _trapezoid(self, weights, what: str):
+        """np.trapezoid of one row or a 2-d table of rows over the frequencies,
+        in its operation order, once every row is negligible at both window
+        edges (edge magnitude at most 1e-6 of the row's largest)."""
+        # the RK4 march's one row takes float tests, about 4.5 us of a 23 us
+        # stage less than the table form below (2-core VM)
+        if weights.ndim == 1:
+            edge = max(abs(weights[0]), abs(weights[-1]))
+            failed = edge > 1e-6 * max(weights.max(), -weights.min())
+        else:
+            edge = np.maximum(abs(weights[:, 0]), abs(weights[:, -1]))
+            failed = (edge > 1e-6 * np.maximum(weights.max(axis=-1), -weights.min(axis=-1))).any()
+        if failed:
+            raise QuadratureError(f"{what} has not decayed at the window edge")
+        pairs = weights[..., 1:] + weights[..., :-1]
+        pairs *= self._widths
+        pairs /= 2.0
+        return pairs.sum(axis=-1)
+
+    def _blocked(self, values, table, what: str):
+        """``_trapezoid(table(rows))`` for every entry of the array ``values``,
+        through tables of at most ``_FOURIER_ROWS`` rows."""
+        flat = values.reshape(-1)
+        out = np.empty(flat.shape)
+        for lo in range(0, flat.size, _FOURIER_ROWS):
+            out[lo : lo + _FOURIER_ROWS] = self._trapezoid(table(flat[lo : lo + _FOURIER_ROWS]), what)
+        return out.reshape(values.shape)
+
     def frequency_moment(self, k: int) -> float:
         """Integral of density(h) h^k over the truncation window."""
-        weights = self._g * self._f**k
-        _require_decay(weights, f"frequency moment of order {k}")
-        return float(np.trapezoid(weights, self._f))
+        return float(self._trapezoid(self._g * self._f**k, f"frequency moment of order {k}"))
 
     def slot_weight(self, j: int) -> float:
         return (-1.0) ** (j // 2 + 1) * self.frequency_moment(j) if j % 2 == 0 else 0.0
 
-    def curvature(self, y):
+    def _curvature_table(self, y):
         # the sum over even orders collapses back to a frequency integral
-        weights = self._g_f_sq * np.exp(-0.5 * np.multiply.outer(y, self._f_sq))
-        _require_decay(weights, "curvature integrand")
-        return 0.5 * np.trapezoid(weights, self._f, axis=-1)
+        weights = np.multiply.outer(y, self._f_sq)
+        weights *= -0.5
+        np.exp(weights, out=weights)
+        weights *= self._g_f_sq
+        return weights
+
+    def curvature(self, y):
+        return 0.5 * self._blocked(y, self._curvature_table, "curvature integrand")
+
+    def curvature_scalar(self, y: float) -> float:
+        return 0.5 * float(self._trapezoid(self._curvature_table(y), "curvature integrand"))
 
     def gaussian_expectation(self, var):
         rate = -0.5 * self._f * self._f
-        flat = var.reshape(-1)
-        out = np.empty(flat.shape)
-        for lo in range(0, flat.size, _FOURIER_ROWS):
-            weights = self._g * np.exp(np.multiply.outer(flat[lo : lo + _FOURIER_ROWS], rate))
-            _require_decay(weights, "frequency-domain integrand")
-            out[lo : lo + _FOURIER_ROWS] = self.atom + np.trapezoid(weights, self._f, axis=-1)
-        return out.reshape(var.shape)
+
+        def table(rows):
+            weights = np.exp(np.multiply.outer(rows, rate))
+            weights *= self._g
+            return weights
+
+        out = self._blocked(var, table, "frequency-domain integrand")
+        out += self.atom
+        return out
 
 
 VARIANTS = {

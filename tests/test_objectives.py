@@ -12,10 +12,12 @@ from equicontrol import (
     DiscreteDistribution,
     DomainError,
     ExpPenalty,
+    FourierEvenPenalty,
     MomentCombo,
     MomentVector,
     ObjectiveError,
     ObjectiveSpec,
+    QuadratureError,
     StandardizedMoments,
     alpha,
     curvature_sum,
@@ -416,3 +418,95 @@ class TestVariantProtocol:
 
         with pytest.raises(ObjectiveError):
             gaussian_penalty_expectation(MomentCombo((2.0,)), 0.5)
+
+
+def _old_require_decay(weights, what):
+    mags = np.abs(weights)
+    edge = np.maximum(mags[..., 0], mags[..., -1])
+    if np.any(edge > 1e-6 * mags.max(axis=-1)):
+        raise QuadratureError(f"{what} has not decayed at the window edge")
+
+
+def _old_curvature(variant, y):
+    """FourierEvenPenalty.curvature as one np.trapezoid over the whole table."""
+    weights = variant._g_f_sq * np.exp(-0.5 * np.multiply.outer(y, variant._f_sq))
+    _old_require_decay(weights, "curvature integrand")
+    return 0.5 * np.trapezoid(weights, variant._f, axis=-1)
+
+
+def _old_expectation(variant, var):
+    """FourierEvenPenalty.gaussian_expectation with np.trapezoid in blocks of 256 rows."""
+    rate = -0.5 * variant._f * variant._f
+    flat = var.reshape(-1)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, 256):
+        weights = variant._g * np.exp(np.multiply.outer(flat[lo : lo + 256], rate))
+        _old_require_decay(weights, "frequency-domain integrand")
+        out[lo : lo + 256] = variant.atom + np.trapezoid(weights, variant._f, axis=-1)
+    return out.reshape(var.shape)
+
+
+class TestFourierKernel:
+    """The blocked trapezoid kernel of FourierEvenPenalty against np.trapezoid."""
+
+    SHAPES = ((), (1,), (31,), (32,), (33,), (513,), (7, 77))
+
+    @staticmethod
+    def variances(shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        return rng.uniform(0.0, 3.0, size=shape) * rng.choice([1e-300, 1e-8, 1.0, 10.0], size=shape)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_bitwise_equal_to_trapezoid(self, shape):
+        variant = fourier_gaussian_amplitude()
+        y = self.variances(shape)
+        for got, expect in (
+            (variant.curvature(y), _old_curvature(variant, y)),
+            (variant.gaussian_expectation(y), _old_expectation(variant, y)),
+        ):
+            assert type(got) is type(expect)
+            assert np.shape(got) == np.shape(expect) == shape
+            assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+        for value in y.reshape(-1)[:40].tolist():
+            assert variant.curvature_scalar(value) == float(_old_curvature(variant, np.asarray(value)))
+
+    def test_frequency_moments_bitwise(self):
+        variant = fourier_gaussian_amplitude()
+        for k in (0, 2, 4, 10):
+            weights = variant._g * variant._f**k
+            assert variant.frequency_moment(k) == float(np.trapezoid(weights, variant._f))
+
+    def test_undecayed_row_in_last_partial_block(self):
+        """A constant density decays only through the Gaussian factor, so the
+        row at variance 0 is not negligible at the window edge."""
+        freqs = np.linspace(-12.0, 12.0, 241)
+        variant = FourierEvenPenalty(tuple(freqs), tuple(np.ones(freqs.size)), atom=1.0)
+        y = np.ones((7, 77))
+        variant.curvature(y)
+        variant.gaussian_expectation(y)
+        y[-1, -1] = 0.0  # flat index 538: the last, partial block
+        for evaluate in (variant.curvature, variant.gaussian_expectation):
+            with pytest.raises(QuadratureError):
+                evaluate(y)
+        with pytest.raises(QuadratureError):
+            variant.curvature_scalar(0.0)
+        with pytest.raises(QuadratureError):
+            variant.frequency_moment(2)
+        with pytest.raises(QuadratureError):
+            curvature_sum(ObjectiveSpec(1.0, variant), 0.0, y)
+        assert math.isfinite(variant.curvature_scalar(1.0))
+
+    def test_peak_memory_below_one_table(self):
+        import tracemalloc
+
+        variant = fourier_gaussian_amplitude()
+        y = np.linspace(0.0, 2.0, 4097)
+        table_bytes = y.size * len(variant.freqs) * 8
+        variant.curvature(y[:3])  # the cached frequency tables are not counted
+        tracemalloc.start()
+        try:
+            variant.curvature(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes

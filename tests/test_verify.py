@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from equicontrol import (
+    AmbiguousCos,
+    CoefficientSet,
     ConfigError,
+    ConstantCoefficient,
+    DiscreteDistribution,
     DomainError,
     ExpPenalty,
     GridMismatchError,
     MomentCombo,
     ObjectiveSpec,
+    TimeGrid,
     solve,
 )
 from equicontrol import verify as verify_module
@@ -44,6 +49,11 @@ def mv_solution():
 @pytest.fixture(scope="module")
 def exp_solution():
     return solve(base_coeffs(), ObjectiveSpec(1.0, ExpPenalty(1.0)))
+
+
+@pytest.fixture(scope="module")
+def curved_mv_solution():
+    return solve(curved_coeffs(64), ObjectiveSpec(1.0, MomentCombo((2.0,))))
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +315,67 @@ class TestMonteCarlo:
         for seed in (lo, hi):
             report = monte_carlo(mv_solution, 0.0, seed=seed, num_paths=100, num_steps=8)
             assert report.seed == seed
+
+    @staticmethod
+    def combined_mean_verdict(report, dt):
+        """The mean check as one band: Euler endpoint plus noise mean against 3 standard errors."""
+        err = abs(report.mean_estimate - report.mean_target)
+        if report.mean_std_error > 0.0:
+            return err <= 3.0 * report.mean_std_error
+        return err <= dt * (1.0 + abs(report.mean_target))
+
+    @pytest.mark.parametrize("x0", [10.0, 100.0, 1000.0])
+    def test_large_start_state_passes(self, curved_mv_solution, x0):
+        """The endpoint's Euler bias grows with |x0| and is not sampling noise."""
+        report = monte_carlo(curved_mv_solution, x0, seed=2, num_paths=20_000, num_steps=256)
+        assert report.mean_passed and report.passed
+        # one band over endpoint and noise fails here once |x0| reaches 100
+        assert self.combined_mean_verdict(report, 1.0 / 256) == (x0 < 100.0)
+
+    @pytest.mark.parametrize("x0", [100.0, -100.0])
+    def test_strong_state_drift_passes(self, x0):
+        """With state drift 2 the endpoint's Euler bias, about
+        x0 e^2 (1 - e^(-2 dt)) = 5.7 at 256 steps, is twice dt (1 + |target|);
+        the check allows it through the endpoint at half the step."""
+        coeffs = CoefficientSet(
+            TimeGrid(1.0, 64),
+            state_drift=ConstantCoefficient(2.0),
+            control_drift=ConstantCoefficient(0.3),
+            drift_offset=ConstantCoefficient(0.0),
+            control_vol=ConstantCoefficient(0.2),
+            vol_offset=ConstantCoefficient(0.0),
+        )
+        sol = solve(coeffs, ObjectiveSpec(1.0, MomentCombo((2.0,))))
+        steps = 256
+        report = monte_carlo(sol, x0, seed=2, num_paths=20_000, num_steps=steps)
+        gap = abs(report.mean_estimate - report.mean_target)
+        assert gap > 1.5 * (1.0 + abs(report.mean_target)) / steps
+        assert not self.combined_mean_verdict(report, 1.0 / steps)
+        assert report.mean_passed and report.passed
+
+    def test_shifted_terminal_mean_fails(self, curved_mv_solution, monkeypatch):
+        sol = curved_mv_solution
+        x0, steps = 100.0, 256
+        target = sol.terminal_mean(0.0, x0)
+        shift = 10.0 * (1.0 + abs(target)) / steps
+        monkeypatch.setattr(type(sol), "terminal_mean", lambda self, t, x: target + shift)
+        report = monte_carlo(sol, x0, seed=2, num_paths=20_000, num_steps=steps)
+        assert report.mean_target == target + shift
+        assert not report.mean_passed and not report.passed
+        assert all(row.passed for row in report.rows)
+
+    @pytest.mark.parametrize("variant", [
+        MomentCombo((2.0,)),
+        AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.5, 0.5))),
+    ], ids=lambda v: v.kind)
+    def test_default_runs_keep_their_verdict(self, variant):
+        """On the default run (200k x 1024 paths, seed 20240801, x0 = 0) of the
+        verify-default benchmark configs the split check reaches the one-band
+        verdict, so verification.json keeps its bytes."""
+        sol = solve(base_coeffs(512), ObjectiveSpec(1.0, variant))
+        report = monte_carlo(sol, 0.0, seed=20240801, num_paths=200_000, num_steps=1024)
+        assert report.mean_passed == self.combined_mean_verdict(report, 1.0 / 1024)
+        assert report.passed
 
 
 class TestValueConsistency:
