@@ -14,8 +14,17 @@ process, the parent first on odd seeds and the change first on even seeds,
 and the end-to-end metrics are read back from that checkout's
 ``.perfbench-work/result-W-seedS-trace0.json``.  Each metric gets the median and
 inclusive quartiles of both sides, the pairs the change read lower
-(``change_wins``), the relative change of the medians and the parent's
-interquartile range.  The claim is met when the change wins at least nine
+(``change_wins``), the relative change of the medians, the parent's
+interquartile range and a ``verdict`` against the metric's relative
+``bound`` in ``BENCHMARK.json``:
+
+* ``worse`` when the change's median exceeds the parent's by more than the
+  bound;
+* ``unresolved`` when the parent's IQR / median exceeds the bound, unless
+  every change run beats every parent run;
+* ``no regression`` otherwise.
+
+The claim is met when the change wins at least nine
 pairs in ten and the medians lie further apart than the parent's IQR.  With
 ``--traced-seed`` each side also runs once with ``--trace 1`` and its layer
 metrics are recorded.  Standard library only.
@@ -30,7 +39,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-END_TO_END = (("wall_s", "s"), ("setup_s", "s"), ("peak_rss_mb", "MB"))
+# name, unit and relative bound of every end-to-end metric, all lower-is-better
+END_TO_END = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())[
+    "end_to_end"
+]
 SIDES = ("parent", "change")
 
 
@@ -56,7 +68,17 @@ def quartiles(runs: list) -> dict:
             "runs": [round(v, 6) for v in runs]}
 
 
-def compare(parent: list, change: list, unit: str) -> dict:
+def verdict(parent: dict, change: dict, bound: float) -> str:
+    """'worse', 'unresolved' or 'no regression' for the quartiles of both sides."""
+    if change["median"] > parent["median"] * (1.0 + bound):
+        return "worse"
+    spread = parent["q3"] - parent["q1"]
+    if spread > bound * parent["median"] and not max(change["runs"]) < min(parent["runs"]):
+        return "unresolved"
+    return "no regression"
+
+
+def compare(parent: list, change: list, unit: str, bound: float) -> dict:
     p, c = quartiles(parent), quartiles(change)
     return {
         "unit": unit,
@@ -65,7 +87,22 @@ def compare(parent: list, change: list, unit: str) -> dict:
         "change_wins": sum(b < a for a, b in zip(parent, change)),
         "median_change_frac": round(c["median"] / p["median"] - 1.0, 6),
         "parent_iqr": round(p["q3"] - p["q1"], 6),
+        "bound": bound,
+        "verdict": verdict(p, c, bound),
     }
+
+
+def summarise(records: dict) -> dict:
+    """Per workload, ``compare`` of each end-to-end metric and the failed operations,
+    from {workload: {side: [run.py result record, ...]}}."""
+    summary = {}
+    for wl, sides in records.items():
+        summary[wl] = {}
+        for m in END_TO_END:
+            runs = ([r["metrics"][m["name"]] for r in sides[side]] for side in SIDES)
+            summary[wl][m["name"]] = compare(*runs, m["unit"], m["bound"])
+        summary[wl]["failed"] = {side: sum(len(r["failures"]) for r in sides[side]) for side in SIDES}
+    return summary
 
 
 def main(argv=None) -> int:
@@ -93,13 +130,7 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {wl} {side}: wall_s {rec['metrics']['wall_s']:.4f}", flush=True)
                 records[wl][side].append(rec)
 
-    summary = {}
-    for wl, sides in records.items():
-        summary[wl] = {
-            name: compare(*([r["metrics"][name] for r in sides[side]] for side in SIDES), unit)
-            for name, unit in END_TO_END
-        }
-        summary[wl]["failed"] = {side: sum(len(r["failures"]) for r in sides[side]) for side in SIDES}
+    summary = summarise(records)
 
     command = f"python3 perfbench/run.py --workload W --seed SEED --seconds {args.seconds:g} --trace 0"
     out = {
@@ -114,7 +145,8 @@ def main(argv=None) -> int:
             "checkouts": "the parent commit and the change's source tree, each in its own"
                          " directory, with identical perfbench/ files",
             "statistics": "median and quartiles (inclusive method) over the runs of each side;"
-                          " change_wins counts pairs where the change read lower",
+                          " change_wins counts pairs where the change read lower; verdict"
+                          " against the relative bound of each metric in BENCHMARK.json",
             "summariser": "scripts/bench_record.py",
         },
     }
@@ -148,6 +180,10 @@ def main(argv=None) -> int:
                                     if not (name.startswith("cmd.") and value == 0.0)}
         out[f"traced_seed_{seed}"] = traced
     args.out.write_text(json.dumps(out, indent=2) + "\n")
+    for wl, rows in summary.items():
+        for name, row in rows.items():
+            if name != "failed":
+                print(f"{wl}.{name}: {row['verdict']}")
     if "claim" in out:
         print(json.dumps(out["claim"]))
     return 0

@@ -14,10 +14,7 @@ from .coeffs import (
     PolynomialCoefficient,
     SampledCoefficient,
     TimeGrid,
-    big_theta,
     integrate,
-    theta,
-    y_from_beta,
 )
 from .equilibrium import (
     EquilibriumSolution,
@@ -46,7 +43,6 @@ from .moments import (
     DiscreteDistribution,
     MomentVector,
     alpha,
-    central_to_raw,
     double_factorial,
     gaussian_penalty_expectation,
     raw_to_central,
@@ -62,7 +58,6 @@ from .objectives import (
     StandardizedMoments,
     curvature_sum,
     psi,
-    psi_grad_even,
 )
 from .verify import (
     DeterministicControl,
@@ -111,8 +106,6 @@ __all__ = [
     "TimeGrid",
     "UnsupportedVariantError",
     "alpha",
-    "big_theta",
-    "central_to_raw",
     "curvature_sum",
     "double_factorial",
     "evaluate_deterministic",
@@ -122,15 +115,12 @@ __all__ = [
     "monte_carlo",
     "pde_residual_check",
     "psi",
-    "psi_grad_even",
     "raw_to_central",
     "solve",
     "solve_algebraic",
     "solve_closed_form",
     "solve_ode",
     "spike_test",
-    "theta",
     "value_consistency_check",
     "verification_report",
-    "y_from_beta",
 ]

@@ -430,39 +430,10 @@ class CoefficientSet:
 
     @cached_property
     def drift_offset_nodes(self) -> np.ndarray:
-        """exp(int_s^T a) (c(s) - b(s) f(s) / d(s)) on the nodes, the drift part of big_theta."""
+        """exp(int_s^T a) (c(s) - b(s) f(s) / d(s)) on the nodes, the terminal mean's drift."""
         return self.growth * (self.c_nodes - self.b_nodes * self.f_nodes / self.d_nodes)
 
     @cached_property
     def offset_eval(self) -> SuffixQuadrature:
         return SuffixQuadrature(self.drift_offset_nodes, self.grid)
 
-
-def theta(coeffs: CoefficientSet, t: float) -> float:
-    """Remaining control budget int_t^T (b(s)/d(s))^2 ds."""
-    t = coeffs.grid.require_time(t)
-    val = integrate(coeffs.budget_rate_nodes, coeffs.grid, t, coeffs.grid.horizon)
-    return max(val, 0.0)
-
-
-def big_theta(coeffs: CoefficientSet, t: float, x: float) -> float:
-    """Conditional terminal mean of the state when the control only offsets risk.
-
-    Equals x * exp(int_t^T a) plus the accumulated drift offset
-    int_t^T exp(int_s^T a) (c(s) - b(s) f(s) / d(s)) ds.
-    """
-    t = coeffs.grid.require_time(t)
-    drift = integrate(coeffs.drift_offset_nodes, coeffs.grid, t, coeffs.grid.horizon)
-    return x * coeffs.growth_at(t) + drift
-
-
-def y_from_beta(coeffs: CoefficientSet, beta, t: float) -> float:
-    """Terminal variance int_t^T (d(s) beta(s))^2 ds of the feedback loading."""
-    t = coeffs.grid.require_time(t)
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != coeffs.grid.nodes.shape:
-        raise GridMismatchError(
-            f"beta path has {beta.size} samples, grid has {coeffs.grid.nodes.size} nodes"
-        )
-    val = integrate((coeffs.d_nodes * beta) ** 2, coeffs.grid, t, coeffs.grid.horizon)
-    return max(val, 0.0)

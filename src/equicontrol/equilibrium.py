@@ -99,15 +99,21 @@ class EquilibriumSolution:
         nodes = self.grid.nodes
         return slice(None) if t.shape == nodes.shape and np.array_equal(t, nodes) else None
 
-    def y_many(self, t):
+    def _times(self, t):
+        # a single time takes the float check: 0-d numpy comparisons and clip
+        # cost about 10 us, and every scalar query chains four of these calls
         t = np.asarray(t, dtype=float)
+        return self.grid.require_time(t) if t.ndim else np.float64(self.grid.require_time(float(t)))
+
+    def y_many(self, t):
+        t = self._times(t)
         at = self._node_index(t)
         if at is not None:
             return self.y[at]
         return np.maximum(np.asarray(self.y_fn(t), dtype=float), 0.0)
 
     def y_at(self, t: float) -> float:
-        return float(self.y_many(self.grid.require_time(t)))
+        return float(self.y_many(t))
 
     @cached_property
     def _curvature_spline(self):
@@ -120,7 +126,7 @@ class EquilibriumSolution:
         whose curvature needs a frequency quadrature per query point
         (fourier_even) are interpolated from the node margins instead.
         """
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         at = self._node_index(t)
         if at is not None:
             return self.margins[at]
@@ -129,7 +135,7 @@ class EquilibriumSolution:
         return np.asarray(self._curvature_spline(t), dtype=float)
 
     def beta_many(self, t):
-        t = np.asarray(t, dtype=float)
+        t = self._times(t)
         margins = self.curvature_many(t)
         if np.any(margins >= 0.0):
             raise ConcavityError("curvature not negative between nodes")
@@ -138,36 +144,37 @@ class EquilibriumSolution:
         return self.objective.kappa * b / d**2 * (-0.5 / margins)
 
     def beta_at(self, t: float) -> float:
-        return float(self.beta_many(self.grid.require_time(t)))
+        return float(self.beta_many(t))
 
     def control_many(self, t):
-        """Equilibrium control path evaluated at arbitrary times."""
-        t = np.asarray(t, dtype=float)
+        """Equilibrium control path at an array of times in the horizon."""
+        t = self._times(t)
         d = np.asarray(self.coeffs.control_vol(t), dtype=float)
         f = np.asarray(self.coeffs.vol_offset(t), dtype=float)
         return self.beta_many(t) * np.exp(-self.coeffs.int_a_many(t)) - f / d
 
     def control(self, t: float, x: float = 0.0) -> float:
         """Equilibrium control; the state argument is accepted but unused."""
-        return float(self.control_many(self.grid.require_time(t)))
+        return float(self.control_many(t))
 
     @cached_property
     def _feedback_quadrature(self) -> cf.SuffixQuadrature:
         return cf.SuffixQuadrature(self.coeffs.b_nodes * self.beta, self.grid)
 
     def _terminal_mean_parts(self, t, x: float):
-        """big_theta(t, x) and the feedback drift int_t^T b beta, vectorized over t."""
+        """Theta(t, x) = x e^(int_t^T a) + int_t^T e^(int_s^T a) (c - b f / d) ds
+        and the feedback drift int_t^T b beta, vectorized over t."""
         offset = x * np.exp(self.coeffs.int_a_many(t)) + self.coeffs.offset_eval(t)
         return offset, self._feedback_quadrature(t)
 
     def value_many(self, t, x: float):
         """Equilibrium value function V(t, x) at an array of times, one state x.
 
-        V = kappa (big_theta(t, x) + int_t^T b beta) + psi on the Gaussian law
+        V = kappa (Theta(t, x) + int_t^T b beta) + psi on the Gaussian law
         of variance y(t).  O(n + len(t)): both suffix integrals come from
         cached O(n) quadratures and psi is evaluated once over all y(t).
         """
-        t = self.grid.require_time(np.asarray(t, dtype=float))
+        t = self._times(t)
         kappa = self.objective.kappa
         offset, feedback = self._terminal_mean_parts(t, x)
         risk = gaussian_psi(self.objective, t, self.y_many(t))
@@ -191,8 +198,8 @@ class EquilibriumSolution:
     def self_consistency_error(self) -> float:
         """max_k |int_t_k^T (d beta)^2 - y_k|, the feedback/variance gap.
 
-        Equals the maximum over nodes of |y_from_beta(coeffs, beta, t_k) - y_k|
-        bitwise, from one O(n) pass.
+        Equals the maximum over nodes of
+        |integrate((d beta)^2, grid, t_k, T) - y_k| bitwise, from one O(n) pass.
         """
         feedback = cf.suffix_integrals((self.coeffs.d_nodes * self.beta) ** 2, self.grid)
         return float(np.max(np.abs(np.maximum(feedback, 0.0) - self.y)))

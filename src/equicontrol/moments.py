@@ -110,17 +110,6 @@ class MomentVector:
         return MomentVector(self.order, self.mean, central or self.central)
 
 
-def central_to_raw(mv: MomentVector) -> tuple:
-    """Raw moments of orders 1..order about zero."""
-    raw = []
-    for i in range(1, mv.order + 1):
-        total = 0.0
-        for k in range(0, i + 1):
-            total += math.comb(i, k) * mv.mean ** (i - k) * mv.central_moment(k)
-        raw.append(total)
-    return tuple(raw)
-
-
 def raw_to_central(raw) -> MomentVector:
     """Rebuild a MomentVector from raw moments of orders 1..n."""
     raw = tuple(float(v) for v in raw)

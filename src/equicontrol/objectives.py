@@ -42,10 +42,6 @@ from .moments import (
     gaussian_penalty_expectation,
 )
 
-# Truncation order for series views of the penalty families (moment orders
-# up to 2 * SERIES_TERMS are kept).
-SERIES_TERMS = 20
-
 # rows of the (variance x frequency) table built at once: it bounds the memory
 # of a vectorized Fourier evaluation independently of the number of variances,
 # and 32 rows of a 2,401-frequency window (0.6 MB) keep each block's table and
@@ -85,13 +81,14 @@ class Variant:
     order to ``from_config``; ``swept`` applies one of the ``sweepable``
     parameters.  Families whose psi is linear in the slots define
     ``slot_weight(j)``, the coefficient a_j of z_j / j! in psi, from which
-    ``psi_slots`` and ``grad_even`` follow; ``even_slots(terms)`` is the
-    number of even slots ``psi_grad_even`` reports.  Every family has a
-    vectorized ``curvature(y)`` (``cheap_curvature``: no quadrature per
-    point) and its value at one Python float, ``curvature_scalar(y)``, in
-    float arithmetic that repeats the vectorized operations (the RK4 march
-    calls it per stage); penalties add ``gaussian_expectation(var)``, and a
-    family with a known first integral returns it from ``first_integral``.
+    ``psi_slots`` follows.  Every family has a vectorized ``curvature(y)``
+    (``cheap_curvature``: no quadrature per point) and its value at one
+    Python float, ``curvature_scalar(y)``, in float arithmetic that repeats
+    the vectorized operations (the RK4 march calls it per stage); penalties
+    add ``gaussian_expectation(var)``, and a family with a known first
+    integral returns it from ``first_integral``.  The moment-series view
+    (psi's gradient in the even slots) is a test oracle, not part of the
+    protocol.
     """
 
     kind = None
@@ -115,10 +112,6 @@ class Variant:
         """
         weights = ((j, self.slot_weight(j)) for j in range(2, order + 1))
         return sum(a / math.factorial(j) * z[j] for j, a in weights if a != 0.0)
-
-    def grad_even(self, y: float, m: int) -> list:
-        """psi_{z_2j} for j = 1..m at the Gaussian point with variance y."""
-        return [self.slot_weight(2 * j) / math.factorial(2 * j) for j in range(1, m + 1)]
 
 
 def _array_power(y: float, power: int) -> float:
@@ -153,9 +146,6 @@ class _FiniteMoments(Variant):
         weights = list(self.weights) + [0.0] * max(order - 1 - len(self.weights), 0)
         weights[order - 2] = value
         return type(self)(tuple(weights))
-
-    def even_slots(self, terms) -> int:
-        return self.order // 2
 
 
 @dataclass(frozen=True)
@@ -269,22 +259,6 @@ class StandardizedMoments(_FiniteMoments):
             )
         return total
 
-    def grad_even(self, y: float, m: int) -> list:
-        """Slot 2m (m >= 2) gives c_2m / y^m with c_j = (-1)^(j+1) kappa_j / j!, and
-        slot 2 carries -(j/2) c_j (j-1)!! / y per live even order j; a live higher
-        even weight at zero (or underflowed) variance raises DomainError."""
-        values = [-0.5 * self.weight(2)] + [0.0] * (m - 1)
-        for j in range(2, m + 1):
-            c = -self.weight(2 * j) / math.factorial(2 * j)
-            if c == 0.0:
-                continue
-            scale = y**j
-            if scale == 0.0:
-                raise DomainError("standardized moments undefined at zero variance")
-            values[j - 1] = c / scale
-            values[0] -= j * c * double_factorial(2 * j - 1) / y
-        return values
-
     def curvature(self, y):
         # every z_j / z_2^(j/2) is scale-free on the Gaussian family, so its
         # slot derivatives cancel in K exactly and only the variance term stays
@@ -301,9 +275,6 @@ class StandardizedMoments(_FiniteMoments):
 
 class _Penalty(Variant):
     """Families given by an even shape S: psi = -(E[S(X_T - mean)] - S(0))."""
-
-    def even_slots(self, terms) -> int:
-        return terms if terms is not None else SERIES_TERMS
 
 
 class _ScaledPenalty(_Penalty):
@@ -615,19 +586,6 @@ def _variant(spec: ObjectiveSpec) -> Variant:
     return variant
 
 
-@dataclass(frozen=True)
-class PsiGradient:
-    """Derivatives of psi with respect to the even central-moment slots.
-
-    ``values[j - 1]`` is psi_{z_2j} evaluated at the Gaussian moment point
-    with variance y.
-    """
-
-    t: float
-    y: float
-    values: tuple
-
-
 def psi(spec: ObjectiveSpec, t: float, mv: MomentVector) -> float:
     """Risk part of the objective at the given moment vector.
 
@@ -662,19 +620,6 @@ def gaussian_psi(spec: ObjectiveSpec, t, y):
     slots = {j: alpha(j, y) for j in range(2, order + 1)}
     out = variant.psi_slots(slots, order)
     return float(out) if np.ndim(out) == 0 else out
-
-
-def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = None) -> PsiGradient:
-    """psi_{z_2j} for j = 1..m at the Gaussian moment point with variance y.
-
-    Analytic for every variant; odd slots are never read.  Finite families
-    give their m = order // 2 even slots; penalties give ``terms`` slots of
-    their series (SERIES_TERMS by default).
-    """
-    if y < 0.0:
-        raise DomainError(f"variance must be nonnegative, got {y}")
-    variant = _variant(spec)
-    return PsiGradient(t, y, tuple(variant.grad_even(y, variant.even_slots(terms))))
 
 
 def curvature_sum(spec: ObjectiveSpec, t, y):

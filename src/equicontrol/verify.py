@@ -48,6 +48,14 @@ def _gaussian_order(spec: ObjectiveSpec) -> int:
     return max(getattr(variant, "order", 2), 2)
 
 
+def _nonempty(values, what: str) -> tuple:
+    """``values`` as a tuple; DomainError if there are none, which would check nothing."""
+    values = tuple(values)
+    if not values:
+        raise DomainError(f"need at least one {what}")
+    return values
+
+
 def _require_power_range(values, power: int, what: str) -> None:
     """DomainError unless |v|^power stays within ``_POWER_CEILING`` for every v."""
     bound = _POWER_CEILING ** (1.0 / power)
@@ -290,10 +298,10 @@ def spike_suite(
     if epsilons is None:
         epsilons = tuple(remaining * 2.0**-k for k in range(4, 11))
     else:
-        epsilons = tuple(float(e) for e in epsilons)
+        epsilons = tuple(float(e) for e in _nonempty(epsilons, "spike width"))
         if any(e <= 0.0 or e > remaining for e in epsilons):
             raise DomainError("spike widths must lie in (0, horizon - t]")
-    zetas = tuple(zetas)
+    zetas = _nonempty(zetas, "spike amplitude")
     _require_power_range(zetas, _gaussian_order(sol.objective), "spike amplitudes")
 
     base = DeterministicControl.from_solution(sol)
@@ -459,12 +467,14 @@ def pde_residual_check(
     dt = horizon / 4096.0
     if t_samples is None:
         t_samples = np.linspace(0.1 * horizon, 0.9 * horizon, 5)
-    t_samples = np.asarray(t_samples, dtype=float)
+    t_samples = np.asarray(_nonempty(t_samples, "pde time sample"), dtype=float)
     if np.any(t_samples < 2.0 * dt) or np.any(t_samples > horizon - 2.0 * dt):
         raise DomainError("time samples must keep the 5-point stencil inside the horizon")
+    orders = _nonempty(orders, "moment order")
     if any(not 1 <= j <= _MAX_ORDER for j in orders):
         raise DomainError(f"moment orders must lie in 1..{_MAX_ORDER}")
-    _require_power_range(x_samples, max(orders, default=1), "pde state samples")
+    x_samples = _nonempty(x_samples, "pde state sample")
+    _require_power_range(x_samples, max(orders), "pde state samples")
     x_samples = np.asarray(x_samples, dtype=float)
 
     excess = _moment_excess(sol)
@@ -528,13 +538,14 @@ class McMomentRow:
 class McReport:
     """Monte Carlo check of the terminal law under the equilibrium control.
 
-    Pass bands are three standard errors (delta-method standard errors for
-    the central moments); degenerate moments with zero sampling error get a
-    discretization allowance proportional to the Euler step instead.  The
-    mean passes when the sampled noise mean lies within three standard
-    errors of zero and the noise-free Euler endpoint within that allowance,
-    dt (1 + |target|), of the exact terminal mean, or within three times its
-    distance from the endpoint at half the step when that is wider.
+    Each statistic is checked twice.  Its sample value must lie within three
+    standard errors (delta-method ones for the central moments) of the value
+    under the Euler scheme's own law: 0 for the noise mean, alpha(j, v_E)
+    for the central moments, where v_E is the noise-free Euler variance.
+    That Euler value (the noise-free endpoint for the mean) must lie within
+    dt (1 + |target|) of the exact target, or within three times its distance
+    from the same value at half the step when that is wider.  Moments with
+    zero sampling error skip the split and get dt (1 + |target|) alone.
     ``threads`` is the number of workers that simulated the blocks.
     """
 
@@ -599,12 +610,14 @@ def _euler_steps(sol: EquilibriumSolution, num_steps: int):
     return 1.0 + a * dt, (b * u + c) * dt, d * u + f
 
 
-def _noise_free_endpoint(x0: float, growth, drift) -> float:
-    """The Euler recursion x <- x * growth + drift from x0, without noise."""
-    endpoint = float(x0)
-    for g, step in zip(growth.tolist(), drift.tolist()):
-        endpoint = endpoint * g + step
-    return endpoint
+def _noise_free_law(x0: float, growth, drift, vol, dt: float) -> tuple:
+    """Endpoint and variance of the Euler scheme from x0: the recursions
+    x <- x * growth + drift and v <- v * growth^2 + vol^2 dt from (x0, 0)."""
+    x, v = float(x0), 0.0
+    for g, step, noise in zip(growth.tolist(), drift.tolist(), (vol * vol * dt).tolist()):
+        x = x * g + step
+        v = v * g * g + noise
+    return x, v
 
 
 def monte_carlo(
@@ -638,7 +651,7 @@ def monte_carlo(
         raise DomainError(
             f"simulation of {num_paths} x {num_steps} exceeds the resource cap"
         )
-    orders = tuple(int(j) for j in orders)
+    orders = tuple(int(j) for j in _nonempty(orders, "central moment order"))
     if any(j < 2 for j in orders) or max(orders) > _MAX_ORDER:
         raise DomainError(f"central moment orders must lie in 2..{_MAX_ORDER}")
     if threads is None:
@@ -671,25 +684,26 @@ def monte_carlo(
     for part in partials:  # fixed reduction order keeps the result thread-independent
         total += part
     sample = raw_to_central(tuple(total / num_paths))
-    endpoint = _noise_free_endpoint(x0, growth, drift)
+    endpoint, var_euler = _noise_free_law(x0, growth, drift, vol, dt)
+    endpoint_half, var_half = _noise_free_law(x0, *_euler_steps(sol, 2 * num_steps), dt / 2)
     mean_estimate = endpoint + sample.mean
+
+    def euler_ok(target, coarse, fine):
+        # the Euler bias grows with |x0| and the state drift and is no sampling
+        # error: allow dt (1 + |target|), widened to 3 |coarse - fine| since the
+        # first-order bias is about twice that difference (Richardson)
+        return abs(coarse - target) <= max(dt * (1.0 + abs(target)), 3.0 * abs(coarse - fine))
 
     mean_target = sol.terminal_mean(0.0, x0)
     y0 = sol.y_at(0.0)
     mean_se = math.sqrt(max(sample.central_moment(2), 0.0) / num_paths)
-    # the endpoint's Euler bias grows with |x0| and the state drift and is no
-    # sampling error, so it gets its own allowance: dt (1 + |target|), widened
-    # to 3 |endpoint - endpoint at dt / 2|, where the first-order bias is
-    # about twice that difference (Richardson)
-    halved = _noise_free_endpoint(x0, *_euler_steps(sol, 2 * num_steps)[:2])
-    disc_allow = max(dt * (1.0 + abs(mean_target)), 3.0 * abs(endpoint - halved))
-    mean_passed = (
-        abs(sample.mean) <= 3.0 * mean_se and abs(endpoint - mean_target) <= disc_allow
-    )
+    noise_ok = abs(sample.mean) <= 3.0 * mean_se
+    mean_passed = noise_ok and euler_ok(mean_target, endpoint, endpoint_half)
 
     rows = []
     for j in orders:
         target = alpha(j, y0)
+        euler = alpha(j, var_euler)
         est = sample.central_moment(j)
         # delta-method variance of the j-th central moment estimator
         var_j = (
@@ -699,8 +713,10 @@ def monte_carlo(
             - 2.0 * j * sample.central_moment(j - 1) * sample.central_moment(j + 1)
         )
         se = math.sqrt(max(var_j, 0.0) / num_paths)
-        err = abs(est - target)
-        ok = err <= 3.0 * se if se > 0.0 else err <= dt * (1.0 + abs(target))
+        if se > 0.0:
+            ok = abs(est - euler) <= 3.0 * se and euler_ok(target, euler, alpha(j, var_half))
+        else:
+            ok = abs(est - target) <= dt * (1.0 + abs(target))
         rows.append(McMomentRow(j, target, est, se, ok))
     report = McReport(
         x0=x0,
@@ -802,7 +818,7 @@ def verification_report(
 
     if spike is not None:
         cfg = dict(spike)
-        times = cfg.pop("times", (0.0, 0.5 * horizon, 0.9 * horizon))
+        times = _nonempty(cfg.pop("times", (0.0, 0.5 * horizon, 0.9 * horizon)), "spike time")
         zetas = cfg.pop("zetas", (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
         zetas = [float(z) for z in zetas]
         cases = [
@@ -814,7 +830,7 @@ def verification_report(
 
     if fbsde is not None:
         cfg = dict(fbsde)
-        times = cfg.pop("times", (0.0, 0.5 * horizon, 0.9 * horizon))
+        times = _nonempty(cfg.pop("times", (0.0, 0.5 * horizon, 0.9 * horizon)), "fbsde time")
         cases = [_plain(fbsde_diagonal_check(sol, float(t), **cfg)) for t in times]
         report["fbsde"] = {"cases": cases, "passed": all(c["passed"] for c in cases)}
 

@@ -29,7 +29,6 @@ from equicontrol import (
     StandardizedMoments,
     alpha,
     curvature_sum,
-    psi_grad_even,
     solve_algebraic,
     solve_closed_form,
     solve_ode,
@@ -44,6 +43,7 @@ from equicontrol.verify import (
 )
 
 from cases import base_coeffs, criterion_02_draws, fourier_gaussian_amplitude, solve_all
+from oracles import psi_grad_even
 
 
 def report(number, ok, detail):

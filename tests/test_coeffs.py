@@ -15,15 +15,12 @@ from equicontrol import (
     PolynomialCoefficient,
     SampledCoefficient,
     TimeGrid,
-    big_theta,
     integrate,
-    theta,
-    y_from_beta,
 )
 from equicontrol.coeffs import SuffixQuadrature, coefficient_nodes, suffix_integrals
 
 from cases import base_coeffs
-from oracles import simpson_integral
+from oracles import big_theta, simpson_integral, theta, y_from_beta
 
 
 class TestTimeGrid:

@@ -28,10 +28,8 @@ from equicontrol import (
     solve_algebraic,
     solve_closed_form,
     solve_ode,
-    y_from_beta,
 )
 
-from equicontrol import coeffs as cf
 from equicontrol.equilibrium import SOLVERS, _solve_increasing_many
 from equicontrol.moments import MomentVector
 from equicontrol.objectives import psi
@@ -46,6 +44,8 @@ from cases import (
     solved_cases,
 )
 from ode_reference import reference_solve_ode
+import oracles as cf  # big_theta, and coeffs.integrate through it
+from oracles import y_from_beta
 
 
 @pytest.fixture(scope="module")
@@ -452,6 +452,21 @@ class TestValueMany:
     def test_rejects_times_outside_horizon(self, mv_solution):
         with pytest.raises(DomainError):
             mv_solution.value_many(np.array([0.5, 1.5]), 0.0)
+
+
+class TestTimesOutsideHorizon:
+    @pytest.mark.parametrize("solver", ["closed_form", "ode"])
+    def test_vector_forms_reject_them(self, solver):
+        sol = solve(base_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)), solver=solver)
+        for method in (sol.y_many, sol.curvature_many, sol.beta_many, sol.control_many):
+            for t in (-0.5, 1.5, 3.0):
+                for times in (t, np.array([0.5, t])):
+                    with pytest.raises(DomainError):
+                        method(times)
+            # within the snap width the times clamp to the horizon's ends
+            np.testing.assert_array_equal(
+                method(np.array([-1e-14, 1.0 + 1e-14])), method(np.array([0.0, 1.0]))
+            )
 
 
 class TestSelfConsistency:

@@ -14,7 +14,6 @@ from equicontrol import (
     MomentVector,
     QuadratureError,
     alpha,
-    central_to_raw,
     double_factorial,
     gaussian_penalty_expectation,
     raw_to_central,
@@ -22,7 +21,7 @@ from equicontrol import (
 from equicontrol.objectives import AmbiguousCos
 
 from cases import fourier_gaussian_amplitude
-from oracles import gauss_hermite_expectation
+from oracles import central_to_raw, gauss_hermite_expectation
 
 
 class TestDoubleFactorial:

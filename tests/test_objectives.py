@@ -22,12 +22,12 @@ from equicontrol import (
     alpha,
     curvature_sum,
     psi,
-    psi_grad_even,
 )
 
 from equicontrol.objectives import VARIANTS, Variant, gaussian_psi
 
 from cases import fourier_gaussian_amplitude
+from oracles import psi_grad_even
 
 
 class TestVariantValidation:

@@ -57,6 +57,19 @@ def curved_mv_solution():
 
 
 @pytest.fixture(scope="module")
+def strong_drift_mv_solution():
+    coeffs = CoefficientSet(
+        TimeGrid(1.0, 64),
+        state_drift=ConstantCoefficient(2.0),
+        control_drift=ConstantCoefficient(0.3),
+        drift_offset=ConstantCoefficient(0.0),
+        control_vol=ConstantCoefficient(0.2),
+        vol_offset=ConstantCoefficient(0.0),
+    )
+    return solve(coeffs, ObjectiveSpec(1.0, MomentCombo((2.0,))))
+
+
+@pytest.fixture(scope="module")
 def all_solutions():
     return solve_all()
 
@@ -377,6 +390,43 @@ class TestMonteCarlo:
         assert report.mean_passed == self.combined_mean_verdict(report, 1.0 / 1024)
         assert report.passed
 
+    @pytest.mark.parametrize("steps, paths", [(64, 20_000), (256, 200_000)])
+    def test_strong_drift_moment_rows_pass(self, strong_drift_mv_solution, steps, paths):
+        """With state drift 2 the Euler law's variance lies below y0 by an Euler
+        bias (0.05 at 64 steps) that no number of paths shrinks; the rows test the
+        sample against that law and the law against y0 with the mean's allowance."""
+        report = monte_carlo(
+            strong_drift_mv_solution, 0.0, seed=20240801, num_paths=paths, num_steps=steps
+        )
+        assert report.passed
+        variance = report.rows[0]
+        assert abs(variance.estimate - variance.target) > 3.0 * variance.std_error
+
+    def test_moved_moment_target_fails(self, strong_drift_mv_solution, monkeypatch):
+        sol, steps = strong_drift_mv_solution, 64
+        dt = 1.0 / steps
+        var_e = verify_module._noise_free_law(0.0, *verify_module._euler_steps(sol, steps), dt)[1]
+        var_half = verify_module._noise_free_law(
+            0.0, *verify_module._euler_steps(sol, 2 * steps), dt / 2
+        )[1]
+        y0 = sol.y_at(0.0)
+        shift = 10.0 * max(dt * (1.0 + y0), 3.0 * abs(var_e - var_half))
+        monkeypatch.setattr(type(sol), "y_at", lambda self, t: y0 + shift)
+        report = monte_carlo(
+            sol, 0.0, seed=20240801, num_paths=20_000, num_steps=steps, orders=(2,)
+        )
+        assert report.rows[0].target == y0 + shift
+        assert report.mean_passed and not report.rows[0].passed and not report.passed
+
+    def test_zero_error_rows_keep_the_step_allowance(self, all_solutions, monkeypatch):
+        """Rows without sampling error compare the sample with the target directly."""
+        sol = dict(all_solutions)["penalty_only"]
+        report = monte_carlo(sol, 0.7, seed=3, num_paths=10_000, num_steps=128)
+        assert all(row.std_error == 0.0 and row.passed for row in report.rows)
+        monkeypatch.setattr(type(sol), "y_at", lambda self, t: 2.0 / 128)
+        report = monte_carlo(sol, 0.7, seed=3, num_paths=10_000, num_steps=128)
+        assert report.rows[0].std_error == 0.0 and not report.rows[0].passed
+
 
 class TestValueConsistency:
     def test_all_cases(self, all_solutions):
@@ -641,3 +691,20 @@ class TestSpikeSuite:
         report = verification_report(sol, spike={})
         assert len(report["spike"]["cases"]) == 18
         assert len(calls) == 21 + 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda sol: pde_residual_check(sol, orders=()),
+    lambda sol: pde_residual_check(sol, t_samples=()),
+    lambda sol: pde_residual_check(sol, x_samples=()),
+    lambda sol: verification_report(sol, spike={"times": ()}),
+    lambda sol: verification_report(sol, fbsde={"times": ()}),
+    lambda sol: spike_suite(sol, 0.5, zetas=()),
+    lambda sol: spike_suite(sol, 0.5, (1.0,), epsilons=()),
+    lambda sol: monte_carlo(sol, 0.0, seed=1, num_paths=100, num_steps=8, orders=()),
+], ids=["pde-orders", "pde-times", "pde-states", "spike-times", "fbsde-times",
+        "spike-zetas", "spike-epsilons", "mc-orders"])
+def test_empty_suite_inputs_rejected(mv_solution, call):
+    """An empty list would check nothing and report PASS, or fail untyped."""
+    with pytest.raises(DomainError, match="need at least one"):
+        call(mv_solution)
