@@ -16,13 +16,7 @@ from .coeffs import (
     TimeGrid,
     integrate,
 )
-from .equilibrium import (
-    EquilibriumSolution,
-    solve,
-    solve_algebraic,
-    solve_closed_form,
-    solve_ode,
-)
+from .equilibrium import EquilibriumSolution, solve, solve_ode
 from .errors import (
     CoefficientError,
     ConcavityError,
@@ -117,8 +111,6 @@ __all__ = [
     "psi",
     "raw_to_central",
     "solve",
-    "solve_algebraic",
-    "solve_closed_form",
     "solve_ode",
     "spike_test",
     "value_consistency_check",

@@ -16,18 +16,19 @@ gives a scalar backward equation for y alone,
 
 with gain f = -1 / (2 K).  Where the objective family supplies the exact
 first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
-routine inverts it at all nodes (and at any query times): through the
-explicit inverse where there is one, else by one vectorized monotone root
-solve.  ``solve_closed_form`` and ``solve_algebraic`` (the polynomial P of
-finite moment combinations) are its two entry points.  A backward RK4
-integrator covers the families without a P and serves as an independent
-check of the others; ``solve`` lets the family's first integral choose.
+routine inverts it at all nodes (and at any query times).  ``SOLVERS`` names
+it twice: ``closed_form`` applies the explicit inverse where there is one,
+``algebraic`` (the polynomial P of finite moment combinations) always takes
+one vectorized monotone root solve.  A backward RK4 integrator, ``ode``,
+covers the families without a P and serves as an independent check of the
+others; ``solve`` runs a solver by name, and ``auto`` lets the family's
+first integral choose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .objectives import (
-    FirstIntegral,
     ObjectiveSpec,
     curvature_sum,
     gaussian_psi,
@@ -281,12 +281,23 @@ def _solve_increasing_many(fn, dfn, targets):
     return out
 
 
-def _invert_first_integral(coeffs, spec, integral: FirstIntegral, solver_name: str, explicit: bool):
+def _solve_first_integral(
+    coeffs: cf.CoefficientSet, spec: ObjectiveSpec, solver_name: str
+) -> EquilibriumSolution:
     """Solve P(y) = kappa^2 theta at every node; ``y_fn`` repeats it at any times.
 
-    With ``explicit`` and an explicit P^-1 the inverse is applied directly;
-    otherwise one vectorized monotone root solve inverts P per call.
+    ``SOLVERS`` binds this routine as ``closed_form`` and as ``algebraic``;
+    the family's first integral must carry the flag of that name, else
+    UnsupportedVariantError.  Only ``closed_form`` applies an explicit P^-1;
+    otherwise one vectorized monotone root solve inverts P per call, so
+    ``algebraic`` stays an independent check of the explicit inverses.
     """
+    integral = spec.variant.first_integral
+    if integral is None or not getattr(integral, solver_name):
+        raise UnsupportedVariantError(
+            f"no {solver_name} solution for this {spec.variant.kind} objective"
+            + ("; use the algebraic solver" if integral is not None and integral.algebraic else "")
+        )
     k2 = spec.kappa * spec.kappa
     budget = coeffs.theta_eval  # theta as a vectorized function of t
     th = np.maximum(budget(coeffs.grid.nodes), 0.0)
@@ -296,7 +307,7 @@ def _invert_first_integral(coeffs, spec, integral: FirstIntegral, solver_name: s
             f"risk budget {top:.6g} exceeds the reachable range {integral.supremum:.6g}"
             f" of the {spec.variant.kind} objective"
         )
-    invert = integral.inverse if explicit else None
+    invert = integral.inverse if solver_name == "closed_form" else None
     if invert is None:
 
         def invert(x):
@@ -306,36 +317,6 @@ def _invert_first_integral(coeffs, spec, integral: FirstIntegral, solver_name: s
         return invert(k2 * budget(t))
 
     return _assemble(coeffs, spec, invert(k2 * th), solver_name, y_fn)
-
-
-def solve_closed_form(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> EquilibriumSolution:
-    """Exact solution for the families with a closed-form first integral.
-
-    Covers moment combinations up to order four (explicit P^-1), standardized
-    moments and the exp / cosh / cos / ambiguous-cos penalties.  Raises
-    UnsupportedVariantError otherwise.
-    """
-    integral = getattr(spec.variant, "first_integral", None)
-    if integral is None or not integral.closed_form:
-        raise UnsupportedVariantError(
-            f"no closed form for this {spec.variant.kind} objective"
-            + ("; use the algebraic solver" if integral is not None else "")
-        )
-    return _invert_first_integral(coeffs, spec, integral, "closed_form", explicit=True)
-
-
-def solve_algebraic(coeffs: cf.CoefficientSet, spec: ObjectiveSpec) -> EquilibriumSolution:
-    """Finite moment combinations via the exact first integral P(y) = kappa^2 theta.
-
-    The backward equation for y integrates in closed form because the gain
-    denominator -2K is a polynomial Q(y); P is the antiderivative of Q^2 and
-    is strictly increasing.  One vectorized monotone root solve inverts P at
-    every node, and ``y_fn`` is the same inverse composed with theta.
-    """
-    integral = getattr(spec.variant, "first_integral", None)
-    if integral is None or not integral.algebraic:
-        raise UnsupportedVariantError("the algebraic solver handles finite moment combinations only")
-    return _invert_first_integral(coeffs, spec, integral, "algebraic", explicit=False)
 
 
 def solve_ode(
@@ -414,9 +395,9 @@ def solve_ode(
 
 
 SOLVERS = {
-    "closed_form": solve_closed_form,
+    "closed_form": partial(_solve_first_integral, solver_name="closed_form"),
     "ode": solve_ode,
-    "algebraic": solve_algebraic,
+    "algebraic": partial(_solve_first_integral, solver_name="algebraic"),
 }
 
 
@@ -432,7 +413,7 @@ def solve(
     polynomial, ``algebraic`` for the other polynomials, ``ode`` without a P.
     """
     if solver == "auto":
-        integral = getattr(spec.variant, "first_integral", None)
+        integral = spec.variant.first_integral
         if integral is None:
             solver = "ode"
         else:

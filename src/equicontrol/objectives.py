@@ -56,17 +56,20 @@ class FirstIntegral:
     P is the antiderivative of 4 K^2 with P(0) = 0.  ``p`` and ``dp`` (P and
     P') act elementwise on arrays; ``inverse`` is P^-1 where it is explicit.
     A risk budget at or above ``supremum`` has no root and raises ``error``.
-    ``algebraic`` marks a polynomial P, which the algebraic solver inverts by
-    root solving; the closed-form solver takes every other P and the
-    polynomials with an explicit inverse.
+    The two flags name the solvers that take this P: ``algebraic`` holds for
+    a polynomial P (the finite moment combinations), ``closed_form`` for
+    every other P and for the polynomials with an explicit inverse.
     """
 
     p: object
     dp: object
     inverse: object = None
-    algebraic: bool = False
     supremum: float = math.inf
     error: type = RootBracketError
+
+    @property
+    def algebraic(self) -> bool:
+        return isinstance(self.p, np.polynomial.Polynomial)
 
     @property
     def closed_form(self) -> bool:
@@ -220,7 +223,7 @@ class MomentCombo(_FiniteMoments):
                 def inverse(x):
                     return 2.0 * (np.cbrt(w2**3 + 1.5 * w4 * x) - w2) / w4
 
-        return FirstIntegral(q_sq.integ(), q_sq, inverse, algebraic=True)
+        return FirstIntegral(q_sq.integ(), q_sq, inverse)
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ from equicontrol import (
     StandardizedMoments,
     alpha,
     curvature_sum,
-    solve_algebraic,
-    solve_closed_form,
+    solve,
     solve_ode,
 )
 from equicontrol.cli import main as cli_main
@@ -73,7 +72,7 @@ def test_criterion_02_cross_solver_equivalence():
     worst = 0.0
     for spec in criterion_02_draws():
         ode = solve_ode(coeffs, spec)
-        alg = solve_algebraic(coeffs, spec)
+        alg = solve(coeffs, spec, solver="algebraic")
         rel = float(np.max(np.abs(ode.beta - alg.beta) / np.abs(alg.beta)))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start
@@ -157,7 +156,7 @@ def test_criterion_08_odd_preference_invariance():
     outputs = []
     for odd3, odd5 in ((0.0, 0.0), (1.0, 2.0), (-3.0, 4.0)):
         spec = ObjectiveSpec(1.0, MomentCombo((2.0, odd3, 1.0, odd5)))
-        sol = solve_algebraic(coeffs, spec)
+        sol = solve(coeffs, spec, solver="algebraic")
         outputs.append((sol.beta.tobytes(), sol.y.tobytes()))
     ok = outputs[0] == outputs[1] == outputs[2]
     report(8, ok, f"3 odd-weight variants, bitwise identical: {ok}")
@@ -219,13 +218,15 @@ def test_criterion_12_moment_order_limit():
     orders = (4, 8, 12, 16, 20)
     lines, ok = [], True
     for c in (0.5, 1.0):
-        target = solve_closed_form(coeffs, ObjectiveSpec(1.0, CoshPenalty(c))).beta
+        target = solve(coeffs, ObjectiveSpec(1.0, CoshPenalty(c)), solver="closed_form").beta
         gaps = []
         for order in orders:
             weights = tuple(c ** (j - 1) for j in range(2, order + 1))
             evens = tuple(w if j % 2 == 0 else 0.0 for j, w in enumerate(weights, start=2))
-            beta = solve_algebraic(coeffs, ObjectiveSpec(1.0, MomentCombo(weights))).beta
-            even_beta = solve_algebraic(coeffs, ObjectiveSpec(1.0, MomentCombo(evens))).beta
+            beta = solve(coeffs, ObjectiveSpec(1.0, MomentCombo(weights)), solver="algebraic").beta
+            even_beta = solve(
+                coeffs, ObjectiveSpec(1.0, MomentCombo(evens)), solver="algebraic"
+            ).beta
             ok = ok and beta.tobytes() == even_beta.tobytes()
             gaps.append(float(np.max(np.abs(beta - target) / np.abs(target))))
         ok = ok and all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] < 1e-8

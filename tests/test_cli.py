@@ -466,6 +466,34 @@ class TestOdeRecord:
 
 
 class TestSolverErrors:
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "objective, solver",
+        [
+            (
+                {
+                    "variant": "fourier_even",
+                    "kappa": 1.0,
+                    "frequencies": [-2.0, 0.0, 2.0],
+                    "density": [0.0, 1.0, 0.0],
+                },
+                "closed_form",
+            ),
+            ({"variant": "exp", "kappa": 1.0, "c": 1.0}, "algebraic"),
+        ],
+    )
+    def test_unsupported_solver_choice_exits_3(
+        self, tmp_path, capsys, command, objective, solver
+    ):
+        cfg = write_config(tmp_path / "c.json", grid_size=64, objective=objective, solver=solver)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--parameter", "kappa", "--values", "1"]
+        assert main(argv) == 3
+        assert "UnsupportedVariantError" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ode_stall_exits_3(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "stall.json",

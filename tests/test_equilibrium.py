@@ -25,14 +25,12 @@ from equicontrol import (
     TimeGrid,
     UnsupportedVariantError,
     solve,
-    solve_algebraic,
-    solve_closed_form,
     solve_ode,
 )
 
 from equicontrol.equilibrium import SOLVERS, _solve_increasing_many
 from equicontrol.moments import MomentVector
-from equicontrol.objectives import psi
+from equicontrol.objectives import VARIANTS, psi
 from equicontrol.verify import DeterministicControl, evaluate_deterministic
 
 from cases import (
@@ -132,8 +130,8 @@ class TestVarianceKurtosis:
 
     def test_algebraic_agrees_with_closed_form(self):
         spec = ObjectiveSpec(1.0, MomentCombo((1.0, 0.0, 1.0)))
-        a = solve_closed_form(base_coeffs(), spec)
-        b = solve_algebraic(base_coeffs(), spec)
+        a = solve(base_coeffs(), spec, solver="closed_form")
+        b = solve(base_coeffs(), spec, solver="algebraic")
         np.testing.assert_allclose(a.beta, b.beta, rtol=1e-12)
         np.testing.assert_allclose(a.y, b.y, rtol=1e-12, atol=1e-15)
 
@@ -274,7 +272,53 @@ class TestFourierEven:
         assert sol.y_at(0.0) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
 
 
+_CHOICES = ("auto", "closed_form", "algebraic", "ode")
+_AMBIGUOUS = AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.5, 0.5)))
+# (case, variant, control drift, solver_name for each of _CHOICES), with None
+# for UnsupportedVariantError; one case per family plus an order-6 combination
+_SOLVER_TABLE = [
+    ("mean_variance", MomentCombo((2.0,)), 0.3, ("closed_form", "closed_form", "algebraic", "ode")),
+    (
+        "moment6",
+        MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)),
+        0.3,
+        ("algebraic", None, "algebraic", "ode"),
+    ),
+    (
+        "standardized",
+        StandardizedMoments((2.0, 1.0)),
+        0.3,
+        ("closed_form", "closed_form", "algebraic", "ode"),
+    ),
+    ("exp", ExpPenalty(1.0), 0.3, ("closed_form", "closed_form", None, "ode")),
+    ("cosh", CoshPenalty(1.0), 0.3, ("closed_form", "closed_form", None, "ode")),
+    ("cos", CosPenalty(1.0), 0.1, ("closed_form", "closed_form", None, "ode")),
+    ("ambiguous_cos", _AMBIGUOUS, 0.3, ("closed_form", "closed_form", None, "ode")),
+    ("fourier_even", fourier_gaussian_amplitude(), 0.1, ("ode", None, None, "ode")),
+]
+
+
 class TestSolveDispatch:
+    def test_solver_table_covers_every_family(self):
+        assert {variant.kind for _, variant, _, _ in _SOLVER_TABLE} == set(VARIANTS)
+
+    @pytest.mark.parametrize(
+        "variant, drift, choice, expected",
+        [
+            pytest.param(variant, drift, choice, name, id=f"{case}-{choice}")
+            for case, variant, drift, names in _SOLVER_TABLE
+            for choice, name in zip(_CHOICES, names)
+        ],
+    )
+    def test_explicit_solver_choices(self, variant, drift, choice, expected):
+        """Each choice gives its fixed solver_name, or UnsupportedVariantError."""
+        coeffs, spec = base_coeffs(64, control_drift=drift), ObjectiveSpec(1.0, variant)
+        if expected is None:
+            with pytest.raises(UnsupportedVariantError):
+                solve(coeffs, spec, solver=choice)
+        else:
+            assert solve(coeffs, spec, solver=choice).solver_name == expected
+
     def test_unknown_solver(self):
         with pytest.raises(DomainError):
             solve(base_coeffs(), ObjectiveSpec(1.0, MomentCombo((2.0,))), solver="magic")
@@ -282,17 +326,22 @@ class TestSolveDispatch:
     def test_closed_form_unsupported_variant(self):
         spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
         with pytest.raises(UnsupportedVariantError):
-            solve_closed_form(base_coeffs(), spec)
+            solve(base_coeffs(), spec, solver="closed_form")
 
     def test_algebraic_requires_moment_combo(self):
         with pytest.raises(UnsupportedVariantError):
-            solve_algebraic(base_coeffs(), ObjectiveSpec(1.0, ExpPenalty(1.0)))
+            solve(base_coeffs(), ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="algebraic")
 
     def test_closed_form_rejects_order_six_combination(self):
         spec = ObjectiveSpec(1.0, MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)))
         with pytest.raises(UnsupportedVariantError):
-            solve_closed_form(base_coeffs(64), spec)
+            solve(base_coeffs(64), spec, solver="closed_form")
         assert solve(base_coeffs(64), spec).solver_name == "algebraic"
+
+    def test_order_six_closed_form_names_the_algebraic_solver(self):
+        spec = ObjectiveSpec(1.0, MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)))
+        with pytest.raises(UnsupportedVariantError, match="use the algebraic solver"):
+            solve(base_coeffs(64), spec, solver="closed_form")
 
     def test_auto_routing_per_case(self, all_solutions):
         names = {name: sol.solver_name for name, sol in all_solutions}

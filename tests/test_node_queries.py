@@ -20,7 +20,7 @@ import scipy.interpolate
 import equicontrol
 from equicontrol import ExpPenalty, ObjectiveSpec, solve
 from equicontrol.cli import main
-from equicontrol.equilibrium import solve_algebraic, solve_ode
+from equicontrol.equilibrium import solve_ode
 from equicontrol.objectives import curvature_sum
 
 from cases import base_coeffs, criterion_02_draws, curved_coeffs, solve_all
@@ -60,7 +60,7 @@ def node_solutions():
     sols = [sol for _, sol in solve_all(512)]
     coeffs = base_coeffs(512)
     for spec in criterion_02_draws():
-        sols += [solve_ode(coeffs, spec), solve_algebraic(coeffs, spec)]
+        sols += [solve_ode(coeffs, spec), solve(coeffs, spec, solver="algebraic")]
     return sols
 
 
