@@ -207,19 +207,11 @@ _SUITE_OPTIONS = {
         "first_order_tol": _tolerance,
     },
     "monte_carlo": {
-        "x0": _finite,
         "seed": _seed,
         "num_paths": _at_least(2),
         "num_steps": _at_least(1),
         "orders": _integer_list,
-        "threads": _at_least(1),
     },
-}
-# verification tolerance key -> (verification_report keyword, tolerance it defaults to)
-_VERIFY_TOLERANCES = {
-    "residual_tol": ("residual_tol", "residual"),
-    "self_consistency_tol": ("consistency_tol", "self_consistency"),
-    "value_tol": ("value_tol", "value"),
 }
 
 
@@ -228,14 +220,19 @@ def _verification_kwargs(section, x0: float, tolerances: dict, horizon: float, s
 
     Each suite key may be true (defaults), false (skip) or an object of
     overrides; by default every suite runs.  ``seed`` is the ``--seed``
-    override of the Monte Carlo seed, or None.  The suites check the ranges
-    of their own overrides when they run.
+    override of the Monte Carlo seed, or None.  The check tolerances and the
+    start state are the config's ``tolerances`` and ``x0``, which the
+    manifest records.  The suites check the ranges of their own overrides
+    when they run.
     """
     section = _require_mapping(section, "verification")
-    _check_keys(section, (*_SUITE_OPTIONS, *_VERIFY_TOLERANCES), "verification")
-    kwargs = {"x0": x0}
-    for key, (kw, name) in _VERIFY_TOLERANCES.items():
-        kwargs[kw] = _tolerance(section.get(key, tolerances[name]), f"verification.{key}")
+    _check_keys(section, _SUITE_OPTIONS, "verification")
+    kwargs = {
+        "x0": x0,
+        "residual_tol": tolerances["residual"],
+        "consistency_tol": tolerances["self_consistency"],
+        "value_tol": tolerances["value"],
+    }
     for key, parsers in _SUITE_OPTIONS.items():
         kw = "monte_carlo_cfg" if key == "monte_carlo" else key
         choice = section.get(key, True)

@@ -89,9 +89,6 @@ class ConstantCoefficient:
     def antiderivative(self, t):
         return self.value * np.asarray(t, dtype=float)
 
-    def integral(self, a: float, b: float) -> float:
-        return self.value * (b - a)
-
 
 @dataclass(frozen=True)
 class PolynomialCoefficient:
@@ -120,9 +117,6 @@ class PolynomialCoefficient:
     def antiderivative(self, t):
         return self._anti(np.asarray(t, dtype=float))
 
-    def integral(self, a: float, b: float) -> float:
-        return float(self._anti(b) - self._anti(a))
-
 
 @dataclass(frozen=True)
 class ExponentialCoefficient:
@@ -143,9 +137,6 @@ class ExponentialCoefficient:
         if self.rate == 0.0:
             return (self.scale + self.offset) * t
         return self.scale / self.rate * np.exp(self.rate * t) + self.offset * t
-
-    def integral(self, a: float, b: float) -> float:
-        return float(self.antiderivative(b) - self.antiderivative(a))
 
 
 @dataclass(frozen=True)
@@ -200,9 +191,6 @@ class SampledCoefficient:
         x = np.clip(np.asarray(t, dtype=float), self.times[0], self.times[-1])
         k = np.clip(np.searchsorted(self._t, x, side="right") - 1, 0, len(self.times) - 2)
         return self._cum[k] + 0.5 * (x - self._t[k]) * (self._v[k] + self(x))
-
-    def integral(self, a: float, b: float) -> float:
-        return float(self.antiderivative(b) - self.antiderivative(a))
 
 
 # every coefficient descriptor under its config ``type``; each class lists its

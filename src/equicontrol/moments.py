@@ -106,9 +106,6 @@ class MomentVector:
             raise DomainError(f"central moment order {j} outside 2..{self.order}")
         return self.central[j - 2]
 
-    def untagged(self, central=None) -> "MomentVector":
-        return MomentVector(self.order, self.mean, central or self.central)
-
 
 def raw_to_central(raw) -> MomentVector:
     """Rebuild a MomentVector from raw moments of orders 1..n."""

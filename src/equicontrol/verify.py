@@ -423,7 +423,11 @@ def _moment_excess(sol: EquilibriumSolution):
         raise NonFiniteResultError("the drift of the terminal mean is not finite")
     # a smooth antiderivative, fitted in t / T to stay finite for any horizon,
     # keeps the finite-difference stencil off the kinks of a quadrature rule
-    anti = CubicSpline(sol.grid.nodes / horizon, drift_nodes).antiderivative()
+    try:
+        spline = CubicSpline(sol.grid.nodes / horizon, drift_nodes)
+    except ValueError as exc:  # finite nodes whose slopes overflow
+        raise NonFiniteResultError("the drift of the terminal mean is not finite") from exc
+    anti = spline.antiderivative()
     end = anti(1.0)
 
     def excess(order, ts, x):
@@ -627,7 +631,6 @@ def monte_carlo(
     num_paths: int,
     num_steps: int,
     orders=(2, 3, 4),
-    threads: int | None = None,
 ) -> McReport:
     """Euler simulation of the controlled state under the equilibrium feedback.
 
@@ -637,8 +640,9 @@ def monte_carlo(
     simulate only the noise part of the paths; the noise-free Euler endpoint
     is added to the sample mean, so no precision is lost at large states.
     x0 enters that mean alone, to the first power, so |x0| must stay within
-    ``_POWER_CEILING``.  ``threads`` defaults to ``EQUICONTROL_THREADS`` or
-    else the usable CPU count, and is capped at the number of blocks.
+    ``_POWER_CEILING``.  The blocks run on ``EQUICONTROL_THREADS`` workers,
+    or else on as many as the process has usable CPUs, capped at the number
+    of blocks.
     """
     if not MC_SEED_RANGE[0] <= seed <= MC_SEED_RANGE[1]:
         raise DomainError(f"seed must lie in [{MC_SEED_RANGE[0]}, {MC_SEED_RANGE[1]}], got {seed}")
@@ -654,10 +658,6 @@ def monte_carlo(
     orders = tuple(int(j) for j in _nonempty(orders, "central moment order"))
     if any(j < 2 for j in orders) or max(orders) > _MAX_ORDER:
         raise DomainError(f"central moment orders must lie in 2..{_MAX_ORDER}")
-    if threads is None:
-        threads = _default_threads()
-    elif threads < 1:
-        raise DomainError(f"need at least 1 thread, got {threads}")
 
     dt = sol.grid.horizon / num_steps
     sqdt = math.sqrt(dt)
@@ -677,7 +677,7 @@ def monte_carlo(
         with np.errstate(**errstate):
             return _mc_block_sums(growth, vol, sqdt, bsize, [seed, bstart], max_power)
 
-    threads = min(threads, len(blocks))
+    threads = min(_default_threads(), len(blocks))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         partials = list(pool.map(run_block, blocks))
     total = np.zeros(max_power)
@@ -787,10 +787,12 @@ def verification_report(
     The core checks (pointwise optimality residual, fixed-point
     self-consistency of the accumulated variance, objective concavity along
     the solution, and agreement of the claimed value with the exact Gaussian
-    evaluation of the control) always run.  ``spike``, ``fbsde``, ``pde`` and
+    evaluation of the control) always run, against ``residual_tol``,
+    ``consistency_tol`` and ``value_tol``.  ``spike``, ``fbsde``, ``pde`` and
     ``monte_carlo_cfg`` enable the heavier suites; each accepts a dict of
     keyword overrides for the corresponding check (an empty dict means
-    defaults).
+    defaults).  The value check, the spikes and Monte Carlo all start at
+    ``x0``, so neither ``spike`` nor ``monte_carlo_cfg`` takes a start state.
     """
     horizon = sol.grid.horizon
     report: dict = {"solver": sol.solver_name, "x0": x0}
@@ -838,9 +840,9 @@ def verification_report(
         report["pde"] = _plain(pde_residual_check(sol, **pde))
 
     if monte_carlo_cfg is not None:
-        cfg = {"x0": x0, "seed": 20240801, "num_paths": 200_000, "num_steps": 1024}
+        cfg = {"seed": 20240801, "num_paths": 200_000, "num_steps": 1024}
         cfg.update(monte_carlo_cfg)
-        report["monte_carlo"] = _plain(monte_carlo(sol, **cfg))
+        report["monte_carlo"] = _plain(monte_carlo(sol, x0, **cfg))
 
     report["passed"] = all(
         section["passed"]

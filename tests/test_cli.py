@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -13,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equicontrol import ConfigError, ObjectiveSpec
 from equicontrol import coeffs as cf
 from equicontrol import equilibrium
 from equicontrol.cli import (
+    _DEFAULT_TOLERANCES,
     _SWEEP_PARAMETERS,
     Problem,
     _sweep_problem,
@@ -29,6 +31,7 @@ from equicontrol.cli import (
 )
 from equicontrol.equilibrium import EquilibriumSolution
 from equicontrol.objectives import VARIANTS
+from equicontrol.verify import verification_report
 
 from cases import base_coeffs, curved_coeffs
 
@@ -203,9 +206,32 @@ class TestTopLevelKeys:
         assert self.run_solve(tmp_path, solver="ode", tolerances={key: value}) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["residual", "self_consistency", "value"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-8, "1e-8"])
+    def test_bad_check_tolerances(self, tmp_path, capsys, key, value):
+        """The bounds of the verify checks: a bad one exits 2 for verify too, naming its key."""
+        cfg = write_config(
+            tmp_path / "c.json", grid_size=16, tolerances={key: value}, verification=_SUITES_OFF
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"tolerances.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_check_tolerances_accepted(self, tmp_path):
         tolerances = {"residual": 0.0, "self_consistency": 0.0, "value": 0.0}
         assert self.run_solve(tmp_path, tolerances=tolerances) == 0
+
+    def test_default_tolerances_are_the_library_defaults(self):
+        """The config defaults repeat the keyword defaults of the library calls they feed."""
+        ode = inspect.signature(equilibrium.solve_ode).parameters
+        report = inspect.signature(verification_report).parameters
+        assert _DEFAULT_TOLERANCES == {
+            "ode": ode["tol"].default,
+            "residual": report["residual_tol"].default,
+            "self_consistency": report["consistency_tol"].default,
+            "value": report["value_tol"].default,
+        }
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     @pytest.mark.parametrize("horizon", [1e-320, 5e-324])
@@ -538,13 +564,8 @@ class TestVerify:
             tmp_path / "c.json",
             coefficients={"control_drift": 0.3, "control_vol": 0.2, "vol_offset": 0.1},
             objective={"variant": "exp", "kappa": 1.0, "c": 1.0},
-            verification={
-                "value_tol": 0.0,
-                "spike": False,
-                "fbsde": False,
-                "pde": False,
-                "monte_carlo": False,
-            },
+            tolerances={"value": 0.0},
+            verification={"spike": False, "fbsde": False, "pde": False, "monte_carlo": False},
         )
         out = tmp_path / "out"
         assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
@@ -596,9 +617,10 @@ class TestVerificationConfigErrors:
     @pytest.mark.parametrize("key", ["residual_tol", "self_consistency_tol", "value_tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-8, "1e-8"])
     def test_bad_tolerances(self, tmp_path, capsys, key, value):
+        """Check tolerances live under ``tolerances``: here the key is unknown, whatever its value."""
         code, out = self.run_verify(tmp_path, {**_SUITES_OFF, key: value})
         assert code == 2
-        assert f"verification.{key}" in capsys.readouterr().err
+        assert f"unknown verification keys: {key}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -607,9 +629,9 @@ class TestVerificationConfigErrors:
             {"num_paths": 1000.7},
             {"num_steps": 16.5},
             {"seed": 3.25},
-            {"threads": "2"},
-            {"threads": 2.5},
-            {"threads": 0},
+            {"seed": "7"},
+            {"num_steps": 0},
+            {"orders": []},
             {"num_paths": 1},
             {"orders": [2, 3.5]},
             {"orders": 4},
@@ -680,12 +702,12 @@ class TestVerificationConfigErrors:
 
     def test_integral_float_options_accepted(self, tmp_path):
         code, out = self.run_verify(
-            tmp_path, _mc_only(num_paths=5000.0, seed=7.0, threads=1.0, orders=[2.0, 4])
+            tmp_path, _mc_only(num_paths=5000.0, seed=7.0, num_steps=16.0, orders=[2.0, 4])
         )
         assert code == 0
         report = json.loads((out / "verification.json").read_text())
         assert report["monte_carlo"]["num_paths"] == 5000
-        assert report["monte_carlo"]["threads"] == 1
+        assert report["monte_carlo"]["num_steps"] == 16
 
     @pytest.mark.parametrize("raw", ["0", "-1", "1.5", "many"])
     def test_bad_thread_environment(self, tmp_path, capsys, monkeypatch, raw):
@@ -927,6 +949,51 @@ class TestOneParse:
         assert "config error: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "verification",
+        [
+            {"residual_tol": 1e-3},
+            {"self_consistency_tol": 1e-3},
+            {"value_tol": 0.0},
+            {"monte_carlo": {"x0": 0.5}},
+            {"monte_carlo": {"threads": 1}},
+        ],
+    )
+    def test_second_copies_of_settings_are_unknown(self, tmp_path, capsys, command, verification):
+        """Tolerances, x0 and the worker count each have one key, outside this section."""
+        cfg = write_config(tmp_path / "c.json", grid_size=16, verification=verification)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--parameter", "kappa", "--values", "1"]
+        assert main(argv) == 2
+        assert "config error: unknown verification" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_what_the_checks_used(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=64,
+            x0=0.5,
+            tolerances={"residual": 1e-3, "value": 0.0},
+            verification={
+                **_SUITES_OFF,
+                "spike": {"times": [0.0], "zetas": [1.0]},
+                "monte_carlo": {"num_paths": 5000, "num_steps": 16},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+        report = json.loads((out / "verification.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        tolerances = manifest["tolerances"]
+        assert report["integral_equation"]["tol"] == tolerances["residual"] == 1e-3
+        assert report["self_consistency"]["tol"] == tolerances["self_consistency"]
+        assert report["value_consistency"]["tol"] == tolerances["value"] == 0.0
+        assert report["x0"] == report["monte_carlo"]["x0"] == manifest["x0"] == 0.5
+        assert {case["x"] for case in report["spike"]["cases"]} == {0.5}
+
     def test_problem_holds_report_keywords(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -1043,8 +1110,12 @@ class TestSuiteRanges:
     """Amplitudes and states beyond a suite's documented range are config errors."""
 
     def run_verify(self, tmp_path, capsys, suite, options, objective=None):
+        """verify with one suite on; an ``x0`` in ``options`` is the config's start state."""
+        options = dict(options)
+        extra = {"x0": options.pop("x0")} if "x0" in options else {}
         verification = {**_SUITES_OFF, suite: options}
-        extra = {"objective": objective} if objective else {}
+        if objective:
+            extra["objective"] = objective
         cfg = write_config(tmp_path / "c.json", grid_size=16, verification=verification, **extra)
         out = tmp_path / "out"
         code = main(["verify", "--config", str(cfg), "--out", str(out)])
@@ -1201,12 +1272,7 @@ _TYPED_OPTIONS = {
         "tol": _NUMBERS,
         "first_order_tol": _NUMBERS,
     },
-    "monte_carlo": {
-        "x0": _NUMBERS,
-        "seed": st.integers(),
-        "orders": _ORDERS,
-        "threads": st.integers(-1, 4),
-    },
+    "monte_carlo": {"seed": st.integers(), "orders": _ORDERS},
 }
 _MONTE_CARLO_SIZE = {"num_paths": st.integers(2, 64), "num_steps": st.integers(1, 16)}
 
@@ -1234,13 +1300,7 @@ _VERIFICATION_SECTIONS = st.one_of(
     *(
         st.fixed_dictionaries(
             {"monte_carlo": _suite("monte_carlo", typed)},
-            optional={
-                **{name: _suite(name, typed) for name in ("spike", "fbsde", "pde")},
-                **{
-                    key: st.floats(0.0, 1.0) if typed else _JSON
-                    for key in ("residual_tol", "self_consistency_tol", "value_tol")
-                },
-            },
+            optional={name: _suite(name, typed) for name in ("spike", "fbsde", "pde")},
         )
         for typed in (True, True, False)
     ),
@@ -1248,12 +1308,13 @@ _VERIFICATION_SECTIONS = st.one_of(
 _SMALL_VERIFICATION = {"monte_carlo": {"num_paths": 64, "num_steps": 16}}
 
 
-def _verify_exit(coefficients, verification):
+def _verify_exit(coefficients, verification, x0=0.0):
     """Run ``verify`` at grid 16 on the mean-variance objective; (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(
             Path(tmp) / "c.json",
             grid_size=16,
+            x0=x0,
             coefficients=coefficients,
             verification=verification,
         )
@@ -1391,14 +1452,25 @@ class TestParserProperties:
         _top_level_exit(top, sweep)
 
     @given(section=_COEFFICIENT_SECTIONS)
+    # finite drift nodes whose spline slopes overflow in the PDE check
+    @example(
+        section={
+            "control_drift": 0,
+            "control_vol": 1.0,
+            "state_drift": -551.0,
+            "vol_offset": 0,
+            "drift_offset": 5.843800830093911e306,
+        }
+    )
     @settings(max_examples=150, deadline=None)
     def test_coefficient_section_through_verify(self, section):
         """verify ends in 0, 1, 2 or a solver error (3), never in a traceback."""
         _verify_exit(section, _SMALL_VERIFICATION)
 
-    @given(section=_VERIFICATION_SECTIONS)
+    @given(section=_VERIFICATION_SECTIONS, x0=_NUMBERS)
     @settings(max_examples=150, deadline=None)
-    def test_verification_section_through_verify(self, section):
-        code, err = _verify_exit({"control_drift": 0.3, "control_vol": 0.2}, section)
+    def test_verification_section_through_verify(self, section, x0):
+        """Every suite starts at x0, so x0 is drawn in any range with the section."""
+        code, err = _verify_exit({"control_drift": 0.3, "control_vol": 0.2}, section, x0)
         # the suites' own range checks are configuration errors, never solver errors
         assert not (code == 3 and "DomainError" in err), err

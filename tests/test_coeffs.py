@@ -65,30 +65,30 @@ class TestDescriptors:
         c = ConstantCoefficient(0.7)
         assert c(0.3) == 0.7
         np.testing.assert_allclose(c(np.array([0.0, 1.0])), [0.7, 0.7])
-        assert c.integral(0.2, 1.2) == pytest.approx(0.7)
+        assert c.antiderivative(1.2) - c.antiderivative(0.2) == pytest.approx(0.7)
 
     def test_polynomial(self):
         p = PolynomialCoefficient((1.0, 2.0, 3.0))  # 1 + 2t + 3t^2
         assert p(2.0) == pytest.approx(17.0)
-        assert p.integral(0.0, 1.0) == pytest.approx(1.0 + 1.0 + 1.0)
+        assert p.antiderivative(1.0) - p.antiderivative(0.0) == pytest.approx(1.0 + 1.0 + 1.0)
 
     def test_exponential(self):
         e = ExponentialCoefficient(2.0, -0.5, 1.0)
         assert e(0.0) == pytest.approx(3.0)
         exact = 2.0 / -0.5 * (math.exp(-0.5) - 1.0) + 1.0
-        assert e.integral(0.0, 1.0) == pytest.approx(exact, rel=1e-14)
+        assert e.antiderivative(1.0) - e.antiderivative(0.0) == pytest.approx(exact, rel=1e-14)
 
     def test_exponential_zero_rate(self):
         e = ExponentialCoefficient(2.0, 0.0, 1.0)
-        assert e.integral(0.0, 2.0) == pytest.approx(6.0)
+        assert e.antiderivative(2.0) - e.antiderivative(0.0) == pytest.approx(6.0)
 
     def test_sampled_linear_interp(self):
         s = SampledCoefficient(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0]))
         assert s(0.5) == pytest.approx(1.0)
         assert s(1.5) == pytest.approx(1.0)
         # piecewise-linear integral is exact
-        assert s.integral(0.0, 2.0) == pytest.approx(2.0)
-        assert s.integral(0.25, 0.75) == pytest.approx(0.5)
+        assert s.antiderivative(2.0) - s.antiderivative(0.0) == pytest.approx(2.0)
+        assert s.antiderivative(0.75) - s.antiderivative(0.25) == pytest.approx(0.5)
 
     def test_sampled_validation(self):
         with pytest.raises(GridMismatchError):
@@ -107,7 +107,8 @@ class TestDescriptors:
             ExponentialCoefficient(1.2, 0.8, -0.3),
         ):
             oracle = simpson_integral(coeff, 0.2, 1.7)
-            assert coeff.integral(0.2, 1.7) == pytest.approx(oracle, rel=1e-10)
+            exact = coeff.antiderivative(1.7) - coeff.antiderivative(0.2)
+            assert exact == pytest.approx(oracle, rel=1e-10)
 
 
 class TestIntegrate:
@@ -280,7 +281,7 @@ class TestGrowth:
         )
         drift = coeffs.state_drift
         lhs = coeffs.int_a_at(t)
-        rhs = coeffs.int_a_at(s) + drift.integral(t, 1.0) - drift.integral(s, 1.0)
+        rhs = coeffs.int_a_at(s) + drift.antiderivative(s) - drift.antiderivative(t)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 

@@ -82,7 +82,7 @@ class TestMomentVector:
         assert mv.central_moment(3) == 0.0
         assert mv.central_moment(4) == pytest.approx(0.75)
         assert mv.gaussian_y == 0.5
-        assert mv.untagged().gaussian_y is None
+        assert MomentVector(mv.order, mv.mean, mv.central).gaussian_y is None
 
     def test_low_order_moments(self):
         mv = MomentVector(order=3, mean=2.0, central=(1.0, 0.3))

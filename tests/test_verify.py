@@ -279,9 +279,13 @@ class TestMonteCarlo:
         assert a.mean_estimate == b.mean_estimate
         assert [r.estimate for r in a.rows] == [r.estimate for r in b.rows]
 
-    def test_thread_count_does_not_change_result(self, mv_solution):
-        a = monte_carlo(mv_solution, 0.0, seed=42, num_paths=300_000, num_steps=64, threads=1)
-        b = monte_carlo(mv_solution, 0.0, seed=42, num_paths=300_000, num_steps=64, threads=4)
+    def test_thread_count_does_not_change_result(self, mv_solution, monkeypatch):
+        kwargs = dict(seed=42, num_paths=300_000, num_steps=64)
+        monkeypatch.setenv("EQUICONTROL_THREADS", "1")
+        a = monte_carlo(mv_solution, 0.0, **kwargs)
+        monkeypatch.setenv("EQUICONTROL_THREADS", "4")
+        b = monte_carlo(mv_solution, 0.0, **kwargs)
+        assert (a.threads, b.threads) == (1, 3)  # three blocks
         assert a.mean_estimate == b.mean_estimate
         assert [r.estimate for r in a.rows] == [r.estimate for r in b.rows]
 
@@ -585,7 +589,8 @@ class TestMonteCarloInPlace:
     def test_curved_solution_matches_reference_bitwise(self, monkeypatch):
         """A whole run on curved coefficients, x0 != 0, two blocks, the second partial."""
         sol = solve(curved_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)))
-        kwargs = dict(seed=9, num_paths=_MC_BLOCK + 1001, num_steps=16, threads=2)
+        monkeypatch.setenv("EQUICONTROL_THREADS", "2")
+        kwargs = dict(seed=9, num_paths=_MC_BLOCK + 1001, num_steps=16)
         new = monte_carlo(sol, 0.4, **kwargs)
 
         def reference(growth, *rest):
@@ -613,7 +618,8 @@ class TestMonteCarloInPlace:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         kwargs = dict(seed=42, num_paths=2 * _MC_BLOCK + 5, num_steps=16)
         default = monte_carlo(mv_solution, 0.0, **kwargs)
-        serial = monte_carlo(mv_solution, 0.0, threads=1, **kwargs)
+        monkeypatch.setenv("EQUICONTROL_THREADS", "1")
+        serial = monte_carlo(mv_solution, 0.0, **kwargs)
         assert default.threads == 3  # four CPUs, capped at the three blocks
         assert serial.threads == 1
         assert dataclasses.replace(default, threads=1) == serial
@@ -636,12 +642,9 @@ class TestMonteCarloInPlace:
         with pytest.raises(ConfigError, match="EQUICONTROL_THREADS"):
             _default_threads()
 
-    def test_invalid_thread_argument(self, mv_solution):
-        with pytest.raises(DomainError):
-            monte_carlo(mv_solution, 0.0, seed=1, num_paths=100, num_steps=8, threads=0)
-
-    def test_pool_is_capped_at_block_count(self, mv_solution):
-        report = monte_carlo(mv_solution, 0.0, seed=1, num_paths=1000, num_steps=8, threads=4)
+    def test_pool_is_capped_at_block_count(self, mv_solution, monkeypatch):
+        monkeypatch.setenv("EQUICONTROL_THREADS", "4")
+        report = monte_carlo(mv_solution, 0.0, seed=1, num_paths=1000, num_steps=8)
         assert report.threads == 1
 
 
