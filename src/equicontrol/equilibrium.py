@@ -86,31 +86,32 @@ class EquilibriumSolution:
 
     @cached_property
     def control_nodes(self) -> np.ndarray:
-        return self.beta / self.coeffs.growth - self.coeffs.f_nodes / self.coeffs.d_nodes
+        return self.control_many(self.grid.nodes)
 
-    def _node_index(self, t: np.ndarray):
-        """0 for t = 0, a full slice for the node array, else None.
+    def _query(self, t):
+        """A public query's checked times and their node index: 0 for t = 0,
+        a full slice for the node array, else None.
 
         The node values were solved once; evaluating y_fn there would repeat
         the solve, or build the node spline, for the same numbers.
         """
-        if t.ndim == 0:
-            return 0 if t == 0.0 else None
-        nodes = self.grid.nodes
-        return slice(None) if t.shape == nodes.shape and np.array_equal(t, nodes) else None
-
-    def _times(self, t):
-        # a single time takes the float check: 0-d numpy comparisons and clip
-        # cost about 10 us, and every scalar query chains four of these calls
         t = np.asarray(t, dtype=float)
-        return self.grid.require_time(t) if t.ndim else np.float64(self.grid.require_time(float(t)))
+        if t.ndim == 0:
+            # a single time takes the float check: 0-d numpy comparisons and
+            # clip cost about 10 us, and every scalar query makes this call
+            t = np.float64(self.grid.require_time(float(t)))
+            return t, (0 if t == 0.0 else None)
+        t = self.grid.require_time(t)
+        nodes = self.grid.nodes
+        return t, (slice(None) if t.shape == nodes.shape and np.array_equal(t, nodes) else None)
 
-    def y_many(self, t):
-        t = self._times(t)
-        at = self._node_index(t)
+    def _y(self, t, at):
         if at is not None:
             return self.y[at]
         return np.maximum(np.asarray(self.y_fn(t), dtype=float), 0.0)
+
+    def y_many(self, t):
+        return self._y(*self._query(t))
 
     def y_at(self, t: float) -> float:
         return float(self.y_many(t))
@@ -119,6 +120,13 @@ class EquilibriumSolution:
     def _curvature_spline(self):
         return _node_spline(self.grid, self.margins)
 
+    def _curvature(self, t, at):
+        if at is not None:
+            return self.margins[at]
+        if self.objective.variant.cheap_curvature:
+            return curvature_sum(self.objective, t, self._y(t, at))
+        return np.asarray(self._curvature_spline(t), dtype=float)
+
     def curvature_many(self, t):
         """K(t, y_t) along the solution, vectorized.
 
@@ -126,32 +134,28 @@ class EquilibriumSolution:
         whose curvature needs a frequency quadrature per query point
         (fourier_even) are interpolated from the node margins instead.
         """
-        t = self._times(t)
-        at = self._node_index(t)
-        if at is not None:
-            return self.margins[at]
-        if self.objective.variant.cheap_curvature:
-            return curvature_sum(self.objective, t, self.y_many(t))
-        return np.asarray(self._curvature_spline(t), dtype=float)
+        return self._curvature(*self._query(t))
 
-    def beta_many(self, t):
-        t = self._times(t)
-        margins = self.curvature_many(t)
+    def _beta(self, t, at):
+        margins = self._curvature(t, at)
         if np.any(margins >= 0.0):
             raise ConcavityError("curvature not negative between nodes")
         b = np.asarray(self.coeffs.control_drift(t), dtype=float)
         d = np.asarray(self.coeffs.control_vol(t), dtype=float)
         return self.objective.kappa * b / d**2 * (-0.5 / margins)
 
+    def beta_many(self, t):
+        return self._beta(*self._query(t))
+
     def beta_at(self, t: float) -> float:
         return float(self.beta_many(t))
 
     def control_many(self, t):
         """Equilibrium control path at an array of times in the horizon."""
-        t = self._times(t)
+        t, at = self._query(t)
         d = np.asarray(self.coeffs.control_vol(t), dtype=float)
         f = np.asarray(self.coeffs.vol_offset(t), dtype=float)
-        return self.beta_many(t) * np.exp(-self.coeffs.int_a_many(t)) - f / d
+        return self._beta(t, at) * np.exp(-self.coeffs.int_a_many(t)) - f / d
 
     def control(self, t: float, x: float = 0.0) -> float:
         """Equilibrium control; the state argument is accepted but unused."""
@@ -174,10 +178,10 @@ class EquilibriumSolution:
         of variance y(t).  O(n + len(t)): both suffix integrals come from
         cached O(n) quadratures and psi is evaluated once over all y(t).
         """
-        t = self._times(t)
+        t, at = self._query(t)
         kappa = self.objective.kappa
         offset, feedback = self._terminal_mean_parts(t, x)
-        risk = gaussian_psi(self.objective, t, self.y_many(t))
+        risk = gaussian_psi(self.objective, t, self._y(t, at))
         return kappa * offset + kappa * feedback + risk
 
     def value(self, t: float, x: float) -> float:
@@ -281,6 +285,18 @@ def _solve_increasing_many(fn, dfn, targets):
     return out
 
 
+def _reachable_budget(coeffs: cf.CoefficientSet, spec: ObjectiveSpec, integral) -> np.ndarray:
+    """theta at the nodes; a risk budget kappa^2 theta beyond P's range raises its ``error``."""
+    th = np.maximum(coeffs.theta_eval(coeffs.grid.nodes), 0.0)
+    top = spec.kappa * spec.kappa * float(th.max())
+    if top >= integral.supremum:
+        raise integral.error(
+            f"risk budget {top:.6g} exceeds the reachable range {integral.supremum:.6g}"
+            f" of the {spec.variant.kind} objective"
+        )
+    return th
+
+
 def _solve_first_integral(
     coeffs: cf.CoefficientSet, spec: ObjectiveSpec, solver_name: str
 ) -> EquilibriumSolution:
@@ -300,13 +316,7 @@ def _solve_first_integral(
         )
     k2 = spec.kappa * spec.kappa
     budget = coeffs.theta_eval  # theta as a vectorized function of t
-    th = np.maximum(budget(coeffs.grid.nodes), 0.0)
-    top = k2 * float(th.max())
-    if top >= integral.supremum:
-        raise integral.error(
-            f"risk budget {top:.6g} exceeds the reachable range {integral.supremum:.6g}"
-            f" of the {spec.variant.kind} objective"
-        )
+    th = _reachable_budget(coeffs, spec, integral)
     invert = integral.inverse if solver_name == "closed_form" else None
     if invert is None:
 
@@ -333,11 +343,15 @@ def solve_ode(
     while the estimate misses ``tol``.  No family's f depends on t, so each
     run evaluates (kappa b / d)^2 at all its stage times in one vectorized
     call and marches on Python floats through the family's
-    ``curvature_scalar``.
+    ``curvature_scalar``.  A family whose P is bounded first checks the risk
+    budget as the first-integral solvers do, and raises its own error.
     """
     grid = coeffs.grid
     kappa = spec.kappa
     curvature = spec.variant.curvature_scalar
+    integral = spec.variant.first_integral
+    if integral is not None and integral.supremum < np.inf:
+        _reachable_budget(coeffs, spec, integral)
 
     def run(substeps: int) -> np.ndarray:
         n = grid.num_steps
@@ -350,10 +364,6 @@ def solve_ode(
         gains = [r**2 for r in (kappa * b / d).tolist()]
 
         def rate(i, y):
-            if y < 0.0:
-                if y < -1e-12:
-                    raise OdeStepError(f"backward step left the admissible region: y = {y:.3e}")
-                y = 0.0
             kk = curvature(y)
             if not (kk < 0.0):
                 raise ConcavityError(

@@ -47,7 +47,7 @@ class ConcavityError(SolverError):
 
 
 class OdeStepError(SolverError):
-    """A backward integration step left the admissible region."""
+    """The backward integration stalled: no substep count met its tolerance."""
 
 
 class RootBracketError(SolverError):

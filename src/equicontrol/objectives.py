@@ -280,19 +280,58 @@ class _Penalty(Variant):
     """Families given by an even shape S: psi = -(E[S(X_T - mean)] - S(0))."""
 
 
-class _ScaledPenalty(_Penalty):
-    """Penalties with one positive scale c."""
+class _ExponentialPenalty(_Penalty):
+    """The exp, cosh and cos penalties, one positive scale c.
+
+    On the Gaussian law of variance y the three are one family, written
+    through the sign s of the exponent: s = 1 for exp and cosh, and cos
+    is the cosh shape with c^2 replaced by -c^2 (cos(cx) = cosh(icx)), so
+    s = -1.  Then K = -c e^(s c^2 y / 2) / 2, E[S] = s (e^(s c^2 y / 2) - 1) / c
+    and P = s (e^(s c^2 y) - 1), which cos bounds by ``supremum`` 1.
+    """
 
     config_fields = (("c", float, None),)
     sweepable = ("c",)
+    sign = 1.0
+    supremum = math.inf
+    error = RootBracketError
 
     def __post_init__(self):
         if not (self.c > 0.0):
             raise ObjectiveError(f"penalty scale must be positive, got {self.c}")
 
+    @cached_property
+    def _rate(self) -> float:
+        """The exponent s c^2 / 2 of the curvature per unit variance."""
+        return self.sign * 0.5 * self.c * self.c
+
+    def curvature(self, y):
+        return -0.5 * self.c * np.exp(self._rate * y)
+
+    def curvature_scalar(self, y: float) -> float:
+        try:
+            return -0.5 * self.c * math.exp(self._rate * y)
+        except OverflowError:  # np.exp gives inf here
+            return -math.inf
+
+    def gaussian_expectation(self, var):
+        return self.sign * np.expm1(self._rate * var) / self.c
+
+    @property
+    def first_integral(self) -> FirstIntegral:
+        """P = s (e^(s c^2 y) - 1)."""
+        s, c2 = self.sign, self.c * self.c
+        return FirstIntegral(
+            lambda y: s * np.expm1(s * c2 * y),
+            lambda y: c2 * np.exp(s * c2 * y),
+            lambda x: s * np.log1p(s * x) / c2,
+            self.supremum,
+            self.error,
+        )
+
 
 @dataclass(frozen=True)
-class ExpPenalty(_ScaledPenalty):
+class ExpPenalty(_ExponentialPenalty):
     """Exponential penalty of the centred state, shape (exp(-c x) - 1) / c."""
 
     c: float
@@ -301,35 +340,11 @@ class ExpPenalty(_ScaledPenalty):
     def slot_weight(self, j: int) -> float:
         return (-self.c) ** (j - 1)
 
-    def curvature(self, y):
-        c = self.c
-        return -0.5 * c * np.exp(0.5 * c * c * y)
-
-    def curvature_scalar(self, y: float) -> float:
-        c = self.c
-        try:
-            return -0.5 * c * math.exp(0.5 * c * c * y)
-        except OverflowError:  # np.exp gives inf here
-            return -math.inf
-
-    def gaussian_expectation(self, var):
-        c = self.c
-        return np.expm1(0.5 * c * c * var) / c
-
-    @property
-    def first_integral(self) -> FirstIntegral:
-        """P = e^(c^2 y) - 1."""
-        c2 = self.c * self.c
-        return FirstIntegral(
-            lambda y: np.expm1(c2 * y),
-            lambda y: c2 * np.exp(c2 * y),
-            lambda x: np.log1p(x) / c2,
-        )
-
 
 @dataclass(frozen=True)
-class CoshPenalty(_ScaledPenalty):
-    """Symmetric exponential penalty, shape (cosh(c x) - 1) / c."""
+class CoshPenalty(_ExponentialPenalty):
+    """Symmetric exponential penalty, shape (cosh(c x) - 1) / c: the even part
+    of the exp shape, with the same Gaussian curvature, law and P."""
 
     c: float
     kind = "cosh"
@@ -337,50 +352,23 @@ class CoshPenalty(_ScaledPenalty):
     def slot_weight(self, j: int) -> float:
         return -(self.c ** (j - 1)) if j % 2 == 0 else 0.0
 
-    # the even part of the exp shape: the same Gaussian curvature, law and P
-    curvature = ExpPenalty.curvature
-    curvature_scalar = ExpPenalty.curvature_scalar
-    gaussian_expectation = ExpPenalty.gaussian_expectation
-    first_integral = ExpPenalty.first_integral
-
 
 @dataclass(frozen=True)
-class CosPenalty(_ScaledPenalty):
+class CosPenalty(_ExponentialPenalty):
     """Bounded oscillatory penalty, shape (1 - cos(c x)) / c.
 
-    Only solvable while the squared risk budget stays below one; the solver
-    raises when that guard fails.
+    P = 1 - e^(-c^2 y) stays below one, so a squared risk budget of one or
+    more has no solution and raises ``CosDomainError``.
     """
 
     c: float
     kind = "cos"
+    sign = -1.0
+    supremum = 1.0
+    error = CosDomainError
 
     def slot_weight(self, j: int) -> float:
         return (-1.0) ** (j // 2) * self.c ** (j - 1) if j % 2 == 0 else 0.0
-
-    def curvature(self, y):
-        c = self.c
-        return -0.5 * c * np.exp(-0.5 * c * c * y)
-
-    def curvature_scalar(self, y: float) -> float:
-        c = self.c
-        return -0.5 * c * math.exp(-0.5 * c * c * y)
-
-    def gaussian_expectation(self, var):
-        c = self.c
-        return -np.expm1(-0.5 * c * c * var) / c
-
-    @property
-    def first_integral(self) -> FirstIntegral:
-        """P = 1 - e^(-c^2 y), bounded by 1."""
-        c2 = self.c * self.c
-        return FirstIntegral(
-            lambda y: -np.expm1(-c2 * y),
-            lambda y: c2 * np.exp(-c2 * y),
-            lambda x: -np.log1p(-x) / c2,
-            supremum=1.0,
-            error=CosDomainError,
-        )
 
 
 @dataclass(frozen=True)

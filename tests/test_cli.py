@@ -136,6 +136,22 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "c.json", coefficients={"control_drift": 0.3})
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key", ["coefficients", "objective"])
+    def test_missing_section(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "c.json")
+        raw = json.loads(cfg.read_text())
+        del raw[key]
+        cfg.write_text(json.dumps(raw))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"missing required key {key!r}" in capsys.readouterr().err
+
+    def test_boolean_coefficient(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.json", coefficients={"control_drift": True, "control_vol": 0.2}
+        )
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "coefficients.control_drift must be a number or an object" in capsys.readouterr().err
+
     def test_bad_objective_variant(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",
@@ -317,7 +333,9 @@ class TestCsvBytes:
 
 
 class TestNonFiniteConfig:
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", pytest.param("1" + "0" * 400, id="int-1e400")]
+    )
     @pytest.mark.parametrize(
         "where",
         [
@@ -531,6 +549,34 @@ class TestSolverErrors:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
         assert "OdeStepError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "objective, error",
+        [
+            ({"variant": "cos", "kappa": 1.0, "c": 1.0}, "CosDomainError"),
+            (
+                {
+                    "variant": "ambiguous_cos",
+                    "kappa": 3.0,
+                    "support": [0.5, 1.0],
+                    "probs": [0.5, 0.5],
+                },
+                "RootBracketError",
+            ),
+        ],
+    )
+    def test_ode_budget_out_of_range_exits_3(self, tmp_path, capsys, objective, error):
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=64,
+            coefficients={"control_drift": 1.0, "control_vol": 0.5},
+            objective=objective,
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--solver", "ode"]) == 3
+        err = capsys.readouterr().err
+        assert f"solver error ({error})" in err and "reachable range" in err
         assert not out.exists()
 
     def test_cos_domain_guard_is_distinct(self, tmp_path, capsys):
@@ -812,6 +858,14 @@ class TestSweep:
             "--parameter", "kappa", "--values", "1,two",
         ])
         assert code == 2
+
+    def test_empty_values(self, mv_config, tmp_path, capsys):
+        code = main([
+            "sweep", "--config", str(mv_config), "--out", str(tmp_path / "o"),
+            "--parameter", "kappa", "--values", ",",
+        ])
+        assert code == 2
+        assert "at least one value" in capsys.readouterr().err
 
     def test_non_finite_values_are_config_errors(self, mv_config, tmp_path, capsys):
         out = tmp_path / "o"

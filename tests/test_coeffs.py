@@ -71,6 +71,8 @@ class TestDescriptors:
         p = PolynomialCoefficient((1.0, 2.0, 3.0))  # 1 + 2t + 3t^2
         assert p(2.0) == pytest.approx(17.0)
         assert p.antiderivative(1.0) - p.antiderivative(0.0) == pytest.approx(1.0 + 1.0 + 1.0)
+        with pytest.raises(CoefficientError):
+            PolynomialCoefficient(())
 
     def test_exponential(self):
         e = ExponentialCoefficient(2.0, -0.5, 1.0)
@@ -95,11 +97,15 @@ class TestDescriptors:
             SampledCoefficient(np.array([0.0, 1.0]), np.array([1.0]))
         with pytest.raises(CoefficientError):
             SampledCoefficient(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
+        with pytest.raises(CoefficientError):
+            SampledCoefficient((0.0,), (1.0,))
 
     def test_on_grid(self):
         grid = TimeGrid(1.0, 4)
         s = SampledCoefficient.on_grid(grid, np.arange(5.0))
         np.testing.assert_allclose(s(grid.nodes), np.arange(5.0))
+        with pytest.raises(GridMismatchError):
+            SampledCoefficient.on_grid(grid, np.arange(4.0))
 
     def test_antiderivative_matches_quadrature(self):
         for coeff in (
@@ -112,6 +118,12 @@ class TestDescriptors:
 
 
 class TestIntegrate:
+    def test_inside_one_cell(self):
+        """Both ends in one cell: the trapezoid of the interpolant, exact on a line."""
+        grid = TimeGrid(1.0, 4)
+        values = 2.0 * grid.nodes + 1.0
+        assert integrate(values, grid, 0.3, 0.45) == pytest.approx(0.2625, rel=1e-14)
+
     def test_cubic_exact_on_whole_cells(self):
         grid = TimeGrid(1.0, 16)
         values = grid.nodes**3

@@ -17,6 +17,7 @@ from equicontrol import (
     DomainError,
     ExpPenalty,
     MomentCombo,
+    NonFiniteResultError,
     ObjectiveSpec,
     OdeStepError,
     RootBracketError,
@@ -245,6 +246,65 @@ class TestOdeMarch:
         """No substep count reaches a tolerance below the rounding floor."""
         with pytest.raises(OdeStepError, match="stalled"):
             solve_ode(base_coeffs(16), ObjectiveSpec(1.0, ExpPenalty(1.0)), tol=1e-300)
+
+
+class TestAssemblyGuards:
+    """Every solution passes the same checks before it is returned."""
+
+    def test_non_finite_y(self):
+        # c^2 = 1e-320 is subnormal, so y = log1p(x) / c^2 overflows off the horizon
+        with pytest.raises(NonFiniteResultError, match="non-finite y"):
+            with np.errstate(over="ignore"):
+                solve(base_coeffs(16), ObjectiveSpec(1.0, ExpPenalty(1e-160)))
+
+    def test_node_concavity(self):
+        """Kurtosis alone has K = 0 at the horizon, where y = 0."""
+        with pytest.raises(ConcavityError, match="max K = -0"):
+            solve(base_coeffs(16), ObjectiveSpec(1.0, MomentCombo((0.0, 0.0, 1.5))))
+
+    def test_non_finite_beta(self):
+        # y = kappa^2 (b / d)^2 T / 4 = 2.5e299 stays finite; kappa b / d^2 overflows
+        coeffs = CoefficientSet(
+            TimeGrid(1e-300, 16),
+            state_drift=ConstantCoefficient(0.0),
+            control_drift=ConstantCoefficient(1e140),
+            drift_offset=ConstantCoefficient(0.0),
+            control_vol=ConstantCoefficient(1e-10),
+            vol_offset=ConstantCoefficient(0.0),
+        )
+        with pytest.raises(NonFiniteResultError, match="non-finite beta"):
+            with np.errstate(over="ignore"):
+                solve(coeffs, ObjectiveSpec(1e150, MomentCombo((2.0,))))
+
+    def test_concavity_between_nodes(self):
+        """No input found reaches it: a cos solution whose y between nodes is
+        made large enough for K to underflow to -0."""
+        import dataclasses
+
+        sol = solve(base_coeffs(16, control_drift=0.1), ObjectiveSpec(1.0, CosPenalty(1.0)))
+        broken = dataclasses.replace(sol, y_fn=lambda t: np.full(np.shape(t), 2000.0))
+        assert broken.beta_at(0.0) == sol.beta[0]  # node 0 reads the stored margins
+        with pytest.raises(ConcavityError, match="between nodes"):
+            broken.beta_at(0.5)
+
+
+class TestBudgetOutOfRange:
+    """A risk budget beyond a bounded P has no y: every solver that takes the
+    family raises the family's own error, the ode march before it starts."""
+
+    CASES = (
+        (ObjectiveSpec(1.0, CosPenalty(1.0)), CosDomainError),  # budget 4 against 1
+        (  # budget 36 against 0.5125
+            ObjectiveSpec(3.0, AmbiguousCos(DiscreteDistribution((0.5, 1.0), (0.5, 0.5)))),
+            RootBracketError,
+        ),
+    )
+
+    @pytest.mark.parametrize("solver", ["auto", "closed_form", "ode"])
+    @pytest.mark.parametrize("spec, error", CASES, ids=["cos", "ambiguous_cos"])
+    def test_every_solver_raises_the_family_error(self, spec, error, solver):
+        with pytest.raises(error, match="exceeds the reachable range"):
+            solve(base_coeffs(64, control_drift=0.4), spec, solver)
 
 
 class TestAmbiguousCos:

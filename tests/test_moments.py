@@ -74,6 +74,13 @@ class TestMomentVector:
             MomentVector(order=4, mean=0.0, central=(1.0,))  # wrong length
         with pytest.raises(DomainError):
             MomentVector(order=2, mean=0.0, central=(-0.1,))  # negative variance
+        with pytest.raises(DomainError):
+            MomentVector(order=0, mean=0.0, central=())
+        with pytest.raises(DomainError):
+            MomentVector(order=2, mean=0.0, central=(1.0,), gaussian_y=-1e-3)
+        for j in (-1, 5):
+            with pytest.raises(DomainError):
+                MomentVector.gaussian(4, 1.0).central_moment(j)
 
     def test_gaussian_constructor(self):
         mv = MomentVector.gaussian(6, 0.5, mean=1.0)
@@ -113,6 +120,18 @@ class TestRawCentralConversion:
         assert back.central_moment(4) == pytest.approx(z4, abs=1e-6)
 
 
+    def test_needs_a_moment(self):
+        with pytest.raises(DomainError):
+            raw_to_central(())
+
+    def test_rounding_guard(self):
+        """A variance a rounding below zero is a degenerate law; a real deficit is not."""
+        assert 1.0 - 2.0 * 1.0 + (1.0 - 1e-15) < 0.0  # the unguarded sum
+        assert raw_to_central((1.0, 1.0 - 1e-15)).central_moment(2) == 0.0
+        with pytest.raises(DomainError):
+            raw_to_central((1.0, 0.9))
+
+
 class TestDiscreteDistribution:
     def test_validation(self):
         from equicontrol import ObjectiveError
@@ -121,6 +140,8 @@ class TestDiscreteDistribution:
             DiscreteDistribution((1.0, 2.0), (0.7, 0.7))
         with pytest.raises(ObjectiveError):
             DiscreteDistribution((1.0, 2.0), (-0.2, 1.2))
+        with pytest.raises(ObjectiveError):
+            DiscreteDistribution((1.0, 2.0), (1.0,))
 
     def test_moment(self):
         d = DiscreteDistribution((1.0, 3.0), (0.25, 0.75))
@@ -165,6 +186,11 @@ class TestGaussianPenaltyExpectation:
 
     def test_zero_variance(self):
         assert gaussian_penalty_expectation(ExpPenalty(1.0), 0.0) == pytest.approx(0.0)
+
+    def test_negative_variance(self):
+        for variance in (-1e-3, np.array([0.5, -1e-3])):
+            with pytest.raises(DomainError):
+                gaussian_penalty_expectation(CosPenalty(1.0), variance)
 
     @given(c=st.floats(0.2, 2.0), v=st.floats(0.01, 3.0))
     @settings(max_examples=40, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from equicontrol import (
     AmbiguousCos,
+    CosDomainError,
     CosPenalty,
     CoshPenalty,
     DiscreteDistribution,
@@ -18,6 +19,7 @@ from equicontrol import (
     ObjectiveError,
     ObjectiveSpec,
     QuadratureError,
+    RootBracketError,
     StandardizedMoments,
     alpha,
     curvature_sum,
@@ -53,6 +55,18 @@ class TestVariantValidation:
     def test_standardized_needs_variance_weight(self):
         with pytest.raises(ObjectiveError):
             StandardizedMoments((0.0, 1.0))
+
+    def test_fourier_samples(self):
+        with pytest.raises(ObjectiveError, match="at least 3"):
+            FourierEvenPenalty((0.0, 1.0), (1.0, 1.0))
+        with pytest.raises(ObjectiveError, match="at least 3"):
+            FourierEvenPenalty((0.0, 1.0, 2.0), (1.0, 1.0))
+        with pytest.raises(ObjectiveError, match="strictly increasing"):
+            FourierEvenPenalty((0.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+
+    def test_ambiguous_amplitude_needs_second_moment(self):
+        with pytest.raises(ObjectiveError, match="second moment"):
+            AmbiguousCos(DiscreteDistribution((0.0,), (1.0,)))
 
     def test_penalty_scale_positive(self):
         for cls in (ExpPenalty, CoshPenalty, CosPenalty):
@@ -141,6 +155,12 @@ class TestPsiGradient:
 
 
 class TestCurvatureSum:
+    def test_negative_variance(self):
+        spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
+        for y in (-1e-3, np.array([0.5, -1e-3])):
+            with pytest.raises(DomainError, match="nonnegative"):
+                curvature_sum(spec, 0.0, y)
+
     def test_exp_closed_form(self):
         spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
         y = 0.7
@@ -510,3 +530,103 @@ class TestFourierKernel:
         finally:
             tracemalloc.stop()
         assert peak < table_bytes
+
+
+class _FrozenExp:
+    """ExpPenalty's Gaussian closed forms as they stood before the exponential
+    family wrote them once; cosh shared all four."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def curvature(self, y):
+        c = self.c
+        return -0.5 * c * np.exp(0.5 * c * c * y)
+
+    def curvature_scalar(self, y):
+        c = self.c
+        try:
+            return -0.5 * c * math.exp(0.5 * c * c * y)
+        except OverflowError:
+            return -math.inf
+
+    def gaussian_expectation(self, var):
+        c = self.c
+        return np.expm1(0.5 * c * c * var) / c
+
+    def first_integral(self):
+        c2 = self.c * self.c
+        return (
+            lambda y: np.expm1(c2 * y),
+            lambda y: c2 * np.exp(c2 * y),
+            lambda x: np.log1p(x) / c2,
+            math.inf,
+            RootBracketError,
+        )
+
+
+class _FrozenCos(_FrozenExp):
+    """CosPenalty's own copy of the closed forms, signs flipped."""
+
+    def curvature(self, y):
+        c = self.c
+        return -0.5 * c * np.exp(-0.5 * c * c * y)
+
+    def curvature_scalar(self, y):
+        c = self.c
+        return -0.5 * c * math.exp(-0.5 * c * c * y)
+
+    def gaussian_expectation(self, var):
+        c = self.c
+        return -np.expm1(-0.5 * c * c * var) / c
+
+    def first_integral(self):
+        c2 = self.c * self.c
+        return (
+            lambda y: -np.expm1(-c2 * y),
+            lambda y: c2 * np.exp(-c2 * y),
+            lambda x: -np.log1p(-x) / c2,
+            1.0,
+            CosDomainError,
+        )
+
+
+def _same_bits(got, expect):
+    return type(got) is type(expect) and np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+
+class TestExponentialFamily:
+    """exp, cosh and cos write their Gaussian closed forms once, in the sign s
+    of the exponent, bit for bit as their former separate copies."""
+
+    SCALES = (0.1, 0.7, 1.0, 2.3, 9.0)
+    # up to 1,500, where exp's curvature and P overflow to infinity for large c
+    VARIANCES = np.concatenate(
+        ([0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1500.0, 500), np.linspace(0.0, 1500.0, 301))
+    )
+    FAMILIES = ((ExpPenalty, _FrozenExp), (CoshPenalty, _FrozenExp), (CosPenalty, _FrozenCos))
+
+    def test_members_define_no_closed_form(self):
+        for cls, _ in self.FAMILIES:
+            for name in ("curvature", "curvature_scalar", "gaussian_expectation", "first_integral"):
+                assert name not in vars(cls), (cls.__name__, name)
+
+    @pytest.mark.parametrize("c", SCALES)
+    @pytest.mark.parametrize("cls, frozen", FAMILIES, ids=lambda v: getattr(v, "__name__", ""))
+    def test_bitwise_equal_to_frozen_copies(self, cls, frozen, c):
+        variant, old = cls(c), frozen(c)
+        y = self.VARIANCES
+        with np.errstate(over="ignore"):
+            assert _same_bits(variant.curvature(y), old.curvature(y))
+            assert _same_bits(variant.gaussian_expectation(y), old.gaussian_expectation(y))
+            assert _same_bits(variant.gaussian_expectation(0.0), old.gaussian_expectation(0.0))
+            for value in y.tolist():
+                assert _same_bits(variant.curvature_scalar(value), old.curvature_scalar(value))
+            integral = variant.first_integral
+            p, dp, inverse, supremum, error = old.first_integral()
+            assert _same_bits(integral.p(y), p(y))
+            assert _same_bits(integral.dp(y), dp(y))
+            targets = np.linspace(0.0, 1.0, 1001)[:-1] if supremum < math.inf else y
+            assert _same_bits(integral.inverse(targets), inverse(targets))
+        assert (integral.supremum, integral.error) == (supremum, error)
+        assert integral.closed_form and not integral.algebraic

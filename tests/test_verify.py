@@ -262,6 +262,11 @@ class TestPdeResiduals:
         assert type(plain["passed"]) is bool
         assert json.loads(json.dumps(plain)) == plain
 
+    def test_plain_arrays_and_mappings(self):
+        plain = verify_module._plain({1: np.array([0.5, 2.0]), "rows": (np.int64(3),)})
+        assert plain == {"1": [0.5, 2.0], "rows": [3]}
+        assert type(plain["1"][0]) is float and type(plain["rows"][0]) is int
+
 
 class TestMonteCarlo:
     def test_mean_variance_small(self, mv_solution):
@@ -313,6 +318,8 @@ class TestMonteCarlo:
             monte_carlo(mv_solution, 0.0, seed=1, num_paths=100, num_steps=8, orders=(2, 12))
         with pytest.raises(DomainError):
             monte_carlo(mv_solution, 0.0, seed=1, num_paths=1, num_steps=8)
+        with pytest.raises(DomainError, match="at least 1 time step"):
+            monte_carlo(mv_solution, 0.0, seed=1, num_paths=100, num_steps=0)
 
     @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64, 2**70, -(2**63) - 1])
     def test_seed_outside_key_range(self, mv_solution, seed):
@@ -678,6 +685,19 @@ class TestSpikeSuite:
                     out = evaluate_deterministic(sol.coeffs, sol.objective, t, x, ctl)
                     ref = _reference_evaluate(sol.coeffs, sol.objective, t, x, ctl)
                     assert (out.mean, out.variance, out.value) == ref, (name, t, x)
+
+    def test_window_edge_within_snap_of_a_node_merges(self, mv_solution):
+        """A window edge closer to a node than the snap width cuts nowhere new."""
+        base = DeterministicControl.from_solution(mv_solution)
+        node = float(mv_solution.grid.nodes[128])
+        near = node + 0.5 * mv_solution.grid.snap
+        on = evaluate_deterministic(
+            mv_solution.coeffs, mv_solution.objective, 0.0, 0.0, base.with_offset(node, 0.5, 1.5)
+        )
+        off = evaluate_deterministic(
+            mv_solution.coeffs, mv_solution.objective, 0.0, 0.0, base.with_offset(near, 0.5, 1.5)
+        )
+        assert off == on
 
     @pytest.mark.parametrize("num_steps", [64, 512])
     def test_one_quadrature_per_start_time_and_width(self, num_steps, monkeypatch):
