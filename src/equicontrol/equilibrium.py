@@ -16,17 +16,19 @@ gives a scalar backward equation for y alone,
 
 with gain f = -1 / (2 K).  Where the objective family supplies the exact
 first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
-routine inverts it at all nodes (and at any query times).  ``SOLVERS`` names
-it twice: ``closed_form`` applies the explicit inverse where there is one,
+routine inverts it at all nodes.  ``SOLVERS`` names it twice:
+``closed_form`` applies the explicit inverse where there is one,
 ``algebraic`` (the polynomial P of finite moment combinations) always takes
 one vectorized monotone root solve.  A backward RK4 integrator, ``ode``,
 covers the families without a P and serves as an independent check of the
 others; ``solve`` runs a solver by name, and ``auto`` lets the family's
-first integral choose.
+first integral choose.  Between nodes every solution is the cubic Hermite
+through y_k and the exact slope y'_k = -(d_k beta_k)^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -58,16 +60,14 @@ _ODE_MAX_SUBSTEPS = 16
 class EquilibriumSolution:
     """Equilibrium loading and induced value function on the grid.
 
-    ``y_fn`` evaluates the terminal feedback variance between nodes: exactly
-    for solvers with a closed form, through a cubic spline of the node values
-    otherwise.  The loading between nodes is always recovered from the
-    pointwise condition beta = kappa b / d^2 * (-1 / (2 K)).  ``margins``
-    holds the curvature K(t_k, y_k) at each node, all negative.  A query at
-    node 0 or at the whole node array returns the stored ``y`` and
-    ``margins`` (and the loading from them); a spline is built, and scipy
-    imported, only on the first query between nodes.  The ``ode``
-    solver records its Richardson estimate and final substeps per grid cell
-    in ``ode_error_estimate`` and ``ode_substeps``; both are 0 for the others.
+    Between nodes the terminal feedback variance is the ``_hermite`` through
+    the node values y_k and slopes -(d_k beta_k)^2, built on the first such
+    query.  The loading between nodes follows from the pointwise condition
+    beta = kappa b / d^2 * (-1 / (2 K)).  ``margins`` holds the curvature
+    K(t_k, y_k) at each node, all negative.  A query at node 0 or at the
+    node array returns the stored ``y`` and ``margins`` (and the loading
+    from them).  ``ode_error_estimate`` and ``ode_substeps`` record the
+    ``ode`` march's Richardson estimate and substeps per cell, else 0.
     """
 
     coeffs: cf.CoefficientSet
@@ -76,7 +76,6 @@ class EquilibriumSolution:
     beta: np.ndarray
     solver_name: str
     margins: np.ndarray
-    y_fn: object
     ode_error_estimate: float = 0.0
     ode_substeps: int = 0
 
@@ -92,8 +91,7 @@ class EquilibriumSolution:
         """A public query's checked times and their node index: 0 for t = 0,
         a full slice for the node array, else None.
 
-        The node values were solved once; evaluating y_fn there would repeat
-        the solve, or build the node spline, for the same numbers.
+        The node values were solved once; the Hermite would only return them.
         """
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
@@ -105,10 +103,14 @@ class EquilibriumSolution:
         nodes = self.grid.nodes
         return t, (slice(None) if t.shape == nodes.shape and np.array_equal(t, nodes) else None)
 
+    @cached_property
+    def _y_fn(self):
+        return _hermite(self.grid, self.y, _y_slopes(self.coeffs, self.beta))
+
     def _y(self, t, at):
         if at is not None:
             return self.y[at]
-        return np.maximum(np.asarray(self.y_fn(t), dtype=float), 0.0)
+        return self._y_fn(t)
 
     def y_many(self, t):
         return self._y(*self._query(t))
@@ -117,22 +119,23 @@ class EquilibriumSolution:
         return float(self.y_many(t))
 
     @cached_property
-    def _curvature_spline(self):
-        return _node_spline(self.grid, self.margins)
+    def _curvature_fn(self):
+        slopes = self.objective.variant.curvature_slope(self.y) * _y_slopes(self.coeffs, self.beta)
+        return _hermite(self.grid, self.margins, slopes)
 
     def _curvature(self, t, at):
         if at is not None:
             return self.margins[at]
         if self.objective.variant.cheap_curvature:
             return curvature_sum(self.objective, t, self._y(t, at))
-        return np.asarray(self._curvature_spline(t), dtype=float)
+        return self._curvature_fn(t)
 
     def curvature_many(self, t):
         """K(t, y_t) along the solution, vectorized.
 
         Node queries return the stored margins.  Between nodes, variants
         whose curvature needs a frequency quadrature per query point
-        (fourier_even) are interpolated from the node margins instead.
+        (fourier_even) take the Hermite of the margins, slopes K_y(y_k) y'_k.
         """
         return self._curvature(*self._query(t))
 
@@ -209,26 +212,41 @@ class EquilibriumSolution:
         return float(np.max(np.abs(np.maximum(feedback, 0.0) - self.y)))
 
 
-def _node_spline(grid: cf.TimeGrid, values):
-    """Cubic spline through node values, fitted in t / T to stay finite for any horizon.
+def _y_slopes(coeffs: cf.CoefficientSet, beta) -> np.ndarray:
+    """y'_k = -(d_k beta_k)^2; one that overflows is clipped by ``_hermite`` like any steep one."""
+    with np.errstate(over="ignore"):
+        return -((coeffs.d_nodes * beta) ** 2)
 
-    The spline is built on the first call and kept; scipy is imported only then.
+
+def _hermite(grid: cf.TimeGrid, values, slopes):
+    """Piecewise cubic Hermite through node values and slopes, vectorized over t.
+
+    Each cell is a cubic in Bezier form, its inner control points clipped
+    to the cell's value range: the monotone guard of Fritsch & Carlson
+    (1980), which keeps the curve between its end values, finite for any
+    slope.  Exact at the nodes.
     """
-    spline = None
+    nodes = grid.nodes
+    widths = np.diff(nodes)
+    left, right = values[:-1], values[1:]
+    lo, hi = np.minimum(left, right), np.maximum(left, right)
+    inner_left = np.clip(left + widths * slopes[:-1] / 3.0, lo, hi)
+    inner_right = np.clip(right - widths * slopes[1:] / 3.0, lo, hi)
 
     def evaluate(t):
-        nonlocal spline
-        if spline is None:
-            from scipy.interpolate import CubicSpline
-
-            spline = CubicSpline(grid.nodes / grid.horizon, values)
-        return spline(np.asarray(t, dtype=float) / grid.horizon)
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, grid.num_steps - 1)
+        s = (t - nodes[k]) / widths[k]
+        r = 1.0 - s
+        return r * r * (r * left[k] + 3.0 * s * inner_left[k]) + s * s * (
+            3.0 * r * inner_right[k] + s * right[k]
+        )
 
     return evaluate
 
 
 def _assemble(
-    coeffs, spec, y_nodes, solver_name, y_fn=None, ode_err=0.0, ode_substeps=0
+    coeffs, spec, y_nodes, solver_name, ode_err=0.0, ode_substeps=0
 ) -> EquilibriumSolution:
     y_nodes = np.maximum(np.asarray(y_nodes, dtype=float), 0.0)
     if not np.all(np.isfinite(y_nodes)):
@@ -241,10 +259,8 @@ def _assemble(
     beta = lead * (-0.5 / margins)
     if not np.all(np.isfinite(beta)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite beta")
-    if y_fn is None:
-        y_fn = _node_spline(coeffs.grid, y_nodes)
     return EquilibriumSolution(
-        coeffs, spec, y_nodes, beta, solver_name, margins, y_fn, ode_err, ode_substeps
+        coeffs, spec, y_nodes, beta, solver_name, margins, ode_err, ode_substeps
     )
 
 
@@ -286,26 +302,30 @@ def _solve_increasing_many(fn, dfn, targets):
 
 
 def _reachable_budget(coeffs: cf.CoefficientSet, spec: ObjectiveSpec, integral) -> np.ndarray:
-    """theta at the nodes; a risk budget kappa^2 theta beyond P's range raises its ``error``."""
+    """kappa^2 theta at the nodes: NonFiniteResultError if it overflows, and a
+    budget beyond the range of the first integral P (if any) raises P's ``error``."""
     th = np.maximum(coeffs.theta_eval(coeffs.grid.nodes), 0.0)
-    top = spec.kappa * spec.kappa * float(th.max())
-    if top >= integral.supremum:
+    k2 = spec.kappa * spec.kappa
+    top = k2 * float(th.max())
+    if not math.isfinite(top):
+        raise NonFiniteResultError(f"the risk budget kappa^2 theta = {top} is not finite")
+    if integral is not None and top >= integral.supremum:
         raise integral.error(
             f"risk budget {top:.6g} exceeds the reachable range {integral.supremum:.6g}"
             f" of the {spec.variant.kind} objective"
         )
-    return th
+    return k2 * th
 
 
 def _solve_first_integral(
     coeffs: cf.CoefficientSet, spec: ObjectiveSpec, solver_name: str
 ) -> EquilibriumSolution:
-    """Solve P(y) = kappa^2 theta at every node; ``y_fn`` repeats it at any times.
+    """Solve P(y) = kappa^2 theta at every node.
 
     ``SOLVERS`` binds this routine as ``closed_form`` and as ``algebraic``;
     the family's first integral must carry the flag of that name, else
     UnsupportedVariantError.  Only ``closed_form`` applies an explicit P^-1;
-    otherwise one vectorized monotone root solve inverts P per call, so
+    otherwise one vectorized monotone root solve inverts P, so
     ``algebraic`` stays an independent check of the explicit inverses.
     """
     integral = spec.variant.first_integral
@@ -314,19 +334,12 @@ def _solve_first_integral(
             f"no {solver_name} solution for this {spec.variant.kind} objective"
             + ("; use the algebraic solver" if integral is not None and integral.algebraic else "")
         )
-    k2 = spec.kappa * spec.kappa
-    budget = coeffs.theta_eval  # theta as a vectorized function of t
-    th = _reachable_budget(coeffs, spec, integral)
-    invert = integral.inverse if solver_name == "closed_form" else None
-    if invert is None:
-
-        def invert(x):
-            return _solve_increasing_many(integral.p, integral.dp, x)
-
-    def y_fn(t):
-        return invert(k2 * budget(t))
-
-    return _assemble(coeffs, spec, invert(k2 * th), solver_name, y_fn)
+    budget = _reachable_budget(coeffs, spec, integral)
+    if solver_name == "closed_form" and integral.inverse is not None:
+        y_nodes = integral.inverse(budget)
+    else:
+        y_nodes = _solve_increasing_many(integral.p, integral.dp, budget)
+    return _assemble(coeffs, spec, y_nodes, solver_name)
 
 
 def solve_ode(
@@ -343,15 +356,13 @@ def solve_ode(
     while the estimate misses ``tol``.  No family's f depends on t, so each
     run evaluates (kappa b / d)^2 at all its stage times in one vectorized
     call and marches on Python floats through the family's
-    ``curvature_scalar``.  A family whose P is bounded first checks the risk
-    budget as the first-integral solvers do, and raises its own error.
+    ``curvature_scalar``.  It first checks the risk budget as the
+    first-integral solvers do.
     """
     grid = coeffs.grid
     kappa = spec.kappa
     curvature = spec.variant.curvature_scalar
-    integral = spec.variant.first_integral
-    if integral is not None and integral.supremum < np.inf:
-        _reachable_budget(coeffs, spec, integral)
+    _reachable_budget(coeffs, spec, spec.variant.first_integral)
 
     def run(substeps: int) -> np.ndarray:
         n = grid.num_steps
@@ -401,7 +412,7 @@ def solve_ode(
         raise OdeStepError(
             f"backward integration stalled at error estimate {est:.3e} > tol {tol:.3e}"
         )
-    return _assemble(coeffs, spec, fine, "ode", None, ode_err=est, ode_substeps=substeps)
+    return _assemble(coeffs, spec, fine, "ode", ode_err=est, ode_substeps=substeps)
 
 
 SOLVERS = {

@@ -87,7 +87,8 @@ class Variant:
     ``psi_slots`` follows.  Every family has a vectorized ``curvature(y)``
     (``cheap_curvature``: no quadrature per point) and its value at one
     Python float, ``curvature_scalar(y)``, in float arithmetic that repeats
-    the vectorized operations (the RK4 march calls it per stage); penalties
+    the vectorized operations (the RK4 march calls it per stage); one without
+    ``cheap_curvature`` adds dK/dy as ``curvature_slope(y)``.  Penalties
     add ``gaussian_expectation(var)``, and a family with a known first
     integral returns it from ``first_integral``.  The moment-series view
     (psi's gradient in the even slots) is a test oracle, not part of the
@@ -476,10 +477,10 @@ class FourierEvenPenalty(_Penalty):
     def _widths(self):
         return np.diff(self._f)
 
-    def _trapezoid(self, weights, what: str):
+    def _trapezoid(self, weights, what: str, factor=None):
         """np.trapezoid of one row or a 2-d table of rows over the frequencies,
         in its operation order, once every row is negligible at both window
-        edges (edge magnitude at most 1e-6 of the row's largest)."""
+        edges (edge magnitude at most 1e-6 of the row's largest), times ``factor``."""
         # the RK4 march's one row takes float tests, about 4.5 us of a 23 us
         # stage less than the table form below (2-core VM)
         if weights.ndim == 1:
@@ -490,18 +491,21 @@ class FourierEvenPenalty(_Penalty):
             failed = (edge > 1e-6 * np.maximum(weights.max(axis=-1), -weights.min(axis=-1))).any()
         if failed:
             raise QuadratureError(f"{what} has not decayed at the window edge")
+        if factor is not None:
+            weights = weights * factor
         pairs = weights[..., 1:] + weights[..., :-1]
         pairs *= self._widths
         pairs /= 2.0
         return pairs.sum(axis=-1)
 
-    def _blocked(self, values, table, what: str):
-        """``_trapezoid(table(rows))`` for every entry of the array ``values``,
-        through tables of at most ``_FOURIER_ROWS`` rows."""
+    def _blocked(self, values, table, what: str, factor=None):
+        """``_trapezoid(table(rows), what, factor)`` for every entry of the array
+        ``values``, through tables of at most ``_FOURIER_ROWS`` rows."""
         flat = values.reshape(-1)
         out = np.empty(flat.shape)
         for lo in range(0, flat.size, _FOURIER_ROWS):
-            out[lo : lo + _FOURIER_ROWS] = self._trapezoid(table(flat[lo : lo + _FOURIER_ROWS]), what)
+            rows = table(flat[lo : lo + _FOURIER_ROWS])
+            out[lo : lo + _FOURIER_ROWS] = self._trapezoid(rows, what, factor)
         return out.reshape(values.shape)
 
     def frequency_moment(self, k: int) -> float:
@@ -524,6 +528,10 @@ class FourierEvenPenalty(_Penalty):
 
     def curvature_scalar(self, y: float) -> float:
         return 0.5 * float(self._trapezoid(self._curvature_table(y), "curvature integrand"))
+
+    def curvature_slope(self, y):
+        """dK/dy, vectorized: the curvature integrand, edge-checked, times -f^2 / 2."""
+        return -0.25 * self._blocked(y, self._curvature_table, "curvature integrand", self._f_sq)
 
     def gaussian_expectation(self, var):
         rate = -0.5 * self._f * self._f

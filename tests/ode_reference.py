@@ -61,4 +61,4 @@ def reference_solve_ode(coeffs, spec, *, tol=1e-8):
         raise OdeStepError(
             f"backward integration stalled at error estimate {est:.3e} > tol {tol:.3e}"
         )
-    return _assemble(coeffs, spec, fine, "ode", None, ode_err=est, ode_substeps=substeps)
+    return _assemble(coeffs, spec, fine, "ode", ode_err=est, ode_substeps=substeps)

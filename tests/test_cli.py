@@ -579,6 +579,16 @@ class TestSolverErrors:
         assert f"solver error ({error})" in err and "reachable range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", ["auto", "closed_form", "algebraic", "ode"])
+    def test_overflowing_risk_budget_exits_3(self, tmp_path, capsys, solver):
+        """kappa = 1e200 squares past the float range: a solver error, no file."""
+        objective = {"variant": "moment_combo", "kappa": 1e200, "weights": [2.0]}
+        cfg = write_config(tmp_path / "c.json", grid_size=16, objective=objective, solver=solver)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "solver error (NonFiniteResultError)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cos_domain_guard_is_distinct(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cos.json",

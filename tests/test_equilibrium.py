@@ -282,7 +282,8 @@ class TestAssemblyGuards:
         import dataclasses
 
         sol = solve(base_coeffs(16, control_drift=0.1), ObjectiveSpec(1.0, CosPenalty(1.0)))
-        broken = dataclasses.replace(sol, y_fn=lambda t: np.full(np.shape(t), 2000.0))
+        broken = dataclasses.replace(sol)
+        broken.__dict__["_y_fn"] = lambda t: np.full(np.shape(t), 2000.0)  # the cached Hermite
         assert broken.beta_at(0.0) == sol.beta[0]  # node 0 reads the stored margins
         with pytest.raises(ConcavityError, match="between nodes"):
             broken.beta_at(0.5)
@@ -305,6 +306,32 @@ class TestBudgetOutOfRange:
     def test_every_solver_raises_the_family_error(self, spec, error, solver):
         with pytest.raises(error, match="exceeds the reachable range"):
             solve(base_coeffs(64, control_drift=0.4), spec, solver)
+
+
+class TestRiskBudgetOverflow:
+    """kappa^2 theta beyond the float range is no budget P could reach: every
+    solver label raises NonFiniteResultError before it solves, the ode march
+    too, for families with and without a P."""
+
+    SPECS = {
+        "exp": ObjectiveSpec(1e200, ExpPenalty(1.0)),
+        "mean_variance": ObjectiveSpec(1e200, MomentCombo((2.0,))),
+        "order_6": ObjectiveSpec(1e200, MomentCombo((1.0, 0.0, 1.0, 0.0, 1.0))),  # auto: algebraic
+        "cos": ObjectiveSpec(1e200, CosPenalty(1.0)),
+        "fourier_even": ObjectiveSpec(1e200, fourier_gaussian_amplitude()),  # no P: auto is ode
+    }
+    # every label that takes the family
+    CASES = {
+        f"{name}-{solver}": (spec, solver)
+        for name, spec in SPECS.items()
+        for solver in ("auto", *SOLVERS)
+        if solver in ("auto", "ode") or getattr(spec.variant.first_integral, solver, False)
+    }
+
+    @pytest.mark.parametrize("spec, solver", CASES.values(), ids=CASES.keys())
+    def test_every_solver_label(self, spec, solver):
+        with pytest.raises(NonFiniteResultError, match="risk budget"):
+            solve(base_coeffs(16), spec, solver)
 
 
 class TestAmbiguousCos:
@@ -453,9 +480,9 @@ class TestSolveDispatch:
         np.testing.assert_allclose(sol.beta, ode.beta, rtol=1e-12, atol=0.0)
 
     def test_start_time_reads_node_zero_bitwise(self, all_solutions):
-        """y at t = 0 comes from node 0 and equals the y_fn value there bitwise."""
+        """y at t = 0 comes from node 0 and equals the Hermite's value there bitwise."""
         for name, sol in all_solutions:
-            assert sol.y_many(0.0) == max(float(sol.y_fn(0.0)), 0.0), name
+            assert sol.y_many(0.0) == max(float(sol._y_fn(0.0)), 0.0), name
             assert sol.y_at(0.0) == sol.y[0], name
             assert sol.beta_at(0.0) == sol.beta[0], name
 

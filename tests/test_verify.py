@@ -239,7 +239,7 @@ class TestPdeResiduals:
     def test_variance_error_fails(self, horizon):
         """y off by 0.1% breaks the moment equations of order 2 and up."""
         sol = self.ode_mean_variance(horizon)
-        wrong = dataclasses.replace(sol, y=1.001 * sol.y, y_fn=lambda t: 1.001 * sol.y_fn(t))
+        wrong = dataclasses.replace(sol, y=1.001 * sol.y)
         report = pde_residual_check(wrong)
         assert not report.passed
         assert all(row.scaled_residual > 1e-5 for row in report.rows if row.order >= 2)
