@@ -372,7 +372,10 @@ def solve_ode(
         times = np.stack([t1, t1 - 0.5 * h, t1 - h], axis=-1).reshape(-1)
         b = np.asarray(coeffs.control_drift(times), dtype=float)
         d = np.asarray(coeffs.control_vol(times), dtype=float)
-        gains = [r**2 for r in (kappa * b / d).tolist()]
+        try:
+            gains = [r**2 for r in (kappa * b / d).tolist()]
+        except OverflowError:
+            raise NonFiniteResultError("the ode gain (kappa b / d)^2 overflows") from None
 
         def rate(i, y):
             kk = curvature(y)

@@ -477,19 +477,21 @@ class FourierEvenPenalty(_Penalty):
     def _widths(self):
         return np.diff(self._f)
 
+    @cached_property
+    def _neg_half_f_sq(self):
+        return -0.5 * self._f_sq
+
+    @cached_property
+    def _peak(self):
+        """Index of the largest |g f^2|, the curvature integrand's peak at y = 0."""
+        return int(np.argmax(np.abs(self._g_f_sq)))
+
     def _trapezoid(self, weights, what: str, factor=None):
-        """np.trapezoid of one row or a 2-d table of rows over the frequencies,
+        """np.trapezoid of one row or a table of rows over the frequencies,
         in its operation order, once every row is negligible at both window
         edges (edge magnitude at most 1e-6 of the row's largest), times ``factor``."""
-        # the RK4 march's one row takes float tests, about 4.5 us of a 23 us
-        # stage less than the table form below (2-core VM)
-        if weights.ndim == 1:
-            edge = max(abs(weights[0]), abs(weights[-1]))
-            failed = edge > 1e-6 * max(weights.max(), -weights.min())
-        else:
-            edge = np.maximum(abs(weights[:, 0]), abs(weights[:, -1]))
-            failed = (edge > 1e-6 * np.maximum(weights.max(axis=-1), -weights.min(axis=-1))).any()
-        if failed:
+        edge = np.maximum(abs(weights[..., 0]), abs(weights[..., -1]))
+        if (edge > 1e-6 * np.maximum(weights.max(axis=-1), -weights.min(axis=-1))).any():
             raise QuadratureError(f"{what} has not decayed at the window edge")
         if factor is not None:
             weights = weights * factor
@@ -527,7 +529,24 @@ class FourierEvenPenalty(_Penalty):
         return 0.5 * self._blocked(y, self._curvature_table, "curvature integrand")
 
     def curvature_scalar(self, y: float) -> float:
-        return 0.5 * float(self._trapezoid(self._curvature_table(y), "curvature integrand"))
+        """``curvature`` at one float, in the same float operations as
+        ``_curvature_table`` and ``_trapezoid`` with fewer numpy calls (the
+        RK4 march calls it per stage)."""
+        # -f^2 / 2 is f^2 halved exactly, so after exp each weight has the
+        # bits of (y f^2) * -0.5 (unless some 0 < |f| < 2.2e-154 meets y > 2e291)
+        weights = np.multiply(y, self._neg_half_f_sq)
+        np.exp(weights, out=weights)
+        weights *= self._g_f_sq
+        # any |w_j| is at most the row's largest: only a row that fails the
+        # bound at the y = 0 peak needs the full max for the same verdict
+        edge = max(abs(weights[0]), abs(weights[-1]))
+        if not edge <= 1e-6 * abs(weights[self._peak]):
+            if edge > 1e-6 * max(weights.max(), -weights.min()):
+                raise QuadratureError("curvature integrand has not decayed at the window edge")
+        pairs = weights[1:] + weights[:-1]
+        pairs *= self._widths
+        pairs *= 0.5  # the bits of pairs / 2.0, at half the cost
+        return 0.5 * float(np.add.reduce(pairs))
 
     def curvature_slope(self, y):
         """dK/dy, vectorized: the curvature integrand, edge-checked, times -f^2 / 2."""

@@ -127,20 +127,30 @@ class DeterministicEvaluation:
 
 
 def _piece_quadrature(points_per_piece):
-    """Concatenate composite-Simpson points and weights for a list of pieces."""
-    pts, wts, mids = [], [], []
-    for p, q, nsub in points_per_piece:
-        n = 2 * nsub
-        x = np.linspace(p, q, n + 1)
-        w = np.empty(n + 1)
-        h = (q - p) / nsub
-        w[0] = w[-1] = h / 6.0
-        w[1:-1:2] = 4.0 * h / 6.0
-        w[2:-1:2] = 2.0 * h / 6.0
-        pts.append(x)
-        wts.append(w)
-        mids.append(np.full(n + 1, 0.5 * (p + q)))
-    return np.concatenate(pts), np.concatenate(wts), np.concatenate(mids)
+    """Composite-Simpson points, weights and piece midpoints of a list of
+    (start, stop, subintervals) pieces, concatenated.
+
+    Each piece's points are ``np.linspace(start, stop, 2 * subintervals + 1)``
+    bit for bit: i * step + start, with the last point set to stop.
+    """
+    start, stop, nsub = map(np.array, zip(*points_per_piece))
+    n = 2 * nsub
+    piece = np.repeat(np.arange(n.size), n + 1)
+    first = np.cumsum(n + 1) - (n + 1)
+    last = first + n
+    i = np.arange(piece.size) - first[piece]
+    delta = stop - start
+    step = delta / n
+    pts = i * step[piece]
+    flat = (step == 0.0)[piece]  # np.linspace's rule for a step that underflows
+    if flat.any():
+        pts[flat] = i[flat] / n[piece[flat]] * delta[piece[flat]]
+    pts += start[piece]
+    pts[last] = stop
+    h = delta / nsub
+    wts = np.where(i % 2 == 1, (4.0 * h / 6.0)[piece], (2.0 * h / 6.0)[piece])
+    wts[first] = wts[last] = h / 6.0
+    return pts, wts, (0.5 * (start + stop))[piece]
 
 
 def evaluate_deterministic(

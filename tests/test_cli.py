@@ -589,6 +589,22 @@ class TestSolverErrors:
         assert "solver error (NonFiniteResultError)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_ode_gain_exits_3(self, tmp_path, capsys):
+        """(kappa b / d)^2 = 1e320 under the finite budget kappa^2 theta = 1e300:
+        the ode march stops on the gain with a solver error and writes nothing."""
+        cfg = write_config(
+            tmp_path / "c.json",
+            horizon=1e-20,
+            grid_size=16,
+            coefficients={"control_drift": 1e150, "control_vol": 1.0},
+            objective={"variant": "moment_combo", "kappa": 1e10, "weights": [2.0]},
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out), "--solver", "ode"]) == 3
+        err = capsys.readouterr().err
+        assert "solver error (NonFiniteResultError)" in err and "gain" in err
+        assert not out.exists()
+
     def test_cos_domain_guard_is_distinct(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cos.json",

@@ -334,6 +334,26 @@ class TestRiskBudgetOverflow:
             solve(base_coeffs(16), spec, solver)
 
 
+class TestOdeGainOverflow:
+    """A gain (kappa b / d)^2 past the float range under a finite risk budget:
+    the first integral solves it, the ode march raises NonFiniteResultError."""
+
+    def test_ode_raises_a_solver_error(self):
+        coeffs = CoefficientSet(
+            TimeGrid(1e-20, 16),
+            state_drift=ConstantCoefficient(0.0),
+            control_drift=ConstantCoefficient(1e150),
+            drift_offset=ConstantCoefficient(0.0),
+            control_vol=ConstantCoefficient(1.0),
+            vol_offset=ConstantCoefficient(0.0),
+        )
+        spec = ObjectiveSpec(1e10, MomentCombo((2.0,)))
+        # y_0 = kappa^2 (b / d)^2 T / 4 with (kappa b / d)^2 = 1e320
+        assert solve(coeffs, spec).y[0] == pytest.approx(2.5e299, rel=1e-14)
+        with pytest.raises(NonFiniteResultError, match=r"gain \(kappa b / d\)\^2 overflows"):
+            solve(coeffs, spec, "ode")
+
+
 class TestAmbiguousCos:
     def test_reachable_budget_guard(self):
         # E-sup of the budget map is 0.85 < 2.25 for amplitudes (0.5, 1.5)

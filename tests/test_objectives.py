@@ -516,6 +516,55 @@ class TestFourierKernel:
             curvature_sum(ObjectiveSpec(1.0, variant), 0.0, y)
         assert math.isfinite(variant.curvature_scalar(1.0))
 
+    @staticmethod
+    def assert_scalar_matches_old(variant, values):
+        """curvature_scalar has the old formula's bits at every value, or both raise."""
+        for value in values:
+            try:
+                expect = float(_old_curvature(variant, np.asarray(value)))
+            except QuadratureError:
+                with pytest.raises(QuadratureError, match="curvature integrand"):
+                    variant.curvature_scalar(value)
+                continue
+            got = variant.curvature_scalar(value)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expect).tobytes(), value
+
+    def test_curvature_scalar_bitwise_over_a_y_sweep(self):
+        """0, subnormal y, 1e-300, and y whose rows hold subnormal and zero weights."""
+        variant = fourier_gaussian_amplitude()
+        values = [0.0, 5e-324, 1e-310, 1e-300, *np.logspace(-12.0, 5.0, 681).tolist()]
+        values += np.linspace(0.0, 50.0, 2001).tolist()
+        table = variant._curvature_table(np.asarray(values))
+        tiny = np.finfo(float).tiny
+        assert np.any((table != 0.0) & (np.abs(table) < tiny))
+        assert np.any((table == 0.0) & (variant._f != 0.0))
+        self.assert_scalar_matches_old(variant, values)
+
+    @staticmethod
+    def two_bumps(broad_width):
+        """Window [-3, 12]: a narrow bump at f = 8 holds the largest |g f^2| at
+        y = 0, but its weight decays faster in y than the edge at f = -3, so
+        at y > 0 the row's largest weight sits in a broad bump at f = 0."""
+        freqs = np.linspace(-3.0, 12.0, 1501)
+        density = np.exp(-50.0 * (freqs - 8.0) ** 2) + np.exp(-0.5 * (freqs / broad_width) ** 2)
+        return FourierEvenPenalty(tuple(freqs), tuple(density))
+
+    @pytest.mark.parametrize("broad_width, decayed", [(0.4, True), (1.0, False)])
+    def test_moved_peak_takes_the_full_edge_test(self, broad_width, decayed):
+        """Rows whose edge fails the cheap bound at the y = 0 peak are decided
+        by the row's full max, as before: with a broad bump of width 0.4 some
+        of them pass and keep the old bits, with width 1.0 some raise."""
+        variant = self.two_bumps(broad_width)
+        values = np.linspace(0.0, 3.0, 61)
+        rows = variant._curvature_table(values)
+        edge = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
+        cheap_fails = edge > 1e-6 * np.abs(rows[:, variant._peak])
+        full_fails = edge > 1e-6 * np.abs(rows).max(axis=-1)
+        assert variant._peak == int(np.argmin(np.abs(variant._f - 8.0)))
+        assert np.any(cheap_fails & (full_fails != decayed))
+        self.assert_scalar_matches_old(variant, values.tolist())
+
     @pytest.mark.parametrize("half_width, samples", [(12.0, 2401), (10.0, 801)])
     def test_curvature_slope_matches_central_difference(self, half_width, samples):
         """dK/dy against a central difference of ``curvature``, rel 1e-6."""

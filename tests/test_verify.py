@@ -514,10 +514,27 @@ def _reference_mc_block_sums(x0, drift, growth, vol, sqdt, n_paths, key, max_pow
     return sums
 
 
+def _reference_piece_quadrature(points_per_piece):
+    """verify._piece_quadrature as a loop over pieces, one np.linspace each."""
+    pts, wts, mids = [], [], []
+    for p, q, nsub in points_per_piece:
+        n = 2 * nsub
+        x = np.linspace(p, q, n + 1)
+        w = np.empty(n + 1)
+        h = (q - p) / nsub
+        w[0] = w[-1] = h / 6.0
+        w[1:-1:2] = 4.0 * h / 6.0
+        w[2:-1:2] = 2.0 * h / 6.0
+        pts.append(x)
+        wts.append(w)
+        mids.append(np.full(n + 1, 0.5 * (p + q)))
+    return np.concatenate(pts), np.concatenate(wts), np.concatenate(mids)
+
+
 def _reference_evaluate(coeffs, spec, t, x, control):
     from equicontrol.moments import MomentVector
     from equicontrol.objectives import psi
-    from equicontrol.verify import _gaussian_order, _piece_quadrature
+    from equicontrol.verify import _gaussian_order
 
     grid = coeffs.grid
     t = grid.require_time(t)
@@ -539,7 +556,7 @@ def _reference_evaluate(coeffs, spec, t, x, control):
             continue
         pieces.append((prev, s, max(1, math.ceil((s - prev) / grid.step - 1e-9))))
         prev = s
-    pts, wts, mids = _piece_quadrature(pieces)
+    pts, wts, mids = _reference_piece_quadrature(pieces)
     u = control.base_sample(pts)
     for start, stop, delta in control.offsets:
         u = u + delta * ((mids >= start) & (mids < stop))
@@ -698,6 +715,22 @@ class TestSpikeSuite:
             mv_solution.coeffs, mv_solution.objective, 0.0, 0.0, base.with_offset(near, 0.5, 1.5)
         )
         assert off == on
+
+    def test_piece_quadrature_matches_the_loop_bitwise(self):
+        """Random piece lists, down to pieces whose linspace step underflows to 0."""
+        rng = np.random.default_rng(18)
+        underflows = 0
+        for scale in (1.0, 1e6, 1e-12, 1e-300, 1e-320) * 40:
+            cuts = np.unique(np.sort(rng.uniform(0.0, scale, int(rng.integers(2, 600)))))
+            nsub = rng.integers(1, 6, cuts.size - 1).tolist()
+            pieces = list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), nsub))
+            if not pieces:
+                continue
+            underflows += sum((q - p) / (2 * n) == 0.0 for p, q, n in pieces)
+            got = verify_module._piece_quadrature(pieces)
+            for array, expect in zip(got, _reference_piece_quadrature(pieces)):
+                assert array.dtype == expect.dtype and array.tobytes() == expect.tobytes()
+        assert underflows > 0
 
     @pytest.mark.parametrize("num_steps", [64, 512])
     def test_one_quadrature_per_start_time_and_width(self, num_steps, monkeypatch):
