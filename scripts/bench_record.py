@@ -6,7 +6,7 @@ Run from the repository root, with the parent commit checked out elsewhere
     python3 scripts/bench_record.py --parent DIR --parent-commit 0c32e45 \\
         --change-note "what the change does" --workloads ode-variants-solve \\
         --seeds 801-810 --seconds 20 --claim ode-variants-solve.wall_s \\
-        --traced-seed 820 --out BENCH_12.json
+        --traced-seed 820-823 --out BENCH_12.json
 
 For every seed and workload, each checkout runs
 ``perfbench/run.py --workload W --seed S --seconds N --trace 0`` in its own
@@ -26,8 +26,10 @@ interquartile range and a ``verdict`` against the metric's relative
 
 The claim is met when the change wins at least nine
 pairs in ten and the medians lie further apart than the parent's IQR.  With
-``--traced-seed`` each side also runs once with ``--trace 1`` and its layer
-metrics are recorded.  Standard library only.
+``--traced-seed`` each side also runs ``--trace 1`` once per listed seed, in
+the same alternating order, and the median of each layer metric over those
+seeds is recorded: one traced run per side cannot tell a layer change from
+host drift.  Standard library only.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ def seed_list(text: str) -> list:
         lo, hi = text.split("-")
         return list(range(int(lo), int(hi) + 1))
     return [int(s) for s in text.split(",")]
+
+
+def side_order(seed: int) -> tuple:
+    """The order in which the two checkouts run for a seed: parent first on odd seeds."""
+    return SIDES if seed % 2 else SIDES[::-1]
 
 
 def run_one(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -105,6 +112,26 @@ def summarise(records: dict) -> dict:
     return summary
 
 
+def traced_layers(roots: dict, workloads: list, seeds: list, seconds: float) -> dict:
+    """Per side and workload, the median of each metric over one ``--trace 1`` run
+    per seed, the sides alternating by ``side_order``.  Per-command latencies of
+    the other workloads read 0 and are left out."""
+    runs = {side: {wl: [] for wl in workloads} for side in SIDES}
+    for seed in seeds:
+        for wl in workloads:
+            for side in side_order(seed):
+                runs[side][wl].append(run_one(roots[side], wl, seed, seconds, 1)["metrics"])
+    medians = {}
+    for side, by_workload in runs.items():
+        medians[side] = {}
+        for wl, metrics in by_workload.items():
+            values = {name: round(statistics.median(m[name] for m in metrics), 6)
+                      for name in metrics[0]}
+            medians[side][wl] = {name: value for name, value in values.items()
+                                 if not (name.startswith("cmd.") and value == 0.0)}
+    return medians
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -115,7 +142,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=seed_list)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--claim", help="WORKLOAD.METRIC the change claims to lower")
-    parser.add_argument("--traced-seed", type=int)
+    parser.add_argument("--traced-seed", type=seed_list, help="traced runs' seeds, as --seeds")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -123,9 +150,8 @@ def main(argv=None) -> int:
 
     records = {wl: {side: [] for side in SIDES} for wl in workloads}
     for seed in args.seeds:
-        order = SIDES if seed % 2 else SIDES[::-1]
         for wl in workloads:
-            for side in order:
+            for side in side_order(seed):
                 rec = run_one(roots[side], wl, seed, args.seconds, 0)
                 print(f"seed {seed} {wl} {side}: wall_s {rec['metrics']['wall_s']:.4f}", flush=True)
                 records[wl][side].append(rec)
@@ -166,19 +192,12 @@ def main(argv=None) -> int:
             "met": row["change_wins"] >= 0.9 * pairs and gap > row["parent_iqr"],
         }
     out["workloads"] = summary
-    if args.traced_seed is not None:
-        seed = args.traced_seed
-        out["method"]["traced"] = (f"python3 perfbench/run.py --workload W --seed {seed}"
-                                   f" --seconds {args.seconds:g} --trace 1, once per side")
-        traced = {}
-        for side in SIDES:
-            traced[side] = {}
-            for wl in workloads:
-                rec = run_one(roots[side], wl, seed, args.seconds, 1)
-                # per-command latencies of the other workloads read 0 and are left out
-                traced[side][wl] = {name: round(value, 6) for name, value in rec["metrics"].items()
-                                    if not (name.startswith("cmd.") and value == 0.0)}
-        out[f"traced_seed_{seed}"] = traced
+    if args.traced_seed:
+        out["method"]["traced"] = (f"python3 perfbench/run.py --workload W --seed SEED"
+                                   f" --seconds {args.seconds:g} --trace 1 for the seeds"
+                                   f" {args.traced_seed}, in the same alternating order;"
+                                   " median of each metric per side")
+        out["traced"] = traced_layers(roots, workloads, args.traced_seed, args.seconds)
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     for wl, rows in summary.items():
         for name, row in rows.items():

@@ -53,18 +53,31 @@ from .objectives import (
     curvature_sum,
     psi,
 )
-from .verify import (
-    DeterministicControl,
-    evaluate_deterministic,
-    fbsde_diagonal_check,
-    monte_carlo,
-    pde_residual_check,
-    spike_test,
-    value_consistency_check,
-    verification_report,
-)
 
 __version__ = "0.1.0"
+
+# the verification suites load on first access, so that solve and sweep never
+# import them (PEP 562)
+_VERIFY_NAMES = frozenset(
+    (
+        "DeterministicControl",
+        "evaluate_deterministic",
+        "fbsde_diagonal_check",
+        "monte_carlo",
+        "pde_residual_check",
+        "spike_test",
+        "value_consistency_check",
+        "verification_report",
+    )
+)
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AmbiguousCos",

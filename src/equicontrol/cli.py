@@ -17,18 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from . import coeffs as cf
 from .equilibrium import SOLVERS, solve
 from .errors import ConfigError, DomainError, EquicontrolError, NonFiniteResultError
 from .objectives import VARIANTS, ObjectiveSpec
-from .verify import MC_SEED_RANGE, verification_report
-
-try:
-    from importlib.metadata import version as _dist_version
-
-    _VERSION = _dist_version("equicontrol")
-except Exception:  # pragma: no cover - metadata missing in odd install modes
-    _VERSION = "unknown"
 
 _SOLVER_NAMES = ("auto", *SOLVERS)
 # the mean weight, every family's own parameters, then the horizon
@@ -103,6 +96,8 @@ def _at_least(minimum: int):
 
 def _seed(value, context: str) -> int:
     """A Monte Carlo seed: an integer the counter-based generator takes as a key word."""
+    from .verify import MC_SEED_RANGE  # only a config or command line with a seed loads verify
+
     seed = _integral(value, context)
     lo, hi = MC_SEED_RANGE
     if not lo <= seed <= hi:
@@ -375,7 +370,7 @@ def _write_manifest(problem: Problem, sol, command: str, outputs, extra=None) ->
         "command": command,
         "config_path": problem.config_path,
         "config_sha256": problem.config_sha256,
-        "package_version": _VERSION,
+        "package_version": __version__,
         "solver_requested": problem.solver,
         "solver_used": sol.solver_name,
         "grid_size": problem.coeffs.grid.num_steps,
@@ -440,6 +435,13 @@ def cmd_solve(args) -> int:
         print(f"{key}: {_fmt(val)}")
     print(f"wrote {csv_path}")
     return 0
+
+
+def verification_report(sol, **kwargs) -> dict:
+    """``verify.verification_report``; the suites load on the first ``verify``."""
+    from .verify import verification_report as report
+
+    return report(sol, **kwargs)
 
 
 def cmd_verify(args) -> int:

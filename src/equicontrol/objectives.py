@@ -49,6 +49,49 @@ from .moments import (
 _FOURIER_ROWS = 32
 
 
+class HornerPolynomial:
+    """A polynomial with ascending float coefficients ``coef``, elementwise on arrays.
+
+    Horner's rule runs in the operations of ``numpy.polynomial``'s ``polyval``
+    (``c[-1] + x * 0``, then ``c + acc * x``), so values equal those of a
+    ``numpy.polynomial.Polynomial`` with the same coefficients bit for bit,
+    without importing that package.
+    """
+
+    __slots__ = ("coef",)
+
+    def __init__(self, coef):
+        self.coef = np.asarray(coef, dtype=float)
+
+    def __call__(self, x):
+        c = self.coef
+        acc = c[-1] + x * 0
+        for a in c[-2::-1]:
+            acc = a + acc * x
+        return acc
+
+
+def _trimmed(c: np.ndarray) -> np.ndarray:
+    """c without trailing zeros, but at least c[0] (numpy.polynomial's ``trimseq``)."""
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _square_and_antiderivative(q) -> tuple:
+    """(int_0^y Q^2, Q^2) for ascending coefficients q, in the operations of
+    ``numpy.polynomial``'s ``polymul`` and ``polyint``: trimmed factors, one
+    convolution, and coefficient j of Q^2 divided by j + 1."""
+    q = _trimmed(np.asarray(q, dtype=float))
+    q_sq = _trimmed(np.convolve(q, q))
+    if q_sq.size == 1 and q_sq[0] == 0.0:  # polyint keeps a zero constant as it is
+        return HornerPolynomial(q_sq), HornerPolynomial(q_sq)
+    p = np.empty(q_sq.size + 1)
+    p[0] = q_sq[0] * 0
+    p[1:] = q_sq / np.arange(1, p.size)
+    p[0] += 0 - HornerPolynomial(p)(0)  # polyint's lower bound: P(0) = 0
+    return HornerPolynomial(p), HornerPolynomial(q_sq)
+
+
 @dataclass(frozen=True)
 class FirstIntegral:
     """The exact first integral P(y) = kappa^2 theta(t) of the backward equation.
@@ -69,7 +112,7 @@ class FirstIntegral:
 
     @property
     def algebraic(self) -> bool:
-        return isinstance(self.p, np.polynomial.Polynomial)
+        return isinstance(self.p, HornerPolynomial)
 
     @property
     def closed_form(self) -> bool:
@@ -207,10 +250,9 @@ class MomentCombo(_FiniteMoments):
     @cached_property
     def first_integral(self) -> FirstIntegral:
         """P = int Q^2 with the polynomial Q = -2 K; explicit P^-1 up to order four."""
-        q = np.polynomial.Polynomial(
+        p, q_sq = _square_and_antiderivative(
             [self.weight(2 * j + 2) / float(double_factorial(2 * j)) for j in range(self.order // 2)]
         )
-        q_sq = q * q
         w2, w4 = self.weight(2), self.weight(4)
         inverse = None
         if all(w == 0.0 for j, w in self.even_weights() if j >= 6):
@@ -224,7 +266,7 @@ class MomentCombo(_FiniteMoments):
                 def inverse(x):
                     return 2.0 * (np.cbrt(w2**3 + 1.5 * w4 * x) - w2) / w4
 
-        return FirstIntegral(q_sq.integ(), q_sq, inverse)
+        return FirstIntegral(p, q_sq, inverse)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""Verdicts of ``scripts/bench_record.py`` on synthetic run records; no benchmark runs."""
+"""Verdicts and traced medians of ``scripts/bench_record.py`` on synthetic run
+records; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,38 @@ def test_wall_verdicts(bench_record, parent, change, expect):
 def test_failures_counted_per_side(bench_record):
     summary = bench_record.summarise(records(TIGHT, TIGHT, change_failures=2))["wl"]
     assert summary["failed"] == {"parent": 0, "change": 2}
+
+
+def test_traced_seeds_alternate_and_give_medians(bench_record, monkeypatch, tmp_path):
+    """--traced-seed takes a seed list, runs the sides in the untraced pairs' order
+    and records each layer metric's median over the seeds."""
+    calls = []
+
+    def run_one(root, workload, seed, seconds, trace):
+        calls.append((root.name, seed, trace))
+        layer = {"parent": 1.0, "change": 0.5}[root.name] * seed
+        return {
+            "metrics": {"wall_s": 1.0, "setup_s": 0.2, "peak_rss_mb": 40.0,
+                        "equilibrium.solve_s": layer, "cmd.other_s": 0.0},
+            "failures": [],
+            "machine": {},
+        }
+
+    monkeypatch.setattr(bench_record, "run_one", run_one)
+    roots = [tmp_path / side for side in ("parent", "change")]
+    for root in roots:
+        root.mkdir()
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(roots[0]), "--change", str(roots[1]), "--parent-commit", "abc",
+            "--change-note", "note", "--workloads", "wl", "--seeds", "1-2",
+            "--traced-seed", "3-5", "--out", str(out)]
+    assert bench_record.main(argv) == 0
+    traced = [(side, seed) for side, seed, trace in calls if trace == 1]
+    assert traced == [("parent", 3), ("change", 3), ("change", 4), ("parent", 4),
+                      ("parent", 5), ("change", 5)]
+    assert [(side, seed) for side, seed, trace in calls if trace == 0] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    record = json.loads(out.read_text())["traced"]
+    assert record["parent"]["wl"]["equilibrium.solve_s"] == 4.0
+    assert record["change"]["wl"]["equilibrium.solve_s"] == 2.0
+    assert "cmd.other_s" not in record["change"]["wl"]

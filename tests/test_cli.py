@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import equicontrol
 from equicontrol import ConfigError, ObjectiveSpec
 from equicontrol import coeffs as cf
 from equicontrol import equilibrium
@@ -30,7 +31,7 @@ from equicontrol.cli import (
     parse_objective,
 )
 from equicontrol.equilibrium import EquilibriumSolution
-from equicontrol.objectives import VARIANTS
+from equicontrol.objectives import VARIANTS, HornerPolynomial
 from equicontrol.verify import verification_report
 
 from cases import base_coeffs, curved_coeffs
@@ -83,6 +84,16 @@ class TestSolve:
         assert manifest["solver_used"] == "closed_form"
         assert len(manifest["config_sha256"]) == 64
         assert manifest["tolerances"]["ode"] == 1e-8
+
+    def test_manifest_records_the_package_version(self, mv_config, tmp_path):
+        """package_version is ``equicontrol.__version__``, the version pyproject.toml declares."""
+        tomllib = pytest.importorskip("tomllib")
+        out = tmp_path / "out"
+        main(["solve", "--config", str(mv_config), "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert manifest["package_version"] == equicontrol.__version__ == project["version"]
 
     def test_byte_reproducible(self, mv_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -445,9 +456,9 @@ class TestNoPerNodeLoops:
             counting("root", equilibrium._solve_increasing_many),
         )
         monkeypatch.setattr(
-            np.polynomial.Polynomial,
+            HornerPolynomial,
             "__call__",
-            counting("poly", np.polynomial.Polynomial.__call__),
+            counting("poly", HornerPolynomial.__call__),
         )
         cfg = write_config(
             tmp_path / "m6.json",
@@ -465,7 +476,7 @@ class TestNoPerNodeLoops:
             args = ["solve", "--config", str(cfg), "--out", str(out), "--grid", str(grid)]
             assert main(args) == 0
             seen.append(dict(counts))
-        assert seen[0]["root"] > 0
+        assert seen[0]["root"] > 0 and seen[0]["poly"] > 0
         assert seen[0] == seen[1]
 
 

@@ -722,3 +722,52 @@ class TestExponentialFamily:
             assert _same_bits(integral.inverse(targets), inverse(targets))
         assert (integral.supremum, integral.error) == (supremum, error)
         assert integral.closed_form and not integral.algebraic
+
+
+class TestHornerFirstIntegral:
+    """The moment-combination P and P' equal numpy.polynomial's, bit for bit."""
+
+    X = np.array([0.0, 1e-300, 1e300, np.inf, 0.3, 1.0, 7.5, 1e3])
+
+    @staticmethod
+    def _reference(variant):
+        """P = int_0^y Q^2 and Q^2 through numpy.polynomial, as the solvers once built them."""
+        weights = [variant.weight(2 * j + 2) for j in range(variant.order // 2)]
+        # Q's coefficient j is kappa_{2j+2} / (2j)!!, and (2j)!! = 2^j j!
+        q = np.polynomial.Polynomial([w / (2**j * math.factorial(j)) for j, w in enumerate(weights)])
+        q_sq = q * q
+        return q_sq.integ(), q_sq
+
+    @staticmethod
+    def _weight_sets():
+        rng = np.random.default_rng(19)
+        sets = [
+            (1.0,),
+            (1.0, 0.0, 0.5, 0.0, 0.25),
+            (1.0, 0.3, 0.5, -2.0, 0.25),
+            (1.0, 0.3, 0.0, 0.7),  # trailing zero even weight: Q trims to one term
+            (2.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+            (0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0),
+            (1e-200,),  # Q^2 underflows to the zero polynomial
+        ]
+        for size in (2, 3, 5, 7, 9, 11):
+            weights = rng.uniform(-1.0, 1.0, size)
+            weights[::2] = np.abs(weights[::2])
+            sets.append(tuple(weights))
+            weights[-2 if size % 2 else -1] = 0.0  # a trailing even zero
+            sets.append(tuple(weights))
+        return sets
+
+    def test_bitwise_equal_to_numpy_polynomial(self):
+        for weights in self._weight_sets():
+            variant = MomentCombo(weights)
+            integral = variant.first_integral
+            p, dp = self._reference(variant)
+            assert integral.algebraic
+            assert _same_bits(integral.p.coef, p.coef) and _same_bits(integral.dp.coef, dp.coef)
+            with np.errstate(all="ignore"):
+                assert _same_bits(integral.p(self.X), p(self.X)), weights
+                assert _same_bits(integral.dp(self.X), dp(self.X)), weights
+                for x in self.X.tolist():
+                    assert _same_bits(integral.p(x), p(x)), (weights, x)
+                    assert _same_bits(integral.dp(x), dp(x)), (weights, x)
