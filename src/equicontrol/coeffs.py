@@ -8,7 +8,8 @@ on a finite horizon [0, T].  All five coefficient paths are deterministic
 functions of time, given either in closed form (constant, polynomial,
 exponential) or as samples with piecewise-linear interpolation.  The control
 loading on the diffusion must stay away from zero: construction rejects a
-path whose magnitude falls below ``D_MIN``.
+path that is not finite with magnitude at least ``D_MIN`` on a set of probe
+times, or that changes sign between two of them.
 
 Every path exposes an exact antiderivative, so growth factors of the form
 exp(int_t^T a) are additive to rounding.  Quadrature of node-sampled paths
@@ -77,6 +78,41 @@ class TimeGrid:
         return min(max(t, 0.0), self.horizon)
 
 
+class HornerPolynomial:
+    """A polynomial with ascending float coefficients ``coef``, elementwise on arrays.
+
+    Horner's rule runs in the operations of ``numpy.polynomial``'s ``polyval``
+    (``c[-1] + x * 0``, then ``c + acc * x``), so values equal those of a
+    ``numpy.polynomial.Polynomial`` with the same coefficients bit for bit,
+    without importing that package.
+    """
+
+    __slots__ = ("coef",)
+
+    def __init__(self, coef):
+        self.coef = np.asarray(coef, dtype=float)
+
+    def __call__(self, x):
+        c = self.coef
+        acc = c[-1] + x * 0
+        for a in c[-2::-1]:
+            acc = a + acc * x
+        return acc
+
+    def antiderivative(self) -> "HornerPolynomial":
+        """The antiderivative P with P(0) = 0, in the operations of
+        ``numpy.polynomial``'s ``polyint``: coefficient j divided by j + 1, and
+        the zero polynomial kept as it is (its constant plus 0)."""
+        c = self.coef
+        if c.size == 1 and c[0] == 0.0:
+            return HornerPolynomial(c + 0)
+        p = np.empty(c.size + 1)
+        p[0] = c[0] * 0
+        p[1:] = c / np.arange(1, p.size)
+        p[0] += 0 - HornerPolynomial(p)(0)  # polyint's lower bound: P(0) = 0
+        return HornerPolynomial(p)
+
+
 @dataclass(frozen=True)
 class ConstantCoefficient:
     value: float
@@ -105,11 +141,11 @@ class PolynomialCoefficient:
 
     @cached_property
     def _poly(self):
-        return np.polynomial.Polynomial(self.coeffs)
+        return HornerPolynomial(self.coeffs)
 
     @cached_property
     def _anti(self):
-        return self._poly.integ()
+        return self._poly.antiderivative()
 
     def __call__(self, t):
         return self._poly(np.asarray(t, dtype=float))
@@ -330,6 +366,13 @@ class CoefficientSet:
     ``state_drift``, ``control_drift`` and ``drift_offset`` enter the drift as
     a(s) X + b(s) u + c(s); ``control_vol`` and ``vol_offset`` enter the
     diffusion as d(s) u + f(s).
+
+    Construction rejects a ``control_vol`` that is not finite with |d| >=
+    ``D_MIN`` at the probe times (the grid nodes, the midpoints and a sampled
+    path's own sample times), or that changes sign between two adjacent
+    probes: the paths are continuous, so a sign change means a zero between
+    them.  A zero of even order between probes, such as that of (t - 0.3)^2,
+    changes no sign and is not detected.
     """
 
     grid: TimeGrid
@@ -357,14 +400,23 @@ class CoefficientSet:
                         f"sampled path on [{path.times[0]}, {path.times[-1]}] does not "
                         f"cover the horizon [0, {self.grid.horizon}]"
                     )
-        probe = np.sort(
-            np.concatenate([self.grid.nodes, self.grid.nodes[:-1] + 0.5 * self.grid.step])
-        )
-        dvals = np.abs(np.asarray(self.control_vol(probe), dtype=float))
-        worst = float(dvals.min())
-        if worst < D_MIN:
+        probes = [self.grid.nodes, self.grid.nodes[:-1] + 0.5 * self.grid.step]
+        if isinstance(self.control_vol, SampledCoefficient):
+            probes.append(np.clip(self.control_vol.times, 0.0, self.grid.horizon))
+        t = np.sort(np.concatenate(probes))
+        d = np.asarray(self.control_vol(t), dtype=float)
+        low = np.flatnonzero(~(np.isfinite(d) & (np.abs(d) >= D_MIN)))
+        if low.size:
+            k = low[0]
             raise CoefficientError(
-                f"control volatility magnitude {worst:.3e} below floor {D_MIN:.3e}"
+                f"control volatility {d[k]:.3e} at t = {t[k]:.6g} is not finite "
+                f"or below the floor {D_MIN:.3e} in magnitude"
+            )
+        flips = np.flatnonzero(np.signbit(d[1:]) != np.signbit(d[:-1]))
+        if flips.size:
+            k = flips[0]
+            raise CoefficientError(
+                f"control volatility changes sign between t = {t[k]:.6g} and t = {t[k + 1]:.6g}"
             )
 
     def at(self, t) -> tuple:

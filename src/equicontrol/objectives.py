@@ -32,6 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .coeffs import HornerPolynomial
 from .errors import CosDomainError, DomainError, ObjectiveError, QuadratureError, RootBracketError
 from .moments import (
     DiscreteDistribution,
@@ -42,35 +43,6 @@ from .moments import (
     gaussian_penalty_expectation,
 )
 
-# rows of the (variance x frequency) table built at once: it bounds the memory
-# of a vectorized Fourier evaluation independently of the number of variances,
-# and 32 rows of a 2,401-frequency window (0.6 MB) keep each block's table and
-# its temporaries in cache
-_FOURIER_ROWS = 32
-
-
-class HornerPolynomial:
-    """A polynomial with ascending float coefficients ``coef``, elementwise on arrays.
-
-    Horner's rule runs in the operations of ``numpy.polynomial``'s ``polyval``
-    (``c[-1] + x * 0``, then ``c + acc * x``), so values equal those of a
-    ``numpy.polynomial.Polynomial`` with the same coefficients bit for bit,
-    without importing that package.
-    """
-
-    __slots__ = ("coef",)
-
-    def __init__(self, coef):
-        self.coef = np.asarray(coef, dtype=float)
-
-    def __call__(self, x):
-        c = self.coef
-        acc = c[-1] + x * 0
-        for a in c[-2::-1]:
-            acc = a + acc * x
-        return acc
-
-
 def _trimmed(c: np.ndarray) -> np.ndarray:
     """c without trailing zeros, but at least c[0] (numpy.polynomial's ``trimseq``)."""
     nonzero = np.flatnonzero(c)
@@ -80,16 +52,10 @@ def _trimmed(c: np.ndarray) -> np.ndarray:
 def _square_and_antiderivative(q) -> tuple:
     """(int_0^y Q^2, Q^2) for ascending coefficients q, in the operations of
     ``numpy.polynomial``'s ``polymul`` and ``polyint``: trimmed factors, one
-    convolution, and coefficient j of Q^2 divided by j + 1."""
+    convolution, then ``HornerPolynomial.antiderivative``."""
     q = _trimmed(np.asarray(q, dtype=float))
-    q_sq = _trimmed(np.convolve(q, q))
-    if q_sq.size == 1 and q_sq[0] == 0.0:  # polyint keeps a zero constant as it is
-        return HornerPolynomial(q_sq), HornerPolynomial(q_sq)
-    p = np.empty(q_sq.size + 1)
-    p[0] = q_sq[0] * 0
-    p[1:] = q_sq / np.arange(1, p.size)
-    p[0] += 0 - HornerPolynomial(p)(0)  # polyint's lower bound: P(0) = 0
-    return HornerPolynomial(p), HornerPolynomial(q_sq)
+    q_sq = HornerPolynomial(_trimmed(np.convolve(q, q)))
+    return q_sq.antiderivative(), q_sq
 
 
 @dataclass(frozen=True)
@@ -131,9 +97,10 @@ class Variant:
     (``cheap_curvature``: no quadrature per point) and its value at one
     Python float, ``curvature_scalar(y)``, in float arithmetic that repeats
     the vectorized operations (the RK4 march calls it per stage); one without
-    ``cheap_curvature`` adds dK/dy as ``curvature_slope(y)``.  Penalties
-    add ``gaussian_expectation(var)``, and a family with a known first
-    integral returns it from ``first_integral``.  The moment-series view
+    ``cheap_curvature`` runs ``curvature_scalar``'s quadrature once per point
+    in ``curvature`` and adds dK/dy as ``curvature_slope(y)``.  Penalties add
+    ``gaussian_expectation(var)``, and a family with a known first integral
+    returns it from ``first_integral``.  The moment-series view
     (psi's gradient in the even slots) is a test oracle, not part of the
     protocol.
     """
@@ -480,6 +447,10 @@ class FourierEvenPenalty(_Penalty):
     ``freqs`` grid; ``atom`` is an optional point mass at frequency zero.
     Signed densities are accepted; solvability is then established at run
     time through the curvature check.
+
+    K, dK/dy, E[S] and the frequency moments are each one trapezoid over the
+    frequency window per value, all through ``_row``; the vectorized methods
+    call it once per entry of their argument.
     """
 
     freqs: tuple
@@ -528,81 +499,55 @@ class FourierEvenPenalty(_Penalty):
         """Index of the largest |g f^2|, the curvature integrand's peak at y = 0."""
         return int(np.argmax(np.abs(self._g_f_sq)))
 
-    def _trapezoid(self, weights, what: str, factor=None):
-        """np.trapezoid of one row or a table of rows over the frequencies,
-        in its operation order, once every row is negligible at both window
-        edges (edge magnitude at most 1e-6 of the row's largest), times ``factor``."""
-        edge = np.maximum(abs(weights[..., 0]), abs(weights[..., -1]))
-        if (edge > 1e-6 * np.maximum(weights.max(axis=-1), -weights.min(axis=-1))).any():
-            raise QuadratureError(f"{what} has not decayed at the window edge")
-        if factor is not None:
-            weights = weights * factor
-        pairs = weights[..., 1:] + weights[..., :-1]
-        pairs *= self._widths
-        pairs /= 2.0
-        return pairs.sum(axis=-1)
+    def _row(self, y, coef, what: str, peak=None, factor=None):
+        """np.trapezoid over the frequencies of the row exp(y (-f^2 / 2)) coef,
+        in its operation order, once the row is negligible at both window edges
+        (edge magnitude at most 1e-6 of the row's largest), times ``factor``.
 
-    def _blocked(self, values, table, what: str, factor=None):
-        """``_trapezoid(table(rows), what, factor)`` for every entry of the array
-        ``values``, through tables of at most ``_FOURIER_ROWS`` rows."""
-        flat = values.reshape(-1)
-        out = np.empty(flat.shape)
-        for lo in range(0, flat.size, _FOURIER_ROWS):
-            rows = table(flat[lo : lo + _FOURIER_ROWS])
-            out[lo : lo + _FOURIER_ROWS] = self._trapezoid(rows, what, factor)
-        return out.reshape(values.shape)
-
-    def frequency_moment(self, k: int) -> float:
-        """Integral of density(h) h^k over the truncation window."""
-        return float(self._trapezoid(self._g * self._f**k, f"frequency moment of order {k}"))
-
-    def slot_weight(self, j: int) -> float:
-        return (-1.0) ** (j // 2 + 1) * self.frequency_moment(j) if j % 2 == 0 else 0.0
-
-    def _curvature_table(self, y):
-        # the sum over even orders collapses back to a frequency integral
-        weights = np.multiply.outer(y, self._f_sq)
-        weights *= -0.5
-        np.exp(weights, out=weights)
-        weights *= self._g_f_sq
-        return weights
-
-    def curvature(self, y):
-        return 0.5 * self._blocked(y, self._curvature_table, "curvature integrand")
-
-    def curvature_scalar(self, y: float) -> float:
-        """``curvature`` at one float, in the same float operations as
-        ``_curvature_table`` and ``_trapezoid`` with fewer numpy calls (the
-        RK4 march calls it per stage)."""
+        Any |w_j| is at most the row's largest, so a row whose edge passes the
+        bound at index ``peak`` passes it at the row's largest too: only the
+        others need the full max for the same verdict."""
         # -f^2 / 2 is f^2 halved exactly, so after exp each weight has the
         # bits of (y f^2) * -0.5 (unless some 0 < |f| < 2.2e-154 meets y > 2e291)
         weights = np.multiply(y, self._neg_half_f_sq)
         np.exp(weights, out=weights)
-        weights *= self._g_f_sq
-        # any |w_j| is at most the row's largest: only a row that fails the
-        # bound at the y = 0 peak needs the full max for the same verdict
+        weights *= coef
         edge = max(abs(weights[0]), abs(weights[-1]))
-        if not edge <= 1e-6 * abs(weights[self._peak]):
+        if peak is None or not edge <= 1e-6 * abs(weights[peak]):
             if edge > 1e-6 * max(weights.max(), -weights.min()):
-                raise QuadratureError("curvature integrand has not decayed at the window edge")
+                raise QuadratureError(f"{what} has not decayed at the window edge")
+        if factor is not None:
+            weights *= factor
         pairs = weights[1:] + weights[:-1]
         pairs *= self._widths
         pairs *= 0.5  # the bits of pairs / 2.0, at half the cost
-        return 0.5 * float(np.add.reduce(pairs))
+        return np.add.reduce(pairs)
+
+    def frequency_moment(self, k: int) -> float:
+        """Integral of density(h) h^k over the truncation window."""
+        return float(self._row(0.0, self._g * self._f**k, f"frequency moment of order {k}"))
+
+    def slot_weight(self, j: int) -> float:
+        return (-1.0) ** (j // 2 + 1) * self.frequency_moment(j) if j % 2 == 0 else 0.0
+
+    def _rows(self, values, *row):
+        """``_row(v, *row)`` at every entry v of the array ``values``, in its shape."""
+        return np.reshape([self._row(v, *row) for v in values.reshape(-1).tolist()], values.shape)
+
+    def curvature(self, y):
+        # the sum over even orders collapses back to a frequency integral
+        return 0.5 * self._rows(y, self._g_f_sq, "curvature integrand", self._peak)
+
+    def curvature_scalar(self, y: float) -> float:
+        """``curvature`` at one float, one row (the RK4 march calls it per stage)."""
+        return 0.5 * float(self._row(y, self._g_f_sq, "curvature integrand", self._peak))
 
     def curvature_slope(self, y):
         """dK/dy, vectorized: the curvature integrand, edge-checked, times -f^2 / 2."""
-        return -0.25 * self._blocked(y, self._curvature_table, "curvature integrand", self._f_sq)
+        return -0.25 * self._rows(y, self._g_f_sq, "curvature integrand", self._peak, self._f_sq)
 
     def gaussian_expectation(self, var):
-        rate = -0.5 * self._f * self._f
-
-        def table(rows):
-            weights = np.exp(np.multiply.outer(rows, rate))
-            weights *= self._g
-            return weights
-
-        out = self._blocked(var, table, "frequency-domain integrand")
+        out = self._rows(var, self._g, "frequency-domain integrand")
         out += self.atom
         return out
 

@@ -188,6 +188,30 @@ class TestConfigErrors:
         assert "grid_size must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    @pytest.mark.parametrize("grid", [4, 512])
+    @pytest.mark.parametrize(
+        "control_vol",
+        [
+            {"type": "samples", "times": [0.0, 0.3, 1.0], "values": [0.2, 0.0, 0.2]},
+            {"type": "samples", "times": [0.0, 1.0], "values": [0.2, -0.3]},
+            {"type": "polynomial", "coefficients": [0.2, -0.5]},
+        ],
+        ids=["zero_at_a_sample", "sampled_sign_change", "polynomial_sign_change"],
+    )
+    def test_control_vol_zero_between_probes(self, tmp_path, capsys, command, grid, control_vol):
+        """A control volatility that reaches zero away from the nodes and
+        midpoints is rejected before anything is solved or written."""
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=grid,
+            coefficients={"control_drift": 0.3, "control_vol": control_vol},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: coefficients: control volatility" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_grid_size_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", grid_size=64.0)
         out = tmp_path / "out"

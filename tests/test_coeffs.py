@@ -74,6 +74,26 @@ class TestDescriptors:
         with pytest.raises(CoefficientError):
             PolynomialCoefficient(())
 
+    def test_polynomial_bitwise_equal_to_numpy_polynomial(self):
+        """Values and antiderivative equal ``numpy.polynomial.Polynomial``'s and
+        its ``integ()``'s bit for bit, trailing and all-zero coefficients included."""
+        rng = np.random.default_rng(20)
+        t = np.concatenate([[0.0, 1e-300, 0.5, 1.0, 2.0, 1e3, 1e200], rng.uniform(0.0, 4.0, 24)])
+        sets = [(0.0,), (0.0, 0.0), (1.0, 0.0, 0.0), (-2.5,), (0.0, 0.0, 3.0)]
+        for _ in range(3000):
+            c = rng.normal(size=rng.integers(1, 9)) * 10.0 ** rng.integers(-3, 4)
+            c[rng.random(c.size) < 0.2] = 0.0  # interior and trailing zeros
+            sets.append(tuple(c))
+        with np.errstate(all="ignore"):
+            for coeffs in sets:
+                p = PolynomialCoefficient(coeffs)
+                reference = np.polynomial.Polynomial(coeffs)
+                anti = reference.integ()
+                assert p._anti.coef.tobytes() == anti.coef.tobytes(), coeffs
+                assert p(t).tobytes() == reference(t).tobytes(), coeffs
+                assert p.antiderivative(t).tobytes() == anti(t).tobytes(), coeffs
+                assert p(0.5) == reference(0.5) and p.antiderivative(2.0) == anti(2.0)
+
     def test_exponential(self):
         e = ExponentialCoefficient(2.0, -0.5, 1.0)
         assert e(0.0) == pytest.approx(3.0)
@@ -238,6 +258,29 @@ class TestCoefficientSet:
                 control_drift=ConstantCoefficient(0.3),
                 drift_offset=ConstantCoefficient(0.0),
                 control_vol=PolynomialCoefficient((0.2, -0.4)),  # crosses zero
+                vol_offset=ConstantCoefficient(0.0),
+            )
+
+    @pytest.mark.parametrize("grid_size", [4, 512])
+    @pytest.mark.parametrize(
+        "horizon, control_vol",
+        [
+            (1.0, SampledCoefficient((0.0, 0.3, 1.0), (0.2, 0.0, 0.2))),  # zero at a sample
+            (1.0, SampledCoefficient((0.0, 1.0), (0.2, -0.3))),  # zero at t = 0.4
+            (1.0, PolynomialCoefficient((0.2, -0.5))),  # zero at t = 0.4
+            (2.0, PolynomialCoefficient((1.0, 1e308, 1e308, -1e308))),  # -inf at t = 2
+        ],
+        ids=["zero_at_a_sample", "sampled_sign_change", "polynomial_sign_change", "overflow"],
+    )
+    def test_vol_floor_between_probes(self, horizon, control_vol, grid_size):
+        """Zeros off the nodes and midpoints and non-finite values are rejected."""
+        with pytest.raises(CoefficientError, match="control volatility"), np.errstate(over="ignore"):
+            CoefficientSet(
+                TimeGrid(horizon, grid_size),
+                state_drift=ConstantCoefficient(0.0),
+                control_drift=ConstantCoefficient(0.3),
+                drift_offset=ConstantCoefficient(0.0),
+                control_vol=control_vol,
                 vol_offset=ConstantCoefficient(0.0),
             )
 

@@ -64,6 +64,21 @@ def test_solve_and_sweep_load_no_suites(tmp_path):
     assert "equicontrol.verify" in seen["after_verify"]
 
 
+def test_polynomial_coefficient_solve_loads_no_unused_module(tmp_path):
+    """A polynomial coefficient evaluates through ``coeffs.HornerPolynomial``."""
+    drift = {"type": "polynomial", "coefficients": [0.3, 0.1, -0.05]}
+    config = dict(_MOMENT6, coefficients={"control_drift": drift, "control_vol": 0.2})
+    cfg = tmp_path / "polynomial.json"
+    cfg.write_text(json.dumps(config))
+    seen = _run(f"""
+        import equicontrol.cli as cli
+
+        code = cli.main(["solve", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
+        print(json.dumps({{"code": code, "loaded": [n for n in {_UNUSED!r} if n in sys.modules]}}))
+    """)
+    assert seen == {"code": 0, "loaded": []}
+
+
 def test_verify_names_resolve_on_first_access():
     seen = _run("""
         import equicontrol

@@ -466,8 +466,32 @@ def _old_expectation(variant, var):
     return out.reshape(var.shape)
 
 
+def _old_slope(variant, y):
+    """FourierEvenPenalty.curvature_slope as the blocked table kernel computed it:
+    tables of 32 curvature rows, each edge-checked, times f^2, one trapezoid."""
+    flat = y.reshape(-1)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, 32):
+        weights = np.multiply.outer(flat[lo : lo + 32], variant._f_sq)
+        weights *= -0.5
+        np.exp(weights, out=weights)
+        weights *= variant._g_f_sq
+        _old_require_decay(weights, "curvature integrand")
+        weights = weights * variant._f_sq
+        pairs = weights[..., 1:] + weights[..., :-1]
+        pairs *= np.diff(variant._f)
+        pairs /= 2.0
+        out[lo : lo + 32] = pairs.sum(axis=-1)
+    return -0.25 * out.reshape(y.shape)
+
+
+def _curvature_rows(variant, y):
+    """The curvature integrand exp(-y f^2 / 2) g f^2, one row per entry of y."""
+    return variant._g_f_sq * np.exp(-0.5 * np.multiply.outer(y, variant._f_sq))
+
+
 class TestFourierKernel:
-    """The blocked trapezoid kernel of FourierEvenPenalty against np.trapezoid."""
+    """The row trapezoid kernel of FourierEvenPenalty against np.trapezoid."""
 
     SHAPES = ((), (1,), (31,), (32,), (33,), (513,), (7, 77))
 
@@ -483,6 +507,7 @@ class TestFourierKernel:
         for got, expect in (
             (variant.curvature(y), _old_curvature(variant, y)),
             (variant.gaussian_expectation(y), _old_expectation(variant, y)),
+            (variant.curvature_slope(y), _old_slope(variant, y)),
         ):
             assert type(got) is type(expect)
             assert np.shape(got) == np.shape(expect) == shape
@@ -504,7 +529,7 @@ class TestFourierKernel:
         y = np.ones((7, 77))
         variant.curvature(y)
         variant.gaussian_expectation(y)
-        y[-1, -1] = 0.0  # flat index 538: the last, partial block
+        y[-1, -1] = 0.0  # the last row
         for evaluate in (variant.curvature, variant.gaussian_expectation):
             with pytest.raises(QuadratureError):
                 evaluate(y)
@@ -535,7 +560,7 @@ class TestFourierKernel:
         variant = fourier_gaussian_amplitude()
         values = [0.0, 5e-324, 1e-310, 1e-300, *np.logspace(-12.0, 5.0, 681).tolist()]
         values += np.linspace(0.0, 50.0, 2001).tolist()
-        table = variant._curvature_table(np.asarray(values))
+        table = _curvature_rows(variant, np.asarray(values))
         tiny = np.finfo(float).tiny
         assert np.any((table != 0.0) & (np.abs(table) < tiny))
         assert np.any((table == 0.0) & (variant._f != 0.0))
@@ -557,7 +582,7 @@ class TestFourierKernel:
         of them pass and keep the old bits, with width 1.0 some raise."""
         variant = self.two_bumps(broad_width)
         values = np.linspace(0.0, 3.0, 61)
-        rows = variant._curvature_table(values)
+        rows = _curvature_rows(variant, values)
         edge = np.maximum(np.abs(rows[:, 0]), np.abs(rows[:, -1]))
         cheap_fails = edge > 1e-6 * np.abs(rows[:, variant._peak])
         full_fails = edge > 1e-6 * np.abs(rows).max(axis=-1)
@@ -590,7 +615,7 @@ class TestFourierKernel:
         flat = FourierEvenPenalty(tuple(freqs), tuple(np.ones(freqs.size)), atom=1.0)
         assert np.all(np.isfinite(flat.curvature_slope(np.ones(40))))
         y = np.ones(40)
-        y[-1] = 0.0  # the last, partial block
+        y[-1] = 0.0  # the last row
         with pytest.raises(QuadratureError):
             flat.curvature_slope(y)
 
