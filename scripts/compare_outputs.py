@@ -13,14 +13,18 @@ that checkout's ``src/``.  Then each command's exit code must match,
 ``solution.csv``, ``sweep.csv`` and ``verification.json`` byte for byte, and
 ``manifest.json`` once ``config_path`` and ``outputs`` (paths into each
 side's run directory) are removed.  Exits 0 when everything matches; else
-names each command and file that differs and exits 1.  Standard library
-only.
+names each command and file that differs and exits 1.  A differing
+``verification.json`` is named with its kind: "verdicts differ" when a
+``passed`` leaf, the set of keys or any other value that is not a number
+differs, else "numbers only" with the largest relative change of a number.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -89,6 +93,43 @@ def _content(path: Path) -> bytes:
     return json.dumps(manifest, indent=2, sort_keys=True).encode()
 
 
+def _largest_change(a, b) -> float | None:
+    """The largest relative change between two decoded JSON values that differ
+    in numbers only; None if a ``passed`` leaf, the keys or a value that is not
+    a number differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[k], b[k], k) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = [(x, y, None) for x, y in zip(a, b)]
+    elif any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in (a, b)):
+        return 0.0 if a == b else None
+    elif a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    else:
+        return abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a - b) else math.inf
+    largest = 0.0
+    for x, y, key in pairs:
+        if key == "passed" and x != y:
+            return None
+        change = _largest_change(x, y)
+        if change is None:
+            return None
+        largest = max(largest, change)
+    return largest
+
+
+def _kind(a: Path, b: Path) -> str:
+    """How two differing ``verification.json`` files differ."""
+    change = _largest_change(*(json.loads(p.read_text()) for p in (a, b)))
+    if change is None:
+        return "verdicts differ"
+    return f"numbers only, largest relative change {change:.3g}"
+
+
 def differences(parent: Path, change: Path, names) -> list:
     """'<command>: <file> ...' for every compared file that differs between the run roots."""
     found = []
@@ -101,7 +142,8 @@ def differences(parent: Path, change: Path, names) -> list:
                 side = "parent" if a.is_file() else "change"
                 found.append(f"{name}: {file} written by the {side} only")
             elif _content(a) != _content(b):
-                found.append(f"{name}: {file} differs")
+                kind = f" ({_kind(a, b)})" if file == "verification.json" else ""
+                found.append(f"{name}: {file} differs{kind}")
     return found
 
 

@@ -60,7 +60,6 @@ __version__ = "0.1.0"
 # import them (PEP 562)
 _VERIFY_NAMES = frozenset(
     (
-        "DeterministicControl",
         "evaluate_deterministic",
         "fbsde_diagonal_check",
         "monte_carlo",
@@ -89,7 +88,6 @@ __all__ = [
     "CosDomainError",
     "CosPenalty",
     "CoshPenalty",
-    "DeterministicControl",
     "DiscreteDistribution",
     "DomainError",
     "EquicontrolError",

@@ -1,8 +1,8 @@
 """Numerical verification of the equilibrium property.
 
-Under any deterministic control the terminal state is Gaussian, so the
-objective of a candidate control can be evaluated exactly (up to quadrature)
-from its mean and variance.  That single fact powers every check here:
+The equilibrium control does not depend on the state, so under it, and under
+any spike on it, the terminal state is Gaussian.  One table, ``_TerminalLaw``,
+integrates that law from any time to the horizon, and the checks build on it:
 
 * spike variations: perturbing the equilibrium control on [t, t + eps) must
   not improve the objective to first order, and the limit of the loss rate
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import coeffs as cf
 from .equilibrium import EquilibriumSolution
-from .errors import ConfigError, DomainError, GridMismatchError, NonFiniteResultError
+from .errors import ConfigError, DomainError, NonFiniteResultError
 from .moments import MomentVector, alpha, raw_to_central
 from .objectives import ObjectiveSpec, curvature_sum, psi
 
@@ -44,8 +43,7 @@ MC_SEED_RANGE = (-(1 << 63), (1 << 63) - 1)
 
 
 def _gaussian_order(spec: ObjectiveSpec) -> int:
-    variant = spec.variant
-    return max(getattr(variant, "order", 2), 2)
+    return max(getattr(spec.variant, "order", 2), 2)
 
 
 def _nonempty(values, what: str) -> tuple:
@@ -65,60 +63,6 @@ def _require_power_range(values, power: int, what: str) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DeterministicControl:
-    """A deterministic control path on the horizon.
-
-    The base path is either an exact vectorized evaluator ``fn`` or the
-    piecewise-linear interpolant of (times, values); ``offsets`` add
-    piecewise-constant bumps on half-open windows [start, stop), which is how
-    spike perturbations are represented without losing the jump locations.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    offsets: tuple = ()
-    fn: object = None
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.shape != values.shape or times.ndim != 1 or times.size < 2:
-            raise GridMismatchError("control needs matching 1-d times and values (>= 2 samples)")
-        if np.any(np.diff(times) <= 0.0):
-            raise DomainError("control sample times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_solution(cls, sol: EquilibriumSolution) -> "DeterministicControl":
-        return cls(sol.grid.nodes, sol.control_nodes, fn=sol.control_many)
-
-    @classmethod
-    def constant(cls, value: float, t0: float, t1: float) -> "DeterministicControl":
-        return cls(np.array([t0, t1]), np.array([value, value]))
-
-    def with_offset(self, start: float, stop: float, delta: float) -> "DeterministicControl":
-        if not stop > start:
-            raise DomainError(f"empty offset window [{start}, {stop})")
-        return DeterministicControl(
-            self.times, self.values, self.offsets + ((start, stop, delta),), self.fn
-        )
-
-    def base_sample(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if self.fn is not None:
-            return np.asarray(self.fn(ts), dtype=float)
-        return np.interp(ts, self.times, self.values)
-
-    def sample(self, ts) -> np.ndarray:
-        out = self.base_sample(ts)
-        ts = np.asarray(ts, dtype=float)
-        for start, stop, delta in self.offsets:
-            out = out + delta * ((ts >= start) & (ts < stop))
-        return out
-
-
 @dataclass(frozen=True)
 class DeterministicEvaluation:
     mean: float
@@ -126,117 +70,71 @@ class DeterministicEvaluation:
     value: float
 
 
-def _piece_quadrature(points_per_piece):
-    """Composite-Simpson points, weights and piece midpoints of a list of
-    (start, stop, subintervals) pieces, concatenated.
+class _TerminalLaw:
+    """Suffix integrals of the terminal law under the equilibrium control.
 
-    Each piece's points are ``np.linspace(start, stop, 2 * subintervals + 1)``
-    bit for bit: i * step + start, with the last point set to stop.
+    The equilibrium control u does not depend on the state, so from (t, x)
+    the terminal state is Gaussian with mean x e^{int_t^T a} plus the
+    integral of row 0 below and variance the integral of row 1; a spike of
+    amplitude zeta on a window W adds zeta times row 2 to the mean and
+    2 zeta row 3 + zeta^2 row 4 to the variance, each integrated over W:
+
+        e^{int a} (b u + c),  e^{2 int a} (d u + f)^2,
+        e^{int a} b,  e^{2 int a} d (d u + f),  e^{2 int a} d^2.
+
+    ``tail`` holds each row's Simpson pieces, one per grid cell, summed once
+    from the horizon; rows 1 and 4 sum squares, so they are never negative.
+    The table samples the control through ``control_many`` alone, so it
+    stays independent of the suffix rules of the solution it checks.
     """
-    start, stop, nsub = map(np.array, zip(*points_per_piece))
-    n = 2 * nsub
-    piece = np.repeat(np.arange(n.size), n + 1)
-    first = np.cumsum(n + 1) - (n + 1)
-    last = first + n
-    i = np.arange(piece.size) - first[piece]
-    delta = stop - start
-    step = delta / n
-    pts = i * step[piece]
-    flat = (step == 0.0)[piece]  # np.linspace's rule for a step that underflows
-    if flat.any():
-        pts[flat] = i[flat] / n[piece[flat]] * delta[piece[flat]]
-    pts += start[piece]
-    pts[last] = stop
-    h = delta / nsub
-    wts = np.where(i % 2 == 1, (4.0 * h / 6.0)[piece], (2.0 * h / 6.0)[piece])
-    wts[first] = wts[last] = h / 6.0
-    return pts, wts, (0.5 * (start + stop))[piece]
+
+    def __init__(self, sol: EquilibriumSolution):
+        self.sol = sol
+        nodes = sol.grid.nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = self._pieces(nodes[:-1], nodes[1:])
+            summed = np.cumsum(cells[:, ::-1], axis=1)[:, ::-1]
+        self.tail = np.concatenate([summed, np.zeros((5, 1))], axis=1)
+
+    def _pieces(self, p, q):
+        """Simpson's rule on [p, q] for each integrand, elementwise in p and q."""
+        s = np.stack([p, 0.5 * (p + q), q])
+        u = self.sol.control_many(s)
+        _, b, c, d, f = self.sol.coeffs.at(s)
+        growth = np.exp(self.sol.coeffs.int_a_many(s))
+        squared = growth * growth
+        vol = d * u + f
+        g = np.stack([growth * (b * u + c), squared * vol**2, growth * b, squared * d * vol,
+                      squared * d * d])
+        return (q - p) / 6.0 * (g[:, 0] + 4.0 * g[:, 1] + g[:, 2])
+
+    def between(self, t, stops):
+        """The integrals over [t, stop] for t <= stop, elementwise, rows first:
+        a piece up to the next node (or stop), whole cells from ``tail``, and
+        a piece from the last node to stop.  A stop within the snap width of
+        a node is that node, so it cuts nowhere new."""
+        grid = self.sol.grid
+        nodes = grid.nodes
+        t, stops = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(stops, dtype=float))
+        near = nodes[np.clip(np.rint(stops / grid.step).astype(int), 0, grid.num_steps)]
+        stops = np.where(np.abs(stops - near) <= grid.snap, near, stops)
+        k = np.minimum(np.searchsorted(nodes, t, side="right"), grid.num_steps)
+        last = np.maximum(np.searchsorted(nodes, stops, side="right") - 1, k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            first = self._pieces(t, np.minimum(nodes[k], stops))
+            rest = self.tail[:, k] - self.tail[:, last] + self._pieces(nodes[last], stops)
+        return first + np.where(stops > nodes[k], rest, 0.0)
 
 
-def evaluate_deterministic(
-    coeffs: cf.CoefficientSet,
-    spec: ObjectiveSpec,
-    t: float,
-    x: float,
-    control: DeterministicControl,
-) -> DeterministicEvaluation:
-    """Exact objective of a deterministic control started at (t, x).
-
-    The terminal state is Gaussian with
-
-        mean = x e^{int_t^T a} + int_t^T e^{int_s^T a} (b u + c) ds
-        var  = int_t^T e^{2 int_s^T a} (d u + f)^2 ds
-
-    and the objective is kappa * mean + psi on that Gaussian law.  Quadrature
-    pieces are split at every control breakpoint and offset edge, so spike
-    windows far smaller than a grid cell are integrated exactly.
-    """
-    amplitude = control.offsets[-1][2] if control.offsets else 0.0
-    return _evaluate_amplitudes(coeffs, spec, t, x, control, (amplitude,))[0]
-
-
-def _evaluate_amplitudes(coeffs, spec, t, x, control, amplitudes):
-    """``evaluate_deterministic`` for each amplitude of the last offset window.
-
-    Every amplitude replaces the delta of the control's last offset (and is
-    ignored if it has none).  All of them share one quadrature: the pieces,
-    the base control and the coefficients at the points are built once.
-    """
-    grid = coeffs.grid
-    t = grid.require_time(t)
-    horizon = grid.horizon
-    snap = grid.snap
-    if control.fn is None:
-        if control.times[0] > t + snap or control.times[-1] < horizon - snap:
-            raise DomainError("control samples do not cover [t, horizon]")
-    if horizon - t <= snap:
-        mean = x * coeffs.growth_at(t)
-        value = spec.kappa * mean + psi(
-            spec, t, MomentVector.gaussian(_gaussian_order(spec), 0.0)
-        )
-        return [DeterministicEvaluation(mean, 0.0, value)] * len(amplitudes)
-
-    edges = [*control.times, *(s for start, stop, _ in control.offsets for s in (start, stop))]
-    cuts = sorted({t, horizon, *(float(s) for s in edges if t + snap < s < horizon - snap)})
-    # merge cuts closer than the snap width
-    pieces = []
-    h_ref = grid.step
-    prev = cuts[0]
-    for s in cuts[1:]:
-        if s - prev <= snap:
-            continue
-        nsub = max(1, math.ceil((s - prev) / h_ref - 1e-9))
-        pieces.append((prev, s, nsub))
-        prev = s
-
-    pts, wts, mids = _piece_quadrature(pieces)
-    u = control.base_sample(pts)
-    for start, stop, delta in control.offsets[:-1]:
-        u = u + delta * ((mids >= start) & (mids < stop))
-    if control.offsets:
-        start, stop, _ = control.offsets[-1]
-        window = (mids >= start) & (mids < stop)
-        rows = [u + amp * window for amp in amplitudes]
-    else:
-        rows = [u] * len(amplitudes)
-
-    growth = np.exp(coeffs.int_a_many(pts))
-    b = np.asarray(coeffs.control_drift(pts), dtype=float)
-    c = np.asarray(coeffs.drift_offset(pts), dtype=float)
-    d = np.asarray(coeffs.control_vol(pts), dtype=float)
-    f = np.asarray(coeffs.vol_offset(pts), dtype=float)
-
-    start_mean = x * coeffs.growth_at(t)
-    out = []
-    for u in rows:
-        mean = start_mean + float(np.dot(wts, growth * (b * u + c)))
-        variance = float(np.dot(wts, growth * growth * (d * u + f) ** 2))
-        variance = max(variance, 0.0)
-        value = spec.kappa * mean + psi(
-            spec, t, MomentVector.gaussian(_gaussian_order(spec), variance)
-        )
-        out.append(DeterministicEvaluation(mean, variance, value))
-    return out
+def evaluate_deterministic(sol: EquilibriumSolution, t: float, x: float) -> DeterministicEvaluation:
+    """Objective kappa * mean + psi of the equilibrium control started at (t, x),
+    on the Gaussian terminal law that ``_TerminalLaw`` integrates."""
+    t = sol.grid.require_time(t)
+    drift, variance = _TerminalLaw(sol).between(t, sol.grid.horizon)[:2].tolist()
+    mean = x * sol.coeffs.growth_at(t) + drift
+    spec = sol.objective
+    value = spec.kappa * mean + psi(spec, t, MomentVector.gaussian(_gaussian_order(spec), variance))
+    return DeterministicEvaluation(mean, variance, value)
 
 
 @dataclass(frozen=True)
@@ -288,10 +186,14 @@ def spike_suite(
 ) -> tuple:
     """One ``SpikeTestReport`` per amplitude in ``zetas``, all started at t.
 
-    For each window width the unspiked control and every spiked one are
-    evaluated exactly on one shared quadrature decomposition, so the common
-    part of the integrals cancels to rounding and the quadrature is built
-    once per width rather than once per amplitude.
+    Every case reads one ``_TerminalLaw``, built once per start time: the
+    variance from t and each window's spike integrals.  The objective moves
+    by kappa zeta int_W e^{int a} b plus the change of psi, so the terminal
+    mean's part that does not depend on zeta leaves no rounding in the
+    ratio.  Widths must differ and exceed the snap width, below which a
+    window would merge with its start.  The limit is extrapolated from the
+    two smallest widths e1, e2 and their ratios r1, r2 as
+    (e1 r2 - e2 r1) / (e1 - e2).
 
     A spike of amplitude zeta adds zeta^2 to the variance, and psi takes the
     variance to the objective's highest moment order m, so |zeta|^m must
@@ -309,29 +211,38 @@ def spike_suite(
         epsilons = tuple(remaining * 2.0**-k for k in range(4, 11))
     else:
         epsilons = tuple(float(e) for e in _nonempty(epsilons, "spike width"))
-        if any(e <= 0.0 or e > remaining for e in epsilons):
-            raise DomainError("spike widths must lie in (0, horizon - t]")
+    if any(not grid.snap < e <= remaining for e in epsilons):
+        raise DomainError(
+            f"spike widths must lie in (snap, horizon - t] = ({grid.snap:.6g}, {remaining:.6g}],"
+            f" got {list(epsilons)}"
+        )
+    if len(set(epsilons)) < len(epsilons):
+        raise DomainError(f"spike widths must differ, got {list(epsilons)}")
     zetas = _nonempty(zetas, "spike amplitude")
-    _require_power_range(zetas, _gaussian_order(sol.objective), "spike amplitudes")
+    spec = sol.objective
+    order = _gaussian_order(spec)
+    _require_power_range(zetas, order, "spike amplitudes")
 
-    base = DeterministicControl.from_solution(sol)
-    ratios = [[] for _ in zetas]
-    for eps in epsilons:
-        window = base.with_offset(t, min(t + eps, grid.horizon), 0.0)
-        evals = _evaluate_amplitudes(sol.coeffs, sol.objective, t, x, window, (0.0, *zetas))
-        j0 = evals[0].value
-        for zeta, row, spiked in zip(zetas, ratios, evals[1:]):
-            ratio = (spiked.value - j0) / eps
-            if math.isfinite(j0) and not math.isfinite(ratio):
-                raise DomainError(f"spike amplitude {zeta} takes the objective out of the float range")
-            row.append(ratio)
-
+    law = _TerminalLaw(sol)
+    variance = float(law.between(t, grid.horizon)[1])
+    base = psi(spec, t, MomentVector.gaussian(order, variance))
+    windows = law.between(t, np.minimum(t + np.array(epsilons), grid.horizon))[2:].T.tolist()
     d_t = float(sol.coeffs.control_vol(t))
     growth_sq = math.exp(2.0 * sol.coeffs.int_a_at(t))
-    curvature = curvature_sum(sol.objective, t, sol.y_at(t))
+    curvature = curvature_sum(spec, t, sol.y_at(t))
     reports = []
-    for zeta, row in zip(zetas, ratios):
-        extrapolated = 2.0 * row[-1] - row[-2] if len(row) >= 2 else row[-1]
+    for zeta in zetas:
+        row = []
+        for eps, (drift, cross, square) in zip(epsilons, windows):
+            spiked = max(variance + zeta * (2.0 * cross + zeta * square), 0.0)
+            risk = psi(spec, t, MomentVector.gaussian(order, spiked)) - base
+            row.append((spec.kappa * zeta * drift + risk) / eps)
+            if math.isfinite(base) and not math.isfinite(row[-1]):
+                raise DomainError(f"spike amplitude {zeta} takes the objective out of the float range")
+        extrapolated = row[0]
+        if len(row) >= 2:
+            (e1, r1), (e2, r2) = sorted(zip(epsilons, row))[:2]
+            extrapolated = (e1 * r2 - e2 * r1) / (e1 - e2)
         predicted = growth_sq * d_t * d_t * zeta * zeta * curvature
         nonpositive_ok = extrapolated <= limit_tol
         match_ok = abs(extrapolated - predicted) <= match_tol * (1.0 + abs(predicted))
@@ -416,34 +327,22 @@ class PdeResidualReport:
     passed: bool
 
 
-def _moment_excess(sol: EquilibriumSolution, times):
+def _moment_excess(law: _TerminalLaw, times):
     """Closed-form excess m_j(t, x) - x^j of the conditional raw moments of X_T.
 
     Under the equilibrium feedback X_T - x from (t, x) is Gaussian with mean
     delta = x expm1(int_t^T a) + int_t^T e^(int_s^T a) (b u + c) ds and
-    variance y(t), so m_j - x^j = sum_{n >= 1} C(j, n) x^(j-n) E[(X_T - x)^n].
-    The drift integral takes the rule of ``evaluate_deterministic``, one
-    Simpson piece per grid cell: the cells are summed once from the horizon,
-    and each time adds its piece up to the next node.  Built from delta and
-    y alone, the excess keeps its relative precision at short horizons, where
+    variance y(t), so m_j - x^j = sum_{n >= 1} C(j, n) x^(j-n) E[(X_T - x)^n],
+    with the drift integral from ``_TerminalLaw``.  Built from delta and y
+    alone, the excess keeps its relative precision at short horizons, where
     m_j is close to x^j.  Returns excess(order, x) over the array ``times``.
     """
-    coeffs, nodes = sol.coeffs, sol.grid.nodes
+    sol = law.sol
     ts = np.asarray(times, dtype=float)
-
-    def simpson(p, q):
-        s = np.stack([p, 0.5 * (p + q), q])
-        u = sol.control_many(s)
-        g = np.exp(coeffs.int_a_many(s)) * (coeffs.control_drift(s) * u + coeffs.drift_offset(s))
-        return (q - p) / 6.0 * (g[0] + 4.0 * g[1] + g[2])
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        tail = np.append(np.cumsum(simpson(nodes[:-1], nodes[1:])[::-1])[::-1], 0.0)
-        k = np.minimum(np.searchsorted(nodes, ts, side="right"), sol.grid.num_steps)
-        drift = simpson(ts, nodes[k]) + tail[k]
+    drift = law.between(ts, sol.grid.horizon)[0]
     if not np.all(np.isfinite(drift)):
         raise NonFiniteResultError("the drift of the terminal mean is not finite")
-    growth = np.expm1(coeffs.int_a_many(ts))
+    growth = np.expm1(sol.coeffs.int_a_many(ts))
     y = sol.y_many(ts)
 
     def excess(order, x):
@@ -496,8 +395,9 @@ def pde_residual_check(
     x_samples = np.asarray(x_samples, dtype=float)
 
     # the excess on the stencil's time rows t - 2 dt, ..., t + 2 dt, and at the horizon
-    stencil = _moment_excess(sol, t_samples + dt * np.arange(-2.0, 3.0)[:, None])
-    at_horizon = _moment_excess(sol, [horizon])
+    law = _TerminalLaw(sol)
+    stencil = _moment_excess(law, t_samples + dt * np.arange(-2.0, 3.0)[:, None])
+    at_horizon = _moment_excess(law, [horizon])
     coeffs = sol.coeffs
     u = sol.control_many(t_samples)
     a_t, b_t, c_t, d_t, f_t = coeffs.at(t_samples)
@@ -746,8 +646,7 @@ def value_consistency_check(
     sol: EquilibriumSolution, x: float, t: float = 0.0, tol: float = 1e-8
 ) -> ValueConsistency:
     """The deterministic evaluation of the equilibrium control matches V(t, x)."""
-    control = DeterministicControl.from_solution(sol)
-    det = evaluate_deterministic(sol.coeffs, sol.objective, t, x, control)
+    det = evaluate_deterministic(sol, t, x)
     v = sol.value(t, x)
     gap = abs(det.value - v)
     return ValueConsistency(v, det.value, gap, tol, gap <= tol * (1.0 + abs(v)))
@@ -820,8 +719,7 @@ def verification_report(
     if spike is not None:
         cfg = dict(spike)
         times = _nonempty(cfg.pop("times", (0.0, 0.5 * horizon, 0.9 * horizon)), "spike time")
-        zetas = cfg.pop("zetas", (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
-        zetas = [float(z) for z in zetas]
+        zetas = [float(z) for z in cfg.pop("zetas", (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))]
         cases = [
             _plain(case)
             for t in times

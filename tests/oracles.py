@@ -5,8 +5,9 @@ quadrature, plain sums) so that agreement with the package is meaningful.
 It also holds reference forms that no command needs and that left the
 library for that reason: the moment-series view of psi (its gradient in the
 even slots, penalties truncated at ``SERIES_TERMS``), the per-point budget,
-terminal-mean and variance integrals over ``coeffs.integrate``, and the
-central-to-raw moment conversion.
+terminal-mean and variance integrals over ``coeffs.integrate``, the
+central-to-raw moment conversion, and the Gaussian terminal law of any
+deterministic control.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 from equicontrol import DomainError, GridMismatchError, MomentVector, ObjectiveError
 from equicontrol.coeffs import CoefficientSet, integrate
 from equicontrol.moments import double_factorial
-from equicontrol.objectives import ObjectiveSpec, StandardizedMoments, Variant
+from equicontrol.objectives import ObjectiveSpec, StandardizedMoments, Variant, psi
 
 # default number of even slots in the series view of a penalty family
 SERIES_TERMS = 20
@@ -39,6 +40,30 @@ def simpson_integral(f, a, b, n=2048):
     ys = f(xs)
     h = (b - a) / n
     return float(h / 6.0 * (ys[0] + ys[-1] + 4.0 * ys[1::2].sum() + 2.0 * ys[2:-1:2].sum()))
+
+
+def gaussian_law_objective(coeffs: CoefficientSet, spec: ObjectiveSpec, t, x, control):
+    """(mean, variance, value) of the deterministic control path ``control``
+    (a vectorized function of time) started at (t, x).
+
+    The terminal state is Gaussian with mean
+    x e^{int_t^T a} + int_t^T e^{int_s^T a} (b u + c) ds and variance
+    int_t^T e^{2 int_s^T a} (d u + f)^2 ds, each by ``simpson_integral``; the
+    value is kappa * mean + psi on that law.
+    """
+    horizon = coeffs.grid.horizon
+
+    def integrand(s):
+        u = control(s)
+        growth = np.exp(coeffs.int_a_many(s))
+        drift = coeffs.control_drift(s) * u + coeffs.drift_offset(s)
+        vol = coeffs.control_vol(s) * u + coeffs.vol_offset(s)
+        return growth * drift, (growth * vol) ** 2
+
+    mean = x * coeffs.growth_at(t) + simpson_integral(lambda s: integrand(s)[0], t, horizon)
+    variance = simpson_integral(lambda s: integrand(s)[1], t, horizon)
+    order = max(getattr(spec.variant, "order", 2), 2)
+    return mean, variance, spec.kappa * mean + psi(spec, t, MomentVector.gaussian(order, variance))
 
 
 def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = None):

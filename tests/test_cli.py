@@ -1266,6 +1266,21 @@ class TestSuiteRanges:
             code, err, _ = self.run_verify(tmp_path, capsys, suite, options)
         assert code == 0, err
 
+    @pytest.mark.parametrize("epsilons", [[1e-13, 2e-13], [0.5, 1e-300]])
+    def test_spike_widths_within_the_snap_width_exit_2(self, tmp_path, capsys, epsilons):
+        """Such a window merged with its start: the ratios read 0 and spike FAILed."""
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=64,
+            verification={"monte_carlo": False, "spike": {"epsilons": epsilons}},
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: verification: spike widths must lie in (snap, horizon - t]" in err
+        assert "(1e-12, " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("variant", ["exp", "cosh"])
     def test_spike_that_overflows_an_exponential_penalty_exits_2(self, tmp_path, capsys, variant):
         objective = {"variant": variant, "kappa": 1.0, "c": 1.0}

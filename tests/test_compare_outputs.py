@@ -1,8 +1,9 @@
 """``scripts/compare_outputs.py``: a ``--smoke`` self-comparison finds no
 difference, and one changed byte, in an output or in a checkout's source, is
-named by command and file."""
+named by command and file; a changed ``verification.json`` also by kind."""
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -56,6 +57,37 @@ def test_one_tampered_output_byte_is_named(compare_outputs, self_run, tmp_path):
     assert compare_outputs.differences(work / "parent", change, names) == [
         "fine_exp: solution.csv differs"
     ]
+
+
+def test_verification_changes_are_named_by_kind(compare_outputs, self_run, tmp_path):
+    _, work = self_run
+    change = tmp_path / "change"
+    shutil.copytree(work / "change", change)
+    names = sorted(p.name for p in change.iterdir() if p.is_dir())
+    path = change / "verify_mean_variance" / "verification.json"
+    report = json.loads(path.read_text())
+
+    report["value_consistency"]["gap"] = 2.0 * report["value_consistency"]["gap"] + 1e-300
+    spike = report["spike"]["cases"][0]
+    spike["extrapolated"] *= 1.0 + 1e-9
+    path.write_text(json.dumps(report, indent=2))
+    (line,) = compare_outputs.differences(work / "parent", change, names)
+    assert line.startswith(
+        "verify_mean_variance: verification.json differs (numbers only, largest relative change "
+    )
+    assert float(line.rsplit(" ", 1)[1].rstrip(")")) == pytest.approx(0.5, rel=1e-6)
+
+    for tamper in (
+        lambda r: r["spike"]["cases"][0].update(passed=not r["spike"]["cases"][0]["passed"]),
+        lambda r: r["spike"].pop("cases"),
+        lambda r: r.update(solver="other"),
+    ):
+        changed = json.loads(path.read_text())
+        tamper(changed)
+        path.write_text(json.dumps(changed))
+        assert compare_outputs.differences(work / "parent", change, names) == [
+            "verify_mean_variance: verification.json differs (verdicts differ)"
+        ]
 
 
 def test_tampered_source_exits_one(compare_outputs, tmp_path, capsys):

@@ -32,7 +32,7 @@ from equicontrol import (
 from equicontrol.equilibrium import SOLVERS, _solve_increasing_many
 from equicontrol.moments import MomentVector
 from equicontrol.objectives import VARIANTS, psi
-from equicontrol.verify import DeterministicControl, evaluate_deterministic
+from equicontrol.verify import evaluate_deterministic
 
 from cases import (
     base_coeffs,
@@ -594,9 +594,8 @@ class TestValueMany:
         ts = np.array([0.0013, 0.2501, 0.61, 0.9987])
         for name, sol in all_solutions:
             got = sol.value_many(ts, -0.3)
-            control = DeterministicControl.from_solution(sol)
             for t, v in zip(ts, got):
-                det = evaluate_deterministic(sol.coeffs, sol.objective, float(t), -0.3, control)
+                det = evaluate_deterministic(sol, float(t), -0.3)
                 assert abs(det.value - v) <= 1e-8 * (1.0 + abs(v)), (name, t)
 
     def test_standardized_terminal_node(self):

@@ -1,7 +1,11 @@
 import dataclasses
+import inspect
+import io
 import json
 import math
 import os
+import token
+import tokenize
 
 import numpy as np
 import pytest
@@ -14,7 +18,6 @@ from equicontrol import (
     DiscreteDistribution,
     DomainError,
     ExpPenalty,
-    GridMismatchError,
     MomentCombo,
     ObjectiveSpec,
     TimeGrid,
@@ -24,7 +27,6 @@ from equicontrol import verify as verify_module
 from equicontrol.verify import (
     _MC_BLOCK,
     MC_SEED_RANGE,
-    DeterministicControl,
     PdeResidualReport,
     _default_threads,
     _mc_block_sums,
@@ -39,6 +41,7 @@ from equicontrol.verify import (
 )
 
 from cases import base_coeffs, curved_coeffs, solve_all
+from oracles import gaussian_law_objective
 
 
 @pytest.fixture(scope="module")
@@ -74,74 +77,53 @@ def all_solutions():
     return solve_all()
 
 
-class TestDeterministicControl:
-    def test_validation(self):
-        with pytest.raises(GridMismatchError):
-            DeterministicControl(np.array([0.0, 1.0]), np.array([1.0]))
-        with pytest.raises(DomainError):
-            DeterministicControl(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
-
-    def test_offsets_are_half_open(self):
-        ctl = DeterministicControl.constant(1.0, 0.0, 1.0).with_offset(0.2, 0.5, 3.0)
-        np.testing.assert_allclose(ctl.sample([0.1, 0.2, 0.49, 0.5]), [1.0, 4.0, 4.0, 1.0])
-
-    def test_empty_offset_window(self):
-        ctl = DeterministicControl.constant(1.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            ctl.with_offset(0.5, 0.5, 1.0)
-
-    def test_from_solution_uses_exact_evaluator(self, exp_solution):
-        ctl = DeterministicControl.from_solution(exp_solution)
-        ts = np.array([0.1234, 0.777])
-        np.testing.assert_allclose(ctl.sample(ts), exp_solution.control_many(ts), rtol=0)
+def _constant(level):
+    return lambda s: np.full(np.shape(s), float(level))
 
 
 class TestEvaluateDeterministic:
+    """Constant controls go through the Gaussian-law oracle of ``tests/oracles.py``."""
+
     def test_constant_control_oracle(self, mv_solution):
         """u = 1 on dX = 0.3 u dt + 0.2 u dW: mean 0.3, variance 0.04."""
         coeffs = mv_solution.coeffs
         spec = mv_solution.objective
-        ctl = DeterministicControl.constant(1.0, 0.0, 1.0)
-        out = evaluate_deterministic(coeffs, spec, 0.0, 0.0, ctl)
-        assert out.mean == pytest.approx(0.3, rel=1e-13)
-        assert out.variance == pytest.approx(0.04, rel=1e-13)
-        assert out.value == pytest.approx(0.3 - 0.04, rel=1e-12)
+        mean, variance, value = gaussian_law_objective(coeffs, spec, 0.0, 0.0, _constant(1.0))
+        assert mean == pytest.approx(0.3, rel=1e-13)
+        assert variance == pytest.approx(0.04, rel=1e-13)
+        assert value == pytest.approx(0.3 - 0.04, rel=1e-12)
 
     def test_start_state_shift(self, mv_solution):
-        ctl = DeterministicControl.constant(1.0, 0.0, 1.0)
-        out = evaluate_deterministic(mv_solution.coeffs, mv_solution.objective, 0.0, 2.0, ctl)
-        assert out.mean == pytest.approx(2.3, rel=1e-13)
+        mean, _, _ = gaussian_law_objective(
+            mv_solution.coeffs, mv_solution.objective, 0.0, 2.0, _constant(1.0)
+        )
+        assert mean == pytest.approx(2.3, rel=1e-13)
 
     def test_terminal_time(self, mv_solution):
-        ctl = DeterministicControl.constant(1.0, 0.0, 1.0)
-        out = evaluate_deterministic(mv_solution.coeffs, mv_solution.objective, 1.0, 0.7, ctl)
-        assert out.mean == pytest.approx(0.7)
-        assert out.variance == 0.0
-        assert out.value == pytest.approx(0.7)
+        mean, variance, value = gaussian_law_objective(
+            mv_solution.coeffs, mv_solution.objective, 1.0, 0.7, _constant(1.0)
+        )
+        assert mean == pytest.approx(0.7)
+        assert variance == 0.0
+        assert value == pytest.approx(0.7)
 
     def test_equilibrium_is_better_than_alternatives(self, mv_solution):
-        """The equilibrium control beats nearby constant controls from t = 0."""
+        """The equilibrium control (the production table) beats nearby constant
+        controls (the oracle) from t = 0."""
         coeffs, spec = mv_solution.coeffs, mv_solution.objective
-        best = evaluate_deterministic(
-            coeffs, spec, 0.0, 0.0, DeterministicControl.from_solution(mv_solution)
-        ).value
+        best = evaluate_deterministic(mv_solution, 0.0, 0.0).value
         for level in (0.0, 2.0, 3.0, 4.5, 6.0):
-            other = evaluate_deterministic(
-                coeffs, spec, 0.0, 0.0, DeterministicControl.constant(level, 0.0, 1.0)
-            ).value
+            other = gaussian_law_objective(coeffs, spec, 0.0, 0.0, _constant(level))[2]
             assert other <= best + 1e-12
         # and the constant 3.75 control IS the equilibrium here
-        same = evaluate_deterministic(
-            coeffs, spec, 0.0, 0.0, DeterministicControl.constant(3.75, 0.0, 1.0)
-        ).value
+        same = gaussian_law_objective(coeffs, spec, 0.0, 0.0, _constant(3.75))[2]
         assert same == pytest.approx(best, rel=1e-12)
 
-    def test_coverage_guard(self, mv_solution):
-        short = DeterministicControl.constant(1.0, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            evaluate_deterministic(
-                mv_solution.coeffs, mv_solution.objective, 0.0, 0.0, short
-            )
+    def test_terminal_time_of_the_table(self, mv_solution):
+        out = evaluate_deterministic(mv_solution, 1.0, 0.7)
+        assert out.variance == 0.0
+        assert out.mean == pytest.approx(0.7)
+        assert out.value == pytest.approx(0.7)
 
 
 class TestSpikeTest:
@@ -174,6 +156,36 @@ class TestSpikeTest:
     def test_custom_epsilons_validated(self, mv_solution):
         with pytest.raises(DomainError):
             spike_test(mv_solution, 0.9, 1.0, epsilons=(0.5,))
+
+    @pytest.mark.parametrize("epsilons", [(1e-13, 2e-13), (1e-300,), (0.5, 1e-12)])
+    def test_widths_must_exceed_the_snap_width(self, mv_solution, epsilons):
+        """A window within the snap width of its start would merge with it."""
+        with pytest.raises(DomainError, match=r"\(snap, horizon - t\] = \(1e-12, 0\.5\]"):
+            spike_test(mv_solution, 0.5, 1.0, epsilons=epsilons)
+        assert spike_test(mv_solution, 0.5, 1.0, epsilons=(2e-12, 1e-6)).passed
+
+    def test_repeated_widths_rejected(self, mv_solution):
+        with pytest.raises(DomainError, match="must differ"):
+            spike_test(mv_solution, 0.0, 1.0, epsilons=(0.1, 0.05, 0.1))
+
+    @pytest.mark.parametrize("epsilons", [(0.5, 0.1), (0.5, 0.05), (0.1, 0.5)])
+    def test_extrapolation_uses_the_two_smallest_widths(self, all_solutions, epsilons):
+        """r(eps) = L + c eps gives L = (e1 r2 - e2 r1) / (e1 - e2) for any two widths;
+        2 r2 - r1 assumed e1 = 2 e2 and read -0.0843 against -0.0693 at (0.5, 0.1)."""
+        sol = dict(all_solutions)["cos_penalty"]
+        report = spike_test(sol, 0.0, 2.0, epsilons=epsilons)
+        assert report.passed
+        (e1, r1), (e2, r2) = sorted(zip(report.epsilons, report.ratios))[:2]
+        assert report.extrapolated == (e1 * r2 - e2 * r1) / (e1 - e2)
+        if epsilons == (0.5, 0.1):
+            assert report.extrapolated == pytest.approx(-0.06874, abs=1e-5)
+            assert report.predicted_limit == pytest.approx(-0.0693, abs=1e-4)
+
+    def test_default_widths_keep_the_halving_extrapolation(self, all_solutions):
+        for name, sol in all_solutions:
+            report = spike_test(sol, 0.5, 1.0)
+            r = report.ratios
+            assert report.extrapolated == pytest.approx(2.0 * r[-1] - r[-2], rel=1e-12, abs=1e-15)
 
     def test_suite_all_cases(self, all_solutions):
         for name, sol in all_solutions:
@@ -514,52 +526,43 @@ def _reference_mc_block_sums(x0, drift, growth, vol, sqdt, n_paths, key, max_pow
     return sums
 
 
-def _reference_piece_quadrature(points_per_piece):
-    """verify._piece_quadrature as a loop over pieces, one np.linspace each."""
-    pts, wts, mids = [], [], []
-    for p, q, nsub in points_per_piece:
-        n = 2 * nsub
-        x = np.linspace(p, q, n + 1)
-        w = np.empty(n + 1)
-        h = (q - p) / nsub
-        w[0] = w[-1] = h / 6.0
-        w[1:-1:2] = 4.0 * h / 6.0
-        w[2:-1:2] = 2.0 * h / 6.0
-        pts.append(x)
-        wts.append(w)
-        mids.append(np.full(n + 1, 0.5 * (p + q)))
-    return np.concatenate(pts), np.concatenate(wts), np.concatenate(mids)
+def _reference_evaluate(sol, t, x, window=None):
+    """The objective of the equilibrium control plus delta on [start, stop), for
+    ``window`` = (start, stop, delta), evaluated as before the terminal-law table.
 
-
-def _reference_evaluate(coeffs, spec, t, x, control):
+    Every grid node and window edge is a cut (cuts within the snap width merge),
+    each piece takes composite Simpson on ``np.linspace`` points, and one dot
+    product sums all pieces.  Returns (mean, variance, value, number of points).
+    """
     from equicontrol.moments import MomentVector
     from equicontrol.objectives import psi
     from equicontrol.verify import _gaussian_order
 
-    grid = coeffs.grid
+    coeffs, spec, grid = sol.coeffs, sol.objective, sol.grid
     t = grid.require_time(t)
     horizon = grid.horizon
+    start, stop, delta = window if window is not None else (t, horizon, 0.0)
     snap = 1e-12 * max(1.0, horizon)
-    cuts = [t, horizon]
-    for s in control.times:
-        if t + snap < s < horizon - snap:
-            cuts.append(float(s))
-    for start, stop, _ in control.offsets:
-        for s in (start, stop):
-            if t + snap < s < horizon - snap:
-                cuts.append(float(s))
-    cuts = sorted(set(cuts))
-    pieces = []
+    edges = (*grid.nodes.tolist(), start, stop)
+    cuts = sorted({t, horizon, *(float(s) for s in edges if t + snap < s < horizon - snap)})
+    pts, wts, mids = [], [], []
     prev = cuts[0]
     for s in cuts[1:]:
         if s - prev <= snap:
             continue
-        pieces.append((prev, s, max(1, math.ceil((s - prev) / grid.step - 1e-9))))
+        nsub = max(1, math.ceil((s - prev) / grid.step - 1e-9))
+        n = 2 * nsub
+        w = np.empty(n + 1)
+        h = (s - prev) / nsub
+        w[0] = w[-1] = h / 6.0
+        w[1:-1:2] = 4.0 * h / 6.0
+        w[2:-1:2] = 2.0 * h / 6.0
+        pts.append(np.linspace(prev, s, n + 1))
+        wts.append(w)
+        mids.append(np.full(n + 1, 0.5 * (prev + s)))
         prev = s
-    pts, wts, mids = _reference_piece_quadrature(pieces)
-    u = control.base_sample(pts)
-    for start, stop, delta in control.offsets:
-        u = u + delta * ((mids >= start) & (mids < stop))
+    pts, wts, mids = (np.concatenate(a) for a in (pts, wts, mids))
+    u = sol.control_many(pts) + delta * ((mids >= start) & (mids < stop))
     growth = np.exp(coeffs.int_a_many(pts))
     b = np.asarray(coeffs.control_drift(pts), dtype=float)
     c = np.asarray(coeffs.drift_offset(pts), dtype=float)
@@ -570,21 +573,36 @@ def _reference_evaluate(coeffs, spec, t, x, control):
     value = spec.kappa * mean + psi(
         spec, t, MomentVector.gaussian(_gaussian_order(spec), variance)
     )
-    return mean, variance, value
+    return mean, variance, value, pts.size
 
 
 def _reference_spike(sol, t, zeta, x=0.0):
-    """The per-case loop: two evaluations, each with its own quadrature, per width."""
+    """The per-case loop at the default widths: two evaluations, each with its own
+    quadrature, per width.  Returns the ratios, their Richardson limit, the
+    predicted limit and, per width, the rounding that the two evaluations can
+    leave in the ratio.
+
+    Each evaluation sums N weighted terms for the mean and for the variance.
+    Recursive summation rounds such a sum by at most N u times the sum of the
+    magnitudes of its terms (u the unit roundoff), so J = kappa mean + psi carries
+    at most about N u (|kappa mean| + |psi|).  The ratio subtracts two such J and
+    divides by eps, so it carries at most 2 N u (|kappa mean| + |psi|) / eps.
+    """
     from equicontrol.objectives import curvature_sum
 
+    unit = np.finfo(float).eps / 2.0
     remaining = sol.grid.horizon - t
-    base = DeterministicControl.from_solution(sol)
-    ratios = []
+    ratios, bounds = [], []
     for eps in tuple(remaining * 2.0**-k for k in range(4, 11)):
         stop = min(t + eps, sol.grid.horizon)
-        j0 = _reference_evaluate(sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, 0.0))[2]
-        j1 = _reference_evaluate(sol.coeffs, sol.objective, t, x, base.with_offset(t, stop, zeta))[2]
+        evaluations = [_reference_evaluate(sol, t, x, (t, stop, amp)) for amp in (0.0, zeta)]
+        (_, _, j0, _), (_, _, j1, _) = evaluations
         ratios.append((j1 - j0) / eps)
+        scale = max(
+            abs(sol.objective.kappa * mean) + abs(value - sol.objective.kappa * mean)
+            for mean, _, value, _ in evaluations
+        )
+        bounds.append(2.0 * evaluations[0][3] * unit * scale / eps)
     d_t = float(sol.coeffs.control_vol(t))
     predicted = (
         math.exp(2.0 * sol.coeffs.int_a_at(t))
@@ -594,7 +612,7 @@ def _reference_spike(sol, t, zeta, x=0.0):
         * zeta
         * curvature_sum(sol.objective, t, sol.y_at(t))
     )
-    return tuple(ratios), 2.0 * ratios[-1] - ratios[-2], predicted
+    return tuple(ratios), 2.0 * ratios[-1] - ratios[-2], predicted, tuple(bounds)
 
 
 class TestMonteCarloInPlace:
@@ -672,81 +690,112 @@ class TestMonteCarloInPlace:
         assert report.threads == 1
 
 
+def _names(source: str) -> set:
+    """The names in the code of ``source``; strings and comments do not count."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return {tok.string for tok in tokens if tok.type == token.NAME}
+
+
+# the production suffix rules that the terminal-law table checks
+_PRODUCTION_SUFFIX_RULES = {
+    "value_many",
+    "_terminal_mean_parts",
+    "_feedback_quadrature",
+    "offset_eval",
+    "theta_eval",
+    "SuffixQuadrature",
+    "suffix_integrals",
+}
+
+
 class TestSpikeSuite:
     ZETAS = (-2.0, 0.5, 1.0)
 
-    def test_matches_per_case_reference_bitwise(self, all_solutions):
+    def test_matches_per_case_reference(self, all_solutions):
+        """Within the rounding that the reference's two evaluations leave in a ratio."""
+        worst = 0.0
         for name, sol in all_solutions:
             for t in (0.0, 0.5, 0.9):
                 reports = spike_suite(sol, t, self.ZETAS)
                 assert [r.zeta for r in reports] == list(self.ZETAS)
                 for zeta, report in zip(self.ZETAS, reports):
-                    ratios, extrapolated, predicted = _reference_spike(sol, t, zeta)
-                    single = spike_test(sol, t, zeta)
-                    for r in (report, single):
-                        assert r.ratios == ratios, (name, t, zeta)
-                        assert r.extrapolated == extrapolated, (name, t, zeta)
-                        assert r.predicted_limit == predicted, (name, t, zeta)
-                    assert single == report
+                    ratios, extrapolated, predicted, bounds = _reference_spike(sol, t, zeta)
+                    assert spike_test(sol, t, zeta) == report
+                    for new, old, bound in zip(report.ratios, ratios, bounds):
+                        assert abs(new - old) <= bound, (name, t, zeta, new, old, bound)
+                        worst = max(worst, abs(new - old) / bound)
+                    # 2 r7 - r6 carries 2 b7 + b6 = 2.5 b7, since b doubles as eps halves
+                    assert abs(report.extrapolated - extrapolated) <= 3.0 * bounds[-1]
+                    assert report.predicted_limit == predicted, (name, t, zeta)
+        assert worst > 0.0
 
-    def test_evaluate_deterministic_matches_reference_bitwise(self, all_solutions):
+    def test_evaluate_deterministic_matches_reference(self, all_solutions):
+        unit = np.finfo(float).eps / 2.0
         for name, sol in all_solutions:
-            base = DeterministicControl.from_solution(sol)
-            controls = (
-                base,
-                base.with_offset(0.25, 0.26, 1.5),
-                base.with_offset(0.1, 0.6, -0.5).with_offset(0.3, 0.300001, 2.0),
-            )
-            for ctl in controls:
-                for t, x in ((0.0, 0.0), (0.3, -1.0)):
-                    out = evaluate_deterministic(sol.coeffs, sol.objective, t, x, ctl)
-                    ref = _reference_evaluate(sol.coeffs, sol.objective, t, x, ctl)
-                    assert (out.mean, out.variance, out.value) == ref, (name, t, x)
+            for t, x in ((0.0, 0.0), (0.3, -1.0), (0.6001, 2.0)):
+                out = evaluate_deterministic(sol, t, x)
+                mean, variance, value, points = _reference_evaluate(sol, t, x)
+                scale = abs(sol.objective.kappa * mean) + abs(value - sol.objective.kappa * mean)
+                assert abs(out.mean - mean) <= 2.0 * points * unit * (1.0 + abs(mean)), name
+                assert abs(out.variance - variance) <= 2.0 * points * unit * variance, name
+                assert abs(out.value - value) <= 2.0 * points * unit * scale, name
 
-    def test_window_edge_within_snap_of_a_node_merges(self, mv_solution):
+    def test_window_edge_within_snap_of_a_node_merges(self, all_solutions):
         """A window edge closer to a node than the snap width cuts nowhere new."""
-        base = DeterministicControl.from_solution(mv_solution)
-        node = float(mv_solution.grid.nodes[128])
-        near = node + 0.5 * mv_solution.grid.snap
-        on = evaluate_deterministic(
-            mv_solution.coeffs, mv_solution.objective, 0.0, 0.0, base.with_offset(node, 0.5, 1.5)
-        )
-        off = evaluate_deterministic(
-            mv_solution.coeffs, mv_solution.objective, 0.0, 0.0, base.with_offset(near, 0.5, 1.5)
-        )
-        assert off == on
+        for name, sol in all_solutions:
+            law = verify_module._TerminalLaw(sol)
+            node = float(sol.grid.nodes[128])
+            snap = sol.grid.snap
+            for t in (0.0, 0.1):
+                windows = law.between(t, [node, node + 0.5 * snap, node - 0.5 * snap])
+                assert (windows == windows[:, :1]).all(), name
 
-    def test_piece_quadrature_matches_the_loop_bitwise(self):
-        """Random piece lists, down to pieces whose linspace step underflows to 0."""
-        rng = np.random.default_rng(18)
-        underflows = 0
-        for scale in (1.0, 1e6, 1e-12, 1e-300, 1e-320) * 40:
-            cuts = np.unique(np.sort(rng.uniform(0.0, scale, int(rng.integers(2, 600)))))
-            nsub = rng.integers(1, 6, cuts.size - 1).tolist()
-            pieces = list(zip(cuts[:-1].tolist(), cuts[1:].tolist(), nsub))
-            if not pieces:
-                continue
-            underflows += sum((q - p) / (2 * n) == 0.0 for p, q, n in pieces)
-            got = verify_module._piece_quadrature(pieces)
-            for array, expect in zip(got, _reference_piece_quadrature(pieces)):
-                assert array.dtype == expect.dtype and array.tobytes() == expect.tobytes()
-        assert underflows > 0
+    def test_window_inside_one_cell_is_one_piece(self, mv_solution):
+        """A window shorter than a cell takes one Simpson piece, exact on a constant control."""
+        law = verify_module._TerminalLaw(mv_solution)
+        t = 0.25 + 0.1 * mv_solution.grid.step
+        eps = 1e-6
+        _, _, drift, cross, square = law.between(t, [t + eps])[:, 0]
+        # b = 0.3, d = 0.2, f = 0, u = 3.75 and no state drift
+        assert drift == pytest.approx(0.3 * eps, rel=1e-9)
+        assert cross == pytest.approx(0.2 * 0.2 * 3.75 * eps, rel=1e-9)
+        assert square == pytest.approx(0.04 * eps, rel=1e-9)
 
     @pytest.mark.parametrize("num_steps", [64, 512])
-    def test_one_quadrature_per_start_time_and_width(self, num_steps, monkeypatch):
-        """3 start times x 7 widths for the spike suite, plus 1 for value consistency."""
-        calls = []
-        real = verify_module._piece_quadrature
+    def test_one_table_per_suite_call(self, num_steps, monkeypatch):
+        """One for the value check, one per spike start time (not per width and
+        amplitude) and one for the pde stencil."""
+        builds = []
+        build = verify_module._TerminalLaw.__init__
 
-        def counting(pieces):
-            calls.append(len(pieces))
-            return real(pieces)
+        def counting(self, sol):
+            builds.append(sol)
+            build(self, sol)
 
-        monkeypatch.setattr(verify_module, "_piece_quadrature", counting)
+        monkeypatch.setattr(verify_module._TerminalLaw, "__init__", counting)
         sol = solve(base_coeffs(num_steps), ObjectiveSpec(1.0, MomentCombo((2.0,))))
-        report = verification_report(sol, spike={})
+        report = verification_report(sol, spike={}, pde={})
         assert len(report["spike"]["cases"]) == 18
-        assert len(calls) == 21 + 1
+        assert builds == [sol] * (1 + 3 + 1)
+
+    def test_table_names_no_production_suffix_rule(self):
+        source = "".join(
+            inspect.getsource(obj)
+            for obj in (
+                verify_module._TerminalLaw,
+                verify_module.evaluate_deterministic,
+                verify_module.spike_suite,
+                verify_module._moment_excess,
+            )
+        )
+        assert not _names(source) & _PRODUCTION_SUFFIX_RULES
+
+    def test_name_scan_skips_strings_and_comments(self):
+        source = (
+            'def f(sol):\n    """Unlike value_many."""  # nor offset_eval\n'
+            "    return sol.value_many(0.0, 1.0)\n"
+        )
+        assert _names(source) & _PRODUCTION_SUFFIX_RULES == {"value_many"}
 
 
 @pytest.mark.parametrize("call", [
