@@ -418,7 +418,12 @@ class AmbiguousCos(_Penalty):
 
     @cached_property
     def first_integral(self) -> FirstIntegral:
-        """P(y) = int_0^y E[H^2 exp(-H^2 z / 2)]^2 dz, summed exactly over amplitude pairs."""
+        """P(y) = int_0^y E[H^2 exp(-H^2 z / 2)]^2 dz, summed exactly over amplitude pairs.
+
+        P and P' = 4 K^2 sum over the pairs with ``np.sum`` on the last axis,
+        as ``mean_exp_sq`` does, not a BLAS product: each entry's bits then
+        do not depend on the rest of the array.
+        """
         v = self.amplitude._v
         p = self.amplitude._p
         vi2 = v[:, None] ** 2 + v[None, :] ** 2
@@ -427,14 +432,13 @@ class AmbiguousCos(_Penalty):
         # pairs with vi2 = 0 have zero weight, so dropping them is exact
         flat_vi2 = vi2[pos]
         flat_w = wij[pos]
-        weighted_sq = p * v * v
 
         def budget(y):
             ramp = 2.0 * (1.0 - np.exp(-0.5 * np.multiply.outer(y, flat_vi2))) / flat_vi2
-            return ramp @ flat_w
+            return np.sum(ramp * flat_w, axis=-1)
 
         def slope(y):
-            return (np.exp(-0.5 * np.multiply.outer(y, v * v)) @ weighted_sq) ** 2
+            return self.amplitude.mean_exp_sq(y, weight_power=2) ** 2
 
         return FirstIntegral(budget, slope, supremum=float(np.sum(2.0 * flat_w / flat_vi2)))
 

@@ -406,6 +406,18 @@ class TestVariantProtocol:
         targets = np.array([0.0, 1e-3, 0.2, 0.7]) * min(integral.supremum, 4.0)
         np.testing.assert_allclose(integral.p(integral.inverse(targets)), targets, rtol=1e-13)
 
+    @pytest.mark.parametrize("support", [(1.5, 2.5), (0.0, 0.7, 1.5, 2.5, 4.0)])
+    @pytest.mark.parametrize("size", [1, 7, 64, 513, 4097])
+    def test_ambiguous_first_integral_is_elementwise(self, support, size):
+        """An entry of P or P' has the same bits alone as inside any array."""
+        probs = np.full(len(support), 1.0 / len(support))
+        integral = AmbiguousCos(DiscreteDistribution(support, tuple(probs))).first_integral
+        y = np.linspace(0.0, 3.0, size)
+        for fn in (integral.p, integral.dp):
+            whole = fn(y)
+            alone = np.array([fn(y[k : k + 1])[0] for k in range(size)])
+            assert whole.tobytes() == alone.tobytes()
+
     def test_first_integral_routing(self):
         closed = {v.kind for v in FIRST_INTEGRAL_VARIANTS if v.first_integral.closed_form}
         assert closed == {"moment_combo", "exp", "cosh", "cos", "ambiguous_cos", "standardized"}
