@@ -427,6 +427,7 @@ def cmd_solve(args) -> int:
         "concavity_worst_margin": float(sol.margins.max()),
         "concavity_worst_t": float(nodes[np.argmax(sol.margins)]),
         "ode_error_estimate": sol.ode_error_estimate,
+        "ode_relative_error_estimate": sol.ode_relative_error_estimate,
         "ode_substeps": sol.ode_substeps,
     }
     _write_manifest(problem, sol, "solve", [csv_path], {"summary": summary})

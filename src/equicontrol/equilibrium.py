@@ -83,6 +83,11 @@ class EquilibriumSolution:
     def grid(self) -> cf.TimeGrid:
         return self.coeffs.grid
 
+    @property
+    def ode_relative_error_estimate(self) -> float:
+        """``ode_error_estimate`` over max(1, max y): the number ``ode`` holds to its tol."""
+        return _relative_error(self.ode_error_estimate, self.y)
+
     @cached_property
     def control_nodes(self) -> np.ndarray:
         return self.control_many(self.grid.nodes)
@@ -353,7 +358,8 @@ def solve_ode(
     Integrates y' = -(kappa b / d)^2 f(t, y)^2 from the terminal condition
     y(T) = 0 on the master grid, with a Richardson half-step error estimate;
     the step is halved, up to ``_ODE_MAX_SUBSTEPS`` substeps per cell, only
-    while the estimate misses ``tol``.  No family's f depends on t, so each
+    while the estimate misses ``tol`` x max(1, max y), a target relative to
+    the variance once it exceeds one.  No family's f depends on t, so each
     run evaluates (kappa b / d)^2 at all its stage times in one vectorized
     call and marches on Python floats through the family's
     ``curvature_scalar``.  It first checks the risk budget as the
@@ -406,16 +412,44 @@ def solve_ode(
     coarse = run(1)
     substeps = 2
     fine = run(substeps)
-    est = float(np.max(np.abs(fine - coarse))) / 15.0
-    while est > tol and substeps < _ODE_MAX_SUBSTEPS:
+    est = _richardson(fine, coarse)
+    while not _relative_error(est, fine) <= tol and substeps < _ODE_MAX_SUBSTEPS:
         coarse, substeps = fine, substeps * 2
         fine = run(substeps)
-        est = float(np.max(np.abs(fine - coarse))) / 15.0
-    if est > tol:
-        raise OdeStepError(
-            f"backward integration stalled at error estimate {est:.3e} > tol {tol:.3e}"
-        )
+        est = _richardson(fine, coarse)
+    if not _relative_error(est, fine) <= tol:
+        raise _ode_stall(fine, est, tol, curvature)
     return _assemble(coeffs, spec, fine, "ode", ode_err=est, ode_substeps=substeps)
+
+
+def _richardson(fine, coarse) -> float:
+    """Richardson's error estimate max |fine - coarse| / 15 of an RK4 march at two step sizes."""
+    return float(np.max(np.abs(fine - coarse))) / 15.0
+
+
+def _relative_error(est: float, y) -> float:
+    """An error estimate over max(1, max y), the scale ``self_consistency`` uses;
+    inf when y is not finite."""
+    top = float(np.max(y))
+    return est / max(1.0, top) if top < math.inf else math.inf
+
+
+def _ode_stall(y, est: float, tol: float, curvature) -> OdeStepError:
+    """The error of a march whose estimate still misses ``tol`` at the finest step.
+
+    A y past the range where the curvature is finite (exp's e^(c^2 y / 2)
+    overflows) freezes the march's rate at zero: the message names it.
+    """
+    top = float(np.max(y))
+    if not top < math.inf or math.isinf(curvature(top)):
+        return OdeStepError(
+            f"backward integration stalled at error estimate {est:.3e}: y overflows,"
+            f" reaching {top:.3e}, where the curvature K is infinite"
+        )
+    return OdeStepError(
+        f"backward integration stalled at error estimate {est:.3e} > tol {tol:.3e}"
+        " x max(1, max y)"
+    )
 
 
 SOLVERS = {

@@ -2,12 +2,19 @@
 
 Each stage evaluates the curvature through ``curvature_sum`` and both
 coefficients at its own time, so agreement with ``solve_ode`` checks the
-batched stage times, the gain list and every ``curvature_scalar``.
+batched stage times, the gain list and every ``curvature_scalar``.  The
+step-size rule and the stall message are the production march's own.
 """
 
 import numpy as np
 
-from equicontrol.equilibrium import _ODE_MAX_SUBSTEPS, _assemble
+from equicontrol.equilibrium import (
+    _ODE_MAX_SUBSTEPS,
+    _assemble,
+    _ode_stall,
+    _relative_error,
+    _richardson,
+)
 from equicontrol.errors import ConcavityError, OdeStepError
 from equicontrol.objectives import curvature_sum
 
@@ -52,13 +59,11 @@ def reference_solve_ode(coeffs, spec, *, tol=1e-8):
     coarse = run(1)
     substeps = 2
     fine = run(substeps)
-    est = float(np.max(np.abs(fine - coarse))) / 15.0
-    while est > tol and substeps < _ODE_MAX_SUBSTEPS:
+    est = _richardson(fine, coarse)
+    while not _relative_error(est, fine) <= tol and substeps < _ODE_MAX_SUBSTEPS:
         coarse, substeps = fine, substeps * 2
         fine = run(substeps)
-        est = float(np.max(np.abs(fine - coarse))) / 15.0
-    if est > tol:
-        raise OdeStepError(
-            f"backward integration stalled at error estimate {est:.3e} > tol {tol:.3e}"
-        )
+        est = _richardson(fine, coarse)
+    if not _relative_error(est, fine) <= tol:
+        raise _ode_stall(fine, est, tol, lambda y: curvature_sum(spec, grid.horizon, y))
     return _assemble(coeffs, spec, fine, "ode", ode_err=est, ode_substeps=substeps)

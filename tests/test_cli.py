@@ -536,6 +536,27 @@ class TestOdeRecord:
         expect = TestCsvBytes.rendered(("t", "y", "beta", "control_at_x0", "value_at_x0"), columns)
         assert (out / "solution.csv").read_bytes() == expect.encode()
 
+    def test_manifest_records_relative_estimate(self, tmp_path):
+        """Next to the absolute estimate, the one ``ode`` holds to tol: over max(1, max y)."""
+        coefficients = {
+            "state_drift": 0.0,
+            "control_drift": {"type": "exponential", "scale": 0.5, "rate": 2.66},
+            "drift_offset": 0.0,
+            "control_vol": {"type": "exponential", "scale": 0.5, "rate": -2.24},
+            "vol_offset": 0.0,
+        }
+        objective = {"variant": "moment_combo", "kappa": 1.0, "weights": [2.0]}
+        cfg = write_config(
+            tmp_path / "c.json", horizon=2.75, grid_size=256, coefficients=coefficients,
+            objective=objective, solver="ode",
+        )
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["ode_error_estimate"] > 1e-8
+        assert summary["ode_relative_error_estimate"] == summary["ode_error_estimate"] / summary["y_0"]
+        assert summary["ode_relative_error_estimate"] <= 1e-8
+
     def test_closed_form_records_no_substeps(self, mv_config, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--config", str(mv_config), "--out", str(out)]) == 0

@@ -16,6 +16,7 @@ from equicontrol import (
     DiscreteDistribution,
     DomainError,
     ExpPenalty,
+    ExponentialCoefficient,
     MomentCombo,
     NonFiniteResultError,
     ObjectiveSpec,
@@ -246,6 +247,43 @@ class TestOdeMarch:
         """No substep count reaches a tolerance below the rounding floor."""
         with pytest.raises(OdeStepError, match="stalled"):
             solve_ode(base_coeffs(16), ObjectiveSpec(1.0, ExpPenalty(1.0)), tol=1e-300)
+
+    @staticmethod
+    def exponential_coeffs(horizon, num_steps, drift_rate, vol_rate):
+        return CoefficientSet(
+            TimeGrid(horizon, num_steps),
+            state_drift=ConstantCoefficient(0.0),
+            control_drift=ExponentialCoefficient(0.5, drift_rate),
+            drift_offset=ConstantCoefficient(0.0),
+            control_vol=ExponentialCoefficient(0.5, vol_rate),
+            vol_offset=ConstantCoefficient(0.0),
+        )
+
+    @pytest.mark.parametrize("horizon, drift_rate, vol_rate", [(7.3, 2.18, 0.25), (2.75, 2.66, -2.24)])
+    def test_target_is_relative_to_the_variance(self, horizon, drift_rate, vol_rate):
+        """A variance near 1e11 meets tol x max y; the absolute tol stalled it at 16 substeps."""
+        coeffs = self.exponential_coeffs(horizon, 256, drift_rate, vol_rate)
+        spec = ObjectiveSpec(1.0, MomentCombo((2.0,)))
+        sol = solve_ode(coeffs, spec)
+        assert float(sol.y.max()) > 1e10
+        assert sol.ode_error_estimate > 1e-8
+        assert sol.ode_relative_error_estimate <= 1e-8
+        assert sol.ode_relative_error_estimate == sol.ode_error_estimate / float(sol.y.max())
+        # auto carries the Simpson error of theta, near 6e-6 here
+        np.testing.assert_allclose(sol.y, solve(coeffs, spec).y, rtol=1e-4)
+
+    def test_small_variance_keeps_the_absolute_target(self):
+        sol = solve_ode(base_coeffs(64, control_drift=0.1), ObjectiveSpec(1.0, ExpPenalty(1.0)))
+        assert float(sol.y.max()) < 1.0
+        assert sol.ode_relative_error_estimate == sol.ode_error_estimate
+
+    def test_overflow_is_named(self):
+        """A stage y past exp's range freezes the march; the stall says so."""
+        coeffs = self.exponential_coeffs(8.33, 64, 1.72, -1.56)
+        spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
+        with pytest.raises(OdeStepError, match="stalled at error estimate 1.387e[+]20: y overflows"):
+            solve_ode(coeffs, spec)
+        assert solve(coeffs, spec).y[0] == pytest.approx(52.77, rel=1e-3)
 
 
 class TestAssemblyGuards:
