@@ -16,7 +16,7 @@ from .coeffs import (
     TimeGrid,
     integrate,
 )
-from .equilibrium import EquilibriumSolution, solve, solve_ode
+from .equilibrium import EquilibriumSolution, solve, solve_many, solve_ode
 from .errors import (
     CoefficientError,
     ConcavityError,
@@ -122,6 +122,7 @@ __all__ = [
     "psi",
     "raw_to_central",
     "solve",
+    "solve_many",
     "solve_ode",
     "spike_test",
     "value_consistency_check",

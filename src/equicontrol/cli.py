@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import coeffs as cf
-from .equilibrium import SOLVERS, solve
+from .equilibrium import SOLVERS, solve, solve_many
 from .errors import ConfigError, DomainError, EquicontrolError, NonFiniteResultError
 from .objectives import VARIANTS, ObjectiveSpec
 
@@ -509,19 +509,27 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
 
-    rows = []
+    # the values' problems up to the first that cannot be built; the values
+    # before it are solved first, so the first failing value gives the error
+    subs, failure = [], None
     for value in values:
-        sub = _sweep_problem(problem, args.parameter, value)
-        sol = _solve_problem(sub)
-        rows.append(
-            (
-                value,
-                sol.beta_at(0.0),
-                sol.control(0.0, sub.x0),
-                sol.value(0.0, sub.x0),
-                sol.y_at(0.0),
-            )
-        )
+        try:
+            subs.append(_sweep_problem(problem, args.parameter, value))
+        except ConfigError as exc:
+            failure = exc
+            break
+    sols = solve_many(
+        [(sub.coeffs, sub.objective) for sub in subs],
+        solver=problem.solver,
+        ode_tol=problem.tolerances["ode"],
+    )
+    if failure is not None:
+        raise failure
+    x0 = problem.x0
+    rows = [
+        (value, sol.beta_at(0.0), sol.control(0.0, x0), sol.value(0.0, x0), sol.y_at(0.0))
+        for value, sol in zip(values, sols)
+    ]
 
     header = (args.parameter, "beta_0", "control_at_x0", "value_at_x0", "y_0")
     csv_path = _write_csv(problem.out_dir, "sweep.csv", header, list(zip(*rows)))

@@ -21,9 +21,11 @@ routine inverts it at all nodes.  ``SOLVERS`` names it twice:
 ``algebraic`` (the polynomial P of finite moment combinations) always takes
 one vectorized monotone root solve.  A backward RK4 integrator, ``ode``,
 covers the families without a P and serves as an independent check of the
-others; ``solve`` runs a solver by name, and ``auto`` lets the family's
-first integral choose.  Between nodes every solution is the cubic Hermite
-through y_k and the exact slope y'_k = -(d_k beta_k)^2.
+others.  ``solve_many`` runs a solver by name over a list of problems, with
+one inversion for every P that several of them share; ``solve`` is its
+one-problem case, and ``auto`` lets the family's first integral choose.
+Between nodes every solution is the cubic Hermite through y_k and the exact
+slope y'_k = -(d_k beta_k)^2.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from . import coeffs as cf
 from .errors import (
     ConcavityError,
     DomainError,
+    EquicontrolError,
     NonFiniteResultError,
     OdeStepError,
     RootBracketError,
@@ -322,29 +325,28 @@ def _reachable_budget(coeffs: cf.CoefficientSet, spec: ObjectiveSpec, integral) 
     return k2 * th
 
 
-def _solve_first_integral(
-    coeffs: cf.CoefficientSet, spec: ObjectiveSpec, solver_name: str
-) -> EquilibriumSolution:
-    """Solve P(y) = kappa^2 theta at every node.
-
-    ``SOLVERS`` binds this routine as ``closed_form`` and as ``algebraic``;
-    the family's first integral must carry the flag of that name, else
-    UnsupportedVariantError.  Only ``closed_form`` applies an explicit P^-1;
-    otherwise one vectorized monotone root solve inverts P, so
-    ``algebraic`` stays an independent check of the explicit inverses.
-    """
+def _first_integral(spec: ObjectiveSpec, solver_name: str):
+    """The family's first integral P; it must carry the flag ``solver_name``
+    (``closed_form`` or ``algebraic``), else UnsupportedVariantError."""
     integral = spec.variant.first_integral
     if integral is None or not getattr(integral, solver_name):
         raise UnsupportedVariantError(
             f"no {solver_name} solution for this {spec.variant.kind} objective"
             + ("; use the algebraic solver" if integral is not None and integral.algebraic else "")
         )
-    budget = _reachable_budget(coeffs, spec, integral)
+    return integral
+
+
+def _invert(integral, solver_name: str, budget) -> np.ndarray:
+    """y with P(y) = budget, elementwise.
+
+    Only ``closed_form`` applies an explicit P^-1; otherwise one vectorized
+    monotone root solve inverts P, so ``algebraic`` stays an independent
+    check of the explicit inverses.
+    """
     if solver_name == "closed_form" and integral.inverse is not None:
-        y_nodes = integral.inverse(budget)
-    else:
-        y_nodes = _solve_increasing_many(integral.p, integral.dp, budget)
-    return _assemble(coeffs, spec, y_nodes, solver_name)
+        return integral.inverse(budget)
+    return _solve_increasing_many(integral.p, integral.dp, budget)
 
 
 def solve_ode(
@@ -452,11 +454,83 @@ def _ode_stall(y, est: float, tol: float, curvature) -> OdeStepError:
     )
 
 
-SOLVERS = {
-    "closed_form": partial(_solve_first_integral, solver_name="closed_form"),
-    "ode": solve_ode,
-    "algebraic": partial(_solve_first_integral, solver_name="algebraic"),
-}
+def _solver_name(spec: ObjectiveSpec, solver: str) -> str:
+    """The solver ``auto`` picks: ``closed_form`` for an explicit P^-1 or a P
+    that is no polynomial, ``algebraic`` for the other polynomials, ``ode``
+    without a P."""
+    if solver != "auto":
+        return solver
+    integral = spec.variant.first_integral
+    if integral is None:
+        return "ode"
+    return "closed_form" if integral.closed_form else "algebraic"
+
+
+def _invert_shared(jobs) -> dict:
+    """The node values of the first-integral jobs that share their P, by job index.
+
+    The jobs of one ``FirstIntegral`` object (so of one solver: ``solve_many``
+    takes one solver for all) take one ``_invert`` of their concatenated
+    budgets.  A batch whose root solve cannot bracket is left out: each of
+    its jobs then inverts its own budget and raises its own error.
+    """
+    shared = {}
+    for i, (_, _, _, integral, _) in enumerate(jobs):
+        if integral is not None:
+            shared.setdefault(id(integral), []).append(i)
+    roots = {}
+    for indices in shared.values():
+        if len(indices) < 2:
+            continue
+        _, _, solver_name, integral, _ = jobs[indices[0]]
+        budgets = [jobs[i][4] for i in indices]
+        try:
+            y = _invert(integral, solver_name, np.concatenate(budgets))
+        except RootBracketError:
+            continue
+        ends = np.cumsum([b.size for b in budgets])[:-1]
+        roots.update(zip(indices, np.split(y, ends)))
+    return roots
+
+
+def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> list:
+    """Solve each (coeffs, spec) in ``problems`` with the named solver.
+
+    Problems that ``closed_form`` or ``algebraic`` solves through one shared
+    ``FirstIntegral`` object (a sweep of T or kappa keeps the variant, and
+    with it P) are inverted together: their budgets kappa^2 theta are
+    checked one by one, concatenated and inverted by one call.  Every
+    inversion is elementwise, so each solution has the bits its problem
+    gets alone.  ``ode`` problems march one by one.  A failure raises the
+    error of the first failing problem in list order.
+    """
+    if solver != "auto" and solver not in SOLVERS:
+        raise DomainError(f"unknown solver {solver!r}; pick one of auto, " + ", ".join(SOLVERS))
+    # (coeffs, spec, solver name, P or None for ode, budget) per problem, up
+    # to the first that fails before its inversion; that one fails last
+    jobs, failure = [], None
+    for coeffs, spec in problems:
+        try:
+            solver_name = _solver_name(spec, solver)
+            integral = None if solver_name == "ode" else _first_integral(spec, solver_name)
+            budget = None if integral is None else _reachable_budget(coeffs, spec, integral)
+        except EquicontrolError as exc:
+            failure = exc
+            break
+        jobs.append((coeffs, spec, solver_name, integral, budget))
+    roots = _invert_shared(jobs)
+    solutions = []
+    for i, (coeffs, spec, solver_name, integral, budget) in enumerate(jobs):
+        if integral is None:
+            march = SOLVERS["ode"]
+            tol = {} if ode_tol is None else {"tol": float(ode_tol)}
+            solutions.append(march(coeffs, spec, **tol))
+        else:
+            y = roots[i] if i in roots else _invert(integral, solver_name, budget)
+            solutions.append(_assemble(coeffs, spec, y, solver_name))
+    if failure is not None:
+        raise failure
+    return solutions
 
 
 def solve(
@@ -465,20 +539,12 @@ def solve(
     solver: str = "auto",
     ode_tol: float | None = None,
 ) -> EquilibriumSolution:
-    """Solve with the named solver; ``auto`` lets the family's first integral choose.
+    """Solve one problem with the named solver: ``solve_many`` on one problem."""
+    return solve_many([(coeffs, spec)], solver, ode_tol)[0]
 
-    ``auto`` is ``closed_form`` for an explicit P^-1 or a P that is no
-    polynomial, ``algebraic`` for the other polynomials, ``ode`` without a P.
-    """
-    if solver == "auto":
-        integral = spec.variant.first_integral
-        if integral is None:
-            solver = "ode"
-        else:
-            solver = "closed_form" if integral.closed_form else "algebraic"
-    chosen = SOLVERS.get(solver)
-    if chosen is None:
-        raise DomainError(f"unknown solver {solver!r}; pick one of auto, " + ", ".join(SOLVERS))
-    if solver == "ode" and ode_tol is not None:
-        return chosen(coeffs, spec, tol=float(ode_tol))
-    return chosen(coeffs, spec)
+
+SOLVERS = {
+    "closed_form": partial(solve, solver="closed_form"),
+    "ode": solve_ode,
+    "algebraic": partial(solve, solver="algebraic"),
+}

@@ -327,7 +327,7 @@ class _ExponentialPenalty(_Penalty):
     def gaussian_expectation(self, var):
         return self.sign * np.expm1(self._rate * var) / self.c
 
-    @property
+    @cached_property
     def first_integral(self) -> FirstIntegral:
         """P = s (e^(s c^2 y) - 1)."""
         s, c2 = self.sign, self.c * self.c

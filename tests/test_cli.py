@@ -1002,7 +1002,49 @@ class TestSweep:
             "--parameter", "kappa", "--values", "0.5,1,1.5",
         ])
         assert code == 0
-        assert len(calls) == 3  # one node solve per value
+        assert len(calls) == 1  # one node solve for all values: they share P
+
+    def test_swept_weights_keep_a_root_solve_per_value(self, tmp_path, monkeypatch):
+        """A kappa_2 sweep makes a new variant, so a new P, for every value."""
+        calls = []
+        original = equilibrium._solve_increasing_many
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(equilibrium, "_solve_increasing_many", counting)
+        cfg = write_config(
+            tmp_path / "m6.json",
+            grid_size=64,
+            objective={"variant": "moment_combo", "kappa": 1.0, "weights": [1.0, 0.0, 0.5, 0.0, 0.25]},
+        )
+        code = main([
+            "sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--parameter", "kappa_2", "--values", "0.5,1,1.5",
+        ])
+        assert code == 0
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("values, code, message", [
+        ("5,-1", 3, "solver error (CosDomainError): risk budget 1.25 exceeds"),
+        ("-1,5", 2, "config error: cannot sweep T to -1.0"),
+        ("1,5,-1", 3, "solver error (CosDomainError): risk budget 1.25 exceeds"),
+    ])
+    def test_first_failing_value_gives_the_error(self, tmp_path, capsys, values, code, message):
+        """A horizon past cos's budget (exit 3) and one that cannot build (exit 2):
+        the first in the list decides."""
+        cfg = write_config(
+            tmp_path / "cos.json",
+            grid_size=64,
+            coefficients={"control_drift": 0.1, "control_vol": 0.2},
+            objective={"variant": "cos", "kappa": 1.0, "c": 1.0},
+        )
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", str(cfg), "--out", str(out), "--parameter", "T"]
+        assert main([*argv, f"--values={values}"]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_standardized_kurtosis_sweep(self, tmp_path):
         cfg = write_config(
