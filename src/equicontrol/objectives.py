@@ -63,7 +63,9 @@ class FirstIntegral:
     """The exact first integral P(y) = kappa^2 theta(t) of the backward equation.
 
     P is the antiderivative of 4 K^2 with P(0) = 0.  ``p`` and ``dp`` (P and
-    P') act elementwise on arrays; ``inverse`` is P^-1 where it is explicit.
+    P') act elementwise on arrays, each entry's bits independent of the
+    others (``solve_many`` inverts several problems' budgets in one array);
+    ``inverse`` is P^-1 where it is explicit.
     A risk budget at or above ``supremum`` has no root and raises ``error``.
     The two flags name the solvers that take this P: ``algebraic`` holds for
     a polynomial P (the finite moment combinations), ``closed_form`` for
