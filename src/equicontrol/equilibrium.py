@@ -65,7 +65,8 @@ class EquilibriumSolution:
 
     Between nodes the terminal feedback variance is the ``_hermite`` through
     the node values y_k and slopes -(d_k beta_k)^2, built on the first such
-    query.  The loading between nodes follows from the pointwise condition
+    query.  There K is the curvature at that y for every family, and the
+    loading follows from the pointwise condition
     beta = kappa b / d^2 * (-1 / (2 K)).  ``margins`` holds the curvature
     K(t_k, y_k) at each node, all negative.  A query at node 0 or at the
     node array returns the stored ``y`` and ``margins`` (and the loading
@@ -91,10 +92,6 @@ class EquilibriumSolution:
         """``ode_error_estimate`` over max(1, max y): the number ``ode`` holds to its tol."""
         return _relative_error(self.ode_error_estimate, self.y)
 
-    @cached_property
-    def control_nodes(self) -> np.ndarray:
-        return self.control_many(self.grid.nodes)
-
     def _query(self, t):
         """A public query's checked times and their node index: 0 for t = 0,
         a full slice for the node array, else None.
@@ -113,7 +110,10 @@ class EquilibriumSolution:
 
     @cached_property
     def _y_fn(self):
-        return _hermite(self.grid, self.y, _y_slopes(self.coeffs, self.beta))
+        # y'_k = -(d_k beta_k)^2; one that overflows is clipped like any steep one
+        with np.errstate(over="ignore"):
+            slopes = -((self.coeffs.d_nodes * self.beta) ** 2)
+        return _hermite(self.grid, self.y, slopes)
 
     def _y(self, t, at):
         if at is not None:
@@ -126,24 +126,16 @@ class EquilibriumSolution:
     def y_at(self, t: float) -> float:
         return float(self.y_many(t))
 
-    @cached_property
-    def _curvature_fn(self):
-        slopes = self.objective.variant.curvature_slope(self.y) * _y_slopes(self.coeffs, self.beta)
-        return _hermite(self.grid, self.margins, slopes)
-
     def _curvature(self, t, at):
         if at is not None:
             return self.margins[at]
-        if self.objective.variant.cheap_curvature:
-            return curvature_sum(self.objective, t, self._y(t, at))
-        return self._curvature_fn(t)
+        return curvature_sum(self.objective, t, self._y_fn(t))
 
     def curvature_many(self, t):
         """K(t, y_t) along the solution, vectorized.
 
-        Node queries return the stored margins.  Between nodes, variants
-        whose curvature needs a frequency quadrature per query point
-        (fourier_even) take the Hermite of the margins, slopes K_y(y_k) y'_k.
+        Node queries return the stored margins; between nodes K is evaluated
+        at the Hermite y(t).
         """
         return self._curvature(*self._query(t))
 
@@ -218,12 +210,6 @@ class EquilibriumSolution:
         """
         feedback = cf.suffix_integrals((self.coeffs.d_nodes * self.beta) ** 2, self.grid)
         return float(np.max(np.abs(np.maximum(feedback, 0.0) - self.y)))
-
-
-def _y_slopes(coeffs: cf.CoefficientSet, beta) -> np.ndarray:
-    """y'_k = -(d_k beta_k)^2; one that overflows is clipped by ``_hermite`` like any steep one."""
-    with np.errstate(over="ignore"):
-        return -((coeffs.d_nodes * beta) ** 2)
 
 
 def _hermite(grid: cf.TimeGrid, values, slopes):

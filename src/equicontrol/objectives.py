@@ -96,13 +96,11 @@ class Variant:
     parameters.  Families whose psi is linear in the slots define
     ``slot_weight(j)``, the coefficient a_j of z_j / j! in psi, from which
     ``psi_slots`` follows.  Every family has a vectorized ``curvature(y)``
-    (``cheap_curvature``: no quadrature per point) and its value at one
-    Python float, ``curvature_scalar(y)``, in float arithmetic that repeats
-    the vectorized operations (the RK4 march calls it per stage); one without
-    ``cheap_curvature`` runs ``curvature_scalar``'s quadrature once per point
-    in ``curvature`` and adds dK/dy as ``curvature_slope(y)``.  Penalties add
-    ``gaussian_expectation(var)``, and a family with a known first integral
-    returns it from ``first_integral``.  The moment-series view
+    and its value at one Python float, ``curvature_scalar(y)``, in float
+    arithmetic that repeats the vectorized operations (the RK4 march calls it
+    per stage).  Penalties add ``gaussian_expectation(var)``, and a family
+    with a known first integral returns it from ``first_integral``.  The
+    moment-series view
     (psi's gradient in the even slots) is a test oracle, not part of the
     protocol.
     """
@@ -110,7 +108,6 @@ class Variant:
     kind = None
     config_fields = ()
     sweepable = ()
-    cheap_curvature = True
     first_integral = None
 
     @classmethod
@@ -454,7 +451,7 @@ class FourierEvenPenalty(_Penalty):
     Signed densities are accepted; solvability is then established at run
     time through the curvature check.
 
-    K, dK/dy, E[S] and the frequency moments are each one trapezoid over the
+    K, E[S] and the frequency moments are each one trapezoid over the
     frequency window per value, all through ``_row``; the vectorized methods
     call it once per entry of their argument.
     """
@@ -464,7 +461,6 @@ class FourierEvenPenalty(_Penalty):
     atom: float = 0.0
     kind = "fourier_even"
     config_fields = (("frequencies", list, None), ("density", list, None), ("atom", float, 0.0))
-    cheap_curvature = False
 
     def __post_init__(self):
         freqs = tuple(float(v) for v in self.freqs)
@@ -505,10 +501,10 @@ class FourierEvenPenalty(_Penalty):
         """Index of the largest |g f^2|, the curvature integrand's peak at y = 0."""
         return int(np.argmax(np.abs(self._g_f_sq)))
 
-    def _row(self, y, coef, what: str, peak=None, factor=None):
+    def _row(self, y, coef, what: str, peak=None):
         """np.trapezoid over the frequencies of the row exp(y (-f^2 / 2)) coef,
         in its operation order, once the row is negligible at both window edges
-        (edge magnitude at most 1e-6 of the row's largest), times ``factor``.
+        (edge magnitude at most 1e-6 of the row's largest).
 
         Any |w_j| is at most the row's largest, so a row whose edge passes the
         bound at index ``peak`` passes it at the row's largest too: only the
@@ -522,8 +518,6 @@ class FourierEvenPenalty(_Penalty):
         if peak is None or not edge <= 1e-6 * abs(weights[peak]):
             if edge > 1e-6 * max(weights.max(), -weights.min()):
                 raise QuadratureError(f"{what} has not decayed at the window edge")
-        if factor is not None:
-            weights *= factor
         pairs = weights[1:] + weights[:-1]
         pairs *= self._widths
         pairs *= 0.5  # the bits of pairs / 2.0, at half the cost
@@ -547,10 +541,6 @@ class FourierEvenPenalty(_Penalty):
     def curvature_scalar(self, y: float) -> float:
         """``curvature`` at one float, one row (the RK4 march calls it per stage)."""
         return 0.5 * float(self._row(y, self._g_f_sq, "curvature integrand", self._peak))
-
-    def curvature_slope(self, y):
-        """dK/dy, vectorized: the curvature integrand, edge-checked, times -f^2 / 2."""
-        return -0.25 * self._rows(y, self._g_f_sq, "curvature integrand", self._peak, self._f_sq)
 
     def gaussian_expectation(self, var):
         out = self._rows(var, self._g, "frequency-domain integrand")

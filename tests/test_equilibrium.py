@@ -568,7 +568,7 @@ class TestDegenerateMean:
         sol = dict(all_solutions)["penalty_only"]
         np.testing.assert_allclose(sol.beta, 0.0, atol=1e-15)
         # u = -F/D = -0.5 kills the controlled volatility entirely
-        np.testing.assert_allclose(sol.control_nodes, -0.5, rtol=1e-12)
+        np.testing.assert_allclose(sol.control_many(sol.grid.nodes), -0.5, rtol=1e-12)
         assert sol.y_at(0.0) == pytest.approx(0.0, abs=1e-14)
 
 

@@ -3,9 +3,8 @@
 A solution answers y, K and beta at node 0 and at the node array from the
 arrays its solver produced.  Between nodes every solution, whichever solver
 gave it, takes the cubic Hermite through y_k and its exact slope
-y'_k = -(d_k beta_k)^2; fourier_even takes the Hermite of its margins too.
-Its accuracy is checked against a 64x finer solve, and no command loads
-scipy.
+y'_k = -(d_k beta_k)^2, and K and beta follow from y(t).  Its accuracy is
+checked against a 64x finer solve, and no command loads scipy.
 """
 
 import json
@@ -28,6 +27,7 @@ from equicontrol import (
     MomentCombo,
     ObjectiveSpec,
     TimeGrid,
+    curvature_sum,
     solve,
 )
 from equicontrol.equilibrium import SOLVERS, solve_ode
@@ -129,12 +129,17 @@ class TestBetweenNodes:
             bound = 2e-11 if solver == "ode" else 2.0 * node_err + 1e-12
             assert err <= bound, (solver, err, node_err)
 
-    def test_fourier_even_margins(self):
-        """The Hermite of the margins, slopes K_y(y_k) y'_k, against K at the Hermite y."""
-        sol = dict(solve_all(512))["fourier_even"]
+    def test_curvature_and_loading_at_y(self):
+        """Every family takes K(t, y(t)) at the Hermite y and beta from the
+        pointwise condition, bitwise."""
         t = random_times()
-        expect = sol.objective.variant.curvature(sol.y_many(t))
-        assert np.max(np.abs(sol.curvature_many(t) - expect)) <= 5e-13
+        for name, sol in solve_all(512):
+            curvature = curvature_sum(sol.objective, t, sol.y_many(t))
+            assert np.array_equal(sol.curvature_many(t), curvature), name
+            b = sol.coeffs.control_drift(t)
+            d = sol.coeffs.control_vol(t)
+            beta = sol.objective.kappa * b / d**2 * (-0.5 / curvature)
+            assert np.array_equal(sol.beta_many(t), beta), name
 
     def test_fourier_even_narrow_window_verifies(self):
         """Half-width 6.2: the curvature integrand has decayed below the edge gate

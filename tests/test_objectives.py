@@ -478,25 +478,6 @@ def _old_expectation(variant, var):
     return out.reshape(var.shape)
 
 
-def _old_slope(variant, y):
-    """FourierEvenPenalty.curvature_slope as the blocked table kernel computed it:
-    tables of 32 curvature rows, each edge-checked, times f^2, one trapezoid."""
-    flat = y.reshape(-1)
-    out = np.empty(flat.shape)
-    for lo in range(0, flat.size, 32):
-        weights = np.multiply.outer(flat[lo : lo + 32], variant._f_sq)
-        weights *= -0.5
-        np.exp(weights, out=weights)
-        weights *= variant._g_f_sq
-        _old_require_decay(weights, "curvature integrand")
-        weights = weights * variant._f_sq
-        pairs = weights[..., 1:] + weights[..., :-1]
-        pairs *= np.diff(variant._f)
-        pairs /= 2.0
-        out[lo : lo + 32] = pairs.sum(axis=-1)
-    return -0.25 * out.reshape(y.shape)
-
-
 def _curvature_rows(variant, y):
     """The curvature integrand exp(-y f^2 / 2) g f^2, one row per entry of y."""
     return variant._g_f_sq * np.exp(-0.5 * np.multiply.outer(y, variant._f_sq))
@@ -519,7 +500,6 @@ class TestFourierKernel:
         for got, expect in (
             (variant.curvature(y), _old_curvature(variant, y)),
             (variant.gaussian_expectation(y), _old_expectation(variant, y)),
-            (variant.curvature_slope(y), _old_slope(variant, y)),
         ):
             assert type(got) is type(expect)
             assert np.shape(got) == np.shape(expect) == shape
@@ -601,49 +581,6 @@ class TestFourierKernel:
         assert variant._peak == int(np.argmin(np.abs(variant._f - 8.0)))
         assert np.any(cheap_fails & (full_fails != decayed))
         self.assert_scalar_matches_old(variant, values.tolist())
-
-    @pytest.mark.parametrize("half_width, samples", [(12.0, 2401), (10.0, 801)])
-    def test_curvature_slope_matches_central_difference(self, half_width, samples):
-        """dK/dy against a central difference of ``curvature``, rel 1e-6."""
-        variant = fourier_gaussian_amplitude(half_width, samples)
-        y = np.array([0.0, 1e-3, 0.05, 0.3, 1.0, 2.5, 6.0])
-        step = 1e-5 * (1.0 + y)
-        upper = variant.curvature(y + step)
-        lower = variant.curvature(np.maximum(y - step, 0.0))
-        difference = (upper - lower) / (y + step - np.maximum(y - step, 0.0))
-        # at y = 0 the difference is one-sided: compare there at its own O(step) accuracy
-        slope = variant.curvature_slope(y)
-        np.testing.assert_allclose(slope[1:], difference[1:], rtol=1e-6, atol=0.0)
-        np.testing.assert_allclose(slope[0], difference[0], rtol=1e-4)
-        assert np.all(slope > 0.0)  # K = -E[H^2 e^(-H^2 y / 2)] / 2 rises toward 0 with y
-        assert slope.shape == y.shape
-
-    def test_curvature_slope_undecayed_window(self):
-        """A window the curvature rejects, the slope rejects too."""
-        narrow = fourier_gaussian_amplitude(half_width=3.0, samples=301)
-        with pytest.raises(QuadratureError, match="curvature integrand"):
-            narrow.curvature_slope(np.array([0.0, 1.0]))
-        freqs = np.linspace(-12.0, 12.0, 241)
-        flat = FourierEvenPenalty(tuple(freqs), tuple(np.ones(freqs.size)), atom=1.0)
-        assert np.all(np.isfinite(flat.curvature_slope(np.ones(40))))
-        y = np.ones(40)
-        y[-1] = 0.0  # the last row
-        with pytest.raises(QuadratureError):
-            flat.curvature_slope(y)
-
-    def test_curvature_slope_keeps_the_curvature_gate(self):
-        """At half-width 6.2 the curvature integrand's edge ratio at y = 0 is
-        about 2.4e-7, under the 1e-6 gate, while its f^2-weighted slope
-        integrand's is about 3.1e-6: the slope must not refuse a window the
-        curvature accepted."""
-        variant = fourier_gaussian_amplitude(half_width=6.2, samples=1241)
-        y = np.array([0.0, 0.1, 1.0])
-        curvature = variant.curvature(y)
-        slope = variant.curvature_slope(y)
-        assert np.all(np.isfinite(curvature)) and np.all(slope > 0.0)
-        step = 1e-5
-        difference = (variant.curvature(y[1:] + step) - variant.curvature(y[1:] - step)) / (2 * step)
-        np.testing.assert_allclose(slope[1:], difference, rtol=1e-6, atol=0.0)
 
     def test_peak_memory_below_one_table(self):
         import tracemalloc

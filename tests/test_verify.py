@@ -40,7 +40,7 @@ from equicontrol.verify import (
     verification_report,
 )
 
-from cases import base_coeffs, curved_coeffs, solve_all
+from cases import base_coeffs, curved_coeffs, fourier_gaussian_amplitude, solve_all
 from oracles import gaussian_law_objective
 
 
@@ -216,6 +216,15 @@ class TestFbsdeDiagonal:
                 report = fbsde_diagonal_check(sol, float(t))
                 assert report.optimality_residual <= 1e-8 * (1.0 + kappa), (name, t)
                 assert report.second_adjoint_negative, (name, t)
+
+    def test_fourier_even_off_nodes(self):
+        """Between nodes the loading and the check both take K at y(t), so
+        the optimality residual is rounding off the nodes too."""
+        spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
+        sol = solve(base_coeffs(64, control_drift=0.1), spec, "ode")
+        times = [0.9, 0.123457, *np.random.default_rng(3).uniform(0.0, 1.0, 5).tolist()]
+        for t in times:
+            assert fbsde_diagonal_check(sol, t).optimality_residual <= 1e-15, t
 
 
 class TestPdeResiduals:
