@@ -141,6 +141,26 @@ class TestBetweenNodes:
             beta = sol.objective.kappa * b / d**2 * (-0.5 / curvature)
             assert np.array_equal(sol.beta_many(t), beta), name
 
+    def test_continuous_at_the_nodes(self, node_solutions):
+        """Just off each node, K and beta from y(t) meet the stored node arrays."""
+        for sol in node_solutions:
+            nodes = sol.grid.nodes
+            for t, k in ((nodes[1:] - 1e-12, slice(1, None)), (nodes[:-1] + 1e-12, slice(None, -1))):
+                np.testing.assert_allclose(sol.curvature_many(t), sol.margins[k], rtol=1e-9, atol=0.0)
+                np.testing.assert_allclose(sol.beta_many(t), sol.beta[k], rtol=1e-9, atol=0.0)
+
+    def test_curvature_stays_within_cell_margins(self, node_solutions):
+        """y(t) stays within its cell's node values and K is monotone in y for
+        every tested family, so K(t, y(t)) stays within the cell's margins."""
+        t = random_times()
+        for sol in node_solutions:
+            k = np.searchsorted(sol.grid.nodes, t, side="right") - 1
+            k = np.minimum(k, sol.grid.num_steps - 1)
+            lower = np.minimum(sol.margins[k], sol.margins[k + 1])
+            upper = np.maximum(sol.margins[k], sol.margins[k + 1])
+            curvature = sol.curvature_many(t)
+            assert np.all((lower <= curvature) & (curvature <= upper)), sol.objective.variant.kind
+
     def test_fourier_even_narrow_window_verifies(self):
         """Half-width 6.2: the curvature integrand has decayed below the edge gate
         at every y, its f^2-weighted slope integrand not at y = 0 (the horizon

@@ -217,6 +217,16 @@ class TestFbsdeDiagonal:
                 assert report.optimality_residual <= 1e-8 * (1.0 + kappa), (name, t)
                 assert report.second_adjoint_negative, (name, t)
 
+    def test_off_nodes_all_cases(self, all_solutions):
+        """Every family takes beta and the check's K from the same y(t)."""
+        times = np.random.default_rng(5).uniform(0.0, 1.0, 20)
+        for name, sol in all_solutions:
+            kappa = sol.objective.kappa
+            for t in times:
+                report = fbsde_diagonal_check(sol, float(t))
+                assert report.optimality_residual <= 1e-15 * (1.0 + kappa), (name, t)
+                assert report.second_adjoint_negative, (name, t)
+
     def test_fourier_even_off_nodes(self):
         """Between nodes the loading and the check both take K at y(t), so
         the optimality residual is rounding off the nodes too."""
