@@ -125,6 +125,19 @@ def _fields(section: dict, fields, context: str) -> list:
     ]
 
 
+def _registry_entry(section: dict, type_key: str, registry: dict, context: str, keys=()):
+    """The class that ``section[type_key]`` names in ``registry`` and the values
+    of its ``config_fields``; ``keys`` are the other keys the section may hold."""
+    kind = section.get(type_key)
+    cls = registry.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(
+            f"{context}.{type_key} must be one of {', '.join(registry)}; got {kind!r}"
+        )
+    _check_keys(section, (type_key, *keys, *(key for key, _, _ in cls.config_fields)), context)
+    return cls, _fields(section, cls.config_fields, context)
+
+
 def parse_coefficient(entry, context: str):
     """Build a coefficient descriptor from a config entry.
 
@@ -136,14 +149,7 @@ def parse_coefficient(entry, context: str):
     if isinstance(entry, (int, float)):
         return cf.ConstantCoefficient(_finite(entry, context))
     entry = _require_mapping(entry, context)
-    kind = entry.get("type")
-    cls = cf.COEFFICIENTS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(
-            f"{context}.type must be one of {', '.join(cf.COEFFICIENTS)}; got {kind!r}"
-        )
-    _check_keys(entry, ("type", *(key for key, _, _ in cls.config_fields)), context)
-    values = _fields(entry, cls.config_fields, context)
+    cls, values = _registry_entry(entry, "type", cf.COEFFICIENTS, context)
     try:
         return cls(*values)
     except EquicontrolError as exc:
@@ -174,13 +180,8 @@ def _objective(kappa: float, build_variant) -> ObjectiveSpec:
 
 def parse_objective(section) -> ObjectiveSpec:
     section = _require_mapping(section, "objective")
-    kind = section.get("variant")
     kappa = _number(section, "kappa", "objective")
-    cls = VARIANTS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ConfigError(f"objective.variant must be one of {', '.join(VARIANTS)}; got {kind!r}")
-    _check_keys(section, ("variant", "kappa", *(key for key, _, _ in cls.config_fields)), "objective")
-    values = _fields(section, cls.config_fields, "objective")
+    cls, values = _registry_entry(section, "variant", VARIANTS, "objective", ("kappa",))
     return _objective(kappa, lambda: cls.from_config(*values))
 
 
@@ -527,7 +528,7 @@ def cmd_sweep(args) -> int:
         raise failure
     x0 = problem.x0
     rows = [
-        (value, sol.beta_at(0.0), sol.control(0.0, x0), sol.value(0.0, x0), sol.y_at(0.0))
+        (value, sol.beta_at(0.0), sol.control(0.0), sol.value(0.0, x0), sol.y_at(0.0))
         for value, sol in zip(values, sols)
     ]
 

@@ -1,18 +1,18 @@
 """Time-consistent equilibrium controls for the linear moment problem.
 
-The equilibrium feedback control is state-independent:
+The equilibrium feedback control does not depend on the state:
 
-    u(t, x) = beta(t) exp(-int_t^T a) - f(t) / d(t)
+    u(t) = beta(t) exp(-int_t^T a) - f(t) / d(t)
 
 where the loading beta solves the pointwise condition
 
-    kappa b(t) / d(t)^2 + 2 beta(t) K(t, y(t)) = 0,
+    kappa b(t) / d(t)^2 + 2 beta(t) K(y(t)) = 0,
 
 K is the even-moment curvature of the objective and y(t) = int_t^T (d beta)^2
 is the terminal variance produced by the feedback itself.  Eliminating beta
 gives a scalar backward equation for y alone,
 
-    y'(t) + (kappa b(t) / d(t))^2 f(t, y(t))^2 = 0,   y(T) = 0,
+    y'(t) + (kappa b(t) / d(t))^2 f(y(t))^2 = 0,   y(T) = 0,
 
 with gain f = -1 / (2 K).  Where the objective family supplies the exact
 first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
@@ -68,7 +68,7 @@ class EquilibriumSolution:
     query.  There K is the curvature at that y for every family, and the
     loading follows from the pointwise condition
     beta = kappa b / d^2 * (-1 / (2 K)).  ``margins`` holds the curvature
-    K(t_k, y_k) at each node, all negative.  A query at node 0 or at the
+    K(y_k) at each node, all negative.  A query at node 0 or at the
     node array returns the stored ``y`` and ``margins`` (and the loading
     from them).  ``ode_error_estimate`` and ``ode_substeps`` record the
     ``ode`` march's Richardson estimate and substeps per cell, else 0.
@@ -129,10 +129,10 @@ class EquilibriumSolution:
     def _curvature(self, t, at):
         if at is not None:
             return self.margins[at]
-        return curvature_sum(self.objective, t, self._y_fn(t))
+        return curvature_sum(self.objective, self._y_fn(t))
 
     def curvature_many(self, t):
-        """K(t, y_t) along the solution, vectorized.
+        """K(y(t)) along the solution, vectorized.
 
         Node queries return the stored margins; between nodes K is evaluated
         at the Hermite y(t).
@@ -160,8 +160,8 @@ class EquilibriumSolution:
         f = np.asarray(self.coeffs.vol_offset(t), dtype=float)
         return self._beta(t, at) * np.exp(-self.coeffs.int_a_many(t)) - f / d
 
-    def control(self, t: float, x: float = 0.0) -> float:
-        """Equilibrium control; the state argument is accepted but unused."""
+    def control(self, t: float) -> float:
+        """Equilibrium control at one time; it does not depend on the state."""
         return float(self.control_many(t))
 
     @cached_property
@@ -184,7 +184,7 @@ class EquilibriumSolution:
         t, at = self._query(t)
         kappa = self.objective.kappa
         offset, feedback = self._terminal_mean_parts(t, x)
-        risk = gaussian_psi(self.objective, t, self._y(t, at))
+        risk = gaussian_psi(self.objective, self._y(t, at))
         return kappa * offset + kappa * feedback + risk
 
     def value(self, t: float, x: float) -> float:
@@ -245,7 +245,7 @@ def _assemble(
     y_nodes = np.maximum(np.asarray(y_nodes, dtype=float), 0.0)
     if not np.all(np.isfinite(y_nodes)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite y")
-    margins = np.asarray(curvature_sum(spec, coeffs.grid.nodes, y_nodes), dtype=float)
+    margins = np.asarray(curvature_sum(spec, y_nodes), dtype=float)
     worst = float(margins.max())
     if not worst < 0.0:
         raise ConcavityError(f"curvature condition failed: max K = {worst:.6g} (needs K < 0)")
@@ -343,11 +343,11 @@ def solve_ode(
 ) -> EquilibriumSolution:
     """Backward RK4 integration of the scalar equation for y.
 
-    Integrates y' = -(kappa b / d)^2 f(t, y)^2 from the terminal condition
+    Integrates y' = -(kappa b / d)^2 f(y)^2 from the terminal condition
     y(T) = 0 on the master grid, with a Richardson half-step error estimate;
     the step is halved, up to ``_ODE_MAX_SUBSTEPS`` substeps per cell, only
     while the estimate misses ``tol`` x max(1, max y), a target relative to
-    the variance once it exceeds one.  No family's f depends on t, so each
+    the variance once it exceeds one.  Since f = -1 / (2 K(y)) has no t, each
     run evaluates (kappa b / d)^2 at all its stage times in one vectorized
     call and marches on Python floats through the family's
     ``curvature_scalar``.  It first checks the risk budget as the

@@ -2,7 +2,7 @@
 
 Every objective has the shape
 
-    J = kappa * E_t[X_T] + psi(t, M_2, ..., M_n)
+    J = kappa * E_t[X_T] + psi(M_2, ..., M_n)
 
 where M_j is the j-th conditional central moment of X_T.  Finite families
 (``MomentCombo``, ``StandardizedMoments``) weight the first n moments
@@ -14,14 +14,15 @@ The sign convention is risk-averse: even-order slots enter psi with a
 negative derivative, odd-order slots (skewness and friends) with a positive
 one.  The curvature sum
 
-    K(t, y) = sum_{j >= 1} j (2j - 1) alpha(2j - 2, y) psi_{z_2j}(t, alpha(y))
+    K(y) = sum_{j >= 1} j (2j - 1) alpha(2j - 2, y) psi_{z_2j}(alpha(y))
 
 drives both the equilibrium feedback gain and the spike-variation limit; a
 solvable objective keeps K strictly negative along the solution.
 
 Each family is one class implementing the ``Variant`` protocol, registered
-in ``VARIANTS`` under its config name; the functions below and the solvers
-call the protocol and never branch on the family.
+in ``VARIANTS`` under its config name, and ``ObjectiveSpec`` takes nothing
+else.  psi, K and the solvers call the protocol and never branch on the
+family; none of them reads the time.
 """
 
 from __future__ import annotations
@@ -567,12 +568,12 @@ class ObjectiveSpec:
     """Weight on the terminal mean plus a moment-based risk functional."""
 
     kappa: float
-    variant: object
+    variant: Variant
 
     def __post_init__(self):
         if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
             raise DomainError(f"kappa must be nonnegative and finite, got {self.kappa}")
-        if getattr(self.variant, "kind", None) is None:
+        if not isinstance(self.variant, Variant):
             raise ObjectiveError(f"not an objective variant: {self.variant!r}")
 
     @property
@@ -580,23 +581,16 @@ class ObjectiveSpec:
         return isinstance(self.variant, _Penalty)
 
 
-def _variant(spec: ObjectiveSpec) -> Variant:
-    variant = spec.variant
-    if not isinstance(variant, Variant):
-        raise ObjectiveError(f"unknown objective variant {variant.kind!r}")
-    return variant
-
-
-def psi(spec: ObjectiveSpec, t: float, mv: MomentVector) -> float:
-    """Risk part of the objective at the given moment vector.
+def psi(spec: ObjectiveSpec, mv: MomentVector) -> float:
+    """psi(M_2, ..., M_n), the risk part of the objective at the given moment vector.
 
     Gaussian-tagged vectors use exact closed forms for the penalty families;
     otherwise the moment series is truncated at the vector's order.
     Normalized so that a degenerate (zero-variance) law gives zero.
     """
-    variant = _variant(spec)
+    variant = spec.variant
     if spec.is_penalty and mv.gaussian_y is not None:
-        return gaussian_psi(spec, t, mv.gaussian_y)
+        return gaussian_psi(spec, mv.gaussian_y)
     if mv.order < getattr(variant, "order", 0):
         raise DomainError(
             f"moment vector of order {mv.order} cannot feed an order-{variant.order} objective"
@@ -605,10 +599,10 @@ def psi(spec: ObjectiveSpec, t: float, mv: MomentVector) -> float:
     return variant.psi_slots(central, mv.order)
 
 
-def gaussian_psi(spec: ObjectiveSpec, t, y):
+def gaussian_psi(spec: ObjectiveSpec, y):
     """psi on the centred Gaussian law with variance y, elementwise over y.
 
-    Matches ``psi(spec, t, MomentVector.gaussian(order, y))`` at each y to
+    Matches ``psi(spec, MomentVector.gaussian(order, y))`` at each y to
     rounding: exact closed forms for the penalty families, the Gaussian
     moment slots alpha(j, y) for the finite families.
     """
@@ -623,8 +617,8 @@ def gaussian_psi(spec: ObjectiveSpec, t, y):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def curvature_sum(spec: ObjectiveSpec, t, y):
-    """K(t, y), the even-moment curvature of psi at the Gaussian point.
+def curvature_sum(spec: ObjectiveSpec, y):
+    """K(y), the even-moment curvature of psi at the Gaussian point.
 
     Strictly negative K is the solvability condition; it also gives the
     predicted spike-variation limit and the feedback gain -1 / (2 K).
@@ -634,5 +628,5 @@ def curvature_sum(spec: ObjectiveSpec, t, y):
     scalar = y_arr.ndim == 0
     if np.any(y_arr < 0.0):
         raise DomainError("variance must be nonnegative")
-    out = _variant(spec).curvature(y_arr)
+    out = spec.variant.curvature(y_arr)
     return float(out) if scalar else out

@@ -4,9 +4,10 @@ The equilibrium control does not depend on the state, so under it, and under
 any spike on it, the terminal state is Gaussian.  One table, ``_TerminalLaw``,
 integrates that law from any time to the horizon, and the checks build on it:
 
-* spike variations: perturbing the equilibrium control on [t, t + eps) must
-  not improve the objective to first order, and the limit of the loss rate
-  is predicted in closed form by the curvature of the objective;
+* spike variations (``spike_test``, one report per amplitude): perturbing
+  the equilibrium control on [t, t + eps) must not improve the objective to
+  first order, and the limit of the loss rate is predicted in closed form by
+  the curvature K(y) of the objective;
 * the diagonal of the first- and second-order adjoint processes satisfies
   the stochastic maximum principle conditions pointwise;
 * the conditional moments of the terminal state solve the moment equations
@@ -133,7 +134,7 @@ def evaluate_deterministic(sol: EquilibriumSolution, t: float, x: float) -> Dete
     drift, variance = _TerminalLaw(sol).between(t, sol.grid.horizon)[:2].tolist()
     mean = x * sol.coeffs.growth_at(t) + drift
     spec = sol.objective
-    value = spec.kappa * mean + psi(spec, t, MomentVector.gaussian(_gaussian_order(spec), variance))
+    value = spec.kappa * mean + psi(spec, MomentVector.gaussian(_gaussian_order(spec), variance))
     return DeterministicEvaluation(mean, variance, value)
 
 
@@ -144,7 +145,7 @@ class SpikeTestReport:
     ``ratios`` holds (J_perturbed - J_equilibrium) / eps for each window
     width; ``extrapolated`` removes the O(eps) correction by Richardson
     extrapolation.  The predicted limit is
-    exp(2 int_t^T a) d(t)^2 zeta^2 K(t, y(t)), which is nonpositive exactly
+    exp(2 int_t^T a) d(t)^2 zeta^2 K(y(t)), which is nonpositive exactly
     when the curvature condition holds.
     """
 
@@ -165,32 +166,21 @@ class SpikeTestReport:
 def spike_test(
     sol: EquilibriumSolution,
     t: float,
-    zeta: float,
-    x: float = 0.0,
-    epsilons=None,
-    limit_tol: float = 1e-6,
-    match_tol: float = 1e-3,
-) -> SpikeTestReport:
-    """Perturb the equilibrium control by zeta on [t, t + eps) and extrapolate."""
-    return spike_suite(sol, t, (zeta,), x, epsilons, limit_tol, match_tol)[0]
-
-
-def spike_suite(
-    sol: EquilibriumSolution,
-    t: float,
     zetas,
     x: float = 0.0,
     epsilons=None,
     limit_tol: float = 1e-6,
     match_tol: float = 1e-3,
 ) -> tuple:
-    """One ``SpikeTestReport`` per amplitude in ``zetas``, all started at t.
+    """Perturb the equilibrium control by each zeta in ``zetas`` on [t, t + eps)
+    and extrapolate: one ``SpikeTestReport`` per amplitude, all started at t.
 
     Every case reads one ``_TerminalLaw``, built once per start time: the
     variance from t and each window's spike integrals.  The objective moves
     by kappa zeta int_W e^{int a} b plus the change of psi, so the terminal
     mean's part that does not depend on zeta leaves no rounding in the
-    ratio.  Widths must differ and exceed the snap width, below which a
+    ratio.  The control does not read the state, so ``x`` only labels the
+    reports.  Widths must differ and exceed the snap width, below which a
     window would merge with its start.  The limit is extrapolated from the
     two smallest widths e1, e2 and their ratios r1, r2 as
     (e1 r2 - e2 r1) / (e1 - e2).
@@ -225,17 +215,17 @@ def spike_suite(
 
     law = _TerminalLaw(sol)
     variance = float(law.between(t, grid.horizon)[1])
-    base = psi(spec, t, MomentVector.gaussian(order, variance))
+    base = psi(spec, MomentVector.gaussian(order, variance))
     windows = law.between(t, np.minimum(t + np.array(epsilons), grid.horizon))[2:].T.tolist()
     d_t = float(sol.coeffs.control_vol(t))
     growth_sq = math.exp(2.0 * sol.coeffs.int_a_at(t))
-    curvature = curvature_sum(spec, t, sol.y_at(t))
+    curvature = curvature_sum(spec, sol.y_at(t))
     reports = []
     for zeta in zetas:
         row = []
         for eps, (drift, cross, square) in zip(epsilons, windows):
             spiked = max(variance + zeta * (2.0 * cross + zeta * square), 0.0)
-            risk = psi(spec, t, MomentVector.gaussian(order, spiked)) - base
+            risk = psi(spec, MomentVector.gaussian(order, spiked)) - base
             row.append((spec.kappa * zeta * drift + risk) / eps)
             if math.isfinite(base) and not math.isfinite(row[-1]):
                 raise DomainError(f"spike amplitude {zeta} takes the objective out of the float range")
@@ -289,7 +279,7 @@ def fbsde_diagonal_check(sol: EquilibriumSolution, t: float, tol: float = 1e-8) 
     t = sol.grid.require_time(t)
     kappa = sol.objective.kappa
     growth = sol.coeffs.growth_at(t)
-    curv2 = 2.0 * float(curvature_sum(sol.objective, t, sol.y_at(t)))
+    curv2 = 2.0 * float(curvature_sum(sol.objective, sol.y_at(t)))
     d_t = float(sol.coeffs.control_vol(t))
     b_t = float(sol.coeffs.control_drift(t))
     adjoint = kappa * growth
@@ -723,7 +713,7 @@ def verification_report(
         cases = [
             _plain(case)
             for t in times
-            for case in spike_suite(sol, float(t), zetas, x=x0, **cfg)
+            for case in spike_test(sol, float(t), zetas, x=x0, **cfg)
         ]
         report["spike"] = {"cases": cases, "passed": all(c["passed"] for c in cases)}
 

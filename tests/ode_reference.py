@@ -28,7 +28,7 @@ def reference_solve_ode(coeffs, spec, *, tol=1e-8):
             if y < -1e-12:
                 raise OdeStepError(f"backward step left the admissible region: y = {y:.3e}")
             y = 0.0
-        kk = curvature_sum(spec, t, y)
+        kk = curvature_sum(spec, y)
         if not (kk < 0.0):
             raise ConcavityError(
                 f"curvature condition failed during integration: K({t:.6g}, {y:.6g}) = {kk:.6g}"
@@ -65,5 +65,5 @@ def reference_solve_ode(coeffs, spec, *, tol=1e-8):
         fine = run(substeps)
         est = _richardson(fine, coarse)
     if not _relative_error(est, fine) <= tol:
-        raise _ode_stall(fine, est, tol, lambda y: curvature_sum(spec, grid.horizon, y))
+        raise _ode_stall(fine, est, tol, lambda y: curvature_sum(spec, y))
     return _assemble(coeffs, spec, fine, "ode", ode_err=est, ode_substeps=substeps)

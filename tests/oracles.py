@@ -15,10 +15,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from equicontrol import DomainError, GridMismatchError, MomentVector, ObjectiveError
+from equicontrol import DomainError, GridMismatchError, MomentVector
 from equicontrol.coeffs import CoefficientSet, integrate
 from equicontrol.moments import double_factorial
-from equicontrol.objectives import ObjectiveSpec, StandardizedMoments, Variant, psi
+from equicontrol.objectives import ObjectiveSpec, StandardizedMoments, psi
 
 # default number of even slots in the series view of a penalty family
 SERIES_TERMS = 20
@@ -63,10 +63,10 @@ def gaussian_law_objective(coeffs: CoefficientSet, spec: ObjectiveSpec, t, x, co
     mean = x * coeffs.growth_at(t) + simpson_integral(lambda s: integrand(s)[0], t, horizon)
     variance = simpson_integral(lambda s: integrand(s)[1], t, horizon)
     order = max(getattr(spec.variant, "order", 2), 2)
-    return mean, variance, spec.kappa * mean + psi(spec, t, MomentVector.gaussian(order, variance))
+    return mean, variance, spec.kappa * mean + psi(spec, MomentVector.gaussian(order, variance))
 
 
-def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = None):
+def psi_grad_even(spec: ObjectiveSpec, y: float, terms: int | None = None):
     """psi_{z_2j} for j = 1..m at the Gaussian moment point with variance y, in ``.values``.
 
     Finite families give their m = order // 2 even slots, penalties ``terms``
@@ -78,8 +78,6 @@ def psi_grad_even(spec: ObjectiveSpec, t: float, y: float, terms: int | None = N
     if y < 0.0:
         raise DomainError(f"variance must be nonnegative, got {y}")
     variant = spec.variant
-    if not isinstance(variant, Variant):
-        raise ObjectiveError(f"unknown objective variant {variant.kind!r}")
     m = (terms if terms is not None else SERIES_TERMS) if spec.is_penalty else variant.order // 2
     if not isinstance(variant, StandardizedMoments):
         values = [variant.slot_weight(2 * j) / math.factorial(2 * j) for j in range(1, m + 1)]

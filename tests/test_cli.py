@@ -360,7 +360,7 @@ class TestCsvBytes:
             sol = equilibrium.solve(base_coeffs(64), parse_objective(objective))
             x0 = -0.4
             rows.append(
-                (kappa, sol.beta_at(0.0), sol.control(0.0, x0), sol.value(0.0, x0), sol.y_at(0.0))
+                (kappa, sol.beta_at(0.0), sol.control(0.0), sol.value(0.0, x0), sol.y_at(0.0))
             )
         header = ("kappa", "beta_0", "control_at_x0", "value_at_x0", "y_0")
         expect = self.rendered(header, list(zip(*rows)))

@@ -86,10 +86,6 @@ class TestMeanVariance:
         assert float(np.max(mv_solution.integral_equation_residuals())) <= 1e-14
         assert mv_solution.self_consistency_error() <= 1e-12
 
-    def test_control_is_state_independent(self, mv_solution):
-        for x in (-5.0, 0.0, 3.0):
-            assert mv_solution.control(0.3, x) == mv_solution.control(0.3, 0.0)
-
 
 class TestExpPenalty:
     def test_accumulated_variance(self, exp_solution):
@@ -97,7 +93,7 @@ class TestExpPenalty:
         assert exp_solution.y_at(0.0) == pytest.approx(math.log(3.25), rel=1e-12)
 
     def test_initial_control(self, exp_solution):
-        assert exp_solution.control(0.0, 0.0) == pytest.approx(
+        assert exp_solution.control(0.0) == pytest.approx(
             7.5 / math.sqrt(3.25), rel=1e-12
         )
 
@@ -616,7 +612,7 @@ class TestValueMany:
                 [
                     kappa * cf.big_theta(sol.coeffs, t, x)
                     + kappa * cf.integrate(sol.coeffs.b_nodes * sol.beta, sol.grid, t, horizon)
-                    + psi(sol.objective, t, MomentVector.gaussian(order, sol.y_at(t)))
+                    + psi(sol.objective, MomentVector.gaussian(order, sol.y_at(t)))
                     for t in sol.grid.nodes
                 ]
             )
@@ -679,12 +675,6 @@ class TestScalingProperties:
         base = solve(base_coeffs(64), ObjectiveSpec(1.0, MomentCombo((2.0,))))
         scaled = solve(base_coeffs(64), ObjectiveSpec(1.0, MomentCombo((2.0 * scale,))))
         np.testing.assert_allclose(scaled.beta * scale, base.beta, rtol=1e-10)
-
-    @given(x=st.floats(-5.0, 5.0), t=st.floats(0.0, 0.999))
-    @settings(max_examples=30, deadline=None)
-    def test_control_state_independence(self, x, t):
-        sol = solve(base_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)))
-        assert sol.control(t, x) == sol.control(t, 0.0)
 
     def test_y_solves_fixed_point(self, exp_solution):
         """y_t from the solver equals the variance accumulated by its own beta."""

@@ -130,11 +130,11 @@ class TestBetweenNodes:
             assert err <= bound, (solver, err, node_err)
 
     def test_curvature_and_loading_at_y(self):
-        """Every family takes K(t, y(t)) at the Hermite y and beta from the
+        """Every family takes K(y(t)) at the Hermite y and beta from the
         pointwise condition, bitwise."""
         t = random_times()
         for name, sol in solve_all(512):
-            curvature = curvature_sum(sol.objective, t, sol.y_many(t))
+            curvature = curvature_sum(sol.objective, sol.y_many(t))
             assert np.array_equal(sol.curvature_many(t), curvature), name
             b = sol.coeffs.control_drift(t)
             d = sol.coeffs.control_vol(t)
@@ -151,7 +151,7 @@ class TestBetweenNodes:
 
     def test_curvature_stays_within_cell_margins(self, node_solutions):
         """y(t) stays within its cell's node values and K is monotone in y for
-        every tested family, so K(t, y(t)) stays within the cell's margins."""
+        every tested family, so K(y(t)) stays within the cell's margins."""
         t = random_times()
         for sol in node_solutions:
             k = np.searchsorted(sol.grid.nodes, t, side="right") - 1
@@ -163,9 +163,9 @@ class TestBetweenNodes:
 
     def test_fourier_even_narrow_window_verifies(self):
         """Half-width 6.2: the curvature integrand has decayed below the edge gate
-        at every y, its f^2-weighted slope integrand not at y = 0 (the horizon
-        node).  Queries between nodes, and so every verification suite, must
-        accept the window the solve accepted."""
+        at y = 0, and so at every y >= 0.  Queries between nodes evaluate K at
+        the Hermite y, so every verification suite must accept the window the
+        solve accepted."""
         spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude(half_width=6.2, samples=1241))
         sol = solve(base_coeffs(64, control_drift=0.1), spec, "ode")
         assert np.all(np.isfinite(sol.curvature_many(random_times())))

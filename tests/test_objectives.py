@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,37 +90,37 @@ class TestPsi:
         """Alternating-sign weighted sum over central moments, frozen by hand."""
         variant = MomentCombo((2.0, 1.0, 1.0, 0.0, 0.5))
         mv = MomentVector(order=6, mean=0.3, central=(1.1, 0.2, 3.4, 1.0, 16.0))
-        got = psi(ObjectiveSpec(1.0, variant), 0.0, mv)
+        got = psi(ObjectiveSpec(1.0, variant), mv)
         assert got == pytest.approx(-1.2194444444444443, rel=1e-14)
 
     def test_standardized_oracle(self):
         variant = StandardizedMoments((2.0, 1.0, 0.5))
         mv = MomentVector(order=4, mean=0.0, central=(1.1, 0.2, 3.4))
-        got = psi(ObjectiveSpec(1.0, variant), 0.0, mv)
+        got = psi(ObjectiveSpec(1.0, variant), mv)
         assert got == pytest.approx(-1.1296471391688665, rel=1e-13)
 
     def test_standardized_zero_variance(self):
         variant = StandardizedMoments((2.0, 1.0))
         degenerate = MomentVector(order=3, mean=0.0, central=(0.0, 0.0))
-        assert psi(ObjectiveSpec(1.0, variant), 0.0, degenerate) == 0.0
+        assert psi(ObjectiveSpec(1.0, variant), degenerate) == 0.0
         bad = MomentVector(order=3, mean=0.0, central=(0.0, 0.5))
         with pytest.raises(DomainError):
-            psi(ObjectiveSpec(1.0, variant), 0.0, bad)
+            psi(ObjectiveSpec(1.0, variant), bad)
 
     def test_order_guard(self):
         variant = MomentCombo((2.0, 0.0, 1.0))  # needs moments up to order 4
         mv = MomentVector(order=3, mean=0.0, central=(1.0, 0.0))
         with pytest.raises(DomainError):
-            psi(ObjectiveSpec(1.0, variant), 0.0, mv)
+            psi(ObjectiveSpec(1.0, variant), mv)
 
     def test_gaussian_penalty_normalized_at_zero(self):
         spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
-        assert psi(spec, 0.0, MomentVector.gaussian(2, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert psi(spec, MomentVector.gaussian(2, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_exp_penalty_gaussian_closed_form(self):
         spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
         y = 0.9
-        got = psi(spec, 0.0, MomentVector.gaussian(2, y))
+        got = psi(spec, MomentVector.gaussian(2, y))
         assert got == pytest.approx(-(math.exp(y / 2) - 1.0), rel=1e-13)
 
     @given(y=st.floats(0.01, 2.0), c=st.floats(0.3, 1.5))
@@ -139,17 +140,17 @@ class TestPsiGradient:
     @settings(max_examples=30, deadline=None)
     def test_exp_gradient_matches_finite_difference(self, y):
         spec = ObjectiveSpec(1.0, ExpPenalty(0.8))
-        grad = psi_grad_even(spec, 0.0, y)
+        grad = psi_grad_even(spec, y)
         # compare d psi / d z_2 against a finite difference of psi itself
         step = 1e-6 * max(1.0, y)
         up = MomentVector(2, 0.0, (y + step,))
         dn = MomentVector(2, 0.0, (y - step,))
-        fd = (psi(spec, 0.0, up) - psi(spec, 0.0, dn)) / (2.0 * step)
+        fd = (psi(spec, up) - psi(spec, dn)) / (2.0 * step)
         assert grad.values[0] == pytest.approx(fd, rel=5e-5, abs=1e-10)
 
     def test_moment_combo_gradient_is_constant(self):
         spec = ObjectiveSpec(1.0, MomentCombo((2.0, 0.0, 1.0)))
-        grad = psi_grad_even(spec, 0.0, 0.7)
+        grad = psi_grad_even(spec, 0.7)
         assert grad.values[0] == pytest.approx(-1.0)  # -kappa_2 / 2!
         assert grad.values[1] == pytest.approx(-1.0 / 24.0)  # -kappa_4 / 4!
 
@@ -159,19 +160,19 @@ class TestCurvatureSum:
         spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
         for y in (-1e-3, np.array([0.5, -1e-3])):
             with pytest.raises(DomainError, match="nonnegative"):
-                curvature_sum(spec, 0.0, y)
+                curvature_sum(spec, y)
 
     def test_exp_closed_form(self):
         spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
         y = 0.7
-        assert curvature_sum(spec, 0.0, y) == pytest.approx(
+        assert curvature_sum(spec, y) == pytest.approx(
             -0.5 * math.exp(y / 2.0), rel=1e-12
         )
 
     def test_cos_closed_form(self):
         spec = ObjectiveSpec(1.0, CosPenalty(0.8))
         y = 0.5
-        assert curvature_sum(spec, 0.0, y) == pytest.approx(
+        assert curvature_sum(spec, y) == pytest.approx(
             -0.4 * math.exp(-(0.8**2) * y / 2.0), rel=1e-12
         )
 
@@ -179,7 +180,7 @@ class TestCurvatureSum:
         spec = ObjectiveSpec(1.0, MomentCombo((2.0, 0.0, 1.5, 0.0, 0.9)))
         y = 1.3
         expect = -0.5 * (2.0 + 1.5 * y / 2.0 + 0.9 * y * y / 8.0)
-        assert curvature_sum(spec, 0.0, y) == pytest.approx(expect, rel=1e-13)
+        assert curvature_sum(spec, y) == pytest.approx(expect, rel=1e-13)
 
     def test_vectorized_matches_scalar(self):
         ys = np.linspace(0.0, 2.0, 7)
@@ -190,8 +191,8 @@ class TestCurvatureSum:
             ObjectiveSpec(1.0, AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.5, 0.5)))),
             ObjectiveSpec(1.0, fourier_gaussian_amplitude()),
         ):
-            vec = curvature_sum(spec, 0.0, ys)
-            scalars = np.array([curvature_sum(spec, 0.0, float(y)) for y in ys])
+            vec = curvature_sum(spec, ys)
+            scalars = np.array([curvature_sum(spec, float(y)) for y in ys])
             np.testing.assert_allclose(vec, scalars, rtol=1e-13)
 
     def test_ambiguous_matches_series(self):
@@ -201,13 +202,13 @@ class TestCurvatureSum:
         y = 0.6
         # K(y) = -1/2 E[H^2 e^{-H^2 y/2}]
         expect = -0.5 * dist.mean_exp_sq(y, weight_power=2)
-        assert curvature_sum(spec, 0.0, y) == pytest.approx(expect, rel=1e-13)
+        assert curvature_sum(spec, y) == pytest.approx(expect, rel=1e-13)
 
     def test_fourier_gaussian_amplitude_closed_form(self):
         spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
         y = 0.4
         # amplitude ~ N(0,1): K(y) = -1/2 E[H^2 e^{-H^2 y/2}] = -(1+y)^{-3/2}/2
-        assert curvature_sum(spec, 0.0, y) == pytest.approx(
+        assert curvature_sum(spec, y) == pytest.approx(
             -0.5 * (1.0 + y) ** -1.5, rel=1e-7
         )
 
@@ -215,13 +216,13 @@ class TestCurvatureSum:
         """For standardized weights the skew term cancels: K = -kappa_2 / 2."""
         spec = ObjectiveSpec(1.0, StandardizedMoments((2.0, 1.0)))
         for y in (0.2, 0.9, 1.7):
-            assert curvature_sum(spec, 0.0, y) == pytest.approx(-1.0, rel=1e-6)
+            assert curvature_sum(spec, y) == pytest.approx(-1.0, rel=1e-6)
 
     def test_odd_weights_do_not_move_curvature(self):
-        base = curvature_sum(ObjectiveSpec(1.0, MomentCombo((2.0, 0.0, 1.0))), 0.0, 0.8)
+        base = curvature_sum(ObjectiveSpec(1.0, MomentCombo((2.0, 0.0, 1.0))), 0.8)
         for odd3, odd5 in ((1.0, 2.0), (-3.0, 4.0)):
             v = MomentCombo((2.0, odd3, 1.0, odd5))
-            got = curvature_sum(ObjectiveSpec(1.0, v), 0.0, 0.8)
+            got = curvature_sum(ObjectiveSpec(1.0, v), 0.8)
             assert got == base  # bitwise: odd slots never enter
 
 
@@ -245,13 +246,13 @@ class TestGaussianPsi:
         for variant in self.VARIANTS:
             spec = ObjectiveSpec(1.0, variant)
             order = max(getattr(variant, "order", 2), 2)
-            expect = [psi(spec, 0.0, MomentVector.gaussian(order, float(y))) for y in ys]
-            got = gaussian_psi(spec, 0.0, ys)
+            expect = [psi(spec, MomentVector.gaussian(order, float(y))) for y in ys]
+            got = gaussian_psi(spec, ys)
             np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, err_msg=variant.kind)
 
     def test_standardized_jumps_at_zero_variance(self):
         spec = ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0)))
-        got = gaussian_psi(spec, 0.0, np.array([0.0, 1e-300, 1e-100]))
+        got = gaussian_psi(spec, np.array([0.0, 1e-300, 1e-100]))
         # kurtosis term: -(1/4!) * 3 y^2 / y^2 once y^2 is representable
         assert got[0] == 0.0
         assert got[1] == -1e-300
@@ -259,8 +260,8 @@ class TestGaussianPsi:
 
     def test_scalar_in_scalar_out(self):
         spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
-        assert isinstance(gaussian_psi(spec, 0.0, 0.5), float)
-        assert isinstance(gaussian_psi(ObjectiveSpec(1.0, MomentCombo((2.0,))), 0.0, 0.5), float)
+        assert isinstance(gaussian_psi(spec, 0.5), float)
+        assert isinstance(gaussian_psi(ObjectiveSpec(1.0, MomentCombo((2.0,))), 0.5), float)
 
 
 STANDARDIZED_WEIGHTS = ((2.0, 1.0), (2.0, 0.0, 1.0), (2.0, 0.5, 1.0, 0.0, 0.3))
@@ -281,8 +282,8 @@ def _fd_curvature(spec, order, m, y):
         up[slot] += step
         dn[slot] -= step
         fd = (
-            psi(spec, 0.0, MomentVector(order, 0.0, tuple(up)))
-            - psi(spec, 0.0, MomentVector(order, 0.0, tuple(dn)))
+            psi(spec, MomentVector(order, 0.0, tuple(up)))
+            - psi(spec, MomentVector(order, 0.0, tuple(dn)))
         ) / (2.0 * step)
         grad.append(fd)
     k = sum(j * (2 * j - 1) * alpha(2 * j - 2, y) * g for j, g in enumerate(grad, start=1))
@@ -296,8 +297,8 @@ class TestAnalyticCurvature:
         spec = ObjectiveSpec(1.0, StandardizedMoments(weights))
         ys = (0.0, 1e-300, 1e-8, 0.3, 1.7)
         for y in ys:
-            assert curvature_sum(spec, 0.0, y) == -0.5 * weights[0]
-        assert np.all(curvature_sum(spec, 0.0, np.array(ys)) == -0.5 * weights[0])
+            assert curvature_sum(spec, y) == -0.5 * weights[0]
+        assert np.all(curvature_sum(spec, np.array(ys)) == -0.5 * weights[0])
 
     @pytest.mark.parametrize("weights", STANDARDIZED_WEIGHTS)
     def test_standardized_matches_difference_oracle(self, weights):
@@ -306,8 +307,8 @@ class TestAnalyticCurvature:
         m = max(variant.order // 2, 1)
         for y in (0.3, 1.7):
             k_fd, grad_fd = _fd_curvature(spec, variant.order, m, y)
-            assert curvature_sum(spec, 0.0, y) == pytest.approx(k_fd, rel=1e-6)
-            grad = psi_grad_even(spec, 0.0, y).values
+            assert curvature_sum(spec, y) == pytest.approx(k_fd, rel=1e-6)
+            grad = psi_grad_even(spec, y).values
             np.testing.assert_allclose(grad, grad_fd, rtol=1e-6, atol=0.0)
 
     def test_fourier_matches_difference_oracle(self):
@@ -315,8 +316,8 @@ class TestAnalyticCurvature:
         m = 20  # the default series length of psi_grad_even
         for y in (0.05, 0.3):
             k_fd, grad_fd = _fd_curvature(spec, 2 * m, m, y)
-            assert curvature_sum(spec, 0.0, y) == pytest.approx(k_fd, rel=1e-6)
-            grad = psi_grad_even(spec, 0.0, y).values
+            assert curvature_sum(spec, y) == pytest.approx(k_fd, rel=1e-6)
+            grad = psi_grad_even(spec, y).values
             assert len(grad) == m
             k_grad = sum(
                 j * (2 * j - 1) * alpha(2 * j - 2, y) * g for j, g in enumerate(grad, start=1)
@@ -326,11 +327,11 @@ class TestAnalyticCurvature:
 
     def test_standardized_gradient_needs_variance(self):
         with pytest.raises(DomainError):
-            psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0))), 0.0, 0.0)
+            psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0))), 0.0)
         with pytest.raises(DomainError):
-            psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0))), 0.0, 1e-300)
+            psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0))), 1e-300)
         # no higher even weight: the skewness slot is odd and never read
-        grad = psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 1.0))), 0.0, 0.0)
+        grad = psi_grad_even(ObjectiveSpec(1.0, StandardizedMoments((2.0, 1.0))), 0.0)
         assert grad.values == (-1.0,)
 
     def test_fourier_uses_cached_tables_bitwise(self):
@@ -342,19 +343,20 @@ class TestAnalyticCurvature:
         g = np.asarray(variant.density)
         weights = g * f * f * np.exp(-0.5 * np.multiply.outer(ys, f * f))
         expect = 0.5 * np.trapezoid(weights, f, axis=-1)
-        assert curvature_sum(spec, 0.0, ys).tobytes() == expect.tobytes()
-        assert curvature_sum(spec, 0.0, 0.4) == expect[2]
+        assert curvature_sum(spec, ys).tobytes() == expect.tobytes()
+        assert curvature_sum(spec, 0.4) == expect[2]
         assert variant._g_f_sq is variant._g_f_sq
 
     def test_unknown_variant_rejected(self):
+        """Only a ``Variant`` makes a spec: an object with a ``kind`` fails at
+        construction, before any solver or psi reads it."""
+
         class Bogus:
             kind = "bogus"
 
-        spec = ObjectiveSpec(1.0, Bogus())
-        with pytest.raises(ObjectiveError):
-            curvature_sum(spec, 0.0, 0.5)
-        with pytest.raises(ObjectiveError):
-            psi_grad_even(spec, 0.0, 0.5)
+        for variant in (Bogus(), SimpleNamespace(kind="fake"), None):
+            with pytest.raises(ObjectiveError, match="not an objective variant"):
+                ObjectiveSpec(1.0, variant)
 
 
 FIRST_INTEGRAL_VARIANTS = (
@@ -388,7 +390,7 @@ class TestVariantProtocol:
     def test_first_integral_derivative_is_four_k_squared(self, variant):
         integral = variant.first_integral
         ys = np.array([0.0, 0.05, 0.4, 1.3, 3.0])
-        k = curvature_sum(ObjectiveSpec(1.0, variant), 0.0, ys)
+        k = curvature_sum(ObjectiveSpec(1.0, variant), ys)
         np.testing.assert_allclose(integral.dp(ys), 4.0 * k * k, rtol=1e-13)
         assert float(integral.p(np.array([0.0]))[0]) == 0.0
         # P' is the derivative of P: compare against a central difference
@@ -530,7 +532,7 @@ class TestFourierKernel:
         with pytest.raises(QuadratureError):
             variant.frequency_moment(2)
         with pytest.raises(QuadratureError):
-            curvature_sum(ObjectiveSpec(1.0, variant), 0.0, y)
+            curvature_sum(ObjectiveSpec(1.0, variant), y)
         assert math.isfinite(variant.curvature_scalar(1.0))
 
     @staticmethod

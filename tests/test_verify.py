@@ -34,7 +34,6 @@ from equicontrol.verify import (
     fbsde_diagonal_check,
     monte_carlo,
     pde_residual_check,
-    spike_suite,
     spike_test,
     value_consistency_check,
     verification_report,
@@ -128,52 +127,51 @@ class TestEvaluateDeterministic:
 
 class TestSpikeTest:
     def test_mean_variance_frozen_limit(self, mv_solution):
-        report = spike_test(mv_solution, 0.0, 1.0)
+        report = spike_test(mv_solution, 0.0, (1.0,))[0]
         assert report.extrapolated == pytest.approx(-0.04, abs=1e-9)
         assert report.predicted_limit == pytest.approx(-0.04, rel=1e-12)
         assert report.passed
 
     def test_exp_frozen_limit(self, exp_solution):
-        report = spike_test(exp_solution, 0.0, 1.0)
+        report = spike_test(exp_solution, 0.0, (1.0,))[0]
         assert report.predicted_limit == pytest.approx(-0.03605551275463989, rel=1e-12)
         assert report.passed
 
     def test_quadratic_in_zeta(self, mv_solution):
-        small = spike_test(mv_solution, 0.5, 1.0)
-        large = spike_test(mv_solution, 0.5, 2.0)
+        small, large = spike_test(mv_solution, 0.5, (1.0, 2.0))
         assert large.extrapolated == pytest.approx(4.0 * small.extrapolated, rel=1e-6)
 
     def test_zero_perturbation(self, mv_solution):
-        report = spike_test(mv_solution, 0.0, 0.0)
+        report = spike_test(mv_solution, 0.0, (0.0,))[0]
         assert report.extrapolated == 0.0
         assert report.predicted_limit == 0.0
         assert report.passed
 
     def test_near_horizon_guard(self, mv_solution):
         with pytest.raises(DomainError):
-            spike_test(mv_solution, 1.0, 1.0)
+            spike_test(mv_solution, 1.0, (1.0,))
 
     def test_custom_epsilons_validated(self, mv_solution):
         with pytest.raises(DomainError):
-            spike_test(mv_solution, 0.9, 1.0, epsilons=(0.5,))
+            spike_test(mv_solution, 0.9, (1.0,), epsilons=(0.5,))
 
     @pytest.mark.parametrize("epsilons", [(1e-13, 2e-13), (1e-300,), (0.5, 1e-12)])
     def test_widths_must_exceed_the_snap_width(self, mv_solution, epsilons):
         """A window within the snap width of its start would merge with it."""
         with pytest.raises(DomainError, match=r"\(snap, horizon - t\] = \(1e-12, 0\.5\]"):
-            spike_test(mv_solution, 0.5, 1.0, epsilons=epsilons)
-        assert spike_test(mv_solution, 0.5, 1.0, epsilons=(2e-12, 1e-6)).passed
+            spike_test(mv_solution, 0.5, (1.0,), epsilons=epsilons)
+        assert spike_test(mv_solution, 0.5, (1.0,), epsilons=(2e-12, 1e-6))[0].passed
 
     def test_repeated_widths_rejected(self, mv_solution):
         with pytest.raises(DomainError, match="must differ"):
-            spike_test(mv_solution, 0.0, 1.0, epsilons=(0.1, 0.05, 0.1))
+            spike_test(mv_solution, 0.0, (1.0,), epsilons=(0.1, 0.05, 0.1))
 
     @pytest.mark.parametrize("epsilons", [(0.5, 0.1), (0.5, 0.05), (0.1, 0.5)])
     def test_extrapolation_uses_the_two_smallest_widths(self, all_solutions, epsilons):
         """r(eps) = L + c eps gives L = (e1 r2 - e2 r1) / (e1 - e2) for any two widths;
         2 r2 - r1 assumed e1 = 2 e2 and read -0.0843 against -0.0693 at (0.5, 0.1)."""
         sol = dict(all_solutions)["cos_penalty"]
-        report = spike_test(sol, 0.0, 2.0, epsilons=epsilons)
+        report = spike_test(sol, 0.0, (2.0,), epsilons=epsilons)[0]
         assert report.passed
         (e1, r1), (e2, r2) = sorted(zip(report.epsilons, report.ratios))[:2]
         assert report.extrapolated == (e1 * r2 - e2 * r1) / (e1 - e2)
@@ -183,16 +181,15 @@ class TestSpikeTest:
 
     def test_default_widths_keep_the_halving_extrapolation(self, all_solutions):
         for name, sol in all_solutions:
-            report = spike_test(sol, 0.5, 1.0)
+            report = spike_test(sol, 0.5, (1.0,))[0]
             r = report.ratios
             assert report.extrapolated == pytest.approx(2.0 * r[-1] - r[-2], rel=1e-12, abs=1e-15)
 
     def test_suite_all_cases(self, all_solutions):
         for name, sol in all_solutions:
             for t in (0.0, 0.5, 0.9):
-                for zeta in (-1.0, 0.5):
-                    report = spike_test(sol, t, zeta)
-                    assert report.passed, (name, t, zeta, report.extrapolated)
+                for report in spike_test(sol, t, (-1.0, 0.5)):
+                    assert report.passed, (name, t, report.zeta, report.extrapolated)
 
 
 class TestFbsdeDiagonal:
@@ -590,7 +587,7 @@ def _reference_evaluate(sol, t, x, window=None):
     mean = x * coeffs.growth_at(t) + float(np.dot(wts, growth * (b * u + c)))
     variance = max(float(np.dot(wts, growth * growth * (d * u + f) ** 2)), 0.0)
     value = spec.kappa * mean + psi(
-        spec, t, MomentVector.gaussian(_gaussian_order(spec), variance)
+        spec, MomentVector.gaussian(_gaussian_order(spec), variance)
     )
     return mean, variance, value, pts.size
 
@@ -629,7 +626,7 @@ def _reference_spike(sol, t, zeta, x=0.0):
         * d_t
         * zeta
         * zeta
-        * curvature_sum(sol.objective, t, sol.y_at(t))
+        * curvature_sum(sol.objective, sol.y_at(t))
     )
     return tuple(ratios), 2.0 * ratios[-1] - ratios[-2], predicted, tuple(bounds)
 
@@ -735,11 +732,11 @@ class TestSpikeSuite:
         worst = 0.0
         for name, sol in all_solutions:
             for t in (0.0, 0.5, 0.9):
-                reports = spike_suite(sol, t, self.ZETAS)
+                reports = spike_test(sol, t, self.ZETAS)
                 assert [r.zeta for r in reports] == list(self.ZETAS)
                 for zeta, report in zip(self.ZETAS, reports):
                     ratios, extrapolated, predicted, bounds = _reference_spike(sol, t, zeta)
-                    assert spike_test(sol, t, zeta) == report
+                    assert spike_test(sol, t, (zeta,))[0] == report
                     for new, old, bound in zip(report.ratios, ratios, bounds):
                         assert abs(new - old) <= bound, (name, t, zeta, new, old, bound)
                         worst = max(worst, abs(new - old) / bound)
@@ -797,13 +794,28 @@ class TestSpikeSuite:
         assert len(report["spike"]["cases"]) == 18
         assert builds == [sol] * (1 + 3 + 1)
 
+    def test_report_runs_spikes_through_spike_test(self, mv_solution, monkeypatch):
+        """The report's spikes go through ``verify.spike_test``, once per
+        default start time, so a wrapper of that name sees the whole suite."""
+        starts = []
+        original = verify_module.spike_test
+
+        def counting(sol, t, *args, **kwargs):
+            starts.append(t)
+            return original(sol, t, *args, **kwargs)
+
+        monkeypatch.setattr(verify_module, "spike_test", counting)
+        report = verification_report(mv_solution, spike={})
+        assert starts == [0.0, 0.5, 0.9]
+        assert len(report["spike"]["cases"]) == 18
+
     def test_table_names_no_production_suffix_rule(self):
         source = "".join(
             inspect.getsource(obj)
             for obj in (
                 verify_module._TerminalLaw,
                 verify_module.evaluate_deterministic,
-                verify_module.spike_suite,
+                verify_module.spike_test,
                 verify_module._moment_excess,
             )
         )
@@ -823,8 +835,8 @@ class TestSpikeSuite:
     lambda sol: pde_residual_check(sol, x_samples=()),
     lambda sol: verification_report(sol, spike={"times": ()}),
     lambda sol: verification_report(sol, fbsde={"times": ()}),
-    lambda sol: spike_suite(sol, 0.5, zetas=()),
-    lambda sol: spike_suite(sol, 0.5, (1.0,), epsilons=()),
+    lambda sol: spike_test(sol, 0.5, zetas=()),
+    lambda sol: spike_test(sol, 0.5, (1.0,), epsilons=()),
     lambda sol: monte_carlo(sol, 0.0, seed=1, num_paths=100, num_steps=8, orders=()),
 ], ids=["pde-orders", "pde-times", "pde-states", "spike-times", "fbsde-times",
         "spike-zetas", "spike-epsilons", "mc-orders"])
