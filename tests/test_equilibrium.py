@@ -86,6 +86,11 @@ class TestMeanVariance:
         assert float(np.max(mv_solution.integral_equation_residuals())) <= 1e-14
         assert mv_solution.self_consistency_error() <= 1e-12
 
+    def test_control_is_constant_loading(self, mv_solution):
+        # a = f = 0, so u(t) = beta(t) = 3.75 at nodes and between them
+        for t in (0.0, 0.3, 0.123457, 0.999, 1.0):
+            assert mv_solution.control(t) == pytest.approx(3.75, rel=1e-12)
+
 
 class TestExpPenalty:
     def test_accumulated_variance(self, exp_solution):
@@ -675,6 +680,16 @@ class TestScalingProperties:
         base = solve(base_coeffs(64), ObjectiveSpec(1.0, MomentCombo((2.0,))))
         scaled = solve(base_coeffs(64), ObjectiveSpec(1.0, MomentCombo((2.0 * scale,))))
         np.testing.assert_allclose(scaled.beta * scale, base.beta, rtol=1e-10)
+
+    @given(x=st.floats(-5.0, 5.0), t=st.floats(0.0, 0.999))
+    @settings(max_examples=30, deadline=None)
+    def test_value_is_affine_in_state(self, x, t):
+        """V(t, x) - V(t, 0) = kappa x e^(int_t^T a): dV/dx does not depend on
+        x, which is why the equilibrium control u(t) carries no state."""
+        sol = solve(curved_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)))
+        slope = sol.objective.kappa * math.exp(float(sol.coeffs.int_a_many(t)))
+        got = sol.value(t, x) - sol.value(t, 0.0)
+        assert got == pytest.approx(slope * x, rel=1e-12, abs=1e-12)
 
     def test_y_solves_fixed_point(self, exp_solution):
         """y_t from the solver equals the variance accumulated by its own beta."""
