@@ -2,7 +2,8 @@
 
 Problem configurations are JSON files; the schema is documented in the
 README.  Exit statuses: 0 success (and all checks passed for ``verify``),
-1 verification failure, 2 configuration error, 3 solver error.
+1 verification failure, 2 configuration error, 3 solver error, which
+includes an array the machine cannot allocate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import __version__
 from . import coeffs as cf
 from .equilibrium import SOLVERS, solve, solve_many
-from .errors import ConfigError, DomainError, EquicontrolError, NonFiniteResultError
+from .errors import ConfigError, DomainError, EquicontrolError, NonFiniteResultError, SolverError
 from .objectives import VARIANTS, ObjectiveSpec
 
 _SOLVER_NAMES = ("auto", *SOLVERS)
@@ -583,6 +584,8 @@ def main(argv=None) -> int:
                 return handlers[args.command](args)
             except OverflowError as exc:  # Python float arithmetic, e.g. x ** 2
                 raise NonFiniteResultError(f"a computation overflowed: {exc}") from exc
+            except MemoryError as exc:  # numpy's refusal, e.g. the nodes of a huge grid
+                raise SolverError(f"out of memory: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

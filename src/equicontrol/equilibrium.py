@@ -16,7 +16,7 @@ gives a scalar backward equation for y alone,
 
 with gain f = -1 / (2 K).  Where the objective family supplies the exact
 first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
-routine inverts it at all nodes.  ``SOLVERS`` names it twice:
+routine inverts it at all nodes under two of the names in ``SOLVERS``:
 ``closed_form`` applies the explicit inverse where there is one,
 ``algebraic`` (the polynomial P of finite moment combinations) always takes
 one vectorized monotone root solve.  A backward RK4 integrator, ``ode``,
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -46,13 +46,11 @@ from .errors import (
     RootBracketError,
     UnsupportedVariantError,
 )
-from .objectives import (
-    ObjectiveSpec,
-    curvature_sum,
-    gaussian_psi,
-    psi,  # noqa: F401  looked up here by perfbench/tracing.py
-)
+from .moments import MomentVector
+from .objectives import ObjectiveSpec, curvature_sum, psi
 
+# the solver names ``solve`` takes besides ``auto``
+SOLVERS = ("closed_form", "ode", "algebraic")
 _BISECT_STEPS = 30
 _NEWTON_STEPS = 3
 # most RK4 substeps per grid cell before the backward march gives up
@@ -182,10 +180,11 @@ class EquilibriumSolution:
         cached O(n) quadratures and psi is evaluated once over all y(t).
         """
         t, at = self._query(t)
-        kappa = self.objective.kappa
+        spec = self.objective
         offset, feedback = self._terminal_mean_parts(t, x)
-        risk = gaussian_psi(self.objective, self._y(t, at))
-        return kappa * offset + kappa * feedback + risk
+        y = np.asarray(self._y(t, at), dtype=float)
+        risk = psi(spec, MomentVector.gaussian(spec.gaussian_order, y))
+        return spec.kappa * offset + spec.kappa * feedback + risk
 
     def value(self, t: float, x: float) -> float:
         """Equilibrium value function V(t, x)."""
@@ -508,9 +507,8 @@ def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> 
     solutions = []
     for i, (coeffs, spec, solver_name, integral, budget) in enumerate(jobs):
         if integral is None:
-            march = SOLVERS["ode"]
             tol = {} if ode_tol is None else {"tol": float(ode_tol)}
-            solutions.append(march(coeffs, spec, **tol))
+            solutions.append(solve_ode(coeffs, spec, **tol))
         else:
             y = roots[i] if i in roots else _invert(integral, solver_name, budget)
             solutions.append(_assemble(coeffs, spec, y, solver_name))
@@ -528,9 +526,3 @@ def solve(
     """Solve one problem with the named solver: ``solve_many`` on one problem."""
     return solve_many([(coeffs, spec)], solver, ode_tol)[0]
 
-
-SOLVERS = {
-    "closed_form": partial(solve, solver="closed_form"),
-    "ode": solve_ode,
-    "algebraic": partial(solve, solver="algebraic"),
-}

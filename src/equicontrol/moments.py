@@ -5,7 +5,9 @@ alpha(j, y) = (j-1)!! y^(j/2) for even j and zero for odd j.  Penalty-style
 objectives measure risk through the expectation of an even convex shape of
 the centred terminal state; for Gaussian laws those expectations collapse to
 closed forms, which each penalty family in ``objectives`` implements and
-``gaussian_penalty_expectation`` evaluates.
+``gaussian_penalty_expectation`` evaluates.  Every Gaussian closed form and
+``MomentVector.gaussian`` act elementwise on an array of variances, one law
+per entry.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ def double_factorial(k: int):
 def any_true(mask) -> bool:
     """True if any entry of a bool or bool array is set.
 
-    Plain bools skip numpy, whose per-call cost would dominate the scalar
-    paths (the ODE right-hand side evaluates these per stage).
+    A single bool, Python's or the numpy bool a scalar comparison gives,
+    skips the reduction: a reduction costs microseconds per call, more than
+    the scalar ``value`` query spends on psi.
     """
-    return mask if isinstance(mask, bool) else bool(np.any(mask))
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def alpha(j: int, y):
@@ -70,30 +73,33 @@ class MomentVector:
 
     ``gaussian_y`` tags vectors whose central moments are those of a centred
     Gaussian with that variance; objective evaluation can then use exact
-    closed forms instead of truncated series.
+    closed forms instead of truncated series.  A moment may be an array,
+    all of one shape: the vector then holds one law per entry.  Arrays are
+    kept as given and other numbers become floats.
     """
 
     order: int
     mean: float
     central: tuple
-    gaussian_y: float | None = None
+    gaussian_y: float | np.ndarray | None = None
 
     def __post_init__(self):
         if self.order < 1:
             raise DomainError(f"order must be at least 1, got {self.order}")
-        central = tuple(float(v) for v in self.central)
+        central = tuple(v if isinstance(v, (float, np.ndarray)) else float(v) for v in self.central)
         object.__setattr__(self, "central", central)
         if len(central) != self.order - 1:
             raise DomainError(
                 f"need {self.order - 1} central moments for order {self.order}, got {len(central)}"
             )
-        if self.order >= 2 and central[0] < 0.0:
+        if self.order >= 2 and any_true(central[0] < 0.0):
             raise DomainError(f"variance must be nonnegative, got {central[0]}")
-        if self.gaussian_y is not None and self.gaussian_y < 0.0:
+        if self.gaussian_y is not None and any_true(self.gaussian_y < 0.0):
             raise DomainError(f"gaussian variance tag must be nonnegative, got {self.gaussian_y}")
 
     @classmethod
-    def gaussian(cls, order: int, y: float, mean: float = 0.0) -> "MomentVector":
+    def gaussian(cls, order: int, y, mean: float = 0.0) -> "MomentVector":
+        """The centred Gaussian law of variance y, or one law per entry of an array y."""
         central = tuple(alpha(j, y) for j in range(2, order + 1))
         return cls(order, mean, central, gaussian_y=y)
 

@@ -8,7 +8,9 @@ where M_j is the j-th conditional central moment of X_T.  Finite families
 (``MomentCombo``, ``StandardizedMoments``) weight the first n moments
 directly.  Penalty families measure risk through an even shape of the
 centred terminal state and correspond to an infinite moment series; on
-Gaussian moment vectors they are evaluated in closed form.
+Gaussian moment vectors they are evaluated in closed form.  ``psi`` is the
+one risk function: a moment vector may hold arrays, one law per entry, and
+psi then acts elementwise.
 
 The sign convention is risk-averse: even-order slots enter psi with a
 negative derivative, odd-order slots (skewness and friends) with a positive
@@ -38,7 +40,6 @@ from .errors import CosDomainError, DomainError, ObjectiveError, QuadratureError
 from .moments import (
     DiscreteDistribution,
     MomentVector,
-    alpha,
     any_true,
     double_factorial,
     gaussian_penalty_expectation,
@@ -580,40 +581,31 @@ class ObjectiveSpec:
     def is_penalty(self) -> bool:
         return isinstance(self.variant, _Penalty)
 
+    @property
+    def gaussian_order(self) -> int:
+        """The order of the Gaussian moment vector psi needs: the family's
+        order, and 2 for the penalties, whose Gaussian psi is closed-form."""
+        return 2 if self.is_penalty else self.variant.order
 
-def psi(spec: ObjectiveSpec, mv: MomentVector) -> float:
+
+def psi(spec: ObjectiveSpec, mv: MomentVector):
     """psi(M_2, ..., M_n), the risk part of the objective at the given moment vector.
 
     Gaussian-tagged vectors use exact closed forms for the penalty families;
     otherwise the moment series is truncated at the vector's order.
-    Normalized so that a degenerate (zero-variance) law gives zero.
+    Normalized so that a degenerate (zero-variance) law gives zero.  A float
+    for a vector of scalars, an array over a vector of arrays.
     """
     variant = spec.variant
     if spec.is_penalty and mv.gaussian_y is not None:
-        return gaussian_psi(spec, mv.gaussian_y)
-    if mv.order < getattr(variant, "order", 0):
+        base = gaussian_penalty_expectation(variant, 0.0)
+        return -(gaussian_penalty_expectation(variant, mv.gaussian_y) - base)
+    if not spec.is_penalty and mv.order < variant.order:
         raise DomainError(
             f"moment vector of order {mv.order} cannot feed an order-{variant.order} objective"
         )
     central = {j: mv.central_moment(j) for j in range(2, mv.order + 1)}
-    return variant.psi_slots(central, mv.order)
-
-
-def gaussian_psi(spec: ObjectiveSpec, y):
-    """psi on the centred Gaussian law with variance y, elementwise over y.
-
-    Matches ``psi(spec, MomentVector.gaussian(order, y))`` at each y to
-    rounding: exact closed forms for the penalty families, the Gaussian
-    moment slots alpha(j, y) for the finite families.
-    """
-    variant = spec.variant
-    if spec.is_penalty:
-        base = gaussian_penalty_expectation(variant, 0.0)
-        return -(gaussian_penalty_expectation(variant, y) - base)
-    y = np.asarray(y, dtype=float)
-    order = max(variant.order, 2)
-    slots = {j: alpha(j, y) for j in range(2, order + 1)}
-    out = variant.psi_slots(slots, order)
+    out = variant.psi_slots(central, mv.order)
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .equilibrium import EquilibriumSolution
 from .errors import ConfigError, DomainError, NonFiniteResultError
 from .moments import MomentVector, alpha, raw_to_central
-from .objectives import ObjectiveSpec, curvature_sum, psi
+from .objectives import curvature_sum, psi
 
 _MC_BLOCK = 1 << 17
 _MC_PATH_STEP_CAP = 1 << 34
@@ -41,10 +41,6 @@ _POWER_CEILING = 1e150
 # seeds the Philox key word takes as one signed 64-bit integer; larger ones
 # would reach it as float64 and share streams with their neighbours
 MC_SEED_RANGE = (-(1 << 63), (1 << 63) - 1)
-
-
-def _gaussian_order(spec: ObjectiveSpec) -> int:
-    return max(getattr(spec.variant, "order", 2), 2)
 
 
 def _nonempty(values, what: str) -> tuple:
@@ -134,7 +130,7 @@ def evaluate_deterministic(sol: EquilibriumSolution, t: float, x: float) -> Dete
     drift, variance = _TerminalLaw(sol).between(t, sol.grid.horizon)[:2].tolist()
     mean = x * sol.coeffs.growth_at(t) + drift
     spec = sol.objective
-    value = spec.kappa * mean + psi(spec, MomentVector.gaussian(_gaussian_order(spec), variance))
+    value = spec.kappa * mean + psi(spec, MomentVector.gaussian(spec.gaussian_order, variance))
     return DeterministicEvaluation(mean, variance, value)
 
 
@@ -210,7 +206,7 @@ def spike_test(
         raise DomainError(f"spike widths must differ, got {list(epsilons)}")
     zetas = _nonempty(zetas, "spike amplitude")
     spec = sol.objective
-    order = _gaussian_order(spec)
+    order = spec.gaussian_order
     _require_power_range(zetas, order, "spike amplitudes")
 
     law = _TerminalLaw(sol)

@@ -661,6 +661,18 @@ class TestSolverErrors:
         assert "solver error (NonFiniteResultError)" in err and "gain" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_unallocatable_grid_exits_3(self, mv_config, tmp_path, capsys, command):
+        """10^17 nodes take 8e17 bytes, beyond any address space, so numpy refuses
+        the allocation before it touches memory: a solver error, no file."""
+        out = tmp_path / "out"
+        argv = [command, "--config", str(mv_config), "--out", str(out), "--grid", str(10**17)]
+        if command == "sweep":
+            argv += ["--parameter", "kappa", "--values", "1"]
+        assert main(argv) == 3
+        assert "solver error (SolverError): out of memory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cos_domain_guard_is_distinct(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cos.json",

@@ -30,6 +30,7 @@ from equicontrol import (
     solve_ode,
 )
 
+from equicontrol import equilibrium
 from equicontrol.equilibrium import SOLVERS, _solve_increasing_many
 from equicontrol.moments import MomentVector
 from equicontrol.objectives import VARIANTS, psi
@@ -499,13 +500,13 @@ class TestSolveDispatch:
     def test_auto_marches_only_without_a_first_integral(self, monkeypatch):
         """auto calls solve_ode for fourier_even, the one family with no P, and nothing else."""
         marched = []
-        ode = SOLVERS["ode"]
+        ode = equilibrium.solve_ode
 
         def counting_ode(coeffs, spec, **kwargs):
             marched.append(spec.variant.kind)
             return ode(coeffs, spec, **kwargs)
 
-        monkeypatch.setitem(SOLVERS, "ode", counting_ode)
+        monkeypatch.setattr(equilibrium, "solve_ode", counting_ode)
         full, small = base_coeffs(64), base_coeffs(64, control_drift=0.1)
         roster = [
             (full, MomentCombo((2.0,))),
@@ -623,6 +624,23 @@ class TestValueMany:
             )
             got = sol.value_many(sol.grid.nodes, x)
             np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-300, err_msg=name)
+
+    def test_risk_is_one_psi_call(self, all_solutions, monkeypatch):
+        """value_many and value each read psi once, on the Gaussian law of y(t)."""
+        vectors = []
+
+        def counting_psi(spec, mv):
+            vectors.append(mv)
+            return psi(spec, mv)
+
+        monkeypatch.setattr(equilibrium, "psi", counting_psi)
+        for name, sol in all_solutions:
+            del vectors[:]
+            sol.value_many(sol.grid.nodes, 0.4)
+            sol.value(0.0, 0.4)
+            assert len(vectors) == 2, name
+            np.testing.assert_array_equal(vectors[0].gaussian_y, sol.y, err_msg=name)
+            assert vectors[1].gaussian_y == sol.y[0], name
 
     def test_scalar_calls_are_one_element_calls(self, all_solutions):
         for name, sol in all_solutions:

@@ -27,7 +27,7 @@ from equicontrol import (
     psi,
 )
 
-from equicontrol.objectives import VARIANTS, Variant, gaussian_psi
+from equicontrol.objectives import VARIANTS, Variant
 
 from cases import fourier_gaussian_amplitude
 from oracles import psi_grad_even
@@ -239,7 +239,7 @@ class TestGaussianPsi:
     )
 
     def test_matches_scalar_psi(self):
-        """One vectorized call equals psi on each Gaussian moment vector."""
+        """psi on a Gaussian vector of arrays equals psi on each scalar vector."""
         # 0 and 1e-300 hit the standardized slots: zero variance and an
         # underflowed kurtosis slot both drop the higher terms
         ys = np.array([0.0, 1e-300, 1e-12, 0.05, 0.6, 1.7])
@@ -247,21 +247,25 @@ class TestGaussianPsi:
             spec = ObjectiveSpec(1.0, variant)
             order = max(getattr(variant, "order", 2), 2)
             expect = [psi(spec, MomentVector.gaussian(order, float(y))) for y in ys]
-            got = gaussian_psi(spec, ys)
+            got = psi(spec, MomentVector.gaussian(order, ys))
+            assert isinstance(got, np.ndarray) and got.shape == ys.shape, variant.kind
             np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0, err_msg=variant.kind)
 
     def test_standardized_jumps_at_zero_variance(self):
         spec = ObjectiveSpec(1.0, StandardizedMoments((2.0, 0.0, 1.0)))
-        got = gaussian_psi(spec, np.array([0.0, 1e-300, 1e-100]))
+        got = psi(spec, MomentVector.gaussian(4, np.array([0.0, 1e-300, 1e-100])))
         # kurtosis term: -(1/4!) * 3 y^2 / y^2 once y^2 is representable
         assert got[0] == 0.0
         assert got[1] == -1e-300
         assert got[2] == pytest.approx(-0.125, rel=1e-15)
 
     def test_scalar_in_scalar_out(self):
-        spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
-        assert isinstance(gaussian_psi(spec, 0.5), float)
-        assert isinstance(gaussian_psi(ObjectiveSpec(1.0, MomentCombo((2.0,))), 0.5), float)
+        """psi is a Python float for every scalar law, Gaussian-tagged or not."""
+        plain = MomentVector(6, 0.0, (0.3, 0.1, 0.4, 0.05, 0.9))
+        for variant in self.VARIANTS:
+            spec = ObjectiveSpec(1.0, variant)
+            for mv in (MomentVector.gaussian(spec.gaussian_order, 0.3), plain):
+                assert type(psi(spec, mv)) is float, (variant.kind, mv.gaussian_y)
 
 
 STANDARDIZED_WEIGHTS = ((2.0, 1.0), (2.0, 0.0, 1.0), (2.0, 0.5, 1.0, 0.0, 0.3))
@@ -381,10 +385,12 @@ class TestVariantProtocol:
             assert cls.kind == kind and issubclass(cls, Variant)
 
     def test_penalties_have_no_order(self):
-        """verify reads getattr(variant, "order", 2) as the Gaussian vector order."""
+        """A Gaussian vector's order is the family's order, and 2 for the
+        penalties, which have no order: ``ObjectiveSpec.gaussian_order``."""
         for variant in TestGaussianPsi.VARIANTS:
             spec = ObjectiveSpec(1.0, variant)
             assert spec.is_penalty == (not hasattr(variant, "order")), variant.kind
+            assert spec.gaussian_order == (2 if spec.is_penalty else variant.order), variant.kind
 
     @pytest.mark.parametrize("variant", FIRST_INTEGRAL_VARIANTS, ids=lambda v: v.kind)
     def test_first_integral_derivative_is_four_k_squared(self, variant):

@@ -552,7 +552,6 @@ def _reference_evaluate(sol, t, x, window=None):
     """
     from equicontrol.moments import MomentVector
     from equicontrol.objectives import psi
-    from equicontrol.verify import _gaussian_order
 
     coeffs, spec, grid = sol.coeffs, sol.objective, sol.grid
     t = grid.require_time(t)
@@ -586,9 +585,7 @@ def _reference_evaluate(sol, t, x, window=None):
     f = np.asarray(coeffs.vol_offset(pts), dtype=float)
     mean = x * coeffs.growth_at(t) + float(np.dot(wts, growth * (b * u + c)))
     variance = max(float(np.dot(wts, growth * growth * (d * u + f) ** 2)), 0.0)
-    value = spec.kappa * mean + psi(
-        spec, MomentVector.gaussian(_gaussian_order(spec), variance)
-    )
+    value = spec.kappa * mean + psi(spec, MomentVector.gaussian(spec.gaussian_order, variance))
     return mean, variance, value, pts.size
 
 
