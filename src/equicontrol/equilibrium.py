@@ -17,13 +17,13 @@ gives a scalar backward equation for y alone,
 with gain f = -1 / (2 K).  Where the objective family supplies the exact
 first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
 routine inverts it at all nodes under two of the names in ``SOLVERS``:
-``closed_form`` applies the explicit inverse where there is one,
-``algebraic`` (the polynomial P of finite moment combinations) always takes
-one vectorized monotone root solve.  A backward RK4 integrator, ``ode``,
-covers the families without a P and serves as an independent check of the
-others.  ``solve_many`` runs a solver by name over a list of problems, with
-one inversion for every P that several of them share; ``solve`` is its
-one-problem case, and ``auto`` lets the family's first integral choose.
+``closed_form`` applies P^-1 where it is explicit and otherwise the
+vectorized monotone root solve, ``algebraic`` always takes the root solve.
+A backward RK4 integrator, ``ode``, covers the families without a P and
+serves as an independent check of the others.  ``solve_many`` runs a solver
+by name over a list of problems, with one inversion for every P that several
+of them share; ``solve`` is its one-problem case, and ``auto`` picks
+``closed_form`` for a family with a P and ``ode`` for one without.
 Between nodes every solution is the cubic Hermite through y_k and the exact
 slope y'_k = -(d_k beta_k)^2.
 """
@@ -311,27 +311,28 @@ def _reachable_budget(coeffs: cf.CoefficientSet, spec: ObjectiveSpec, integral) 
 
 
 def _first_integral(spec: ObjectiveSpec, solver_name: str):
-    """The family's first integral P; it must carry the flag ``solver_name``
-    (``closed_form`` or ``algebraic``), else UnsupportedVariantError."""
+    """The family's first integral P, else UnsupportedVariantError."""
     integral = spec.variant.first_integral
-    if integral is None or not getattr(integral, solver_name):
+    if integral is None:
         raise UnsupportedVariantError(
-            f"no {solver_name} solution for this {spec.variant.kind} objective"
-            + ("; use the algebraic solver" if integral is not None and integral.algebraic else "")
+            f"no {solver_name} solution for this {spec.variant.kind} objective:"
+            " it has no first integral"
         )
     return integral
 
 
-def _invert(integral, solver_name: str, budget) -> np.ndarray:
-    """y with P(y) = budget, elementwise.
+def _invert(variant, solver_name: str, budget) -> np.ndarray:
+    """y with P(y) = budget for the variant's first integral P, elementwise.
 
     Only ``closed_form`` applies an explicit P^-1; otherwise one vectorized
-    monotone root solve inverts P, so ``algebraic`` stays an independent
-    check of the explicit inverses.
+    monotone root solve inverts P, polished with the slope P' = 4 K^2 from
+    the variant's ``curvature``, so ``algebraic`` stays an independent check
+    of the explicit inverses.
     """
+    integral = variant.first_integral
     if solver_name == "closed_form" and integral.inverse is not None:
         return integral.inverse(budget)
-    return _solve_increasing_many(integral.p, integral.dp, budget)
+    return _solve_increasing_many(integral.p, lambda y: (2.0 * variant.curvature(y)) ** 2, budget)
 
 
 def solve_ode(
@@ -440,15 +441,10 @@ def _ode_stall(y, est: float, tol: float, curvature) -> OdeStepError:
 
 
 def _solver_name(spec: ObjectiveSpec, solver: str) -> str:
-    """The solver ``auto`` picks: ``closed_form`` for an explicit P^-1 or a P
-    that is no polynomial, ``algebraic`` for the other polynomials, ``ode``
-    without a P."""
-    if solver != "auto":
-        return solver
-    integral = spec.variant.first_integral
-    if integral is None:
-        return "ode"
-    return "closed_form" if integral.closed_form else "algebraic"
+    """The solver ``auto`` picks: ``closed_form`` with a P, ``ode`` without."""
+    if solver == "auto":
+        return "ode" if spec.variant.first_integral is None else "closed_form"
+    return solver
 
 
 def _invert_shared(jobs) -> dict:
@@ -467,10 +463,10 @@ def _invert_shared(jobs) -> dict:
     for indices in shared.values():
         if len(indices) < 2:
             continue
-        _, _, solver_name, integral, _ = jobs[indices[0]]
+        _, spec, solver_name, _, _ = jobs[indices[0]]
         budgets = [jobs[i][4] for i in indices]
         try:
-            y = _invert(integral, solver_name, np.concatenate(budgets))
+            y = _invert(spec.variant, solver_name, np.concatenate(budgets))
         except RootBracketError:
             continue
         ends = np.cumsum([b.size for b in budgets])[:-1]
@@ -510,7 +506,7 @@ def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> 
             tol = {} if ode_tol is None else {"tol": float(ode_tol)}
             solutions.append(solve_ode(coeffs, spec, **tol))
         else:
-            y = roots[i] if i in roots else _invert(integral, solver_name, budget)
+            y = roots[i] if i in roots else _invert(spec.variant, solver_name, budget)
             solutions.append(_assemble(coeffs, spec, y, solver_name))
     if failure is not None:
         raise failure

@@ -51,42 +51,29 @@ def _trimmed(c: np.ndarray) -> np.ndarray:
     return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
 
 
-def _square_and_antiderivative(q) -> tuple:
-    """(int_0^y Q^2, Q^2) for ascending coefficients q, in the operations of
+def _square_and_antiderivative(q) -> HornerPolynomial:
+    """int_0^y Q^2 for ascending coefficients q, in the operations of
     ``numpy.polynomial``'s ``polymul`` and ``polyint``: trimmed factors, one
     convolution, then ``HornerPolynomial.antiderivative``."""
     q = _trimmed(np.asarray(q, dtype=float))
-    q_sq = HornerPolynomial(_trimmed(np.convolve(q, q)))
-    return q_sq.antiderivative(), q_sq
+    return HornerPolynomial(_trimmed(np.convolve(q, q))).antiderivative()
 
 
 @dataclass(frozen=True)
 class FirstIntegral:
     """The exact first integral P(y) = kappa^2 theta(t) of the backward equation.
 
-    P is the antiderivative of 4 K^2 with P(0) = 0.  ``p`` and ``dp`` (P and
-    P') act elementwise on arrays, each entry's bits independent of the
-    others (``solve_many`` inverts several problems' budgets in one array);
-    ``inverse`` is P^-1 where it is explicit.
+    P is the antiderivative of 4 K^2 with P(0) = 0; its slope 4 K^2 comes
+    from the family's ``curvature``.  ``p`` acts elementwise on arrays, each
+    entry's bits independent of the others (``solve_many`` inverts several
+    problems' budgets in one array); ``inverse`` is P^-1 where it is explicit.
     A risk budget at or above ``supremum`` has no root and raises ``error``.
-    The two flags name the solvers that take this P: ``algebraic`` holds for
-    a polynomial P (the finite moment combinations), ``closed_form`` for
-    every other P and for the polynomials with an explicit inverse.
     """
 
     p: object
-    dp: object
     inverse: object = None
     supremum: float = math.inf
     error: type = RootBracketError
-
-    @property
-    def algebraic(self) -> bool:
-        return isinstance(self.p, HornerPolynomial)
-
-    @property
-    def closed_form(self) -> bool:
-        return self.inverse is not None or not self.algebraic
 
 
 class Variant:
@@ -218,7 +205,7 @@ class MomentCombo(_FiniteMoments):
     @cached_property
     def first_integral(self) -> FirstIntegral:
         """P = int Q^2 with the polynomial Q = -2 K; explicit P^-1 up to order four."""
-        p, q_sq = _square_and_antiderivative(
+        p = _square_and_antiderivative(
             [self.weight(2 * j + 2) / float(double_factorial(2 * j)) for j in range(self.order // 2)]
         )
         w2, w4 = self.weight(2), self.weight(4)
@@ -234,7 +221,7 @@ class MomentCombo(_FiniteMoments):
                 def inverse(x):
                     return 2.0 * (np.cbrt(w2**3 + 1.5 * w4 * x) - w2) / w4
 
-        return FirstIntegral(p, q_sq, inverse)
+        return FirstIntegral(p, inverse)
 
 
 @dataclass(frozen=True)
@@ -334,7 +321,6 @@ class _ExponentialPenalty(_Penalty):
         s, c2 = self.sign, self.c * self.c
         return FirstIntegral(
             lambda y: s * np.expm1(s * c2 * y),
-            lambda y: c2 * np.exp(s * c2 * y),
             lambda x: s * np.log1p(s * x) / c2,
             self.supremum,
             self.error,
@@ -421,9 +407,9 @@ class AmbiguousCos(_Penalty):
     def first_integral(self) -> FirstIntegral:
         """P(y) = int_0^y E[H^2 exp(-H^2 z / 2)]^2 dz, summed exactly over amplitude pairs.
 
-        P and P' = 4 K^2 sum over the pairs with ``np.sum`` on the last axis,
-        as ``mean_exp_sq`` does, not a BLAS product: each entry's bits then
-        do not depend on the rest of the array.
+        P sums over the pairs with ``np.sum`` on the last axis, as
+        ``mean_exp_sq`` does, not a BLAS product: each entry's bits then do
+        not depend on the rest of the array.
         """
         v = self.amplitude._v
         p = self.amplitude._p
@@ -438,10 +424,7 @@ class AmbiguousCos(_Penalty):
             ramp = 2.0 * (1.0 - np.exp(-0.5 * np.multiply.outer(y, flat_vi2))) / flat_vi2
             return np.sum(ramp * flat_w, axis=-1)
 
-        def slope(y):
-            return self.amplitude.mean_exp_sq(y, weight_power=2) ** 2
-
-        return FirstIntegral(budget, slope, supremum=float(np.sum(2.0 * flat_w / flat_vi2)))
+        return FirstIntegral(budget, supremum=float(np.sum(2.0 * flat_w / flat_vi2)))
 
 
 @dataclass(frozen=True)

@@ -567,24 +567,15 @@ class TestOdeRecord:
 
 class TestSolverErrors:
     @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
-    @pytest.mark.parametrize(
-        "objective, solver",
-        [
-            (
-                {
-                    "variant": "fourier_even",
-                    "kappa": 1.0,
-                    "frequencies": [-2.0, 0.0, 2.0],
-                    "density": [0.0, 1.0, 0.0],
-                },
-                "closed_form",
-            ),
-            ({"variant": "exp", "kappa": 1.0, "c": 1.0}, "algebraic"),
-        ],
-    )
-    def test_unsupported_solver_choice_exits_3(
-        self, tmp_path, capsys, command, objective, solver
-    ):
+    @pytest.mark.parametrize("solver", ["closed_form", "algebraic"])
+    def test_unsupported_solver_choice_exits_3(self, tmp_path, capsys, command, solver):
+        """Only a family without a first integral refuses the two labels that invert it."""
+        objective = {
+            "variant": "fourier_even",
+            "kappa": 1.0,
+            "frequencies": [-2.0, 0.0, 2.0],
+            "density": [0.0, 1.0, 0.0],
+        }
         cfg = write_config(tmp_path / "c.json", grid_size=64, objective=objective, solver=solver)
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--out", str(out)]
@@ -593,6 +584,15 @@ class TestSolverErrors:
         assert main(argv) == 3
         assert "UnsupportedVariantError" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_algebraic_solves_an_exponential_penalty(self, tmp_path):
+        """algebraic root-solves every first integral, exp's explicit one too."""
+        objective = {"variant": "exp", "kappa": 1.0, "c": 1.0}
+        cfg = write_config(tmp_path / "c.json", grid_size=64, objective=objective, solver="algebraic")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver_used"] == "algebraic"
 
     def test_ode_stall_exits_3(self, tmp_path, capsys):
         cfg = write_config(

@@ -356,16 +356,16 @@ class TestRiskBudgetOverflow:
     SPECS = {
         "exp": ObjectiveSpec(1e200, ExpPenalty(1.0)),
         "mean_variance": ObjectiveSpec(1e200, MomentCombo((2.0,))),
-        "order_6": ObjectiveSpec(1e200, MomentCombo((1.0, 0.0, 1.0, 0.0, 1.0))),  # auto: algebraic
+        "order_6": ObjectiveSpec(1e200, MomentCombo((1.0, 0.0, 1.0, 0.0, 1.0))),  # no explicit P^-1
         "cos": ObjectiveSpec(1e200, CosPenalty(1.0)),
         "fourier_even": ObjectiveSpec(1e200, fourier_gaussian_amplitude()),  # no P: auto is ode
     }
-    # every label that takes the family
+    # every label that takes the family: all of them for a family with a P
     CASES = {
         f"{name}-{solver}": (spec, solver)
         for name, spec in SPECS.items()
         for solver in ("auto", *SOLVERS)
-        if solver in ("auto", "ode") or getattr(spec.variant.first_integral, solver, False)
+        if solver in ("auto", "ode") or spec.variant.first_integral is not None
     }
 
     @pytest.mark.parametrize("spec, solver", CASES.values(), ids=CASES.keys())
@@ -429,7 +429,7 @@ _SOLVER_TABLE = [
         "moment6",
         MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)),
         0.3,
-        ("algebraic", None, "algebraic", "ode"),
+        ("closed_form", "closed_form", "algebraic", "ode"),
     ),
     (
         "standardized",
@@ -437,10 +437,10 @@ _SOLVER_TABLE = [
         0.3,
         ("closed_form", "closed_form", "algebraic", "ode"),
     ),
-    ("exp", ExpPenalty(1.0), 0.3, ("closed_form", "closed_form", None, "ode")),
-    ("cosh", CoshPenalty(1.0), 0.3, ("closed_form", "closed_form", None, "ode")),
-    ("cos", CosPenalty(1.0), 0.1, ("closed_form", "closed_form", None, "ode")),
-    ("ambiguous_cos", _AMBIGUOUS, 0.3, ("closed_form", "closed_form", None, "ode")),
+    ("exp", ExpPenalty(1.0), 0.3, ("closed_form", "closed_form", "algebraic", "ode")),
+    ("cosh", CoshPenalty(1.0), 0.3, ("closed_form", "closed_form", "algebraic", "ode")),
+    ("cos", CosPenalty(1.0), 0.1, ("closed_form", "closed_form", "algebraic", "ode")),
+    ("ambiguous_cos", _AMBIGUOUS, 0.3, ("closed_form", "closed_form", "algebraic", "ode")),
     ("fourier_even", fourier_gaussian_amplitude(), 0.1, ("ode", None, None, "ode")),
 ]
 
@@ -474,21 +474,6 @@ class TestSolveDispatch:
         spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
         with pytest.raises(UnsupportedVariantError):
             solve(base_coeffs(), spec, solver="closed_form")
-
-    def test_algebraic_requires_moment_combo(self):
-        with pytest.raises(UnsupportedVariantError):
-            solve(base_coeffs(), ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="algebraic")
-
-    def test_closed_form_rejects_order_six_combination(self):
-        spec = ObjectiveSpec(1.0, MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)))
-        with pytest.raises(UnsupportedVariantError):
-            solve(base_coeffs(64), spec, solver="closed_form")
-        assert solve(base_coeffs(64), spec).solver_name == "algebraic"
-
-    def test_order_six_closed_form_names_the_algebraic_solver(self):
-        spec = ObjectiveSpec(1.0, MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)))
-        with pytest.raises(UnsupportedVariantError, match="use the algebraic solver"):
-            solve(base_coeffs(64), spec, solver="closed_form")
 
     def test_auto_routing_per_case(self, all_solutions):
         names = {name: sol.solver_name for name, sol in all_solutions}

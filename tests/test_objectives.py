@@ -397,19 +397,17 @@ class TestVariantProtocol:
         integral = variant.first_integral
         ys = np.array([0.0, 0.05, 0.4, 1.3, 3.0])
         k = curvature_sum(ObjectiveSpec(1.0, variant), ys)
-        np.testing.assert_allclose(integral.dp(ys), 4.0 * k * k, rtol=1e-13)
         assert float(integral.p(np.array([0.0]))[0]) == 0.0
-        # P' is the derivative of P: compare against a central difference
+        # P' = 4 K^2: compare against a central difference of P
         h = 1e-6
         mid = ys[1:]
         fd = (integral.p(mid + h) - integral.p(mid - h)) / (2.0 * h)
-        np.testing.assert_allclose(fd, integral.dp(mid), rtol=1e-7)
+        np.testing.assert_allclose(fd, 4.0 * k[1:] ** 2, rtol=1e-7)
 
     @pytest.mark.parametrize("variant", FIRST_INTEGRAL_VARIANTS, ids=lambda v: v.kind)
     def test_explicit_inverse_inverts_p(self, variant):
         integral = variant.first_integral
         if integral.inverse is None:
-            assert integral.algebraic or integral.supremum < math.inf
             return
         targets = np.array([0.0, 1e-3, 0.2, 0.7]) * min(integral.supremum, 4.0)
         np.testing.assert_allclose(integral.p(integral.inverse(targets)), targets, rtol=1e-13)
@@ -417,20 +415,17 @@ class TestVariantProtocol:
     @pytest.mark.parametrize("support", [(1.5, 2.5), (0.0, 0.7, 1.5, 2.5, 4.0)])
     @pytest.mark.parametrize("size", [1, 7, 64, 513, 4097])
     def test_ambiguous_first_integral_is_elementwise(self, support, size):
-        """An entry of P or P' has the same bits alone as inside any array."""
+        """An entry of P has the same bits alone as inside any array."""
         probs = np.full(len(support), 1.0 / len(support))
         integral = AmbiguousCos(DiscreteDistribution(support, tuple(probs))).first_integral
         y = np.linspace(0.0, 3.0, size)
-        for fn in (integral.p, integral.dp):
-            whole = fn(y)
-            alone = np.array([fn(y[k : k + 1])[0] for k in range(size)])
-            assert whole.tobytes() == alone.tobytes()
+        whole = integral.p(y)
+        alone = np.array([integral.p(y[k : k + 1])[0] for k in range(size)])
+        assert whole.tobytes() == alone.tobytes()
 
     def test_first_integral_routing(self):
-        closed = {v.kind for v in FIRST_INTEGRAL_VARIANTS if v.first_integral.closed_form}
-        assert closed == {"moment_combo", "exp", "cosh", "cos", "ambiguous_cos", "standardized"}
         order6 = MomentCombo((1.0, 0.3, 0.5, -2.0, 0.25)).first_integral
-        assert order6.algebraic and not order6.closed_form and order6.inverse is None
+        assert order6.inverse is None
         assert fourier_gaussian_amplitude().first_integral is None
 
     # the roster covers every family (test_registry_covers_every_family); these
@@ -632,7 +627,6 @@ class _FrozenExp:
         c2 = self.c * self.c
         return (
             lambda y: np.expm1(c2 * y),
-            lambda y: c2 * np.exp(c2 * y),
             lambda x: np.log1p(x) / c2,
             math.inf,
             RootBracketError,
@@ -658,7 +652,6 @@ class _FrozenCos(_FrozenExp):
         c2 = self.c * self.c
         return (
             lambda y: -np.expm1(-c2 * y),
-            lambda y: c2 * np.exp(-c2 * y),
             lambda x: -np.log1p(-x) / c2,
             1.0,
             CosDomainError,
@@ -697,28 +690,25 @@ class TestExponentialFamily:
             for value in y.tolist():
                 assert _same_bits(variant.curvature_scalar(value), old.curvature_scalar(value))
             integral = variant.first_integral
-            p, dp, inverse, supremum, error = old.first_integral()
+            p, inverse, supremum, error = old.first_integral()
             assert _same_bits(integral.p(y), p(y))
-            assert _same_bits(integral.dp(y), dp(y))
             targets = np.linspace(0.0, 1.0, 1001)[:-1] if supremum < math.inf else y
             assert _same_bits(integral.inverse(targets), inverse(targets))
         assert (integral.supremum, integral.error) == (supremum, error)
-        assert integral.closed_form and not integral.algebraic
 
 
 class TestHornerFirstIntegral:
-    """The moment-combination P and P' equal numpy.polynomial's, bit for bit."""
+    """The moment-combination P equals numpy.polynomial's, bit for bit."""
 
     X = np.array([0.0, 1e-300, 1e300, np.inf, 0.3, 1.0, 7.5, 1e3])
 
     @staticmethod
     def _reference(variant):
-        """P = int_0^y Q^2 and Q^2 through numpy.polynomial, as the solvers once built them."""
+        """P = int_0^y Q^2 through numpy.polynomial, as the solvers once built it."""
         weights = [variant.weight(2 * j + 2) for j in range(variant.order // 2)]
         # Q's coefficient j is kappa_{2j+2} / (2j)!!, and (2j)!! = 2^j j!
         q = np.polynomial.Polynomial([w / (2**j * math.factorial(j)) for j, w in enumerate(weights)])
-        q_sq = q * q
-        return q_sq.integ(), q_sq
+        return (q * q).integ()
 
     @staticmethod
     def _weight_sets():
@@ -744,12 +734,9 @@ class TestHornerFirstIntegral:
         for weights in self._weight_sets():
             variant = MomentCombo(weights)
             integral = variant.first_integral
-            p, dp = self._reference(variant)
-            assert integral.algebraic
-            assert _same_bits(integral.p.coef, p.coef) and _same_bits(integral.dp.coef, dp.coef)
+            p = self._reference(variant)
+            assert _same_bits(integral.p.coef, p.coef)
             with np.errstate(all="ignore"):
                 assert _same_bits(integral.p(self.X), p(self.X)), weights
-                assert _same_bits(integral.dp(self.X), dp(self.X)), weights
                 for x in self.X.tolist():
                     assert _same_bits(integral.p(x), p(x)), (weights, x)
-                    assert _same_bits(integral.dp(x), dp(x)), (weights, x)
