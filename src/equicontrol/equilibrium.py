@@ -51,6 +51,8 @@ from .objectives import ObjectiveSpec, curvature_sum, psi
 
 # the solver names ``solve`` takes besides ``auto``
 SOLVERS = ("closed_form", "ode", "algebraic")
+# the root solve's bracket exponents: 2^-1075 rounds to 0, 2^1024 overflows
+_MIN_EXPONENT, _MAX_EXPONENT = -1075, 1024
 _BISECT_STEPS = 30
 _NEWTON_STEPS = 3
 # most RK4 substeps per grid cell before the backward march gives up
@@ -261,8 +263,11 @@ def _solve_increasing_many(fn, dfn, targets):
     """Solve fn(y) = target elementwise for increasing fn with fn(0) = 0, y >= 0.
 
     ``fn`` and its derivative ``dfn`` act on arrays.  Each positive target is
-    bracketed by doubling from 1 + target, narrowed by bisection and polished
-    by Newton steps clamped to the final bracket; targets <= 0 give 0.
+    bracketed between adjacent powers of two 2^(e - 1) < y <= 2^e, found by
+    bisecting the exponent e over the whole float range (2^-1075 rounds to 0,
+    and an fn that overflows lies above any finite target), so the bracket
+    is within a factor of two of the root at any scale.  Bisection narrows
+    it and Newton steps clamped to it polish; targets <= 0 give 0.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.zeros_like(targets)
@@ -270,26 +275,28 @@ def _solve_increasing_many(fn, dfn, targets):
     if not np.any(active):
         return out
     tgt = targets[active]
-    hi = 1.0 + tgt
-    for _ in range(200):
-        short = fn(hi) < tgt
-        if not np.any(short):
-            break
-        hi = np.where(short, 2.0 * hi, hi)
-    else:
-        raise RootBracketError(f"could not bracket root for target {float(tgt.max()):.6g}")
-    lo = np.zeros_like(hi)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < tgt
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    y = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        slope = dfn(y)
-        safe = np.where(slope > 0.0, slope, 1.0)
-        step = np.where(slope > 0.0, (fn(y) - tgt) / safe, 0.0)
-        y = np.clip(y - step, lo, hi)
+    lo_e = np.full(tgt.shape, _MIN_EXPONENT)
+    hi_e = np.full(tgt.shape, _MAX_EXPONENT)
+    with np.errstate(over="ignore"):
+        while np.any(hi_e - lo_e > 1):
+            mid_e = (lo_e + hi_e) // 2
+            short = fn(np.ldexp(1.0, mid_e)) < tgt
+            lo_e = np.where(short, mid_e, lo_e)
+            hi_e = np.where(short, hi_e, mid_e)
+        if np.any(hi_e == _MAX_EXPONENT):
+            raise RootBracketError(f"could not bracket root for target {float(tgt.max()):.6g}")
+        lo, hi = np.ldexp(1.0, lo_e), np.ldexp(1.0, hi_e)
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            below = fn(mid) < tgt
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        y = 0.5 * (lo + hi)
+        for _ in range(_NEWTON_STEPS):
+            slope = dfn(y)
+            safe = np.where(slope > 0.0, slope, 1.0)
+            step = np.where(slope > 0.0, (fn(y) - tgt) / safe, 0.0)
+            y = np.clip(y - step, lo, hi)
     out[active] = y
     return out
 

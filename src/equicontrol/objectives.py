@@ -421,7 +421,7 @@ class AmbiguousCos(_Penalty):
         flat_w = wij[pos]
 
         def budget(y):
-            ramp = 2.0 * (1.0 - np.exp(-0.5 * np.multiply.outer(y, flat_vi2))) / flat_vi2
+            ramp = 2.0 * -np.expm1(-0.5 * np.multiply.outer(y, flat_vi2)) / flat_vi2
             return np.sum(ramp * flat_w, axis=-1)
 
         return FirstIntegral(budget, supremum=float(np.sum(2.0 * flat_w / flat_vi2)))

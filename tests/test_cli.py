@@ -125,6 +125,31 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["solver_used"] == "ode"
 
+    def test_algebraic_solves_an_exponential_penalty(self, tmp_path):
+        """algebraic root-solves every first integral, exp's explicit one too."""
+        objective = {"variant": "exp", "kappa": 1.0, "c": 1.0}
+        cfg = write_config(tmp_path / "c.json", grid_size=64, objective=objective, solver="algebraic")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver_used"] == "algebraic"
+
+    def test_order_six_root_at_a_large_budget(self, tmp_path):
+        """kappa = 1e6 on an order-6 combination: the budget 2.25e12 lies far
+        above its root, and y_0 is that root to 1e-12, under -W error too."""
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid_size=64,
+            objective={"variant": "moment_combo", "kappa": 1e6, "weights": [1.0, 0.0, 0.5, 0.0, 0.25]},
+        )
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "solution.csv")
+        y0 = float(rows[0][1])
+        assert y0 == pytest.approx(1626.3796767622, rel=1e-12)
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -584,15 +609,6 @@ class TestSolverErrors:
         assert main(argv) == 3
         assert "UnsupportedVariantError" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_algebraic_solves_an_exponential_penalty(self, tmp_path):
-        """algebraic root-solves every first integral, exp's explicit one too."""
-        objective = {"variant": "exp", "kappa": 1.0, "c": 1.0}
-        cfg = write_config(tmp_path / "c.json", grid_size=64, objective=objective, solver="algebraic")
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["solver_used"] == "algebraic"
 
     def test_ode_stall_exits_3(self, tmp_path, capsys):
         cfg = write_config(

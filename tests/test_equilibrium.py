@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -712,18 +713,25 @@ class TestConcavityFailure:
             solve(base_coeffs(control_drift=0.1), spec, solver="ode")
 
 
-def _solve_increasing_reference(fn, dfn, target, hi0):
-    """Scalar bracket, bisect and Newton root solve, one target at a time."""
+def _solve_increasing_reference(fn, dfn, target):
+    """Scalar bracket, bisect and Newton root solve, one target at a time.
+
+    The bracket is the adjacent powers of two 2^(e - 1) < y <= 2^e, with e
+    bisected over [-1075, 1024]: 2^-1075 rounds to 0, 2^1024 overflows.
+    """
     if target <= 0.0:
         return 0.0
-    hi = max(hi0, 1e-12)
-    for _ in range(200):
-        if fn(hi) >= target:
-            break
-        hi *= 2.0
-    else:
+    lo_e, hi_e = -1075, 1024
+    with np.errstate(over="ignore"):
+        while hi_e - lo_e > 1:
+            mid_e = (lo_e + hi_e) // 2
+            if fn(math.ldexp(1.0, mid_e)) < target:
+                lo_e = mid_e
+            else:
+                hi_e = mid_e
+    if hi_e == 1024:
         raise RootBracketError(f"could not bracket root for target {target:.6g}")
-    lo = 0.0
+    lo, hi = math.ldexp(1.0, lo_e), math.ldexp(1.0, hi_e)
     for _ in range(30):
         mid = 0.5 * (lo + hi)
         if fn(mid) < target:
@@ -751,7 +759,7 @@ class TestMonotoneRoot:
         expect = np.array(
             [
                 _solve_increasing_reference(
-                    lambda z: float(p(z)), lambda z: float(q_sq(z)), float(g), 1.0 + float(g)
+                    lambda z: float(p(z)), lambda z: float(q_sq(z)), float(g)
                 )
                 for g in targets
             ]
@@ -759,7 +767,8 @@ class TestMonotoneRoot:
         assert got.tobytes() == expect.tobytes()
 
     def test_saturating_function_needs_doubling_and_can_fail(self):
-        """fn = 2 (1 - e^-y) reaches 1.9 only past 1 + 1.9, and never exceeds 2."""
+        """fn = 2 (1 - e^-y) reaches 1.9 only at y = ln 20, between the
+        bracket powers 2 and 4, and never exceeds 2."""
 
         def fn(y):
             return 2.0 * -np.expm1(-y)
@@ -770,12 +779,59 @@ class TestMonotoneRoot:
         targets = np.array([0.5, 1.9])
         got = _solve_increasing_many(fn, dfn, targets)
         expect = [
-            _solve_increasing_reference(
-                lambda z: float(fn(z)), lambda z: float(dfn(z)), g, 1.0 + g
-            )
+            _solve_increasing_reference(lambda z: float(fn(z)), lambda z: float(dfn(z)), g)
             for g in targets
         ]
         assert got.tolist() == expect
         np.testing.assert_allclose(fn(got), targets, rtol=1e-14)
         with pytest.raises(RootBracketError):
             _solve_increasing_many(fn, dfn, np.array([0.5, 2.5]))
+
+    TARGETS = np.geomspace(1e-300, 1e300, 601)
+    # the families whose P the root solve inverts with no explicit P^-1 to
+    # check against: P itself is the check
+    P_FAMILIES = (
+        MomentCombo((2.0,)),
+        MomentCombo((1.0, 0.0, 1.0)),
+        MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)),
+        MomentCombo((1.0, 0.3, 0.5, -0.2, 0.25, 0.1, 0.3)),
+        StandardizedMoments((2.0, 1.0)),
+        AmbiguousCos(DiscreteDistribution((0.5, 1.5, 2.5), (0.3, 0.3, 0.4))),
+        AmbiguousCos(DiscreteDistribution((0.0, 1.5), (0.5, 0.5))),
+    )
+
+    @pytest.mark.parametrize("variant", P_FAMILIES, ids=lambda v: v.kind)
+    def test_hits_any_budget(self, variant):
+        """P(y) = t within 1e-15 t for every budget t from 1e-300 to 1e300
+        below P's supremum, with no floating-point warning on the way."""
+        integral = variant.first_integral
+        targets = self.TARGETS[self.TARGETS < integral.supremum]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = equilibrium._invert(variant, "algebraic", targets)
+        assert np.all(np.abs(integral.p(y) - targets) <= 1e-15 * targets)
+
+    @pytest.mark.parametrize("cls", [ExpPenalty, CoshPenalty, CosPenalty], ids=lambda c: c.kind)
+    @pytest.mark.parametrize("c", [0.1, 0.7, 2.3, 9.0])
+    def test_agrees_with_the_explicit_inverse_at_any_budget(self, cls, c):
+        """The root solve of exp, cosh and cos lands within 4 ulps of P^-1
+        for every budget from 1e-300 to 1e300 below P's supremum."""
+        variant = cls(c)
+        integral = variant.first_integral
+        targets = self.TARGETS[self.TARGETS < integral.supremum]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = equilibrium._invert(variant, "algebraic", targets)
+        np.testing.assert_allclose(y, integral.inverse(targets), rtol=2.0**-50, atol=0.0)
+
+    def test_solve_at_a_huge_budget_warns_nothing(self):
+        """kappa = 1e60 on an order-6 combination: the budget 2.25e120 is far
+        above its root, and the solve hits it with no warning."""
+        spec = ObjectiveSpec(1e60, MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25)))
+        coeffs = base_coeffs(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(coeffs, spec)
+        budget = 1e120 * coeffs.theta_eval(0.0)
+        p = spec.variant.first_integral.p
+        assert float(p(sol.y[:1])[0]) == pytest.approx(budget, rel=1e-15)
