@@ -9,7 +9,8 @@ functions of time, given either in closed form (constant, polynomial,
 exponential) or as samples with piecewise-linear interpolation.  The control
 loading on the diffusion must stay away from zero: construction rejects a
 path that is not finite with magnitude at least ``D_MIN`` on a set of probe
-times, or that changes sign between two of them.
+times, or that changes sign between two of them; a polynomial is probed at
+its turning points too, where a zero that changes no sign lies.
 
 Every path exposes an exact antiderivative, so growth factors of the form
 exp(int_t^T a) are additive to rounding.  Quadrature of node-sampled paths
@@ -243,6 +244,20 @@ COEFFICIENTS = {
 }
 
 
+def _turning_points(coeffs, horizon: float) -> np.ndarray:
+    """The real parts of the roots of the polynomial's derivative, clipped to
+    [0, horizon]; none for a zero or non-finite polynomial.
+
+    The coefficients are scaled to at most one in magnitude first, so the
+    derivative's cannot overflow."""
+    c = np.asarray(coeffs, dtype=float)
+    scale = float(np.max(np.abs(c)))
+    if not (0.0 < scale < math.inf):
+        return np.empty(0)
+    slope = c[1:] / scale * np.arange(1, c.size)
+    return np.clip(np.roots(slope[::-1]).real, 0.0, horizon)
+
+
 def coefficient_nodes(path, grid: TimeGrid) -> np.ndarray:
     """Sample a coefficient path on the grid nodes."""
     return np.asarray(path(grid.nodes), dtype=float)
@@ -368,11 +383,12 @@ class CoefficientSet:
     diffusion as d(s) u + f(s).
 
     Construction rejects a ``control_vol`` that is not finite with |d| >=
-    ``D_MIN`` at the probe times (the grid nodes, the midpoints and a sampled
-    path's own sample times), or that changes sign between two adjacent
-    probes: the paths are continuous, so a sign change means a zero between
-    them.  A zero of even order between probes, such as that of (t - 0.3)^2,
-    changes no sign and is not detected.
+    ``D_MIN`` at the probe times (the grid nodes, the midpoints, a sampled
+    path's own sample times and a polynomial's turning points), or that
+    changes sign between two adjacent probes: the paths are continuous, so a
+    sign change means a zero between them.  A zero that changes no sign, such
+    as that of (t - 0.3)^2, is a zero of d' too: of the four path types only
+    a polynomial can touch zero between probes, and only at a turning point.
     """
 
     grid: TimeGrid
@@ -403,6 +419,8 @@ class CoefficientSet:
         probes = [self.grid.nodes, self.grid.nodes[:-1] + 0.5 * self.grid.step]
         if isinstance(self.control_vol, SampledCoefficient):
             probes.append(np.clip(self.control_vol.times, 0.0, self.grid.horizon))
+        if isinstance(self.control_vol, PolynomialCoefficient):
+            probes.append(_turning_points(self.control_vol.coeffs, self.grid.horizon))
         t = np.sort(np.concatenate(probes))
         d = np.asarray(self.control_vol(t), dtype=float)
         low = np.flatnonzero(~(np.isfinite(d) & (np.abs(d) >= D_MIN)))

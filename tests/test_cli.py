@@ -221,8 +221,14 @@ class TestConfigErrors:
             {"type": "samples", "times": [0.0, 0.3, 1.0], "values": [0.2, 0.0, 0.2]},
             {"type": "samples", "times": [0.0, 1.0], "values": [0.2, -0.3]},
             {"type": "polynomial", "coefficients": [0.2, -0.5]},
+            {"type": "polynomial", "coefficients": [0.09, -0.6, 1.0]},  # (t - 0.3)^2
         ],
-        ids=["zero_at_a_sample", "sampled_sign_change", "polynomial_sign_change"],
+        ids=[
+            "zero_at_a_sample",
+            "sampled_sign_change",
+            "polynomial_sign_change",
+            "polynomial_even_order_zero",
+        ],
     )
     def test_control_vol_zero_between_probes(self, tmp_path, capsys, command, grid, control_vol):
         """A control volatility that reaches zero away from the nodes and

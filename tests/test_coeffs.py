@@ -269,8 +269,17 @@ class TestCoefficientSet:
             (1.0, SampledCoefficient((0.0, 1.0), (0.2, -0.3))),  # zero at t = 0.4
             (1.0, PolynomialCoefficient((0.2, -0.5))),  # zero at t = 0.4
             (2.0, PolynomialCoefficient((1.0, 1e308, 1e308, -1e308))),  # -inf at t = 2
+            (1.0, PolynomialCoefficient((0.09, -0.6, 1.0))),  # (t - 0.3)^2: no sign change
+            (1.0, PolynomialCoefficient((0.0, 0.0))),  # zero: no turning points to probe
         ],
-        ids=["zero_at_a_sample", "sampled_sign_change", "polynomial_sign_change", "overflow"],
+        ids=[
+            "zero_at_a_sample",
+            "sampled_sign_change",
+            "polynomial_sign_change",
+            "overflow",
+            "polynomial_even_order_zero",
+            "zero_polynomial",
+        ],
     )
     def test_vol_floor_between_probes(self, horizon, control_vol, grid_size):
         """Zeros off the nodes and midpoints and non-finite values are rejected."""
@@ -283,6 +292,22 @@ class TestCoefficientSet:
                 control_vol=control_vol,
                 vol_offset=ConstantCoefficient(0.0),
             )
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(0.2,), (0.13, -0.6, 1.0), (0.2, 0.0, 0.0, -0.1), (1e300, -1e300, 1e300)],
+        ids=["constant", "minimum_0.04_at_0.3", "cubic", "huge"],
+    )
+    def test_polynomial_vol_off_zero_is_accepted(self, coefficients):
+        """A polynomial whose turning points stay above the floor passes."""
+        CoefficientSet(
+            TimeGrid(1.0, 4),
+            state_drift=ConstantCoefficient(0.0),
+            control_drift=ConstantCoefficient(0.3),
+            drift_offset=ConstantCoefficient(0.0),
+            control_vol=PolynomialCoefficient(coefficients),
+            vol_offset=ConstantCoefficient(0.0),
+        )
 
     def test_sampled_must_cover_horizon(self):
         grid = TimeGrid(2.0, 8)
