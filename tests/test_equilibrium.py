@@ -446,6 +446,83 @@ _SOLVER_TABLE = [
 ]
 
 
+def _random_curved_coeffs(rng):
+    """b and d both vary in time, on a random horizon and grid."""
+    return CoefficientSet(
+        TimeGrid(float(rng.uniform(0.2, 3.0)), int(rng.choice([16, 64, 512]))),
+        state_drift=ConstantCoefficient(float(rng.uniform(-0.5, 0.5))),
+        control_drift=ExponentialCoefficient(
+            float(rng.uniform(0.1, 0.5)), float(rng.uniform(-1.0, 1.0)), 0.05
+        ),
+        drift_offset=ConstantCoefficient(0.0),
+        control_vol=ExponentialCoefficient(float(rng.uniform(0.1, 0.4)), float(rng.uniform(-1.0, 1.0))),
+        vol_offset=ConstantCoefficient(0.0),
+    )
+
+
+def _label_pairs(rng, draw_variant, count):
+    """(closed_form, algebraic) solutions of ``count`` random problems, or, for
+    a budget beyond P's range, the error both labels raise."""
+    pairs = []
+    for _ in range(count):
+        coeffs = _random_curved_coeffs(rng)
+        spec = ObjectiveSpec(float(10.0 ** rng.uniform(-1.0, 1.0)), draw_variant(rng))
+        try:
+            explicit = solve(coeffs, spec, "closed_form")
+        except (CosDomainError, RootBracketError) as exc:
+            with pytest.raises(type(exc)):
+                solve(coeffs, spec, "algebraic")
+            continue
+        pairs.append((explicit, solve(coeffs, spec, "algebraic")))
+    return pairs
+
+
+class TestLabelRule:
+    """closed_form inverts P through P^-1 where it is explicit, algebraic
+    always through the root solve; both take every family with a P."""
+
+    EXPLICIT = {
+        "mean_variance": lambda rng: MomentCombo((float(rng.uniform(0.1, 3.0)),)),
+        "variance_kurtosis": lambda rng: MomentCombo(
+            (float(rng.uniform(0.1, 3.0)), float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.1, 3.0)))
+        ),
+        "standardized": lambda rng: StandardizedMoments(tuple(rng.uniform(0.1, 2.0, 3))),
+        "exp": lambda rng: ExpPenalty(float(10.0 ** rng.uniform(-1.0, 0.5))),
+        "cosh": lambda rng: CoshPenalty(float(10.0 ** rng.uniform(-1.0, 0.5))),
+        "cos": lambda rng: CosPenalty(float(10.0 ** rng.uniform(-1.0, 0.5))),
+    }
+
+    @pytest.mark.parametrize("family", EXPLICIT)
+    def test_algebraic_matches_the_explicit_inverse(self, family):
+        """The root solve lands within 4 ulps of P^-1 at every node."""
+        pairs = _label_pairs(np.random.default_rng(23), self.EXPLICIT[family], 40)
+        assert len(pairs) >= 10
+        for explicit, algebraic in pairs:
+            np.testing.assert_allclose(algebraic.y, explicit.y, rtol=2.0**-50, atol=0.0)
+
+    @staticmethod
+    def _high_order(rng):
+        weights = rng.uniform(-1.0, 1.0, int(rng.integers(5, 8)))
+        weights[::2] = np.abs(weights[::2]) + 0.01
+        return MomentCombo(tuple(weights))
+
+    @staticmethod
+    def _ambiguous(rng):
+        size = int(rng.integers(1, 5))
+        probs = rng.uniform(0.1, 1.0, size)
+        return AmbiguousCos(DiscreteDistribution(tuple(rng.uniform(0.5, 3.0, size)), tuple(probs / probs.sum())))
+
+    @pytest.mark.parametrize("family", ["order_6_and_up", "ambiguous_cos"])
+    def test_closed_form_is_the_root_solve_without_an_explicit_inverse(self, family):
+        draw = self._high_order if family == "order_6_and_up" else self._ambiguous
+        pairs = _label_pairs(np.random.default_rng(29), draw, 30)
+        assert len(pairs) >= 10
+        for explicit, algebraic in pairs:
+            assert explicit.solver_name == "closed_form" and algebraic.solver_name == "algebraic"
+            assert explicit.y.tobytes() == algebraic.y.tobytes()
+            assert explicit.beta.tobytes() == algebraic.beta.tobytes()
+
+
 class TestSolveDispatch:
     def test_solver_table_covers_every_family(self):
         assert {variant.kind for _, variant, _, _ in _SOLVER_TABLE} == set(VARIANTS)
@@ -506,9 +583,10 @@ class TestSolveDispatch:
             (full, AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.5, 0.5)))),
             (small, fourier_gaussian_amplitude()),
         ]
-        for coeffs, variant in roster:
-            solve(coeffs, ObjectiveSpec(1.0, variant))
+        names = [solve(coeffs, ObjectiveSpec(1.0, variant)).solver_name for coeffs, variant in roster]
         assert marched == ["fourier_even"]
+        # and never picks algebraic: closed_form inverts every P
+        assert names == ["closed_form"] * (len(roster) - 1) + ["ode"]
         assert solve(full, ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="ode").solver_name == "ode"
         assert marched == ["fourier_even", "exp"]
 

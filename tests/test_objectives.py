@@ -409,7 +409,7 @@ class TestVariantProtocol:
         integral = variant.first_integral
         if integral.inverse is None:
             return
-        targets = np.array([0.0, 1e-3, 0.2, 0.7]) * min(integral.supremum, 4.0)
+        targets = np.array([0.0, 1e-300, 1e-12, 1e-3, 0.2, 0.7]) * min(integral.supremum, 4.0)
         np.testing.assert_allclose(integral.p(integral.inverse(targets)), targets, rtol=1e-13)
 
     @pytest.mark.parametrize("support", [(1.5, 2.5), (0.0, 0.7, 1.5, 2.5, 4.0)])
