@@ -244,20 +244,6 @@ COEFFICIENTS = {
 }
 
 
-def _turning_points(coeffs, horizon: float) -> np.ndarray:
-    """The real parts of the roots of the polynomial's derivative, clipped to
-    [0, horizon]; none for a zero or non-finite polynomial.
-
-    The coefficients are scaled to at most one in magnitude first, so the
-    derivative's cannot overflow."""
-    c = np.asarray(coeffs, dtype=float)
-    scale = float(np.max(np.abs(c)))
-    if not (0.0 < scale < math.inf):
-        return np.empty(0)
-    slope = c[1:] / scale * np.arange(1, c.size)
-    return np.clip(np.roots(slope[::-1]).real, 0.0, horizon)
-
-
 def coefficient_nodes(path, grid: TimeGrid) -> np.ndarray:
     """Sample a coefficient path on the grid nodes."""
     return np.asarray(path(grid.nodes), dtype=float)
@@ -420,7 +406,13 @@ class CoefficientSet:
         if isinstance(self.control_vol, SampledCoefficient):
             probes.append(np.clip(self.control_vol.times, 0.0, self.grid.horizon))
         if isinstance(self.control_vol, PolynomialCoefficient):
-            probes.append(_turning_points(self.control_vol.coeffs, self.grid.horizon))
+            # the real parts of the roots of d', from coefficients scaled to at
+            # most one so d' cannot overflow; a zero or non-finite d has none
+            c = np.asarray(self.control_vol.coeffs)
+            scale = float(np.max(np.abs(c)))
+            if 0.0 < scale < math.inf:
+                slope = c[1:] / scale * np.arange(1, c.size)
+                probes.append(np.clip(np.roots(slope[::-1]).real, 0.0, self.grid.horizon))
         t = np.sort(np.concatenate(probes))
         d = np.asarray(self.control_vol(t), dtype=float)
         low = np.flatnonzero(~(np.isfinite(d) & (np.abs(d) >= D_MIN)))

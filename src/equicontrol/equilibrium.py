@@ -51,8 +51,7 @@ from .objectives import ObjectiveSpec, curvature_sum, psi
 
 # the solver names ``solve`` takes besides ``auto``
 SOLVERS = ("closed_form", "ode", "algebraic")
-# the root solve's bracket exponents: 2^-1075 rounds to 0, 2^1024 overflows
-_MIN_EXPONENT, _MAX_EXPONENT = -1075, 1024
+_MIN_EXPONENT, _MAX_EXPONENT = -1075, 1024  # 2^-1075 rounds to 0, 2^1024 overflows
 _BISECT_STEPS = 30
 _NEWTON_STEPS = 3
 # most RK4 substeps per grid cell before the backward march gives up
@@ -263,11 +262,10 @@ def _solve_increasing_many(fn, dfn, targets):
     """Solve fn(y) = target elementwise for increasing fn with fn(0) = 0, y >= 0.
 
     ``fn`` and its derivative ``dfn`` act on arrays.  Each positive target is
-    bracketed between adjacent powers of two 2^(e - 1) < y <= 2^e, found by
-    bisecting the exponent e over the whole float range (2^-1075 rounds to 0,
-    and an fn that overflows lies above any finite target), so the bracket
-    is within a factor of two of the root at any scale.  Bisection narrows
-    it and Newton steps clamped to it polish; targets <= 0 give 0.
+    bracketed within a factor of two, 2^(e - 1) < y <= 2^e, by bisecting e
+    over the float range (an fn that overflows is above any finite target),
+    narrowed by bisection and polished by Newton steps clamped to the
+    bracket; targets <= 0 give 0.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.zeros_like(targets)

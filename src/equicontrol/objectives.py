@@ -219,9 +219,8 @@ class MomentCombo(_FiniteMoments):
             else:  # variance and kurtosis: P = 2 (Q^3 - w2^3) / (3 w4)
 
                 def inverse(x):
-                    # y = 2 (Q - w2) / w4 with Q - w2 = (Q^3 - w2^3) / (Q^2 + Q w2 + w2^2),
-                    # which does not cancel at budgets small against w2^3; the
-                    # denominator is 0 only at x = w2 = 0, where y = 0
+                    # y = 2 (Q - w2) / w4 with Q - w2 = (Q^3 - w2^3) / (Q^2 + Q w2 + w2^2):
+                    # no cancellation at small x, and gap = 0 only at x = w2 = 0
                     q = np.cbrt(w2**3 + 1.5 * w4 * x)
                     gap = q * q + q * w2 + w2 * w2
                     return np.divide(3.0 * x, gap, out=np.zeros_like(gap), where=gap > 0.0)
