@@ -477,6 +477,23 @@ def _label_pairs(rng, draw_variant, count):
     return pairs
 
 
+def _draw_high_order(rng):
+    weights = rng.uniform(-1.0, 1.0, int(rng.integers(5, 8)))
+    weights[::2] = np.abs(weights[::2]) + 0.01
+    return MomentCombo(tuple(weights))
+
+
+def _draw_ambiguous(rng):
+    size = int(rng.integers(1, 5))
+    probs = rng.uniform(0.1, 1.0, size)
+    support = rng.uniform(0.5, 3.0, size)
+    return AmbiguousCos(DiscreteDistribution(tuple(support), tuple(probs / probs.sum())))
+
+
+# the families with a P but no explicit P^-1
+_ROOT_SOLVED = {"order_6_and_up": _draw_high_order, "ambiguous_cos": _draw_ambiguous}
+
+
 class TestLabelRule:
     """closed_form inverts P through P^-1 where it is explicit, algebraic
     always through the root solve; both take every family with a P."""
@@ -500,22 +517,9 @@ class TestLabelRule:
         for explicit, algebraic in pairs:
             np.testing.assert_allclose(algebraic.y, explicit.y, rtol=2.0**-50, atol=0.0)
 
-    @staticmethod
-    def _high_order(rng):
-        weights = rng.uniform(-1.0, 1.0, int(rng.integers(5, 8)))
-        weights[::2] = np.abs(weights[::2]) + 0.01
-        return MomentCombo(tuple(weights))
-
-    @staticmethod
-    def _ambiguous(rng):
-        size = int(rng.integers(1, 5))
-        probs = rng.uniform(0.1, 1.0, size)
-        return AmbiguousCos(DiscreteDistribution(tuple(rng.uniform(0.5, 3.0, size)), tuple(probs / probs.sum())))
-
     @pytest.mark.parametrize("family", ["order_6_and_up", "ambiguous_cos"])
     def test_closed_form_is_the_root_solve_without_an_explicit_inverse(self, family):
-        draw = self._high_order if family == "order_6_and_up" else self._ambiguous
-        pairs = _label_pairs(np.random.default_rng(29), draw, 30)
+        pairs = _label_pairs(np.random.default_rng(29), _ROOT_SOLVED[family], 30)
         assert len(pairs) >= 10
         for explicit, algebraic in pairs:
             assert explicit.solver_name == "closed_form" and algebraic.solver_name == "algebraic"
