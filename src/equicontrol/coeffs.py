@@ -170,10 +170,12 @@ class ExponentialCoefficient:
         return self.scale * np.exp(self.rate * t) + self.offset
 
     def antiderivative(self, t):
+        """scale t phi(rate t) + offset t with phi(x) = expm1(x) / x, phi(0) = 1:
+        zero at t = 0, so no rate, however small, cancels (scale / rate) e^(rate t)."""
         t = np.asarray(t, dtype=float)
-        if self.rate == 0.0:
-            return (self.scale + self.offset) * t
-        return self.scale / self.rate * np.exp(self.rate * t) + self.offset * t
+        x = self.rate * t
+        phi = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+        return self.scale * t * phi + self.offset * t
 
 
 @dataclass(frozen=True)
@@ -196,15 +198,6 @@ class SampledCoefficient:
             raise CoefficientError("sample times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def on_grid(cls, grid: TimeGrid, values) -> "SampledCoefficient":
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.nodes.shape:
-            raise GridMismatchError(
-                f"expected {grid.nodes.size} samples on the grid, got {values.size}"
-            )
-        return cls(tuple(grid.nodes), tuple(values))
 
     @cached_property
     def _t(self):

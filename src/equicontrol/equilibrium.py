@@ -21,8 +21,8 @@ routine inverts it at all nodes under two of the names in ``SOLVERS``:
 vectorized monotone root solve, ``algebraic`` always takes the root solve.
 A backward RK4 integrator, ``ode``, covers the families without a P and
 serves as an independent check of the others.  ``solve_many`` runs a solver
-by name over a list of problems, with one inversion for every P that several
-of them share; ``solve`` is its one-problem case, and ``auto`` picks
+by name over a list of problems, with one inversion per P however many of
+them share it; ``solve`` is its one-problem case, and ``auto`` picks
 ``closed_form`` for a family with a P and ``ode`` for one without.
 Between nodes every solution is the cubic Hermite through y_k and the exact
 slope y'_k = -(d_k beta_k)^2.
@@ -51,9 +51,8 @@ from .objectives import ObjectiveSpec, curvature_sum, psi
 
 # the solver names ``solve`` takes besides ``auto``
 SOLVERS = ("closed_form", "ode", "algebraic")
-_MIN_EXPONENT, _MAX_EXPONENT = -1075, 1024  # 2^-1075 rounds to 0, 2^1024 overflows
-_BISECT_STEPS = 30
-_NEWTON_STEPS = 3
+# the bit pattern of +inf, above that of every finite nonnegative double
+_INF_BITS = np.float64(np.inf).view(np.uint64)
 # most RK4 substeps per grid cell before the backward march gives up
 _ODE_MAX_SUBSTEPS = 16
 
@@ -258,44 +257,32 @@ def _assemble(
     )
 
 
-def _solve_increasing_many(fn, dfn, targets):
+def _solve_increasing_many(fn, targets):
     """Solve fn(y) = target elementwise for increasing fn with fn(0) = 0, y >= 0.
 
-    ``fn`` and its derivative ``dfn`` act on arrays.  Each positive target is
-    bracketed within a factor of two, 2^(e - 1) < y <= 2^e, by bisecting e
-    over the float range (an fn that overflows is above any finite target),
-    narrowed by bisection and polished by Newton steps clamped to the
-    bracket; targets <= 0 give 0.
+    ``fn`` acts on arrays.  Nonnegative doubles sort as their 64-bit
+    patterns, and +inf's is below 2^63, so 63 halvings of the patterns of
+    [0, +inf) leave adjacent floats lo < hi with fn(lo) < target <= fn(hi)
+    (halving adjacent ones changes nothing); the one with the smaller
+    |fn - target| is the root.  fn is never taken at +inf: a target that no
+    finite y reaches gives NaN, and targets <= 0 give 0.
     """
     targets = np.asarray(targets, dtype=float)
     out = np.zeros_like(targets)
     active = targets > 0.0
-    if not np.any(active):
-        return out
     tgt = targets[active]
-    lo_e = np.full(tgt.shape, _MIN_EXPONENT)
-    hi_e = np.full(tgt.shape, _MAX_EXPONENT)
+    lo = np.zeros(tgt.shape, dtype=np.uint64)
+    hi = np.full(tgt.shape, _INF_BITS)
     with np.errstate(over="ignore"):
-        while np.any(hi_e - lo_e > 1):
-            mid_e = (lo_e + hi_e) // 2
-            short = fn(np.ldexp(1.0, mid_e)) < tgt
-            lo_e = np.where(short, mid_e, lo_e)
-            hi_e = np.where(short, hi_e, mid_e)
-        if np.any(hi_e == _MAX_EXPONENT):
-            raise RootBracketError(f"could not bracket root for target {float(tgt.max()):.6g}")
-        lo, hi = np.ldexp(1.0, lo_e), np.ldexp(1.0, hi_e)
-        for _ in range(_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            below = fn(mid) < tgt
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        y = 0.5 * (lo + hi)
-        for _ in range(_NEWTON_STEPS):
-            slope = dfn(y)
-            safe = np.where(slope > 0.0, slope, 1.0)
-            step = np.where(slope > 0.0, (fn(y) - tgt) / safe, 0.0)
-            y = np.clip(y - step, lo, hi)
-    out[active] = y
+        for _ in range(int(_INF_BITS).bit_length()):
+            mid = (lo + hi) >> 1
+            short = fn(mid.view(float)) < tgt
+            lo = np.where(short, mid, lo)
+            hi = np.where(short, hi, mid)
+        reached = hi < _INF_BITS
+        lo, hi = lo.view(float), np.where(reached, hi, lo).view(float)
+        y = np.where(np.abs(fn(hi) - tgt) < np.abs(fn(lo) - tgt), hi, lo)
+    out[active] = np.where(reached, y, np.nan)
     return out
 
 
@@ -329,15 +316,14 @@ def _first_integral(spec: ObjectiveSpec, solver_name: str):
 def _invert(variant, solver_name: str, budget) -> np.ndarray:
     """y with P(y) = budget for the variant's first integral P, elementwise.
 
-    Only ``closed_form`` applies an explicit P^-1; otherwise one vectorized
-    monotone root solve inverts P, polished with the slope P' = 4 K^2 from
-    the variant's ``curvature``, so ``algebraic`` stays an independent check
-    of the explicit inverses.
+    Only ``closed_form`` applies an explicit P^-1; otherwise the monotone
+    root solve inverts P from P alone, so ``algebraic`` stays an independent
+    check of the explicit inverses.  A budget no finite y reaches gives NaN.
     """
     integral = variant.first_integral
     if solver_name == "closed_form" and integral.inverse is not None:
         return integral.inverse(budget)
-    return _solve_increasing_many(integral.p, lambda y: (2.0 * variant.curvature(y)) ** 2, budget)
+    return _solve_increasing_many(integral.p, budget)
 
 
 def solve_ode(
@@ -452,33 +438,6 @@ def _solver_name(spec: ObjectiveSpec, solver: str) -> str:
     return solver
 
 
-def _invert_shared(jobs) -> dict:
-    """The node values of the first-integral jobs that share their P, by job index.
-
-    The jobs of one ``FirstIntegral`` object (so of one solver: ``solve_many``
-    takes one solver for all) take one ``_invert`` of their concatenated
-    budgets.  A batch whose root solve cannot bracket is left out: each of
-    its jobs then inverts its own budget and raises its own error.
-    """
-    shared = {}
-    for i, (_, _, _, integral, _) in enumerate(jobs):
-        if integral is not None:
-            shared.setdefault(id(integral), []).append(i)
-    roots = {}
-    for indices in shared.values():
-        if len(indices) < 2:
-            continue
-        _, spec, solver_name, _, _ = jobs[indices[0]]
-        budgets = [jobs[i][4] for i in indices]
-        try:
-            y = _invert(spec.variant, solver_name, np.concatenate(budgets))
-        except RootBracketError:
-            continue
-        ends = np.cumsum([b.size for b in budgets])[:-1]
-        roots.update(zip(indices, np.split(y, ends)))
-    return roots
-
-
 def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> list:
     """Solve each (coeffs, spec) in ``problems`` with the named solver.
 
@@ -488,7 +447,9 @@ def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> 
     checked one by one, concatenated and inverted by one call.  Every
     inversion is elementwise, so each solution has the bits its problem
     gets alone.  ``ode`` problems march one by one.  A failure raises the
-    error of the first failing problem in list order.
+    error of the first failing problem in list order; a budget that no
+    finite y reaches (NaN from the root solve) raises RootBracketError
+    naming the problem's largest budget.
     """
     if solver != "auto" and solver not in SOLVERS:
         raise DomainError(f"unknown solver {solver!r}; pick one of auto, " + ", ".join(SOLVERS))
@@ -504,15 +465,26 @@ def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> 
             failure = exc
             break
         jobs.append((coeffs, spec, solver_name, integral, budget))
-    roots = _invert_shared(jobs)
+    # one inversion of the concatenated budgets of every job that shares a P
+    shared = {}
+    for i, (_, _, _, integral, _) in enumerate(jobs):
+        if integral is not None:
+            shared.setdefault(id(integral), []).append(i)
+    roots = {}
+    for indices in shared.values():
+        _, spec, solver_name, _, _ = jobs[indices[0]]
+        budgets = [jobs[i][4] for i in indices]
+        y = _invert(spec.variant, solver_name, np.concatenate(budgets))
+        roots.update(zip(indices, np.split(y, np.cumsum([b.size for b in budgets])[:-1])))
     solutions = []
     for i, (coeffs, spec, solver_name, integral, budget) in enumerate(jobs):
         if integral is None:
             tol = {} if ode_tol is None else {"tol": float(ode_tol)}
             solutions.append(solve_ode(coeffs, spec, **tol))
-        else:
-            y = roots[i] if i in roots else _invert(spec.variant, solver_name, budget)
-            solutions.append(_assemble(coeffs, spec, y, solver_name))
+            continue
+        if np.any(np.isnan(roots[i])):
+            raise RootBracketError(f"could not bracket root for target {float(budget.max()):.6g}")
+        solutions.append(_assemble(coeffs, spec, roots[i], solver_name))
     if failure is not None:
         raise failure
     return solutions

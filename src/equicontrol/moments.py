@@ -100,7 +100,11 @@ class MomentVector:
     @classmethod
     def gaussian(cls, order: int, y, mean: float = 0.0) -> "MomentVector":
         """The centred Gaussian law of variance y, or one law per entry of an array y."""
-        central = tuple(alpha(j, y) for j in range(2, order + 1))
+        # alpha's expression; ``__post_init__`` checks y >= 0 once
+        central = tuple(
+            0.0 if j % 2 else float(double_factorial(j - 1)) * y ** (j // 2)
+            for j in range(2, order + 1)
+        )
         return cls(order, mean, central, gaussian_y=y)
 
     def central_moment(self, j: int) -> float:

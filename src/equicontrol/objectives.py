@@ -63,10 +63,11 @@ def _square_and_antiderivative(q) -> HornerPolynomial:
 class FirstIntegral:
     """The exact first integral P(y) = kappa^2 theta(t) of the backward equation.
 
-    P is the antiderivative of 4 K^2 with P(0) = 0; its slope 4 K^2 comes
-    from the family's ``curvature``.  ``p`` acts elementwise on arrays, each
-    entry's bits independent of the others (``solve_many`` inverts several
-    problems' budgets in one array); ``inverse`` is P^-1 where it is explicit.
+    P is the antiderivative of 4 K^2 with P(0) = 0, increasing, and the
+    solvers invert it from P alone: no slope is stated or read.  ``p`` acts
+    elementwise on arrays, each entry's bits independent of the others
+    (``solve_many`` inverts several problems' budgets in one array);
+    ``inverse`` is P^-1 where it is explicit.
     A risk budget at or above ``supremum`` has no root and raises ``error``.
     """
 

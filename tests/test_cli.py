@@ -125,6 +125,18 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["solver_used"] == "ode"
 
+    def test_exponential_drift_at_a_tiny_rate_is_the_constant_drift(self, tmp_path):
+        """A state drift e^(1e-300 t) writes the value column of the drift 1."""
+        values = []
+        for state_drift in ({"type": "exponential", "scale": 1.0, "rate": 1e-300}, 1.0):
+            coefficients = {"state_drift": state_drift, "control_drift": 0.3, "control_vol": 0.2}
+            cfg = write_config(tmp_path / "c.json", x0=1.0, coefficients=coefficients)
+            out = tmp_path / f"out{len(values)}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+            _, rows = read_csv(out / "solution.csv")
+            values.append(np.array([float(r[4]) for r in rows]))
+        np.testing.assert_allclose(values[0], values[1], rtol=4e-16, atol=0.0)
+
     def test_algebraic_solves_an_exponential_penalty(self, tmp_path):
         """algebraic root-solves every first integral, exp's explicit one too."""
         objective = {"variant": "exp", "kappa": 1.0, "c": 1.0}

@@ -100,6 +100,15 @@ class TestDescriptors:
         exact = 2.0 / -0.5 * (math.exp(-0.5) - 1.0) + 1.0
         assert e.antiderivative(1.0) - e.antiderivative(0.0) == pytest.approx(exact, rel=1e-14)
 
+    @pytest.mark.parametrize("rate", [5e-324, 1e-300, 1e-15, 1e-12, 1e-3, 1.0, 50.0, -3.0])
+    def test_exponential_integral_at_any_rate(self, rate):
+        """int_0^T of 2 e^(rate t) is 2 expm1(rate T) / rate, to rounding, at
+        rates so small that (scale / rate) e^(rate t) cancels or overflows."""
+        e = ExponentialCoefficient(2.0, rate)
+        got = e.antiderivative(1.0) - e.antiderivative(0.0)
+        exact = 2.0 * math.expm1(rate) / rate
+        assert got == pytest.approx(exact, rel=2.0**-51, abs=0.0)
+
     def test_exponential_zero_rate(self):
         e = ExponentialCoefficient(2.0, 0.0, 1.0)
         assert e.antiderivative(2.0) - e.antiderivative(0.0) == pytest.approx(6.0)
@@ -122,10 +131,10 @@ class TestDescriptors:
 
     def test_on_grid(self):
         grid = TimeGrid(1.0, 4)
-        s = SampledCoefficient.on_grid(grid, np.arange(5.0))
+        s = SampledCoefficient(grid.nodes, np.arange(5.0))
         np.testing.assert_allclose(s(grid.nodes), np.arange(5.0))
         with pytest.raises(GridMismatchError):
-            SampledCoefficient.on_grid(grid, np.arange(4.0))
+            SampledCoefficient(grid.nodes, np.arange(4.0))
 
     def test_antiderivative_matches_quadrature(self):
         for coeff in (

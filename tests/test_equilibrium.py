@@ -1,9 +1,10 @@
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from equicontrol import (
@@ -648,7 +649,7 @@ class TestSampledCoefficients:
         coeffs = CoefficientSet(
             grid,
             state_drift=ConstantCoefficient(0.0),
-            control_drift=SampledCoefficient.on_grid(grid, np.full(513, 0.3)),
+            control_drift=SampledCoefficient(grid.nodes, np.full(513, 0.3)),
             drift_offset=ConstantCoefficient(0.0),
             control_vol=ConstantCoefficient(0.2),
             vol_offset=ConstantCoefficient(0.0),
@@ -795,79 +796,60 @@ class TestConcavityFailure:
             solve(base_coeffs(control_drift=0.1), spec, solver="ode")
 
 
-def _solve_increasing_reference(fn, dfn, target):
-    """Scalar bracket, bisect and Newton root solve, one target at a time.
+def _from_bits(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
 
-    The bracket is the adjacent powers of two 2^(e - 1) < y <= 2^e, with e
-    bisected over [-1075, 1024]: 2^-1075 rounds to 0, 2^1024 overflows.
+
+_INF_BITS = struct.unpack("<q", struct.pack("<d", math.inf))[0]
+
+
+def _solve_increasing_reference(fn, target):
+    """Scalar bisection over the bit patterns of [0, +inf), one target at a time.
+
+    It ends at the adjacent floats lo < hi with fn(lo) < target <= fn(hi) and
+    returns the one nearer the target in fn, NaN if hi is +inf.
     """
     if target <= 0.0:
         return 0.0
-    lo_e, hi_e = -1075, 1024
+    lo, hi = 0, _INF_BITS
     with np.errstate(over="ignore"):
-        while hi_e - lo_e > 1:
-            mid_e = (lo_e + hi_e) // 2
-            if fn(math.ldexp(1.0, mid_e)) < target:
-                lo_e = mid_e
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fn(_from_bits(mid)) < target:
+                lo = mid
             else:
-                hi_e = mid_e
-    if hi_e == 1024:
-        raise RootBracketError(f"could not bracket root for target {target:.6g}")
-    lo, hi = math.ldexp(1.0, lo_e), math.ldexp(1.0, hi_e)
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    y = 0.5 * (lo + hi)
-    for _ in range(3):
-        slope = dfn(y)
-        if slope <= 0.0:
-            break
-        step = (fn(y) - target) / slope
-        y = min(max(y - step, lo), hi)
-    return y
+                hi = mid
+        if hi == _INF_BITS:
+            return math.nan
+        below, above = _from_bits(lo), _from_bits(hi)
+        return above if abs(fn(above) - target) < abs(fn(below) - target) else below
 
 
 class TestMonotoneRoot:
     def test_matches_scalar_reference_bitwise(self):
         q = np.polynomial.Polynomial([1.0, 0.5 / 3.0, 0.25 / 15.0])
-        q_sq = q * q
-        p = q_sq.integ()
+        p = (q * q).integ()
         rng = np.random.default_rng(7)
-        targets = np.concatenate([[0.0, -1.0, 1e-300], rng.uniform(0.0, 40.0, 197)])
-        got = _solve_increasing_many(p, q_sq, targets)
-        expect = np.array(
-            [
-                _solve_increasing_reference(
-                    lambda z: float(p(z)), lambda z: float(q_sq(z)), float(g)
-                )
-                for g in targets
-            ]
-        )
+        targets = np.concatenate([[0.0, -1.0, 1e-300, 5e-324, 1e300], rng.uniform(0.0, 40.0, 195)])
+        got = _solve_increasing_many(p, targets)
+        expect = np.array([_solve_increasing_reference(lambda z: float(p(z)), float(g)) for g in targets])
         assert got.tobytes() == expect.tobytes()
 
-    def test_saturating_function_needs_doubling_and_can_fail(self):
-        """fn = 2 (1 - e^-y) reaches 1.9 only at y = ln 20, between the
-        bracket powers 2 and 4, and never exceeds 2."""
+    def test_saturating_function_gives_nan_past_its_range(self):
+        """fn = 2 (1 - e^-y) reaches 1.9 only at y = ln 20 and never exceeds 2:
+        the target 2.5 comes back as NaN, with no floating-point warning."""
 
         def fn(y):
             return 2.0 * -np.expm1(-y)
 
-        def dfn(y):
-            return 2.0 * np.exp(-y)
-
-        targets = np.array([0.5, 1.9])
-        got = _solve_increasing_many(fn, dfn, targets)
-        expect = [
-            _solve_increasing_reference(lambda z: float(fn(z)), lambda z: float(dfn(z)), g)
-            for g in targets
-        ]
-        assert got.tolist() == expect
-        np.testing.assert_allclose(fn(got), targets, rtol=1e-14)
-        with pytest.raises(RootBracketError):
-            _solve_increasing_many(fn, dfn, np.array([0.5, 2.5]))
+        targets = np.array([0.5, 1.9, 2.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _solve_increasing_many(fn, targets)
+        expect = [_solve_increasing_reference(lambda z: float(fn(z)), g) for g in targets]
+        assert got.tobytes() == np.array(expect).tobytes()
+        np.testing.assert_allclose(fn(got[:2]), targets[:2], rtol=1e-15)
+        assert math.isnan(got[2])
 
     TARGETS = np.geomspace(1e-300, 1e300, 601)
     # the families whose P the root solve inverts with no explicit P^-1 to
@@ -905,6 +887,23 @@ class TestMonotoneRoot:
             warnings.simplefilter("error")
             y = equilibrium._invert(variant, "algebraic", targets)
         np.testing.assert_allclose(y, integral.inverse(targets), rtol=2.0**-50, atol=0.0)
+
+    @given(
+        variant=st.sampled_from(P_FAMILIES + (ExpPenalty(0.7), CoshPenalty(2.3), CosPenalty(0.7))),
+        exponent=st.floats(-300.0, 300.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_no_neighbouring_float_is_nearer(self, variant, exponent):
+        """The root y misses the budget t in P by no more than either float
+        next to it does."""
+        integral = variant.first_integral
+        target = 10.0**exponent
+        assume(target < integral.supremum)
+        y = float(equilibrium._invert(variant, "algebraic", np.array([target]))[0])
+        candidates = np.array([y, np.nextafter(y, 0.0), np.nextafter(y, np.inf)])
+        with np.errstate(over="ignore"):
+            miss = np.abs(integral.p(candidates) - target)
+        assert miss[0] <= miss[1] and miss[0] <= miss[2]
 
     def test_solve_at_a_huge_budget_warns_nothing(self):
         """kappa = 1e60 on an order-6 combination: the budget 2.25e120 is far

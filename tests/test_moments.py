@@ -91,6 +91,20 @@ class TestMomentVector:
         assert mv.gaussian_y == 0.5
         assert MomentVector(mv.order, mv.mean, mv.central).gaussian_y is None
 
+    @pytest.mark.parametrize("y", [0.5, np.array([0.0, 1e-300, 0.7, 3.0, 1e50])])
+    def test_gaussian_moments_are_alphas(self, y):
+        mv = MomentVector.gaussian(8, y)
+        for j in range(2, 9):
+            assert np.asarray(mv.central_moment(j)).tobytes() == np.asarray(alpha(j, y)).tobytes()
+
+    @pytest.mark.parametrize("y", [-0.25, np.array([0.5, -1.0])])
+    def test_gaussian_rejects_a_negative_variance_as_alpha_does(self, y):
+        with pytest.raises(DomainError) as expect:
+            alpha(2, y)
+        with pytest.raises(DomainError) as got:
+            MomentVector.gaussian(4, y)
+        assert str(got.value) == str(expect.value)
+
     def test_low_order_moments(self):
         mv = MomentVector(order=3, mean=2.0, central=(1.0, 0.3))
         assert mv.central_moment(0) == 1.0

@@ -114,9 +114,9 @@ class TestSameBitsAsAlone:
         calls = []
         original = equilibrium._solve_increasing_many
 
-        def counting(fn, dfn, targets):
+        def counting(fn, targets):
             calls.append(np.size(targets))
-            return original(fn, dfn, targets)
+            return original(fn, targets)
 
         monkeypatch.setattr(equilibrium, "_solve_increasing_many", counting)
         order6 = MomentCombo((1.0, 0.0, 0.5, 0.0, 0.25))
