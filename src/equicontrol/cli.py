@@ -430,7 +430,9 @@ def cmd_solve(args) -> int:
         "concavity_worst_t": float(nodes[np.argmax(sol.margins)]),
         "ode_error_estimate": sol.ode_error_estimate,
         "ode_relative_error_estimate": sol.ode_relative_error_estimate,
-        "ode_substeps": sol.ode_substeps,
+        "ode_steps": sol.ode_steps,
+        "ode_rejected_steps": sol.ode_rejected_steps,
+        "ode_min_step": sol.ode_min_step,
     }
     _write_manifest(problem, sol, "solve", [csv_path], {"summary": summary})
     print(f"solver: {sol.solver_name}")

@@ -19,10 +19,10 @@ first integral P(y) = kappa^2 theta, P the antiderivative of 4 K^2, one
 routine inverts it at all nodes under two of the names in ``SOLVERS``:
 ``closed_form`` applies P^-1 where it is explicit and otherwise the
 vectorized monotone root solve, ``algebraic`` always takes the root solve.
-A backward RK4 integrator, ``ode``, covers the families without a P and
-serves as an independent check of the others.  ``solve_many`` runs a solver
-by name over a list of problems, with one inversion per P however many of
-them share it; ``solve`` is its one-problem case, and ``auto`` picks
+An adaptive backward RK4 march, ``ode``, covers the families without a P
+and serves as an independent check of the others.  ``solve_many`` runs a
+solver by name over a list of problems, with one inversion per P however many
+of them share it; ``solve`` is its one-problem case, and ``auto`` picks
 ``closed_form`` for a family with a P and ``ode`` for one without.
 Between nodes every solution is the cubic Hermite through y_k and the exact
 slope y'_k = -(d_k beta_k)^2.
@@ -53,8 +53,10 @@ from .objectives import ObjectiveSpec, curvature_sum, psi
 SOLVERS = ("closed_form", "ode", "algebraic")
 # the bit pattern of +inf, above that of every finite nonnegative double
 _INF_BITS = np.float64(np.inf).view(np.uint64)
-# most RK4 substeps per grid cell before the backward march gives up
-_ODE_MAX_SUBSTEPS = 16
+# most steps, accepted or rejected, before the backward ``ode`` march gives up
+_ODE_MAX_STEPS = 20_000
+# the share of tol that one ``ode`` step may spend per unit of t / T
+_ODE_STEP_SHARE = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,8 +70,9 @@ class EquilibriumSolution:
     beta = kappa b / d^2 * (-1 / (2 K)).  ``margins`` holds the curvature
     K(y_k) at each node, all negative.  A query at node 0 or at the
     node array returns the stored ``y`` and ``margins`` (and the loading
-    from them).  ``ode_error_estimate`` and ``ode_substeps`` record the
-    ``ode`` march's Richardson estimate and substeps per cell, else 0.
+    from them).  The ``ode`` march records the sum of its accepted steps'
+    Richardson estimates, its accepted and rejected steps and its shortest
+    step; they are 0 for the other solvers.
     """
 
     coeffs: cf.CoefficientSet
@@ -79,7 +82,9 @@ class EquilibriumSolution:
     solver_name: str
     margins: np.ndarray
     ode_error_estimate: float = 0.0
-    ode_substeps: int = 0
+    ode_steps: int = 0
+    ode_rejected_steps: int = 0
+    ode_min_step: float = 0.0
 
     @property
     def grid(self) -> cf.TimeGrid:
@@ -238,9 +243,7 @@ def _hermite(grid: cf.TimeGrid, values, slopes):
     return evaluate
 
 
-def _assemble(
-    coeffs, spec, y_nodes, solver_name, ode_err=0.0, ode_substeps=0
-) -> EquilibriumSolution:
+def _assemble(coeffs, spec, y_nodes, solver_name, **ode_record) -> EquilibriumSolution:
     y_nodes = np.maximum(np.asarray(y_nodes, dtype=float), 0.0)
     if not np.all(np.isfinite(y_nodes)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite y")
@@ -252,9 +255,7 @@ def _assemble(
     beta = lead * (-0.5 / margins)
     if not np.all(np.isfinite(beta)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite beta")
-    return EquilibriumSolution(
-        coeffs, spec, y_nodes, beta, solver_name, margins, ode_err, ode_substeps
-    )
+    return EquilibriumSolution(coeffs, spec, y_nodes, beta, solver_name, margins, **ode_record)
 
 
 def _solve_increasing_many(fn, targets):
@@ -332,78 +333,124 @@ def solve_ode(
     *,
     tol: float = 1e-8,
 ) -> EquilibriumSolution:
-    """Backward RK4 integration of the scalar equation for y.
+    """Adaptive backward RK4 integration of the scalar equation for y.
 
     Integrates y' = -(kappa b / d)^2 f(y)^2 from the terminal condition
-    y(T) = 0 on the master grid, with a Richardson half-step error estimate;
-    the step is halved, up to ``_ODE_MAX_SUBSTEPS`` substeps per cell, only
-    while the estimate misses ``tol`` x max(1, max y), a target relative to
-    the variance once it exceeds one.  Since f = -1 / (2 K(y)) has no t, each
-    run evaluates (kappa b / d)^2 at all its stage times in one vectorized
-    call and marches on Python floats through the family's
+    y(T) = 0 in steps chosen by the error, not by the grid.  Each step of
+    length H is taken whole and as two halves, and is accepted when
+    Richardson's estimate |halves - whole| / 15 is at most
+    ``_ODE_STEP_SHARE`` x tol x max(1, halves) x H / T, or the float spacing
+    of halves; it then ends at the extrapolated halves + (halves - whole) / 15.
+    The sum of the accepted estimates, ``ode_error_estimate``, so stays far
+    below tol x max(1, max y), and a sum above it (a tol below rounding)
+    raises OdeStepError.  The share is that small because ``ode`` is held to
+    the closed forms at 1e-10 relative, below the default tol: with a share
+    of 1, cosh on curved coefficients at n = 512 misses that by up to 50x.
+    Node values come from the quintic Hermite through each step's two ends
+    and its midpoint with their rates, written in s = (t_start - t) / H so
+    that no difference is divided by H.  Since f = -1 / (2 K(y)) has no t,
+    each attempt evaluates (kappa b / d)^2 at its four new stage times in
+    one vectorized call and marches on Python floats through the family's
     ``curvature_scalar``.  It first checks the risk budget as the
-    first-integral solvers do.
+    first-integral solvers do.  A step whose quarter no longer moves t (a
+    layer thinner than float spacing), or more than ``_ODE_MAX_STEPS``
+    attempts, raises OdeStepError at once.
     """
-    grid = coeffs.grid
+    horizon = coeffs.grid.horizon
     kappa = spec.kappa
     curvature = spec.variant.curvature_scalar
     _reachable_budget(coeffs, spec, spec.variant.first_integral)
 
-    def run(substeps: int) -> np.ndarray:
-        n = grid.num_steps
-        h = grid.step / substeps
-        # stage times t1, t1 - h/2, t1 - h of every substep, in marching order
-        t1 = (grid.nodes[n:0:-1, None] - np.arange(substeps) * h).reshape(-1)
-        times = np.stack([t1, t1 - 0.5 * h, t1 - h], axis=-1).reshape(-1)
+    def gains(times) -> list:
+        times = np.array(times)
         b = np.asarray(coeffs.control_drift(times), dtype=float)
         d = np.asarray(coeffs.control_vol(times), dtype=float)
         try:
-            gains = [r**2 for r in (kappa * b / d).tolist()]
+            return [r**2 for r in (kappa * b / d).tolist()]
         except OverflowError:
             raise NonFiniteResultError("the ode gain (kappa b / d)^2 overflows") from None
 
-        def rate(i, y):
-            kk = curvature(y)
-            if not (kk < 0.0):
-                raise ConcavityError(
-                    "curvature condition failed during integration:"
-                    f" K({times[i]:.6g}, {y:.6g}) = {kk:.6g}"
-                )
-            f_gain = -0.5 / kk
-            return gains[i] * f_gain * f_gain
+    def rate(t, gain, y):
+        kk = curvature(y)
+        if not (kk < 0.0):
+            raise ConcavityError(
+                "curvature condition failed during integration:"
+                f" K({t:.6g}, {y:.6g}) = {kk:.6g}"
+            )
+        f_gain = -0.5 / kk
+        return gain * f_gain * f_gain
 
-        out = np.empty(n + 1)
-        out[n] = 0.0
-        y = 0.0
-        i = 0
-        # march backward in time from the horizon
-        for k in range(n, 0, -1):
-            for _ in range(substeps):
-                k1 = rate(i, y)
-                k2 = rate(i + 1, y + 0.5 * h * k1)
-                k3 = rate(i + 1, y + 0.5 * h * k2)
-                k4 = rate(i + 2, y + h * k3)
-                y = y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-                i += 3
-            out[k - 1] = y
-        return out
+    def rk4(y, k1, h, t_mid, g_mid, t_end, g_end):
+        k2 = rate(t_mid, g_mid, y + 0.5 * h * k1)
+        k3 = rate(t_mid, g_mid, y + 0.5 * h * k2)
+        k4 = rate(t_end, g_end, y + h * k3)
+        return y + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
-    coarse = run(1)
-    substeps = 2
-    fine = run(substeps)
-    est = _richardson(fine, coarse)
-    while not _relative_error(est, fine) <= tol and substeps < _ODE_MAX_SUBSTEPS:
-        coarse, substeps = fine, substeps * 2
-        fine = run(substeps)
-        est = _richardson(fine, coarse)
-    if not _relative_error(est, fine) <= tol:
-        raise _ode_stall(fine, est, tol, curvature)
-    return _assemble(coeffs, spec, fine, "ode", ode_err=est, ode_substeps=substeps)
+    # per accepted step: start, length, y at s = 0, 1/2, 1 and H y' there
+    steps, rejected, est_sum = [], 0, 0.0
+    t, y, whole, h = horizon, 0.0, 0.0, horizon
+    (gain,) = gains([t])
+    k = rate(t, gain, y)
+    while t > 0.0:
+        t_end = max(t - h, 0.0)
+        h = t - t_end
+        unresolved = t - 0.25 * h == t  # the stage times would coincide
+        if unresolved or len(steps) + rejected == _ODE_MAX_STEPS:
+            why = "the step no longer moves t" if unresolved else f"{_ODE_MAX_STEPS} steps taken"
+            if math.isinf(curvature(whole)):  # exp's e^(c^2 y / 2): the rate froze at 0
+                why += f"; y overflows, reaching {whole:.3e}, where the curvature K is infinite"
+            raise OdeStepError(
+                f"backward integration stalled at t = {t:.6g},"
+                f" gain (kappa b / d)^2 = {gain:.3e}: {why}"
+            )
+        times = [t - 0.25 * h, t - 0.5 * h, t - 0.75 * h, t_end]
+        g = gains(times)
+        whole = rk4(y, k, h, times[1], g[1], t_end, g[3])
+        mid = rk4(y, k, 0.5 * h, times[0], g[0], times[1], g[1])
+        k_mid = rate(times[1], g[1], mid)
+        halves = rk4(mid, k_mid, 0.5 * h, times[2], g[2], t_end, g[3])
+        est = abs(halves - whole) / 15.0
+        target = max(_ODE_STEP_SHARE * tol * max(1.0, halves) * h / horizon, math.ulp(halves))
+        if est <= target < math.inf:
+            y_end = halves + (halves - whole) / 15.0
+            k_end = rate(t_end, g[3], y_end)
+            steps.append((t, h, y, mid, y_end, h * k, h * k_mid, h * k_end))
+            est_sum += est
+            t, y, gain, k = t_end, y_end, g[3], k_end
+        else:
+            rejected += 1
+        # a NaN or infinite estimate gives max(0.1, nan) = 0.1: the step shrinks
+        h *= 4.0 if est == 0.0 else min(4.0, max(0.1, 0.9 * (target / est) ** 0.25))
+    y_nodes = _quintic_nodes(steps, coeffs.grid.nodes)
+    if not _relative_error(est_sum, y_nodes) <= tol:
+        raise OdeStepError(
+            f"backward integration stalled at error estimate {est_sum:.3e} > tol {tol:.3e}"
+            " x max(1, max y)"
+        )
+    return _assemble(
+        coeffs, spec, y_nodes, "ode", ode_error_estimate=est_sum, ode_steps=len(steps),
+        ode_rejected_steps=rejected, ode_min_step=min(step[1] for step in steps),
+    )
 
 
-def _richardson(fine, coarse) -> float:
-    """Richardson's error estimate max |fine - coarse| / 15 of an RK4 march at two step sizes."""
-    return float(np.max(np.abs(fine - coarse))) / 15.0
+def _quintic_nodes(steps, nodes) -> np.ndarray:
+    """y at the nodes from the quintic Hermite of each backward step.
+
+    ``steps`` holds (start, H, y0, y_mid, y1, H y0', H y_mid', H y1') per
+    step; the quintic in s = (start - t) / H takes the values and s-slopes
+    at s = 0, 1/2 and 1, in Newton form on the nodes 0, 0, 1/2, 1/2, 1, 1.
+    """
+    start, h, y0, ym, y1, d0, dm, d1 = np.array(steps).T
+    # the backward steps' starts descend; a node in (start_j+1, start_j] is step j's
+    j = len(steps) - 1 - np.searchsorted(start[::-1], nodes)
+    s = (start[j] - nodes) / h[j]
+    lo, hi = 2.0 * (ym - y0), 2.0 * (y1 - ym)
+    f012, f123, f234, f345 = 2.0 * (lo - d0), 2.0 * (dm - lo), 2.0 * (hi - dm), 2.0 * (d1 - hi)
+    f0123, f1234, f2345 = 2.0 * (f123 - f012), f234 - f123, 2.0 * (f345 - f234)
+    f01234, f12345 = f1234 - f0123, f2345 - f1234
+    c = [a[j] for a in (y0, d0, f012, f0123, f01234, f12345 - f01234)]
+    inner = c[3] + (s - 0.5) * (c[4] + (s - 1.0) * c[5])
+    return c[0] + s * (c[1] + s * (c[2] + (s - 0.5) * inner))
 
 
 def _relative_error(est: float, y) -> float:
@@ -411,24 +458,6 @@ def _relative_error(est: float, y) -> float:
     inf when y is not finite."""
     top = float(np.max(y))
     return est / max(1.0, top) if top < math.inf else math.inf
-
-
-def _ode_stall(y, est: float, tol: float, curvature) -> OdeStepError:
-    """The error of a march whose estimate still misses ``tol`` at the finest step.
-
-    A y past the range where the curvature is finite (exp's e^(c^2 y / 2)
-    overflows) freezes the march's rate at zero: the message names it.
-    """
-    top = float(np.max(y))
-    if not top < math.inf or math.isinf(curvature(top)):
-        return OdeStepError(
-            f"backward integration stalled at error estimate {est:.3e}: y overflows,"
-            f" reaching {top:.3e}, where the curvature K is infinite"
-        )
-    return OdeStepError(
-        f"backward integration stalled at error estimate {est:.3e} > tol {tol:.3e}"
-        " x max(1, max y)"
-    )
 
 
 def _solver_name(spec: ObjectiveSpec, solver: str) -> str:

@@ -556,7 +556,7 @@ class TestOdeRecord:
         "vol_offset": 0.1,
     }
 
-    def test_manifest_records_substeps(self, tmp_path):
+    def test_manifest_records_steps(self, tmp_path):
         objective = {"variant": "cosh", "kappa": 1.0, "c": 1.0}
         cfg = write_config(
             tmp_path / "c.json", coefficients=self.CURVED, objective=objective, solver="ode"
@@ -564,7 +564,8 @@ class TestOdeRecord:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "manifest.json").read_text())["summary"]
-        assert summary["ode_substeps"] == 2
+        assert summary["ode_steps"] > 0 and summary["ode_rejected_steps"] >= 0
+        assert 0.0 < summary["ode_min_step"] <= 1.0
         assert 0.0 < summary["ode_error_estimate"] <= 1e-8
         # the table carries no trace: it is the solution's columns, nothing more
         sol = equilibrium.solve(curved_coeffs(512), parse_objective(objective), "ode")
@@ -600,11 +601,12 @@ class TestOdeRecord:
         assert summary["ode_relative_error_estimate"] == summary["ode_error_estimate"] / summary["y_0"]
         assert summary["ode_relative_error_estimate"] <= 1e-8
 
-    def test_closed_form_records_no_substeps(self, mv_config, tmp_path):
+    def test_closed_form_records_no_steps(self, mv_config, tmp_path):
         out = tmp_path / "out"
         assert main(["solve", "--config", str(mv_config), "--out", str(out)]) == 0
         summary = json.loads((out / "manifest.json").read_text())["summary"]
-        assert summary["ode_substeps"] == 0
+        assert summary["ode_steps"] == summary["ode_rejected_steps"] == 0
+        assert summary["ode_min_step"] == 0.0
         assert summary["ode_error_estimate"] == 0.0
 
 
