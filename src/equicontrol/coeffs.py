@@ -331,15 +331,18 @@ def integrate(values, grid: TimeGrid, a: float, b: float) -> float:
 class SuffixQuadrature:
     """Vectorized evaluation of t -> integrate(values, grid, t, horizon).
 
-    Built in O(n) from ``suffix_integrals``, so at the nodes it equals
-    ``integrate`` bitwise; between nodes it adds the same partial-cell
-    trapezoid correction.  Evaluates whole arrays of query times at once.
+    ``at_nodes``, the integral from every node, comes from
+    ``suffix_integrals`` in O(n) and equals ``integrate`` there bitwise;
+    between nodes a call adds the same partial-cell trapezoid correction.
+    A call at the nodes returns ``at_nodes`` bitwise, except at T where
+    num_steps x step exceeds the horizon: there it adds a partial cell of
+    rounding width to the exact 0.  Evaluates whole arrays of times at once.
     """
 
     def __init__(self, values, grid: TimeGrid):
         self.grid = grid
         self.values = _checked_nodes(values, grid)
-        self._suffix = suffix_integrals(self.values, grid)
+        self.at_nodes = suffix_integrals(self.values, grid)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -349,7 +352,7 @@ class SuffixQuadrature:
         i0 = np.clip(np.ceil((ts - self.grid.snap) / h).astype(int), 0, self.grid.num_steps)
         width = np.maximum(i0 * h - ts, 0.0)
         left = np.interp(ts, self.grid.nodes, self.values)
-        out = self._suffix[i0] + 0.5 * width * (left + self.values[i0])
+        out = self.at_nodes[i0] + 0.5 * width * (left + self.values[i0])
         return float(out[0]) if scalar else out
 
 
@@ -467,9 +470,14 @@ class CoefficientSet:
         return math.exp(self.int_a_at(t))
 
     @cached_property
+    def int_a_nodes(self) -> np.ndarray:
+        """int_t^T a on the nodes."""
+        return self.int_a_many(self.grid.nodes)
+
+    @cached_property
     def growth(self) -> np.ndarray:
         """The terminal growth factor exp(int_t^T a) on the nodes."""
-        return np.exp(self.int_a_many(self.grid.nodes))
+        return np.exp(self.int_a_nodes)
 
     @cached_property
     def drift_offset_nodes(self) -> np.ndarray:

@@ -68,11 +68,14 @@ class EquilibriumSolution:
     query.  There K is the curvature at that y for every family, and the
     loading follows from the pointwise condition
     beta = kappa b / d^2 * (-1 / (2 K)).  ``margins`` holds the curvature
-    K(y_k) at each node, all negative.  A query at node 0 or at the
-    node array returns the stored ``y`` and ``margins`` (and the loading
-    from them).  The ``ode`` march records the sum of its accepted steps'
-    Richardson estimates, its accepted and rejected steps and its shortest
-    step; they are 0 for the other solvers.
+    K(y_k) at each node, all negative.  A query at node 0 or at the node
+    array reads node arrays only: the stored ``y`` and ``margins``, the
+    loading from ``margins`` with ``b_nodes`` and ``d_nodes`` (never the
+    stored ``beta``), and for the control, the value and the terminal mean
+    the coefficients' node arrays and the suffix quadratures' ``at_nodes``.
+    The ``ode`` march records the sum of its accepted steps' Richardson
+    estimates, its accepted and rejected steps and its shortest step; they
+    are 0 for the other solvers.
     """
 
     coeffs: cf.CoefficientSet
@@ -146,8 +149,11 @@ class EquilibriumSolution:
         margins = self._curvature(t, at)
         if np.any(margins >= 0.0):
             raise ConcavityError("curvature not negative between nodes")
-        b = np.asarray(self.coeffs.control_drift(t), dtype=float)
-        d = np.asarray(self.coeffs.control_vol(t), dtype=float)
+        c = self.coeffs
+        if at is None:
+            b, d = _paths(t, c.control_drift, c.control_vol)
+        else:
+            b, d = c.b_nodes[at], c.d_nodes[at]
         return self.objective.kappa * b / d**2 * (-0.5 / margins)
 
     def beta_many(self, t):
@@ -159,9 +165,12 @@ class EquilibriumSolution:
     def control_many(self, t):
         """Equilibrium control path at an array of times in the horizon."""
         t, at = self._query(t)
-        d = np.asarray(self.coeffs.control_vol(t), dtype=float)
-        f = np.asarray(self.coeffs.vol_offset(t), dtype=float)
-        return self._beta(t, at) * np.exp(-self.coeffs.int_a_many(t)) - f / d
+        c = self.coeffs
+        if at is None:
+            int_a, (d, f) = c.int_a_many(t), _paths(t, c.control_vol, c.vol_offset)
+        else:
+            int_a, d, f = c.int_a_nodes[at], c.d_nodes[at], c.f_nodes[at]
+        return self._beta(t, at) * np.exp(-int_a) - f / d
 
     def control(self, t: float) -> float:
         """Equilibrium control at one time; it does not depend on the state."""
@@ -171,11 +180,15 @@ class EquilibriumSolution:
     def _feedback_quadrature(self) -> cf.SuffixQuadrature:
         return cf.SuffixQuadrature(self.coeffs.b_nodes * self.beta, self.grid)
 
-    def _terminal_mean_parts(self, t, x: float):
+    def _terminal_mean_parts(self, t, at, x: float):
         """Theta(t, x) = x e^(int_t^T a) + int_t^T e^(int_s^T a) (c - b f / d) ds
         and the feedback drift int_t^T b beta, vectorized over t."""
-        offset = x * np.exp(self.coeffs.int_a_many(t)) + self.coeffs.offset_eval(t)
-        return offset, self._feedback_quadrature(t)
+        c = self.coeffs
+        if at is None:
+            offset = x * np.exp(c.int_a_many(t)) + c.offset_eval(t)
+            return offset, self._feedback_quadrature(t)
+        offset = x * c.growth[at] + c.offset_eval.at_nodes[at]
+        return offset, self._feedback_quadrature.at_nodes[at]
 
     def value_many(self, t, x: float):
         """Equilibrium value function V(t, x) at an array of times, one state x.
@@ -186,7 +199,7 @@ class EquilibriumSolution:
         """
         t, at = self._query(t)
         spec = self.objective
-        offset, feedback = self._terminal_mean_parts(t, x)
+        offset, feedback = self._terminal_mean_parts(t, at, x)
         y = np.asarray(self._y(t, at), dtype=float)
         risk = psi(spec, MomentVector.gaussian(spec.gaussian_order, y))
         return spec.kappa * offset + spec.kappa * feedback + risk
@@ -197,7 +210,7 @@ class EquilibriumSolution:
 
     def terminal_mean(self, t: float, x: float) -> float:
         """Conditional mean of X_T under the equilibrium feedback from (t, x)."""
-        offset, feedback = self._terminal_mean_parts(self.grid.require_time(t), x)
+        offset, feedback = self._terminal_mean_parts(*self._query(t), x)
         return float(offset + feedback)
 
     def integral_equation_residuals(self) -> np.ndarray:
@@ -214,6 +227,11 @@ class EquilibriumSolution:
         """
         feedback = cf.suffix_integrals((self.coeffs.d_nodes * self.beta) ** 2, self.grid)
         return float(np.max(np.abs(np.maximum(feedback, 0.0) - self.y)))
+
+
+def _paths(t, *paths) -> tuple:
+    """Coefficient paths at query times between nodes, as float arrays."""
+    return tuple(np.asarray(path(t), dtype=float) for path in paths)
 
 
 def _hermite(grid: cf.TimeGrid, values, slopes):
@@ -290,7 +308,7 @@ def _solve_increasing_many(fn, targets):
 def _reachable_budget(coeffs: cf.CoefficientSet, spec: ObjectiveSpec, integral) -> np.ndarray:
     """kappa^2 theta at the nodes: NonFiniteResultError if it overflows, and a
     budget beyond the range of the first integral P (if any) raises P's ``error``."""
-    th = np.maximum(coeffs.theta_eval(coeffs.grid.nodes), 0.0)
+    th = np.maximum(coeffs.theta_eval.at_nodes, 0.0)
     k2 = spec.kappa * spec.kappa
     top = k2 * float(th.max())
     if not math.isfinite(top):

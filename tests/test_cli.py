@@ -1074,6 +1074,49 @@ class TestSweep:
         assert code == 0
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("parameter, values, overrides, builds", [
+        # one coefficient set: theta and the offset once, the feedback per value
+        ("kappa", np.linspace(0.5, 2.0, 40), {"solver": "ode"}, 2 + 40),
+        # a coefficient set per horizon: theta, the offset and the feedback per value
+        ("T", np.linspace(0.25, 2.0, 40), {
+            "solver": "closed_form",
+            "objective": {"variant": "exp", "kappa": 1.0, "c": 1.0},
+            "coefficients": {
+                "state_drift": {"type": "exponential", "scale": 0.1, "rate": 0.5},
+                "control_drift": {"type": "exponential", "scale": 0.3, "rate": -1.0, "offset": 0.1},
+                "drift_offset": 0.05,
+                "control_vol": {"type": "polynomial", "coefficients": [0.2, 0.1]},
+                "vol_offset": 0.1,
+            },
+        }, 3 * 40),
+    ])
+    def test_rows_make_no_quadrature_call(
+        self, tmp_path, monkeypatch, parameter, values, overrides, builds
+    ):
+        """A row reads beta_0, u_0, V(0, x0) and y_0 from the node arrays: no
+        SuffixQuadrature evaluation, and no build beyond those the solves and
+        the rows' feedback arrays need."""
+        counts = {"__init__": 0, "__call__": 0}
+
+        def counting(name):
+            original = getattr(cf.SuffixQuadrature, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cf.SuffixQuadrature, name, wrapper)
+
+        counting("__init__")
+        counting("__call__")
+        cfg = write_config(tmp_path / "c.json", grid_size=64, **overrides)
+        code = main([
+            "sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--parameter", parameter, "--values", ",".join(map(repr, values.tolist())),
+        ])
+        assert code == 0
+        assert counts == {"__init__": builds, "__call__": 0}
+
     @pytest.mark.parametrize("values, code, message", [
         ("5,-1", 3, "solver error (CosDomainError): risk budget 1.25 exceeds"),
         ("-1,5", 2, "config error: cannot sweep T to -1.0"),

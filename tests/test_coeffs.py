@@ -245,6 +245,31 @@ class TestSuffixQuadrature:
             expect = [integrate(values, grid, t, horizon) for t in grid.nodes]
             assert got.tolist() == expect
 
+    @pytest.mark.parametrize("n", [16, 64, 512, 4096])
+    def test_call_at_nodes_is_node_array(self, n):
+        """Why the risk budget may read ``theta_eval.at_nodes``: on a grid of
+        2^k cells, a call at the nodes returns the node array bitwise."""
+        horizons = [*np.linspace(0.25, 2.0, 40), 1e-3, 0.7, 1.0, 3.3, 17.0]
+        for horizon in horizons:
+            grid = TimeGrid(float(horizon), n)
+            t = grid.nodes
+            values = (0.3 * np.exp(-2.0 * t) + 0.1) ** 2 / (0.2 * np.exp(0.5 * t)) ** 2
+            sq = SuffixQuadrature(values, grid)
+            np.testing.assert_array_equal(sq(t), sq.at_nodes, err_msg=str(horizon))
+
+    def test_node_array_is_exact_at_the_horizon(self):
+        """Where num_steps x step exceeds the horizon (0.7 on 35 cells), the node
+        array still holds the exact 0 at T, as ``integrate`` does; a call there
+        is off by at most a cell of rounding width, and agrees at every other node."""
+        grid = TimeGrid(0.7, 35)
+        assert grid.num_steps * grid.step > grid.horizon
+        values = np.exp(-2.0 * grid.nodes) + 0.1
+        sq = SuffixQuadrature(values, grid)
+        got = sq(grid.nodes)
+        np.testing.assert_array_equal(got[:-1], sq.at_nodes[:-1])
+        assert sq.at_nodes[-1] == integrate(values, grid, 0.7, 0.7) == 0.0
+        assert abs(got[-1]) < 1e-15
+
     def test_suffix_integrals_shape_guard(self):
         with pytest.raises(GridMismatchError):
             suffix_integrals(np.ones(4), TimeGrid(1.0, 8))

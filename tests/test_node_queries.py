@@ -1,10 +1,16 @@
-"""Node queries come from the stored arrays; between nodes there is one rule.
+"""Node queries come from the node arrays; between nodes there is one rule.
 
-A solution answers y, K and beta at node 0 and at the node array from the
-arrays its solver produced.  Between nodes every solution, whichever solver
-gave it, takes the cubic Hermite through y_k and its exact slope
-y'_k = -(d_k beta_k)^2, and K and beta follow from y(t).  Its accuracy is
-checked against a 64x finer solve, and no command loads scipy.
+At node 0 and at the node array a solution reads no coefficient path and no
+quadrature: y and K are the stored ``y`` and ``margins``, beta comes from
+``margins`` with ``b_nodes`` and ``d_nodes`` (not from the stored ``beta``),
+the control adds ``int_a_nodes``, ``d_nodes`` and ``f_nodes``, and the value
+and the terminal mean read ``growth`` and the suffix quadratures'
+``at_nodes``.  A scalar query at t = 0 equals entry 0 of the node-array
+query bitwise, and both equal the between-node formulas evaluated at the
+nodes.  Between nodes every solution, whichever solver gave it, takes the
+cubic Hermite through y_k and its exact slope y'_k = -(d_k beta_k)^2, and K
+and beta follow from y(t).  Its accuracy is checked against a 64x finer
+solve, and no command loads scipy.
 """
 
 import json
@@ -26,11 +32,15 @@ from equicontrol import (
     ExponentialCoefficient,
     MomentCombo,
     ObjectiveSpec,
+    PolynomialCoefficient,
     TimeGrid,
     curvature_sum,
     solve,
 )
+from equicontrol.coeffs import SuffixQuadrature
 from equicontrol.equilibrium import SOLVERS, solve_ode
+from equicontrol.moments import MomentVector
+from equicontrol.objectives import psi
 from equicontrol.verify import verification_report
 
 from cases import base_coeffs, criterion_02_draws, fourier_gaussian_amplitude, solve_all, solved_cases
@@ -94,6 +104,91 @@ TIME_VARYING_SPECS = {
     "variance_kurtosis": ObjectiveSpec(1.0, MomentCombo((1.0, 0.0, 1.0))),
     "exp": ObjectiveSpec(1.0, ExpPenalty(1.0)),
 }
+
+
+def all_varying_coeffs(num_steps):
+    """a, b, c, d and f all nonzero and all varying in time."""
+    return CoefficientSet(
+        TimeGrid(1.0, num_steps),
+        state_drift=ExponentialCoefficient(0.4, -1.0, 0.1),
+        control_drift=ExponentialCoefficient(0.3, -2.0, 0.1),
+        drift_offset=PolynomialCoefficient((0.2, -0.3, 0.5)),
+        control_vol=ExponentialCoefficient(0.2, 0.5),
+        vol_offset=PolynomialCoefficient((0.05, 0.1, -0.02)),
+    )
+
+
+def between_node_answers(sol, t, x):
+    """beta, control, value and the two terminal-mean parts by the between-node
+    formulas (the paths and both suffix quadratures evaluated at t), with the
+    stored y and margins at t = the nodes or t = 0."""
+    c, spec = sol.coeffs, sol.objective
+    k = slice(None) if np.ndim(t) else 0
+    b, d, f = (np.asarray(p(t), dtype=float) for p in (c.control_drift, c.control_vol, c.vol_offset))
+    int_a = c.int_a_many(t)
+    beta = spec.kappa * b / d**2 * (-0.5 / sol.margins[k])
+    control = beta * np.exp(-int_a) - f / d
+    offset = x * np.exp(int_a) + c.offset_eval(t)
+    feedback = SuffixQuadrature(c.b_nodes * sol.beta, sol.grid)(t)
+    risk = psi(spec, MomentVector.gaussian(spec.gaussian_order, sol.y[k]))
+    value = spec.kappa * offset + spec.kappa * feedback + risk
+    return beta, control, value, offset, feedback
+
+
+@pytest.fixture(scope="module")
+def node_path_solutions():
+    """(constant coefficients?, solution): solve_all(512), and three families on
+    ``all_varying_coeffs(512)`` by their first integral and by ``ode``."""
+    sols = [(name != "curved_exp", sol) for name, sol in solve_all(512)]
+    for spec in TIME_VARYING_SPECS.values():
+        sols += [(False, solve(all_varying_coeffs(512), spec, s)) for s in ("auto", "ode")]
+    return sols
+
+
+class TestNodePathsAgree:
+    X = 0.7
+
+    def test_scalar_node_is_node_array_entry(self, node_path_solutions):
+        """control, value, beta and the terminal mean at t = 0 are entry 0 of
+        the node-array answers, and the terminal mean is the value's mean part."""
+        x = self.X
+        for _, sol in node_path_solutions:
+            nodes = sol.grid.nodes
+            kind = sol.objective.variant.kind
+            assert sol.control(0.0) == sol.control_many(nodes)[0], kind
+            assert sol.value(0.0, x) == sol.value_many(nodes, x)[0], kind
+            assert sol.beta_at(0.0) == sol.beta_many(nodes)[0], kind
+            c = sol.coeffs
+            offset = x * c.growth[0] + c.offset_eval.at_nodes[0]
+            feedback = SuffixQuadrature(c.b_nodes * sol.beta, sol.grid).at_nodes[0]
+            assert sol.terminal_mean(0.0, x) == float(offset + feedback), kind
+
+    def test_node_answers_match_between_node_formulas(self, node_path_solutions):
+        """Bitwise on constant coefficients, within 1e-15 relative elsewhere."""
+        x = self.X
+        for constant, sol in node_path_solutions:
+            nodes = sol.grid.nodes
+            kind = sol.objective.variant.kind
+            beta, control, value, offset, feedback = between_node_answers(sol, nodes, x)
+            got = (sol.beta_many(nodes), sol.control_many(nodes), sol.value_many(nodes, x))
+            at_zero = between_node_answers(sol, 0.0, x)
+            got_zero = (sol.beta_at(0.0), sol.control(0.0), sol.value(0.0, x))
+            pairs = [*zip(got, (beta, control, value)), *zip(got_zero, at_zero)]
+            pairs.append((sol.terminal_mean(0.0, x), at_zero[3] + at_zero[4]))
+            for answer, expect in pairs:
+                if constant:
+                    np.testing.assert_array_equal(answer, expect, err_msg=kind)
+                else:
+                    np.testing.assert_allclose(answer, expect, rtol=1e-15, atol=0.0, err_msg=kind)
+
+    def test_first_integral_y_vanishes_at_the_horizon(self):
+        """The budget reads theta's node array, whose last entry is the exact 0
+        even where num_steps x step exceeds the horizon (0.7 on 35 cells)."""
+        coeffs = base_coeffs(35, horizon=0.7)
+        assert coeffs.grid.num_steps * coeffs.grid.step > coeffs.grid.horizon
+        for solver in ("closed_form", "algebraic"):
+            sol = solve(coeffs, ObjectiveSpec(1.0, MomentCombo((2.0,))), solver)
+            assert sol.y[-1] == 0.0, solver
 
 
 class TestBetweenNodes:
