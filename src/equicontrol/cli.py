@@ -109,6 +109,13 @@ def _seed(value, context: str) -> int:
 def _number_list(value, context: str):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{context} must be a nonempty array of numbers")
+    # plain finite numbers need no error context; ``_finite`` raises at a bad entry
+    try:
+        numbers = [float(v) for v in value if type(v) is float or type(v) is int]
+    except OverflowError:  # an integer literal beyond the float range
+        numbers = ()
+    if len(numbers) == len(value) and all(map(math.isfinite, numbers)):
+        return numbers
     return [_finite(v, f"{context} entry") for v in value]
 
 

@@ -333,10 +333,9 @@ class SuffixQuadrature:
 
     ``at_nodes``, the integral from every node, comes from
     ``suffix_integrals`` in O(n) and equals ``integrate`` there bitwise;
-    between nodes a call adds the same partial-cell trapezoid correction.
-    A call at the nodes returns ``at_nodes`` bitwise, except at T where
-    num_steps x step exceeds the horizon: there it adds a partial cell of
-    rounding width to the exact 0.  Evaluates whole arrays of times at once.
+    between nodes a call adds the same partial-cell trapezoid correction,
+    whose cell ends at the horizon at the latest.  A call at the nodes
+    returns ``at_nodes`` bitwise.  Evaluates whole arrays of times at once.
     """
 
     def __init__(self, values, grid: TimeGrid):
@@ -350,7 +349,7 @@ class SuffixQuadrature:
         ts = np.atleast_1d(np.clip(t, 0.0, self.grid.horizon))
         h = self.grid.step
         i0 = np.clip(np.ceil((ts - self.grid.snap) / h).astype(int), 0, self.grid.num_steps)
-        width = np.maximum(i0 * h - ts, 0.0)
+        width = np.maximum(np.minimum(i0 * h, self.grid.horizon) - ts, 0.0)
         left = np.interp(ts, self.grid.nodes, self.values)
         out = self.at_nodes[i0] + 0.5 * width * (left + self.values[i0])
         return float(out[0]) if scalar else out

@@ -63,19 +63,23 @@ _ODE_STEP_SHARE = 1e-3
 class EquilibriumSolution:
     """Equilibrium loading and induced value function on the grid.
 
-    Between nodes the terminal feedback variance is the ``_hermite`` through
-    the node values y_k and slopes -(d_k beta_k)^2, built on the first such
-    query.  There K is the curvature at that y for every family, and the
-    loading follows from the pointwise condition
-    beta = kappa b / d^2 * (-1 / (2 K)).  ``margins`` holds the curvature
-    K(y_k) at each node, all negative.  A query at node 0 or at the node
-    array reads node arrays only: the stored ``y`` and ``margins``, the
-    loading from ``margins`` with ``b_nodes`` and ``d_nodes`` (never the
-    stored ``beta``), and for the control, the value and the terminal mean
-    the coefficients' node arrays and the suffix quadratures' ``at_nodes``.
-    The ``ode`` march records the sum of its accepted steps' Richardson
-    estimates, its accepted and rejected steps and its shortest step; they
-    are 0 for the other solvers.
+    ``objective`` is the solved spec with the variant's ``on_range`` for
+    the largest node y and the n + 1 nodes: fourier_even's margins, its K
+    between nodes, the value's psi and the suites' ``curvature_sum`` and
+    ``psi`` calls all read its Chebyshev tables of K and E[S], and every
+    other family is its own.  Between nodes the terminal feedback variance
+    is the ``_hermite`` through the node values y_k and slopes
+    -(d_k beta_k)^2, built on the first such query.  There K is the
+    curvature at that y for every family, and the loading follows from the
+    pointwise condition beta = kappa b / d^2 * (-1 / (2 K)).  ``margins``
+    holds the curvature K(y_k) at each node, all negative.  A query at
+    node 0 or at the node array reads node arrays only: the stored ``y``
+    and ``margins``, the loading from ``margins`` with ``b_nodes`` and
+    ``d_nodes`` (never the stored ``beta``), and for the control, the value
+    and the terminal mean the coefficients' node arrays and the suffix
+    quadratures' ``at_nodes``.  The ``ode`` march records the sum of its
+    accepted steps' Richardson estimates, its accepted and rejected steps
+    and its shortest step; they are 0 for the other solvers.
     """
 
     coeffs: cf.CoefficientSet
@@ -265,6 +269,9 @@ def _assemble(coeffs, spec, y_nodes, solver_name, **ode_record) -> EquilibriumSo
     y_nodes = np.maximum(np.asarray(y_nodes, dtype=float), 0.0)
     if not np.all(np.isfinite(y_nodes)):
         raise NonFiniteResultError(f"the {solver_name} solver gave a non-finite y")
+    variant = spec.variant.on_range(float(y_nodes.max()), y_nodes.size)
+    if variant is not spec.variant:
+        spec = ObjectiveSpec(spec.kappa, variant)
     margins = np.asarray(curvature_sum(spec, y_nodes), dtype=float)
     worst = float(margins.max())
     if not worst < 0.0:

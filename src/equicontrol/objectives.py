@@ -116,6 +116,10 @@ class Variant:
         weights = ((j, self.slot_weight(j)) for j in range(2, order + 1))
         return sum(a / math.factorial(j) * z[j] for j, a in weights if a != 0.0)
 
+    def on_range(self, y_max: float, rows: int):
+        """What a solution on ``rows`` nodes with variances up to y_max reads K and E[S] from."""
+        return self
+
 
 def _array_power(y: float, power: int) -> float:
     """y ** power as numpy computes it on a float array: powers above 2 go
@@ -442,8 +446,10 @@ class FourierEvenPenalty(_Penalty):
     time through the curvature check.
 
     K, E[S] and the frequency moments are each one trapezoid over the
-    frequency window per value, all through ``_row``; the vectorized methods
-    call it once per entry of their argument.
+    frequency window per value, a direct row through ``_row``: the
+    vectorized methods run one per entry, ``curvature_scalar`` (the ``ode``
+    march's) one.  A solution reads K and E[S] from ``on_range(y_max,
+    rows)``, Chebyshev tables on [0, y_max] of a few dozen rows each.
     """
 
     freqs: tuple
@@ -524,7 +530,7 @@ class FourierEvenPenalty(_Penalty):
         """``_row(v, *row)`` at every entry v of the array ``values``, in its shape."""
         return np.reshape([self._row(v, *row) for v in values.reshape(-1).tolist()], values.shape)
 
-    def curvature(self, y):
+    def _curvature_rows(self, y):
         # the sum over even orders collapses back to a frequency integral
         return 0.5 * self._rows(y, self._g_f_sq, "curvature integrand", self._peak)
 
@@ -532,9 +538,85 @@ class FourierEvenPenalty(_Penalty):
         """``curvature`` at one float, one row (the RK4 march calls it per stage)."""
         return 0.5 * float(self._row(y, self._g_f_sq, "curvature integrand", self._peak))
 
-    def gaussian_expectation(self, var):
+    def _expectation_rows(self, var):
         out = self._rows(var, self._g, "frequency-domain integrand")
         out += self.atom
+        return out
+
+    # the direct rows; a table reads them by these names, so a replaced
+    # ``curvature`` (the defect matrix scales it) reaches a table once
+    curvature, gaussian_expectation = _curvature_rows, _expectation_rows
+
+    def on_range(self, y_max: float, rows: int):
+        return _FourierEvenTable(self, y_max, rows)
+
+
+def _barycentric(x, points, values):
+    """The interpolant through Chebyshev-Lobatto (points, values) at the 1-d x.
+    Each entry sums its own row, never through a matrix product, so it has
+    the same bits alone as in any array; an x on a point takes its value.
+    Blocks of 4,096 entries bound the (entries, points) temporaries."""
+    weights = np.resize([1.0, -1.0], points.size)
+    weights[[0, -1]] *= 0.5
+    out = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, x.size, 4096):
+            c = weights / np.subtract.outer(x[i : i + 4096], points)
+            out[i : i + 4096] = np.sum(c * values, axis=-1) / np.sum(c, axis=-1)
+    k = np.minimum(np.searchsorted(points, x), points.size - 1)
+    return np.where(points[k] == x, values[k], out)
+
+
+def _chebyshev_table(rows, y_max: float, most: int):
+    """(points, values) of the direct ``rows`` at n + 1 nested Chebyshev-Lobatto
+    points on [0, y_max], or None if no n + 1 <= ``most`` passes: from n = 16
+    the degree doubles until the last interpolant meets the new rows within
+    8 eps x the largest |value|.  No row is spent unless the first check fits."""
+    n, values = 16, None
+    while 2 * n + 1 <= most:
+        if values is None:
+            points = y_max * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
+            values = rows(points)
+        fine = y_max * np.sin(0.5 * np.pi * np.arange(2 * n + 1) / (2 * n)) ** 2
+        new = rows(fine[1::2])
+        guess = _barycentric(fine[1::2], points, values)
+        # n's values go to the even places: its points are every other one of 2n's, bit for bit
+        points, values, n = fine, np.insert(new, np.arange(n + 1), values), 2 * n
+        if np.max(np.abs(guess - new)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(values)):
+            return points, values
+    return None
+
+
+class _FourierEvenTable(FourierEvenPenalty):
+    """fourier_even reading K and E[S] on (0, y_max) from Chebyshev tables
+    (Berrut & Trefethen 2004), each built from its own direct rows on its
+    first query inside.  A table holds at most half the ``rows`` direct rows
+    it replaces, and one that fails costs at most that before the direct
+    rows answer.  At 0, at y_max and beyond, an entry is its direct row."""
+
+    def __init__(self, direct: FourierEvenPenalty, y_max: float, rows: int):
+        # the direct penalty's fields and cached arrays, not a second validation
+        self.__dict__.update(direct.__dict__, _y_max=y_max, _most=rows // 2, _tables={})
+
+    def curvature(self, y):
+        return self._read(y, self._curvature_rows)
+
+    def gaussian_expectation(self, var):
+        return self._read(var, self._expectation_rows)
+
+    def _read(self, y, rows):
+        inside = (y > 0.0) & (y < self._y_max)
+        if not inside.any():
+            return rows(y)
+        if rows.__name__ not in self._tables:
+            self._tables[rows.__name__] = _chebyshev_table(rows, self._y_max, self._most)
+        table = self._tables[rows.__name__]
+        if table is None:
+            return rows(y)
+        out = np.empty_like(y)
+        out[inside] = _barycentric(y[inside], *table)
+        if not inside.all():
+            out[~inside] = rows(y[~inside])
         return out
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import warnings
@@ -20,6 +21,7 @@ from equicontrol import (
     DomainError,
     ExpPenalty,
     ExponentialCoefficient,
+    FourierEvenPenalty,
     MomentCombo,
     NonFiniteResultError,
     ObjectiveSpec,
@@ -466,6 +468,64 @@ class TestFourierEven:
         sol = solve(base_coeffs(control_drift=0.1), spec)
         # budget 0.25: y_0 solves 1 - (1+y)^-2 = 2 * 0.25 -> y_0 = sqrt(2) - 1
         assert sol.y_at(0.0) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
+
+    @staticmethod
+    def counting_rows(monkeypatch) -> list:
+        """A one-entry list that counts the frequency rows from now on."""
+        calls = [0]
+        row = FourierEvenPenalty._row
+
+        def counting(variant, *args):
+            calls[0] += 1
+            return row(variant, *args)
+
+        monkeypatch.setattr(FourierEvenPenalty, "_row", counting)
+        return calls
+
+    def test_node_rows_do_not_grow_with_grid(self, monkeypatch):
+        """An ode solve plus node-array value_many and beta_many: the march's
+        rows, then K and E[S] from 33-point tables, the same at n = 512 and
+        4,096.  With one row per node for each they were 1,532 and 8,700."""
+        spec = ObjectiveSpec(1.0, fourier_gaussian_amplitude())
+        calls, counts = self.counting_rows(monkeypatch), []
+        for n in (512, 4096):
+            calls[0] = 0
+            sol = solve_ode(base_coeffs(n, control_drift=0.1), spec)
+            sol.value_many(sol.grid.nodes, 0.7)
+            sol.beta_many(sol.grid.nodes)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] < 1000
+
+    def test_small_grids_spend_no_more_rows(self, monkeypatch, tmp_path):
+        """A grid-16 ``solve`` and a 2-value kappa ``sweep`` from the command
+        line spend as many rows as with the direct rows alone: a table's
+        first check (33 points) would cost more than half of 17 node rows,
+        so none is built."""
+        from equicontrol.cli import main
+        from equicontrol.objectives import Variant
+
+        variant = fourier_gaussian_amplitude()
+        cfg = tmp_path / "fourier.json"
+        cfg.write_text(json.dumps({
+            "horizon": 1.0,
+            "grid_size": 16,
+            "coefficients": {"control_drift": 0.1, "control_vol": 0.2},
+            "objective": {"variant": "fourier_even", "kappa": 1.0, "frequencies": list(variant.freqs),
+                          "density": list(variant.density), "atom": 1.0},
+        }))
+        commands = {
+            "solve": ["solve"],
+            "sweep": ["sweep", "--parameter", "kappa", "--values", "0.9,1.1"],
+        }
+        calls, counts = self.counting_rows(monkeypatch), []
+        for direct in (False, True):
+            if direct:
+                monkeypatch.setattr(FourierEvenPenalty, "on_range", Variant.on_range)
+            for name, argv in commands.items():
+                calls[0] = 0
+                assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+                counts.append(calls[0])
+        assert counts == [540, 1136] * 2
 
 
 _CHOICES = ("auto", "closed_form", "algebraic", "ode")

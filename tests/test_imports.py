@@ -8,6 +8,7 @@ to the suites' own objects.  Nothing here gates a time.
 """
 
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -77,6 +78,42 @@ def test_polynomial_coefficient_solve_loads_no_unused_module(tmp_path):
         print(json.dumps({{"code": code, "loaded": [n for n in {_UNUSED!r} if n in sys.modules]}}))
     """)
     assert seen == {"code": 0, "loaded": []}
+
+
+def test_fourier_even_solve_loads_no_polynomial_or_fft(tmp_path):
+    """A fourier_even solve reads K and E[S] from Chebyshev tables without
+    ``numpy.polynomial`` or ``numpy.fft``; 128 cells are enough to build both."""
+    freqs = [-12.0 + k * 0.01 for k in range(2401)]
+    objective = {
+        "variant": "fourier_even",
+        "kappa": 1.0,
+        "frequencies": freqs,
+        "density": [-math.exp(-0.5 * f * f) / math.sqrt(2.0 * math.pi) for f in freqs],
+        "atom": 1.0,
+    }
+    config = dict(_MOMENT6, grid_size=128, objective=objective, solver="ode")
+    config["coefficients"] = {"control_drift": 0.1, "control_vol": 0.2}
+    cfg = tmp_path / "fourier.json"
+    cfg.write_text(json.dumps(config))
+    seen = _run(f"""
+        import equicontrol.cli as cli
+        from equicontrol import objectives
+
+        built = []
+        table = objectives._chebyshev_table
+
+        def recording(*args):
+            result = table(*args)
+            built.append(result is not None)
+            return result
+
+        objectives._chebyshev_table = recording
+        code = cli.main(["solve", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
+        unused = ("numpy.polynomial", "numpy.fft")
+        print(json.dumps({{"code": code, "built": built,
+                          "loaded": [n for n in unused if n in sys.modules]}}))
+    """)
+    assert seen == {"code": 0, "built": [True, True], "loaded": []}
 
 
 def test_verify_names_resolve_on_first_access():

@@ -181,6 +181,23 @@ class TestNodePathsAgree:
                 else:
                     np.testing.assert_allclose(answer, expect, rtol=1e-15, atol=0.0, err_msg=kind)
 
+    @pytest.mark.parametrize("horizon", [0.7, 1.37, 3.3, 17.0])
+    def test_call_at_the_horizon_is_exact(self, horizon):
+        """On the first three grids of this horizon where num_steps x step
+        exceeds it, a call at the nodes is ``at_nodes`` bit for bit, T's
+        exact 0 included, and so a between-node value query ending at T
+        meets the node-array query there."""
+        sizes = [n for n in range(2, 5000) if n * (horizon / n) > horizon][:3]
+        assert len(sizes) == 3
+        for n in sizes:
+            coeffs = base_coeffs(n, horizon=horizon)
+            nodes = coeffs.grid.nodes
+            sq = SuffixQuadrature(np.exp(-nodes / horizon) + 0.1, coeffs.grid)
+            np.testing.assert_array_equal(sq(nodes), sq.at_nodes, err_msg=str(n))
+            assert sq(horizon) == 0.0
+            sol = solve(coeffs, ObjectiveSpec(1.0, MomentCombo((2.0,))))
+            assert sol.value_many(nodes[1:], self.X)[-1] == sol.value_many(nodes, self.X)[-1], n
+
     def test_first_integral_y_vanishes_at_the_horizon(self):
         """The budget reads theta's node array, whose last entry is the exact 0
         even where num_steps x step exceeds the horizon (0.7 on 35 cells)."""

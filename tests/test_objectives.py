@@ -31,6 +31,7 @@ from equicontrol.objectives import VARIANTS, Variant
 
 from cases import fourier_gaussian_amplitude
 from oracles import psi_grad_even
+from test_defects import _patch_curvature
 
 
 class TestVariantValidation:
@@ -599,6 +600,127 @@ class TestFourierKernel:
         finally:
             tracemalloc.stop()
         assert peak < table_bytes
+
+
+def _signed_density():
+    """A frequency weight of both signs: the normal density, negated, plus a
+    quarter of a narrower one."""
+    freqs = np.linspace(-12.0, 12.0, 2401)
+    normal = np.exp(-0.5 * freqs**2) / math.sqrt(2.0 * math.pi)
+    narrow = np.exp(-0.5 * (freqs / 1.5) ** 2) / (1.5 * math.sqrt(2.0 * math.pi))
+    return FourierEvenPenalty(tuple(freqs), tuple(0.25 * narrow - normal), atom=0.5)
+
+
+class TestFourierTable:
+    """The Chebyshev tables of K and E[S] that a fourier_even solution reads,
+    against the family's direct rows."""
+
+    DENSITIES = {
+        "gaussian": fourier_gaussian_amplitude,
+        "window_6.2": lambda: fourier_gaussian_amplitude(half_width=6.2, samples=1241),
+        "signed": _signed_density,
+    }
+    METHODS = (("curvature", "_curvature_rows"), ("gaussian_expectation", "_expectation_rows"))
+    # the tables pass within 8 eps of their largest |value| at each level's
+    # new points; elsewhere the direct rows' own rounding adds to that, most
+    # where E[S] is a small difference of the atom and the integral
+    BOUND = 32.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("y_max", [1e-8, 0.3, 0.6, 2.0, 10.0])
+    @pytest.mark.parametrize("density", DENSITIES)
+    def test_within_bound_of_direct_rows(self, density, y_max):
+        """Every K table is built; E[S] falls back to direct rows where it is
+        below its rows' rounding (y_max 1e-8 against a unit atom)."""
+        variant = self.DENSITIES[density]()
+        table = variant.on_range(y_max, 4097)
+        y = np.concatenate([np.linspace(0.0, y_max, 1001), np.random.default_rng(5).uniform(0.0, y_max, 1000)])
+        for method, rows in self.METHODS:
+            got, expect = getattr(table, method)(y), getattr(variant, method)(y)
+            built = table._tables[rows]
+            if built is None:
+                assert method == "gaussian_expectation" and y_max == 1e-8, density
+                assert _same_bits(got, expect)
+                continue
+            assert built[0].size <= 257, (density, method)
+            err = np.max(np.abs(got - expect))
+            assert err <= self.BOUND * np.max(np.abs(expect)), (density, method, err)
+
+    def test_elementwise_bits(self):
+        """An entry has the same bits alone, in any leading slice of 1 to 4,097
+        entries, and in a 2-d array."""
+        variant = fourier_gaussian_amplitude()
+        table = variant.on_range(0.5, 513)
+        y = np.random.default_rng(9).uniform(0.0, 0.6, 4097)
+        y[:4] = (0.0, 0.5, 0.25, table._y_max)
+        for method, _ in self.METHODS:
+            evaluate = getattr(table, method)
+            full = evaluate(y)
+            for size in (1, 2, 3, 31, 32, 33, 64, 65, 513, 4096, 4097):
+                assert _same_bits(evaluate(y[:size]), full[:size]), (method, size)
+            for i, value in enumerate(y[:300].tolist()):
+                assert np.asarray(evaluate(np.asarray(value))).tobytes() == full[i].tobytes(), (method, i)
+            assert _same_bits(evaluate(y[:539].reshape(7, 77)), full[:539].reshape(7, 77))
+
+    def test_direct_rows_outside_and_at_the_ends(self):
+        """At 0, at y_max and beyond y_max an entry is its direct row, and a
+        query of those alone builds no table."""
+        variant = fourier_gaussian_amplitude()
+        table = variant.on_range(0.5, 513)
+        y = np.array([0.0, 0.5, 0.5000001, 0.7, 3.0, 40.0])
+        for method, rows in self.METHODS:
+            assert _same_bits(getattr(table, method)(y), getattr(variant, method)(y))
+            assert rows not in table._tables
+            inside = getattr(table, method)(np.array([0.25, *y]))
+            assert table._tables[rows] is not None
+            assert _same_bits(inside[1:], getattr(variant, method)(y))
+
+    def test_fallback_is_direct_rows(self):
+        """Below 66 rows a table's first check (33 points) would cost more than
+        half of them: the direct rows answer and no table row is spent."""
+        variant = fourier_gaussian_amplitude()
+        table = variant.on_range(0.5, 65)
+        y = np.linspace(0.0, 0.5, 65)
+        for method, rows in self.METHODS:
+            assert _same_bits(getattr(table, method)(y), getattr(variant, method)(y))
+            assert table._tables[rows] is None
+
+    def test_undecayed_window_raises(self):
+        """Each table value is a direct row with its window-edge check, the
+        row at y = 0 included, so a table needing it raises as that row does."""
+        freqs = np.linspace(-12.0, 12.0, 241)
+        variant = FourierEvenPenalty(tuple(freqs), tuple(np.ones(freqs.size)), atom=1.0)
+        assert math.isfinite(variant.curvature_scalar(0.5))
+        table = variant.on_range(1.0, 513)
+        for method, _ in self.METHODS:
+            with pytest.raises(QuadratureError):
+                getattr(table, method)(np.array([0.5]))
+
+    def test_peak_memory_in_blocks(self):
+        """A 100,000-entry query stays far below one (entries, points) array
+        of the 33-point table (26 MB)."""
+        import tracemalloc
+
+        table = fourier_gaussian_amplitude().on_range(0.5, 513)
+        y = np.random.default_rng(2).uniform(0.0, 0.5, 100_000)
+        table.curvature(y[:3])  # the table itself is not counted
+        tracemalloc.start()
+        try:
+            table.curvature(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table._tables["_curvature_rows"][0].size == 33
+        assert peak < 16 * y.nbytes < 33 * y.nbytes
+
+    def test_scaled_curvature_enters_once(self, monkeypatch):
+        """The defect matrix's K x 1.01, patched on every class that defines
+        ``curvature``, scales a table's answer once: the table reads the
+        unpatched rows."""
+        variant = fourier_gaussian_amplitude()
+        y = np.linspace(0.0, 0.6, 101)
+        clean = variant.on_range(0.5, 513).curvature(y)
+        _patch_curvature(monkeypatch)
+        assert _same_bits(variant.on_range(0.5, 513).curvature(y), 1.01 * clean)
 
 
 class _FrozenExp:
