@@ -33,24 +33,19 @@ from .errors import (
     SolverError,
     UnsupportedVariantError,
 )
-from .moments import (
-    DiscreteDistribution,
-    MomentVector,
-    alpha,
-    double_factorial,
-    gaussian_penalty_expectation,
-    raw_to_central,
-)
+from .moments import MomentVector, alpha, double_factorial, raw_to_central
 from .objectives import (
     AmbiguousCos,
     CosPenalty,
     CoshPenalty,
+    DiscreteDistribution,
     ExpPenalty,
     FourierEvenPenalty,
     MomentCombo,
     ObjectiveSpec,
     StandardizedMoments,
     curvature_sum,
+    gaussian_penalty_expectation,
     psi,
 )
 

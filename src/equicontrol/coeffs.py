@@ -114,11 +114,23 @@ class HornerPolynomial:
         return HornerPolynomial(p)
 
 
+def finite_floats(values, what: str, error=CoefficientError) -> tuple:
+    """``values`` as a tuple of floats; ``error`` at the first that is not finite."""
+    values = tuple(float(v) for v in values)
+    for v in values:
+        if not math.isfinite(v):
+            raise error(f"{what} must be finite, got {v}")
+    return values
+
+
 @dataclass(frozen=True)
 class ConstantCoefficient:
     value: float
     kind = "constant"
     config_fields = (("value", float, None),)
+
+    def __post_init__(self):
+        finite_floats((self.value,), "constant coefficient")
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
@@ -136,7 +148,7 @@ class PolynomialCoefficient:
     config_fields = (("coefficients", list, None),)
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", finite_floats(self.coeffs, "polynomial coefficients"))
         if not self.coeffs:
             raise CoefficientError("polynomial coefficient needs at least one term")
 
@@ -165,6 +177,9 @@ class ExponentialCoefficient:
     kind = "exponential"
     config_fields = (("scale", float, None), ("rate", float, None), ("offset", float, 0.0))
 
+    def __post_init__(self):
+        finite_floats((self.scale, self.rate, self.offset), "exponential coefficient")
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return self.scale * np.exp(self.rate * t) + self.offset
@@ -188,8 +203,8 @@ class SampledCoefficient:
     config_fields = (("times", list, None), ("values", list, None))
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        values = tuple(float(v) for v in self.values)
+        times = finite_floats(self.times, "sample times")
+        values = finite_floats(self.values, "sample values")
         if len(times) != len(values):
             raise GridMismatchError(f"{len(times)} sample times vs {len(values)} values")
         if len(times) < 2:

@@ -1,24 +1,22 @@
-"""Central-moment bookkeeping and Gaussian closed forms.
+"""Central-moment bookkeeping for laws of the terminal state.
 
 A centred Gaussian with variance y has central moments
-alpha(j, y) = (j-1)!! y^(j/2) for even j and zero for odd j.  Penalty-style
-objectives measure risk through the expectation of an even convex shape of
-the centred terminal state; for Gaussian laws those expectations collapse to
-closed forms, which each penalty family in ``objectives`` implements and
-``gaussian_penalty_expectation`` evaluates.  Every Gaussian closed form and
-``MomentVector.gaussian`` act elementwise on an array of variances, one law
-per entry.
+alpha(j, y) = (j-1)!! y^(j/2) for even j and zero for odd j.
+``MomentVector`` holds a mean and central moments up to some order, and
+``MomentVector.gaussian`` builds the Gaussian one elementwise over an array
+of variances, one law per entry; ``raw_to_central`` rebuilds one from raw
+moments.  Nothing here names an objective family: each family's Gaussian
+law lives with the family in ``objectives``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, ObjectiveError
+from .errors import DomainError
 
 _MAX_EXACT_DOUBLE_FACTORIAL = 33  # 35!! no longer fits in 64 bits
 
@@ -134,57 +132,3 @@ def raw_to_central(raw) -> MomentVector:
     if central and central[0] < 0.0 and central[0] > -1e-12 * max(1.0, mean * mean):
         central[0] = 0.0  # rounding guard for degenerate laws
     return MomentVector(n, mean, tuple(central))
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finite discrete law for an amplitude factor, values with probabilities."""
-
-    values: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
-        probs = tuple(float(p) for p in self.probs)
-        if len(values) != len(probs) or not values:
-            raise ObjectiveError("amplitude law needs matching nonempty values and probs")
-        if any(p < 0.0 for p in probs):
-            raise ObjectiveError("amplitude probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ObjectiveError(f"amplitude probabilities sum to {sum(probs)}, not 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
-
-    @cached_property
-    def _v(self):
-        return np.asarray(self.values)
-
-    @cached_property
-    def _p(self):
-        return np.asarray(self.probs)
-
-    def moment(self, k: int) -> float:
-        return float(np.sum(self._p * self._v**k))
-
-    def mean_exp_sq(self, z, weight_power: int = 0):
-        """E[H^weight_power * exp(-H^2 z / 2)], elementwise over scalar or array z."""
-        decay = np.exp(np.multiply.outer(z, -0.5 * self._v**2))
-        out = np.sum(self._p * self._v**weight_power * decay, axis=-1)
-        return float(out) if out.ndim == 0 else out
-
-
-def gaussian_penalty_expectation(penalty, variance):
-    """E[S(Z)] for the penalty shape S and Z centred Gaussian with this variance.
-
-    ``penalty`` is any object with a ``gaussian_expectation(var)`` method over
-    float arrays, as every penalty family in ``objectives`` has.  Elementwise
-    over a scalar or an array of variances.
-    """
-    var = np.asarray(variance, dtype=float)
-    if any_true(var < 0.0):
-        raise DomainError(f"variance must be nonnegative, got {variance}")
-    expectation = getattr(penalty, "gaussian_expectation", None)
-    if expectation is None:
-        raise ObjectiveError(f"not a penalty objective: {penalty!r}")
-    out = expectation(var)
-    return float(out) if np.ndim(out) == 0 else out

@@ -24,7 +24,10 @@ solvable objective keeps K strictly negative along the solution.
 Each family is one class implementing the ``Variant`` protocol, registered
 in ``VARIANTS`` under its config name, and ``ObjectiveSpec`` takes nothing
 else.  psi, K and the solvers call the protocol and never branch on the
-family; none of them reads the time.
+family; none of them reads the time.  A penalty family's Gaussian law, K,
+E[S] and P, is written in its class, beside any law the family is built on
+(``DiscreteDistribution`` for ``AmbiguousCos``), and psi reads E[S] through
+``gaussian_penalty_expectation``.
 """
 
 from __future__ import annotations
@@ -35,15 +38,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .coeffs import HornerPolynomial
+from .coeffs import HornerPolynomial, finite_floats
 from .errors import CosDomainError, DomainError, ObjectiveError, QuadratureError, RootBracketError
-from .moments import (
-    DiscreteDistribution,
-    MomentVector,
-    any_true,
-    double_factorial,
-    gaussian_penalty_expectation,
-)
+from .moments import MomentVector, any_true, double_factorial
+
 
 def _trimmed(c: np.ndarray) -> np.ndarray:
     """c without trailing zeros, but at least c[0] (numpy.polynomial's ``trimseq``)."""
@@ -168,7 +166,7 @@ class MomentCombo(_FiniteMoments):
     kind = "moment_combo"
 
     def __post_init__(self):
-        weights = [float(w) for w in self.weights]
+        weights = list(finite_floats(self.weights, "moment weights", ObjectiveError))
         while weights and weights[-1] == 0.0:
             weights.pop()
         if not weights:
@@ -245,7 +243,7 @@ class StandardizedMoments(_FiniteMoments):
     kind = "standardized"
 
     def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
+        weights = finite_floats(self.weights, "standardized moment weights", ObjectiveError)
         if not weights or weights[0] <= 0.0:
             raise ObjectiveError("standardized moments need kappa_2 > 0")
         object.__setattr__(self, "weights", weights)
@@ -304,8 +302,8 @@ class _ExponentialPenalty(_Penalty):
     error = RootBracketError
 
     def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ObjectiveError(f"penalty scale must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise ObjectiveError(f"penalty scale must be positive and finite, got {self.c}")
 
     @cached_property
     def _rate(self) -> float:
@@ -378,8 +376,32 @@ class CosPenalty(_ExponentialPenalty):
 
 
 @dataclass(frozen=True)
+class DiscreteDistribution:
+    """Finite discrete law for an amplitude factor, values with probabilities."""
+
+    values: tuple
+    probs: tuple
+
+    def __post_init__(self):
+        values = finite_floats(self.values, "amplitude values", ObjectiveError)
+        probs = finite_floats(self.probs, "amplitude probabilities", ObjectiveError)
+        if len(values) != len(probs) or not values:
+            raise ObjectiveError("amplitude law needs matching nonempty values and probs")
+        if any(p < 0.0 for p in probs):
+            raise ObjectiveError("amplitude probabilities must be nonnegative")
+        if abs(sum(probs) - 1.0) > 1e-12:
+            raise ObjectiveError(f"amplitude probabilities sum to {sum(probs)}, not 1")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "probs", probs)
+
+    def moment(self, k: int) -> float:
+        return float(np.sum(np.asarray(self.probs) * np.asarray(self.values) ** k))
+
+
+@dataclass(frozen=True)
 class AmbiguousCos(_Penalty):
-    """Cosine penalty with a random amplitude: shape 1 - E[cos(H x)]."""
+    """Cosine penalty with a random amplitude: shape 1 - E[cos(H x)].  K, its
+    scalar form and E[S] are sums of ``_kernel`` over the amplitude support."""
 
     amplitude: DiscreteDistribution
     kind = "ambiguous_cos"
@@ -396,44 +418,45 @@ class AmbiguousCos(_Penalty):
     def slot_weight(self, j: int) -> float:
         return (-1.0) ** (j // 2) * self.amplitude.moment(j) if j % 2 == 0 else 0.0
 
-    def curvature(self, y):
-        return -0.5 * self.amplitude.mean_exp_sq(y, weight_power=2)
-
     @cached_property
-    def _scalar_terms(self) -> tuple:
-        """(-v^2 / 2, p v^2) over the amplitude support, as ``mean_exp_sq`` forms them."""
-        v = self.amplitude._v
-        return -0.5 * v**2, self.amplitude._p * v**2
+    def _kernel(self) -> tuple:
+        """(-v^2 / 2, p, p v^2) over the amplitude support (values v, probabilities p)."""
+        v = np.asarray(self.amplitude.values)
+        p = np.asarray(self.amplitude.probs)
+        return -0.5 * v**2, p, p * v**2
+
+    def _mean_decay(self, y, weights):
+        """sum of weights e^(y (-v^2 / 2)) over the support, elementwise over y."""
+        return np.sum(weights * np.exp(np.multiply.outer(y, self._kernel[0])), axis=-1)
+
+    def curvature(self, y):
+        return -0.5 * self._mean_decay(y, self._kernel[2])
 
     def curvature_scalar(self, y: float) -> float:
-        rate, weights = self._scalar_terms
+        rate, _, weights = self._kernel
         return -0.5 * float((weights * np.exp(y * rate)).sum())
 
     def gaussian_expectation(self, var):
-        return 1.0 - self.amplitude.mean_exp_sq(var)
+        return 1.0 - self._mean_decay(var, self._kernel[1])
 
     @cached_property
     def first_integral(self) -> FirstIntegral:
-        """P(y) = int_0^y E[H^2 exp(-H^2 z / 2)]^2 dz, summed exactly over amplitude pairs.
-
-        P sums over the pairs with ``np.sum`` on the last axis, as
-        ``mean_exp_sq`` does, not a BLAS product: each entry's bits then do
-        not depend on the rest of the array.
-        """
-        v = self.amplitude._v
-        p = self.amplitude._p
-        vi2 = v[:, None] ** 2 + v[None, :] ** 2
-        wij = p[:, None] * p[None, :] * (v[:, None] * v[None, :]) ** 2
-        pos = vi2 > 0.0
-        # pairs with vi2 = 0 have zero weight, so dropping them is exact
-        flat_vi2 = vi2[pos]
-        flat_w = wij[pos]
+        """P(y) = int_0^y (-2 K)^2 dz: pair (i, j) of the amplitude support adds
+        p_i p_j (v_i v_j)^2 (e^(r y) - 1) / r with r = -(v_i^2 + v_j^2) / 2.
+        The pairs sum with ``np.sum`` on the last axis, not a BLAS product:
+        each entry's bits then do not depend on the rest of the array."""
+        rate, p, _ = self._kernel
+        v = np.asarray(self.amplitude.values)
+        pair_rate = np.add.outer(rate, rate)
+        live = pair_rate < 0.0
+        # pairs with rate 0 have zero weight, so dropping them is exact
+        pair_rate = pair_rate[live]
+        pair_weight = (np.multiply.outer(p, p) * np.multiply.outer(v, v) ** 2)[live]
 
         def budget(y):
-            ramp = 2.0 * -np.expm1(-0.5 * np.multiply.outer(y, flat_vi2)) / flat_vi2
-            return np.sum(ramp * flat_w, axis=-1)
+            return np.sum(np.expm1(np.multiply.outer(y, pair_rate)) / pair_rate * pair_weight, axis=-1)
 
-        return FirstIntegral(budget, supremum=float(np.sum(2.0 * flat_w / flat_vi2)))
+        return FirstIntegral(budget, supremum=float(np.sum(pair_weight / -pair_rate)))
 
 
 @dataclass(frozen=True)
@@ -459,8 +482,9 @@ class FourierEvenPenalty(_Penalty):
     config_fields = (("frequencies", list, None), ("density", list, None), ("atom", float, 0.0))
 
     def __post_init__(self):
-        freqs = tuple(float(v) for v in self.freqs)
-        density = tuple(float(v) for v in self.density)
+        freqs = finite_floats(self.freqs, "frequencies", ObjectiveError)
+        density = finite_floats(self.density, "frequency density", ObjectiveError)
+        finite_floats((self.atom,), "atom", ObjectiveError)
         if len(freqs) != len(density) or len(freqs) < 3:
             raise ObjectiveError("need matching frequency and density samples (at least 3)")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
@@ -567,11 +591,16 @@ def _barycentric(x, points, values):
     return np.where(points[k] == x, values[k], out)
 
 
-def _chebyshev_table(rows, y_max: float, most: int):
+def _chebyshev_table(rows, y_max: float, most: int, rounding: float):
     """(points, values) of the direct ``rows`` at n + 1 nested Chebyshev-Lobatto
-    points on [0, y_max], or None if no n + 1 <= ``most`` passes: from n = 16
-    the degree doubles until the last interpolant meets the new rows within
-    8 eps x the largest |value|.  No row is spent unless the first check fits."""
+    points on [0, y_max], or None: from n = 16 the degree doubles while
+    2n + 1 <= ``most``, until the last interpolant meets the new rows within
+    8 eps x the largest |value|.  ``rounding`` is the rows' own: no table
+    comes closer to them, so above 32 eps x the largest |value| (the bound
+    the tables are held to) the build gives up after the first check, and a
+    miss within it, which no finer level removes, passes within 16 eps x the
+    largest |value| or gives up.  No row is spent unless the first check fits."""
+    eps = np.finfo(float).eps
     n, values = 16, None
     while 2 * n + 1 <= most:
         if values is None:
@@ -582,8 +611,13 @@ def _chebyshev_table(rows, y_max: float, most: int):
         guess = _barycentric(fine[1::2], points, values)
         # n's values go to the even places: its points are every other one of 2n's, bit for bit
         points, values, n = fine, np.insert(new, np.arange(n + 1), values), 2 * n
-        if np.max(np.abs(guess - new)) <= 8.0 * np.finfo(float).eps * np.max(np.abs(values)):
+        miss, largest = np.max(np.abs(guess - new)), eps * np.max(np.abs(values))
+        if rounding > 32.0 * largest:
+            return None
+        if miss <= 8.0 * largest:
             return points, values
+        if miss <= rounding:
+            return (points, values) if miss <= 16.0 * largest else None
     return None
 
 
@@ -592,11 +626,22 @@ class _FourierEvenTable(FourierEvenPenalty):
     (Berrut & Trefethen 2004), each built from its own direct rows on its
     first query inside.  A table holds at most half the ``rows`` direct rows
     it replaces, and one that fails costs at most that before the direct
-    rows answer.  At 0, at y_max and beyond, an entry is its direct row."""
+    rows answer, or 33 rows where the rows' own rounding is above the
+    tables' bound.  At 0, at y_max and beyond, an entry is its direct row."""
 
     def __init__(self, direct: FourierEvenPenalty, y_max: float, rows: int):
         # the direct penalty's fields and cached arrays, not a second validation
         self.__dict__.update(direct.__dict__, _y_max=y_max, _most=rows // 2, _tables={})
+
+    @cached_property
+    def _rounding(self) -> dict:
+        """eps x what the terms of a K row and of an E[S] row add up to in
+        magnitude at y = 0, their most at any y: about what a row rounds at."""
+        eps = np.finfo(float).eps
+        return {
+            "_curvature_rows": eps * 0.5 * np.trapezoid(np.abs(self._g_f_sq), self._f),
+            "_expectation_rows": eps * (abs(self.atom) + np.trapezoid(np.abs(self._g), self._f)),
+        }
 
     def curvature(self, y):
         return self._read(y, self._curvature_rows)
@@ -609,7 +654,8 @@ class _FourierEvenTable(FourierEvenPenalty):
         if not inside.any():
             return rows(y)
         if rows.__name__ not in self._tables:
-            self._tables[rows.__name__] = _chebyshev_table(rows, self._y_max, self._most)
+            rounding = self._rounding[rows.__name__]
+            self._tables[rows.__name__] = _chebyshev_table(rows, self._y_max, self._most, rounding)
         table = self._tables[rows.__name__]
         if table is None:
             return rows(y)
@@ -656,6 +702,23 @@ class ObjectiveSpec:
         """The order of the Gaussian moment vector psi needs: the family's
         order, and 2 for the penalties, whose Gaussian psi is closed-form."""
         return 2 if self.is_penalty else self.variant.order
+
+
+def gaussian_penalty_expectation(penalty, variance):
+    """E[S(Z)] for the penalty shape S and Z centred Gaussian with this variance.
+
+    ``penalty`` is any object with a ``gaussian_expectation(var)`` method over
+    float arrays, as every penalty family has.  Elementwise over a scalar or
+    an array of variances.
+    """
+    var = np.asarray(variance, dtype=float)
+    if any_true(var < 0.0):
+        raise DomainError(f"variance must be nonnegative, got {variance}")
+    expectation = getattr(penalty, "gaussian_expectation", None)
+    if expectation is None:
+        raise ObjectiveError(f"not a penalty objective: {penalty!r}")
+    out = expectation(var)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def psi(spec: ObjectiveSpec, mv: MomentVector):

@@ -61,6 +61,27 @@ class TestTimeGrid:
 
 
 class TestDescriptors:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            ConstantCoefficient,
+            lambda x: PolynomialCoefficient((1.0, x)),
+            lambda x: ExponentialCoefficient(x, 0.5),
+            lambda x: ExponentialCoefficient(0.1, x),
+            lambda x: ExponentialCoefficient(0.1, 0.5, x),
+            lambda x: SampledCoefficient((0.0, 0.5, 1.0), (0.1, x, 0.1)),
+            lambda x: SampledCoefficient((0.0, 0.5, x), (0.1, 0.1, 0.1)),
+        ],
+        ids=["constant", "polynomial", "exp_scale", "exp_rate", "exp_offset", "sample", "sample_time"],
+    )
+    def test_non_finite_parameter(self, build, bad):
+        """A parameter that is not finite is a construction error, as in the
+        CLI: left in, a NaN state_drift, vol_offset or drift_offset sample
+        solved to NaN without an error, and drift_offset = inf to value inf."""
+        with pytest.raises(CoefficientError, match="must be finite"):
+            build(bad)
+
     def test_constant(self):
         c = ConstantCoefficient(0.7)
         assert c(0.3) == 0.7
@@ -152,6 +173,21 @@ class TestIntegrate:
         grid = TimeGrid(1.0, 4)
         values = 2.0 * grid.nodes + 1.0
         assert integrate(values, grid, 0.3, 0.45) == pytest.approx(0.2625, rel=1e-14)
+
+    def test_single_whole_cell(self):
+        """From one node to the next: an interior cell takes the quadratic
+        through its two nodes and the next one, the last cell the one-sided
+        rule through the two before; each is exact for a quadratic."""
+        grid = TimeGrid(1.0, 8)
+        t, h = grid.nodes, grid.step
+        quadratic = 1.0 - 2.0 * t + 3.0 * t**2
+        primitive = t - t**2 + t**3
+        for k in (0, 3, 7):
+            exact = primitive[k + 1] - primitive[k]
+            assert integrate(quadratic, grid, t[k], t[k + 1]) == pytest.approx(exact, rel=1e-14)
+        v = np.random.default_rng(4).uniform(-1.0, 1.0, t.size)
+        assert integrate(v, grid, t[3], t[4]) == h * (5.0 * v[3] + 8.0 * v[4] - v[5]) / 12.0
+        assert integrate(v, grid, t[7], t[8]) == h * (-v[6] + 8.0 * v[7] + 5.0 * v[8]) / 12.0
 
     def test_cubic_exact_on_whole_cells(self):
         grid = TimeGrid(1.0, 16)

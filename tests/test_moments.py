@@ -5,22 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equicontrol import (
-    CosPenalty,
-    CoshPenalty,
-    DiscreteDistribution,
-    DomainError,
-    ExpPenalty,
-    MomentVector,
-    QuadratureError,
-    alpha,
-    double_factorial,
-    gaussian_penalty_expectation,
-    raw_to_central,
-)
-from equicontrol.objectives import AmbiguousCos
+from equicontrol import DomainError, MomentVector, alpha, double_factorial, raw_to_central
 
-from cases import fourier_gaussian_amplitude
 from oracles import central_to_raw, gauss_hermite_expectation
 
 
@@ -144,79 +130,3 @@ class TestRawCentralConversion:
         assert raw_to_central((1.0, 1.0 - 1e-15)).central_moment(2) == 0.0
         with pytest.raises(DomainError):
             raw_to_central((1.0, 0.9))
-
-
-class TestDiscreteDistribution:
-    def test_validation(self):
-        from equicontrol import ObjectiveError
-
-        with pytest.raises(ObjectiveError):
-            DiscreteDistribution((1.0, 2.0), (0.7, 0.7))
-        with pytest.raises(ObjectiveError):
-            DiscreteDistribution((1.0, 2.0), (-0.2, 1.2))
-        with pytest.raises(ObjectiveError):
-            DiscreteDistribution((1.0, 2.0), (1.0,))
-
-    def test_moment(self):
-        d = DiscreteDistribution((1.0, 3.0), (0.25, 0.75))
-        assert d.moment(1) == pytest.approx(2.5)
-        assert d.moment(2) == pytest.approx(0.25 + 0.75 * 9)
-
-    def test_mean_exp_sq(self):
-        d = DiscreteDistribution((1.5, 2.5), (0.4, 0.6))
-        z = 0.8
-        expect = 0.4 * math.exp(-1.5**2 * z / 2) + 0.6 * math.exp(-2.5**2 * z / 2)
-        assert d.mean_exp_sq(z) == pytest.approx(expect, rel=1e-14)
-        expect2 = 0.4 * 1.5**2 * math.exp(-1.5**2 * z / 2) + 0.6 * 2.5**2 * math.exp(
-            -2.5**2 * z / 2
-        )
-        assert d.mean_exp_sq(z, weight_power=2) == pytest.approx(expect2, rel=1e-14)
-
-
-class TestGaussianPenaltyExpectation:
-    """Frozen 64-point Gauss-Hermite oracles for each penalty shape."""
-
-    def test_exp(self):
-        got = gaussian_penalty_expectation(ExpPenalty(1.3), 0.7)
-        assert got == pytest.approx(0.6205357142484962, rel=1e-12)
-
-    def test_cosh(self):
-        got = gaussian_penalty_expectation(CoshPenalty(0.9), 1.1)
-        assert got == pytest.approx(0.6236340400270797, rel=1e-12)
-
-    def test_cos(self):
-        got = gaussian_penalty_expectation(CosPenalty(0.8), 0.6)
-        assert got == pytest.approx(0.21836641438539692, rel=1e-12)
-
-    def test_ambiguous(self):
-        variant = AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.4, 0.6)))
-        got = gaussian_penalty_expectation(variant, 0.8)
-        assert got == pytest.approx(0.788121136929421, rel=1e-12)
-
-    def test_fourier_gaussian_amplitude(self):
-        variant = fourier_gaussian_amplitude()
-        got = gaussian_penalty_expectation(variant, 0.5)
-        assert got == pytest.approx(0.18350341907227394, rel=1e-9)
-
-    def test_zero_variance(self):
-        assert gaussian_penalty_expectation(ExpPenalty(1.0), 0.0) == pytest.approx(0.0)
-
-    def test_negative_variance(self):
-        for variance in (-1e-3, np.array([0.5, -1e-3])):
-            with pytest.raises(DomainError):
-                gaussian_penalty_expectation(CosPenalty(1.0), variance)
-
-    @given(c=st.floats(0.2, 2.0), v=st.floats(0.01, 3.0))
-    @settings(max_examples=40, deadline=None)
-    def test_exp_matches_quadrature(self, c, v):
-        oracle = gauss_hermite_expectation(lambda x: np.expm1(-c * x) / c, 0.0, v)
-        got = gaussian_penalty_expectation(ExpPenalty(c), v)
-        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-
-    def test_fourier_requires_edge_decay(self):
-        from equicontrol import FourierEvenPenalty
-
-        freqs = tuple(np.linspace(-2.0, 2.0, 21))
-        density = tuple(np.ones(21))  # no decay at the window edge
-        with pytest.raises(QuadratureError):
-            gaussian_penalty_expectation(FourierEvenPenalty(freqs, density), 0.5)

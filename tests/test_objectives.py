@@ -24,14 +24,42 @@ from equicontrol import (
     StandardizedMoments,
     alpha,
     curvature_sum,
+    gaussian_penalty_expectation,
     psi,
+    solve,
 )
 
 from equicontrol.objectives import VARIANTS, Variant
 
-from cases import fourier_gaussian_amplitude
-from oracles import psi_grad_even
+from cases import base_coeffs, fourier_gaussian_amplitude
+from oracles import gauss_hermite_expectation, psi_grad_even
 from test_defects import _patch_curvature
+
+
+def _fourier_with(field, bad):
+    """A fourier_even penalty with its middle frequency, its middle density
+    sample or its atom set to ``bad``."""
+    freqs = np.linspace(-12.0, 12.0, 241)
+    density = -np.exp(-0.5 * freqs**2)
+    if field != "atom":
+        {"freqs": freqs, "density": density}[field][120] = bad
+    return FourierEvenPenalty(tuple(freqs), tuple(density), bad if field == "atom" else 1.0)
+
+
+NON_FINITE_BUILDS = {
+    "moment_combo_kurtosis": lambda x: MomentCombo((1.0, x)),
+    "moment_combo_variance": lambda x: MomentCombo((x,)),
+    "standardized_variance": lambda x: StandardizedMoments((x,)),
+    "standardized_skewness": lambda x: StandardizedMoments((1.0, x)),
+    "exp": ExpPenalty,
+    "cosh": CoshPenalty,
+    "cos": CosPenalty,
+    "amplitude_value": lambda x: DiscreteDistribution((1.5, x), (0.5, 0.5)),
+    "amplitude_prob": lambda x: DiscreteDistribution((1.5, 2.5), (x, 0.5)),
+    "fourier_freqs": lambda x: _fourier_with("freqs", x),
+    "fourier_density": lambda x: _fourier_with("density", x),
+    "fourier_atom": lambda x: _fourier_with("atom", x),
+}
 
 
 class TestVariantValidation:
@@ -74,6 +102,15 @@ class TestVariantValidation:
         for cls in (ExpPenalty, CoshPenalty, CosPenalty):
             with pytest.raises(ObjectiveError):
                 cls(0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("family", NON_FINITE_BUILDS)
+    def test_non_finite_parameter(self, family, bad):
+        """A parameter that is not finite is a construction error, as in the
+        CLI: left in, MomentCombo((1, nan)) and StandardizedMoments((inf,))
+        solved to NaN without an error."""
+        with pytest.raises(ObjectiveError, match="must be"):
+            NON_FINITE_BUILDS[family](bad)
 
     def test_spec_kappa(self):
         with pytest.raises(DomainError):
@@ -202,7 +239,9 @@ class TestCurvatureSum:
         spec = ObjectiveSpec(1.0, AmbiguousCos(dist))
         y = 0.6
         # K(y) = -1/2 E[H^2 e^{-H^2 y/2}]
-        expect = -0.5 * dist.mean_exp_sq(y, weight_power=2)
+        expect = -0.5 * (
+            0.5 * 1.5**2 * math.exp(-(1.5**2) * y / 2) + 0.5 * 2.5**2 * math.exp(-(2.5**2) * y / 2)
+        )
         assert curvature_sum(spec, y) == pytest.approx(expect, rel=1e-13)
 
     def test_fourier_gaussian_amplitude_closed_form(self):
@@ -450,8 +489,6 @@ class TestVariantProtocol:
                 assert abs(got - expect) <= math.ulp(expect), (variant.kind, y)
 
     def test_gaussian_expectation_needs_a_penalty(self):
-        from equicontrol import gaussian_penalty_expectation
-
         with pytest.raises(ObjectiveError):
             gaussian_penalty_expectation(MomentCombo((2.0,)), 0.5)
 
@@ -611,6 +648,90 @@ def _signed_density():
     return FourierEvenPenalty(tuple(freqs), tuple(0.25 * narrow - normal), atom=0.5)
 
 
+class TestDiscreteDistribution:
+    def test_validation(self):
+        from equicontrol import ObjectiveError
+
+        with pytest.raises(ObjectiveError):
+            DiscreteDistribution((1.0, 2.0), (0.7, 0.7))
+        with pytest.raises(ObjectiveError):
+            DiscreteDistribution((1.0, 2.0), (-0.2, 1.2))
+        with pytest.raises(ObjectiveError):
+            DiscreteDistribution((1.0, 2.0), (1.0,))
+
+    def test_moment(self):
+        d = DiscreteDistribution((1.0, 3.0), (0.25, 0.75))
+        assert d.moment(1) == pytest.approx(2.5)
+        assert d.moment(2) == pytest.approx(0.25 + 0.75 * 9)
+
+
+class TestAmbiguousKernel:
+    def test_sums_over_the_support(self):
+        """K and E[S] against the amplitude sums written out, at a scalar and in an array."""
+        variant = AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.4, 0.6)))
+        z = 0.8
+        mean_exp = 0.4 * math.exp(-(1.5**2) * z / 2) + 0.6 * math.exp(-(2.5**2) * z / 2)
+        mean_sq_exp = 0.4 * 1.5**2 * math.exp(-(1.5**2) * z / 2) + 0.6 * 2.5**2 * math.exp(
+            -(2.5**2) * z / 2
+        )
+        assert variant.gaussian_expectation(np.asarray(z)) == pytest.approx(1.0 - mean_exp, rel=1e-14)
+        assert variant.curvature_scalar(z) == pytest.approx(-0.5 * mean_sq_exp, rel=1e-14)
+        np.testing.assert_allclose(
+            variant.curvature(np.array([0.0, z])),
+            [-0.5 * (0.4 * 1.5**2 + 0.6 * 2.5**2), -0.5 * mean_sq_exp],
+            rtol=1e-14,
+        )
+
+
+class TestGaussianPenaltyExpectation:
+    """Frozen 64-point Gauss-Hermite oracles for each penalty shape."""
+
+    def test_exp(self):
+        got = gaussian_penalty_expectation(ExpPenalty(1.3), 0.7)
+        assert got == pytest.approx(0.6205357142484962, rel=1e-12)
+
+    def test_cosh(self):
+        got = gaussian_penalty_expectation(CoshPenalty(0.9), 1.1)
+        assert got == pytest.approx(0.6236340400270797, rel=1e-12)
+
+    def test_cos(self):
+        got = gaussian_penalty_expectation(CosPenalty(0.8), 0.6)
+        assert got == pytest.approx(0.21836641438539692, rel=1e-12)
+
+    def test_ambiguous(self):
+        variant = AmbiguousCos(DiscreteDistribution((1.5, 2.5), (0.4, 0.6)))
+        got = gaussian_penalty_expectation(variant, 0.8)
+        assert got == pytest.approx(0.788121136929421, rel=1e-12)
+
+    def test_fourier_gaussian_amplitude(self):
+        variant = fourier_gaussian_amplitude()
+        got = gaussian_penalty_expectation(variant, 0.5)
+        assert got == pytest.approx(0.18350341907227394, rel=1e-9)
+
+    def test_zero_variance(self):
+        assert gaussian_penalty_expectation(ExpPenalty(1.0), 0.0) == pytest.approx(0.0)
+
+    def test_negative_variance(self):
+        for variance in (-1e-3, np.array([0.5, -1e-3])):
+            with pytest.raises(DomainError):
+                gaussian_penalty_expectation(CosPenalty(1.0), variance)
+
+    @given(c=st.floats(0.2, 2.0), v=st.floats(0.01, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_exp_matches_quadrature(self, c, v):
+        oracle = gauss_hermite_expectation(lambda x: np.expm1(-c * x) / c, 0.0, v)
+        got = gaussian_penalty_expectation(ExpPenalty(c), v)
+        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+    def test_fourier_requires_edge_decay(self):
+        from equicontrol import FourierEvenPenalty
+
+        freqs = tuple(np.linspace(-2.0, 2.0, 21))
+        density = tuple(np.ones(21))  # no decay at the window edge
+        with pytest.raises(QuadratureError):
+            gaussian_penalty_expectation(FourierEvenPenalty(freqs, density), 0.5)
+
+
 class TestFourierTable:
     """The Chebyshev tables of K and E[S] that a fourier_even solution reads,
     against the family's direct rows."""
@@ -721,6 +842,35 @@ class TestFourierTable:
         clean = variant.on_range(0.5, 513).curvature(y)
         _patch_curvature(monkeypatch)
         assert _same_bits(variant.on_range(0.5, 513).curvature(y), 1.01 * clean)
+
+
+class TestFourierTableStopRule:
+    def test_stop_rule_knows_the_rows_rounding(self, monkeypatch):
+        """An E[S] row rounds at about eps (|atom| + int |g|), far above 8 eps
+        x max|E| where E is small.  Every n = 512 ode solve on the benchmark's
+        kappa range [0.9, 1.1] tabulates E (0.91, 0.92, 0.9275 and 0.98 fell
+        back under a plain 8 eps stop), and at y_max 1e-8, where no table can
+        meet the bound, the build spends one doubling past its first level."""
+        variant = fourier_gaussian_amplitude()
+        coeffs = base_coeffs(512, control_drift=0.1)
+        untabulated = []
+        for kappa in np.linspace(0.9, 1.1, 81).tolist():
+            table = solve(coeffs, ObjectiveSpec(kappa, variant), solver="ode").objective.variant
+            table.gaussian_expectation(np.array([0.5 * table._y_max]))
+            if table._tables["_expectation_rows"] is None:
+                untabulated.append(kappa)
+        assert untabulated == []
+        rows, direct = [], FourierEvenPenalty._row
+
+        def counted(self, y, *row):
+            rows.append(y)
+            return direct(self, y, *row)
+
+        monkeypatch.setattr(FourierEvenPenalty, "_row", counted)
+        table = variant.on_range(1e-8, 4097)
+        table.gaussian_expectation(np.array([0.5e-8]))
+        assert table._tables["_expectation_rows"] is None
+        assert len(rows) == 17 + 16 + 1  # the first level, one doubling, the query's own row
 
 
 class _FrozenExp:
