@@ -35,15 +35,13 @@ from .errors import (
 )
 from .moments import MomentVector, alpha, double_factorial, raw_to_central
 from .objectives import (
-    AmbiguousCos,
     CosPenalty,
     CoshPenalty,
-    DiscreteDistribution,
     ExpPenalty,
-    FourierEvenPenalty,
     MomentCombo,
     ObjectiveSpec,
     StandardizedMoments,
+    _SPECTRAL_NAMES,
     curvature_sum,
     gaussian_penalty_expectation,
     psi,
@@ -51,8 +49,8 @@ from .objectives import (
 
 __version__ = "0.1.0"
 
-# the verification suites load on first access, so that solve and sweep never
-# import them (PEP 562)
+# the verification suites and the frequency-law families load on first access,
+# so that a solve that runs neither never imports them (PEP 562)
 _VERIFY_NAMES = frozenset(
     (
         "evaluate_deterministic",
@@ -71,6 +69,10 @@ def __getattr__(name):
         from . import verify
 
         return getattr(verify, name)
+    if name in _SPECTRAL_NAMES:
+        from . import spectral
+
+        return getattr(spectral, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [

@@ -9,7 +9,6 @@ includes an array the machine cannot allocate.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -20,14 +19,17 @@ import numpy as np
 
 from . import __version__
 from . import coeffs as cf
-from .equilibrium import SOLVERS, solve, solve_many
-from .errors import ConfigError, DomainError, EquicontrolError, NonFiniteResultError, SolverError
-from .objectives import VARIANTS, ObjectiveSpec
+from .equilibrium import SOLVERS, solve
+from .errors import ConfigError, EquicontrolError, NonFiniteResultError, SolverError
+from .objectives import SWEEP_PARAMETERS, VARIANT_KINDS, ObjectiveSpec, variant_class
 
 _SOLVER_NAMES = ("auto", *SOLVERS)
 # the mean weight, every family's own parameters, then the horizon
-_SWEEP_PARAMETERS = ("kappa", *dict.fromkeys(p for v in VARIANTS.values() for p in v.sweepable), "T")
+_SWEEP_PARAMETERS = ("kappa", *SWEEP_PARAMETERS, "T")
 _CSV_HEADER = ("t", "y", "beta", "control_at_x0", "value_at_x0")
+# rows per formatted block: a block of 4,097 x 5 cells peaks at twice the
+# memory of formatting row by row, one of 1,024 rows below it, at equal speed
+_CSV_BLOCK_ROWS = 1024
 
 
 def _fmt(x: float) -> str:
@@ -85,27 +87,6 @@ def _integral(value, context: str) -> int:
     return int(value)
 
 
-def _at_least(minimum: int):
-    def parse(value, context: str) -> int:
-        value = _integral(value, context)
-        if value < minimum:
-            raise ConfigError(f"{context} must be at least {minimum}, got {value}")
-        return value
-
-    return parse
-
-
-def _seed(value, context: str) -> int:
-    """A Monte Carlo seed: an integer the counter-based generator takes as a key word."""
-    from .verify import MC_SEED_RANGE  # only a config or command line with a seed loads verify
-
-    seed = _integral(value, context)
-    lo, hi = MC_SEED_RANGE
-    if not lo <= seed <= hi:
-        raise ConfigError(f"{context} must lie in [{lo}, {hi}], got {seed}")
-    return seed
-
-
 def _number_list(value, context: str):
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigError(f"{context} must be a nonempty array of numbers")
@@ -119,10 +100,6 @@ def _number_list(value, context: str):
     return [_finite(v, f"{context} entry") for v in value]
 
 
-def _integer_list(value, context: str):
-    return [_integral(v, f"{context} entry") for v in _number_list(value, context)]
-
-
 def _fields(section: dict, fields, context: str) -> list:
     """The values of ``fields``, each (key, float or list, default or None if required)."""
     return [
@@ -133,14 +110,15 @@ def _fields(section: dict, fields, context: str) -> list:
     ]
 
 
-def _registry_entry(section: dict, type_key: str, registry: dict, context: str, keys=()):
-    """The class that ``section[type_key]`` names in ``registry`` and the values
-    of its ``config_fields``; ``keys`` are the other keys the section may hold."""
+def _registry_entry(section: dict, type_key: str, kinds, lookup, context: str, keys=()):
+    """The class ``lookup`` gives for the name ``section[type_key]``, one of
+    ``kinds``, and the values of its ``config_fields``; ``keys`` are the other
+    keys the section may hold."""
     kind = section.get(type_key)
-    cls = registry.get(kind) if isinstance(kind, str) else None
+    cls = lookup(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(
-            f"{context}.{type_key} must be one of {', '.join(registry)}; got {kind!r}"
+            f"{context}.{type_key} must be one of {', '.join(kinds)}; got {kind!r}"
         )
     _check_keys(section, (type_key, *keys, *(key for key, _, _ in cls.config_fields)), context)
     return cls, _fields(section, cls.config_fields, context)
@@ -157,7 +135,7 @@ def parse_coefficient(entry, context: str):
     if isinstance(entry, (int, float)):
         return cf.ConstantCoefficient(_finite(entry, context))
     entry = _require_mapping(entry, context)
-    cls, values = _registry_entry(entry, "type", cf.COEFFICIENTS, context)
+    cls, values = _registry_entry(entry, "type", cf.COEFFICIENTS, cf.COEFFICIENTS.get, context)
     try:
         return cls(*values)
     except EquicontrolError as exc:
@@ -189,34 +167,10 @@ def _objective(kappa: float, build_variant) -> ObjectiveSpec:
 def parse_objective(section) -> ObjectiveSpec:
     section = _require_mapping(section, "objective")
     kappa = _number(section, "kappa", "objective")
-    cls, values = _registry_entry(section, "variant", VARIANTS, "objective", ("kappa",))
+    cls, values = _registry_entry(
+        section, "variant", VARIANT_KINDS, variant_class, "objective", ("kappa",)
+    )
     return _objective(kappa, lambda: cls.from_config(*values))
-
-
-# the overrides each verification suite accepts, with the parser of each value
-_SUITE_OPTIONS = {
-    "spike": {
-        "times": _number_list,
-        "zetas": _number_list,
-        "epsilons": _number_list,
-        "limit_tol": _tolerance,
-        "match_tol": _tolerance,
-    },
-    "fbsde": {"times": _number_list, "tol": _tolerance},
-    "pde": {
-        "orders": _integer_list,
-        "t_samples": _number_list,
-        "x_samples": _number_list,
-        "tol": _tolerance,
-        "first_order_tol": _tolerance,
-    },
-    "monte_carlo": {
-        "seed": _seed,
-        "num_paths": _at_least(2),
-        "num_steps": _at_least(1),
-        "orders": _integer_list,
-    },
-}
 
 
 def _verification_kwargs(section, x0: float, tolerances: dict, horizon: float, seed) -> dict:
@@ -229,35 +183,18 @@ def _verification_kwargs(section, x0: float, tolerances: dict, horizon: float, s
     manifest records.  The suites check the ranges of their own overrides
     when they run.
     """
-    section = _require_mapping(section, "verification")
-    _check_keys(section, _SUITE_OPTIONS, "verification")
     kwargs = {
         "x0": x0,
         "residual_tol": tolerances["residual"],
         "consistency_tol": tolerances["self_consistency"],
         "value_tol": tolerances["value"],
     }
-    for key, parsers in _SUITE_OPTIONS.items():
-        kw = "monte_carlo_cfg" if key == "monte_carlo" else key
-        choice = section.get(key, True)
-        if choice is True:
-            kwargs[kw] = {}
-        elif choice is False or choice is None:
-            kwargs[kw] = None
-        else:
-            context = f"verification.{key}"
-            options = _require_mapping(choice, context)
-            _check_keys(options, parsers, context)
-            kwargs[kw] = {
-                name: parsers[name](value, f"{context}.{name}") for name, value in options.items()
-            }
-    for key in ("spike", "fbsde"):
-        times = (kwargs[key] or {}).get("times", ())
-        if any(not 0.0 <= t <= horizon for t in times):
-            raise ConfigError(f"verification.{key}.times must lie in [0, {horizon}], got {times}")
-    if kwargs["monte_carlo_cfg"] is not None and seed is not None:
-        kwargs["monte_carlo_cfg"]["seed"] = _seed(seed, "--seed")
-    return kwargs
+    if section == {} and seed is None:
+        return dict(kwargs, spike={}, fbsde={}, pde={}, monte_carlo_cfg={})
+    # only a verification section or a seed loads the suites' option parsers
+    from .verify_command import suite_kwargs
+
+    return dict(kwargs, **suite_kwargs(section, horizon, seed))
 
 
 _TOP_KEYS = (
@@ -279,22 +216,18 @@ _DEFAULT_TOLERANCES = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
 class Problem:
     """A fully parsed configuration plus command-line overrides.
 
     ``verification`` holds the keyword arguments of ``verification_report``.
     """
 
-    coeffs: cf.CoefficientSet
-    objective: ObjectiveSpec
-    x0: float
-    solver: str
-    tolerances: dict
-    verification: dict
-    out_dir: Path
-    config_sha256: str
-    config_path: str
+    def __init__(self, coeffs: cf.CoefficientSet, objective: ObjectiveSpec, x0: float, solver: str,
+                 tolerances: dict, verification: dict, out_dir: Path, config_sha256: str,
+                 config_path: str):
+        self.coeffs, self.objective, self.x0, self.solver = coeffs, objective, x0, solver
+        self.tolerances, self.verification, self.out_dir = tolerances, verification, out_dir
+        self.config_sha256, self.config_path = config_sha256, config_path
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -399,7 +332,8 @@ def _write_csv(out_dir: Path, name: str, header, columns) -> Path:
     """Write equal-length columns as a CSV table under ``header``.
 
     A column that holds a NaN or an infinity is a ``NonFiniteResultError``,
-    raised before anything is written.
+    raised before anything is written.  Rows are formatted and written in
+    blocks of ``_CSV_BLOCK_ROWS``, each with one ``%``.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     for key, column in zip(header, columns):
@@ -411,10 +345,12 @@ def _write_csv(out_dir: Path, name: str, header, columns) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     line = ("%.17g," * len(header))[:-1] + "\n"
-    rows = zip(*(c.tolist() for c in columns))
+    table = np.column_stack(columns)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[i : i + _CSV_BLOCK_ROWS]
+            fh.write((line * len(block)) % tuple(block.ravel().tolist()))
     return path
 
 
@@ -457,98 +393,17 @@ def verification_report(sol, **kwargs) -> dict:
 
 
 def cmd_verify(args) -> int:
-    problem = build_problem(args.config, args)
-    sol = _solve_problem(problem)
-    try:
-        report = verification_report(sol, **problem.verification)
-    except DomainError as exc:
-        # the solution exists, so the only domain checks left to fail are the
-        # suites' range checks of their overrides: a configuration error
-        raise ConfigError(f"verification: {exc}") from exc
-    try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NonFiniteResultError("the verification report holds a NaN or an infinity") from exc
-    problem.out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = problem.out_dir / "verification.json"
-    report_path.write_text(text)
-    _write_manifest(problem, sol, "verify", [report_path], {"passed": report["passed"]})
+    """``verify_command.cmd_verify``, loaded on the first ``verify``."""
+    from .verify_command import cmd_verify as verify
 
-    for key, value in report.items():
-        if isinstance(value, dict) and "passed" in value:
-            print(f"{key}: {'PASS' if value['passed'] else 'FAIL'}")
-    print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
-    print(f"wrote {report_path}")
-    return 0 if report["passed"] else 1
-
-
-def _sweep_problem(problem: Problem, parameter: str, value: float) -> Problem:
-    """A copy of the problem with one swept parameter replaced."""
-    spec = problem.objective
-    if parameter == "T":
-        try:
-            grid = cf.TimeGrid(value, problem.coeffs.grid.num_steps)
-            coeffs = dataclasses.replace(problem.coeffs, grid=grid)
-        except EquicontrolError as exc:
-            raise ConfigError(f"cannot sweep T to {value}: {exc}") from exc
-        return dataclasses.replace(problem, coeffs=coeffs)
-    if parameter == "kappa":
-        objective = _objective(value, lambda: spec.variant)
-    elif parameter in spec.variant.sweepable:
-        objective = _objective(spec.kappa, lambda: spec.variant.swept(parameter, value))
-    elif parameter in _SWEEP_PARAMETERS:
-        families = [kind for kind, cls in VARIANTS.items() if parameter in cls.sweepable]
-        raise ConfigError(
-            f"parameter {parameter!r} needs one of the objectives {', '.join(families)},"
-            f" not {spec.variant.kind}"
-        )
-    else:
-        raise ConfigError(
-            f"unknown sweep parameter {parameter!r}; pick one of {', '.join(_SWEEP_PARAMETERS)}"
-        )
-    return dataclasses.replace(problem, objective=objective)
+    return verify(args)
 
 
 def cmd_sweep(args) -> int:
-    problem = build_problem(args.config, args)
-    try:
-        values = [
-            _finite(float(v), "sweep value") for v in args.values.split(",") if v.strip() != ""
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse sweep values {args.values!r}: {exc}") from exc
-    if not values:
-        raise ConfigError("sweep needs at least one value")
+    """``sweep.cmd_sweep``; the sweep command loads on the first ``sweep``."""
+    from .sweep import cmd_sweep as sweep
 
-    # the values' problems up to the first that cannot be built; the values
-    # before it are solved first, so the first failing value gives the error
-    subs, failure = [], None
-    for value in values:
-        try:
-            subs.append(_sweep_problem(problem, args.parameter, value))
-        except ConfigError as exc:
-            failure = exc
-            break
-    sols = solve_many(
-        [(sub.coeffs, sub.objective) for sub in subs],
-        solver=problem.solver,
-        ode_tol=problem.tolerances["ode"],
-    )
-    if failure is not None:
-        raise failure
-    x0 = problem.x0
-    rows = [
-        (value, sol.beta_at(0.0), sol.control(0.0), sol.value(0.0, x0), sol.y_at(0.0))
-        for value, sol in zip(values, sols)
-    ]
-
-    header = (args.parameter, "beta_0", "control_at_x0", "value_at_x0", "y_0")
-    csv_path = _write_csv(problem.out_dir, "sweep.csv", header, list(zip(*rows)))
-    print(",".join(header))
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
-    print(f"wrote {csv_path}")
-    return 0
+    return sweep(args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -604,4 +459,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # under ``python -m equicontrol.cli``, the command modules' ``from . import
+    # cli`` finds this module instead of compiling and running a second copy
+    sys.modules["equicontrol.cli"] = sys.modules[__name__]
     sys.exit(main())

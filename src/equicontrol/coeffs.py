@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,14 +38,11 @@ from .errors import CoefficientError, DomainError, GridMismatchError
 D_MIN = 1e-10
 
 
-@dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid t_k = k * horizon / num_steps, k = 0..num_steps."""
 
-    horizon: float
-    num_steps: int = 512
-
-    def __post_init__(self):
+    def __init__(self, horizon: float, num_steps: int = 512):
+        self.horizon, self.num_steps = horizon, num_steps
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.num_steps < 2:
@@ -123,14 +119,13 @@ def finite_floats(values, what: str, error=CoefficientError) -> tuple:
     return values
 
 
-@dataclass(frozen=True)
 class ConstantCoefficient:
-    value: float
     kind = "constant"
     config_fields = (("value", float, None),)
 
-    def __post_init__(self):
-        finite_floats((self.value,), "constant coefficient")
+    def __init__(self, value: float):
+        self.value = value
+        finite_floats((value,), "constant coefficient")
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
@@ -139,16 +134,14 @@ class ConstantCoefficient:
         return self.value * np.asarray(t, dtype=float)
 
 
-@dataclass(frozen=True)
 class PolynomialCoefficient:
     """Polynomial in t with ascending coefficients."""
 
-    coeffs: tuple
     kind = "polynomial"
     config_fields = (("coefficients", list, None),)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", finite_floats(self.coeffs, "polynomial coefficients"))
+    def __init__(self, coeffs):
+        self.coeffs = finite_floats(coeffs, "polynomial coefficients")
         if not self.coeffs:
             raise CoefficientError("polynomial coefficient needs at least one term")
 
@@ -167,18 +160,15 @@ class PolynomialCoefficient:
         return self._anti(np.asarray(t, dtype=float))
 
 
-@dataclass(frozen=True)
 class ExponentialCoefficient:
     """scale * exp(rate * t) + offset."""
 
-    scale: float
-    rate: float
-    offset: float = 0.0
     kind = "exponential"
     config_fields = (("scale", float, None), ("rate", float, None), ("offset", float, 0.0))
 
-    def __post_init__(self):
-        finite_floats((self.scale, self.rate, self.offset), "exponential coefficient")
+    def __init__(self, scale: float, rate: float, offset: float = 0.0):
+        self.scale, self.rate, self.offset = scale, rate, offset
+        finite_floats((scale, rate, offset), "exponential coefficient")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -193,26 +183,22 @@ class ExponentialCoefficient:
         return self.scale * t * phi + self.offset * t
 
 
-@dataclass(frozen=True)
 class SampledCoefficient:
     """Piecewise-linear path through (times, values) samples."""
 
-    times: tuple
-    values: tuple
     kind = "samples"
     config_fields = (("times", list, None), ("values", list, None))
 
-    def __post_init__(self):
-        times = finite_floats(self.times, "sample times")
-        values = finite_floats(self.values, "sample values")
+    def __init__(self, times, values):
+        times = finite_floats(times, "sample times")
+        values = finite_floats(values, "sample values")
         if len(times) != len(values):
             raise GridMismatchError(f"{len(times)} sample times vs {len(values)} values")
         if len(times) < 2:
             raise CoefficientError("sampled coefficient needs at least two samples")
         if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
             raise CoefficientError("sample times must be strictly increasing")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        self.times, self.values = times, values
 
     @cached_property
     def _t(self):
@@ -370,7 +356,6 @@ class SuffixQuadrature:
         return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
 class CoefficientSet:
     """The five deterministic coefficient paths of the controlled dynamics.
 
@@ -387,12 +372,6 @@ class CoefficientSet:
     a polynomial can touch zero between probes, and only at a turning point.
     """
 
-    grid: TimeGrid
-    state_drift: object
-    control_drift: object
-    drift_offset: object
-    control_vol: object
-    vol_offset: object
     # each path's config key with the constant it defaults to (None if required)
     paths = (
         ("state_drift", 0.0),
@@ -402,7 +381,10 @@ class CoefficientSet:
         ("vol_offset", 0.0),
     )
 
-    def __post_init__(self):
+    def __init__(self, grid: TimeGrid, state_drift, control_drift, drift_offset, control_vol,
+                 vol_offset):
+        self.grid, self.state_drift, self.control_drift = grid, state_drift, control_drift
+        self.drift_offset, self.control_vol, self.vol_offset = drift_offset, control_vol, vol_offset
         snap = self.grid.snap
         for name, _ in self.paths:
             path = getattr(self, name)

@@ -12,7 +12,6 @@ law lives with the family in ``objectives``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +64,6 @@ def alpha(j: int, y):
     return float(double_factorial(j - 1)) * y ** (j // 2)
 
 
-@dataclass(frozen=True)
 class MomentVector:
     """Mean and central moments of orders 2..order of a terminal law.
 
@@ -76,29 +74,24 @@ class MomentVector:
     kept as given and other numbers become floats.
     """
 
-    order: int
-    mean: float
-    central: tuple
-    gaussian_y: float | np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise DomainError(f"order must be at least 1, got {self.order}")
-        central = tuple(v if isinstance(v, (float, np.ndarray)) else float(v) for v in self.central)
-        object.__setattr__(self, "central", central)
-        if len(central) != self.order - 1:
+    def __init__(self, order: int, mean: float, central: tuple, gaussian_y=None):
+        if order < 1:
+            raise DomainError(f"order must be at least 1, got {order}")
+        central = tuple(v if isinstance(v, (float, np.ndarray)) else float(v) for v in central)
+        if len(central) != order - 1:
             raise DomainError(
-                f"need {self.order - 1} central moments for order {self.order}, got {len(central)}"
+                f"need {order - 1} central moments for order {order}, got {len(central)}"
             )
-        if self.order >= 2 and any_true(central[0] < 0.0):
+        if order >= 2 and any_true(central[0] < 0.0):
             raise DomainError(f"variance must be nonnegative, got {central[0]}")
-        if self.gaussian_y is not None and any_true(self.gaussian_y < 0.0):
-            raise DomainError(f"gaussian variance tag must be nonnegative, got {self.gaussian_y}")
+        if gaussian_y is not None and any_true(gaussian_y < 0.0):
+            raise DomainError(f"gaussian variance tag must be nonnegative, got {gaussian_y}")
+        self.order, self.mean, self.central, self.gaussian_y = order, mean, central, gaussian_y
 
     @classmethod
     def gaussian(cls, order: int, y, mean: float = 0.0) -> "MomentVector":
         """The centred Gaussian law of variance y, or one law per entry of an array y."""
-        # alpha's expression; ``__post_init__`` checks y >= 0 once
+        # alpha's expression; ``__init__`` checks y >= 0 once
         central = tuple(
             0.0 if j % 2 else float(double_factorial(j - 1)) * y ** (j // 2)
             for j in range(2, order + 1)

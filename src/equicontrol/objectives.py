@@ -25,21 +25,22 @@ Each family is one class implementing the ``Variant`` protocol, registered
 in ``VARIANTS`` under its config name, and ``ObjectiveSpec`` takes nothing
 else.  psi, K and the solvers call the protocol and never branch on the
 family; none of them reads the time.  A penalty family's Gaussian law, K,
-E[S] and P, is written in its class, beside any law the family is built on
-(``DiscreteDistribution`` for ``AmbiguousCos``), and psi reads E[S] through
-``gaussian_penalty_expectation``.
+E[S] and P, is written in its class, beside any law the family is built on,
+and psi reads E[S] through ``gaussian_penalty_expectation``.  The two
+families given by a frequency law, ambiguous_cos and fourier_even, live in
+``spectral`` and load on their first lookup; the Chebyshev tables that
+fourier_even reads stay here, since they read nothing of the family.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .coeffs import HornerPolynomial, finite_floats
-from .errors import CosDomainError, DomainError, ObjectiveError, QuadratureError, RootBracketError
+from .errors import CosDomainError, DomainError, ObjectiveError, RootBracketError
 from .moments import MomentVector, any_true, double_factorial
 
 
@@ -57,7 +58,6 @@ def _square_and_antiderivative(q) -> HornerPolynomial:
     return HornerPolynomial(_trimmed(np.convolve(q, q))).antiderivative()
 
 
-@dataclass(frozen=True)
 class FirstIntegral:
     """The exact first integral P(y) = kappa^2 theta(t) of the backward equation.
 
@@ -69,10 +69,8 @@ class FirstIntegral:
     A risk budget at or above ``supremum`` has no root and raises ``error``.
     """
 
-    p: object
-    inverse: object = None
-    supremum: float = math.inf
-    error: type = RootBracketError
+    def __init__(self, p, inverse=None, supremum: float = math.inf, error=RootBracketError):
+        self.p, self.inverse, self.supremum, self.error = p, inverse, supremum, error
 
 
 class Variant:
@@ -101,10 +99,6 @@ class Variant:
     @classmethod
     def from_config(cls, *values):
         return cls(*values)
-
-    def swept(self, parameter: str, value: float):
-        """A copy with one sweep parameter replaced."""
-        return replace(self, **{parameter: value})
 
     def psi_slots(self, z: dict, order: int):
         """psi on the central-moment slots z[2..order]; zero weights drop out.
@@ -153,7 +147,6 @@ class _FiniteMoments(Variant):
         return type(self)(tuple(weights))
 
 
-@dataclass(frozen=True)
 class MomentCombo(_FiniteMoments):
     """Linear combination of central moments 2..n with weights kappa_j.
 
@@ -162,16 +155,15 @@ class MomentCombo(_FiniteMoments):
     (they do not influence the equilibrium, only the objective value).
     """
 
-    weights: tuple
     kind = "moment_combo"
 
-    def __post_init__(self):
-        weights = list(finite_floats(self.weights, "moment weights", ObjectiveError))
+    def __init__(self, weights):
+        weights = list(finite_floats(weights, "moment weights", ObjectiveError))
         while weights and weights[-1] == 0.0:
             weights.pop()
         if not weights:
             raise ObjectiveError("moment combination needs at least one nonzero weight")
-        object.__setattr__(self, "weights", tuple(weights))
+        self.weights = tuple(weights)
         evens = [w for j, w in self.even_weights()]
         if any(w < 0.0 for w in evens):
             raise ObjectiveError("even-order moment weights must be nonnegative")
@@ -231,7 +223,6 @@ class MomentCombo(_FiniteMoments):
         return FirstIntegral(p, inverse)
 
 
-@dataclass(frozen=True)
 class StandardizedMoments(_FiniteMoments):
     """Variance plus standardized higher moments (skewness, kurtosis, ...).
 
@@ -239,14 +230,13 @@ class StandardizedMoments(_FiniteMoments):
     Requires kappa_2 > 0.
     """
 
-    weights: tuple
     kind = "standardized"
 
-    def __post_init__(self):
-        weights = finite_floats(self.weights, "standardized moment weights", ObjectiveError)
+    def __init__(self, weights):
+        weights = finite_floats(weights, "standardized moment weights", ObjectiveError)
         if not weights or weights[0] <= 0.0:
             raise ObjectiveError("standardized moments need kappa_2 > 0")
-        object.__setattr__(self, "weights", weights)
+        self.weights = weights
 
     def psi_slots(self, z: dict, order: int):
         z2 = z[2]
@@ -301,9 +291,13 @@ class _ExponentialPenalty(_Penalty):
     supremum = math.inf
     error = RootBracketError
 
-    def __post_init__(self):
-        if not 0.0 < self.c < math.inf:
-            raise ObjectiveError(f"penalty scale must be positive and finite, got {self.c}")
+    def __init__(self, c: float):
+        if not 0.0 < c < math.inf:
+            raise ObjectiveError(f"penalty scale must be positive and finite, got {c}")
+        self.c = c
+
+    def swept(self, parameter: str, value: float):
+        return type(self)(value)
 
     @cached_property
     def _rate(self) -> float:
@@ -334,30 +328,25 @@ class _ExponentialPenalty(_Penalty):
         )
 
 
-@dataclass(frozen=True)
 class ExpPenalty(_ExponentialPenalty):
     """Exponential penalty of the centred state, shape (exp(-c x) - 1) / c."""
 
-    c: float
     kind = "exp"
 
     def slot_weight(self, j: int) -> float:
         return (-self.c) ** (j - 1)
 
 
-@dataclass(frozen=True)
 class CoshPenalty(_ExponentialPenalty):
     """Symmetric exponential penalty, shape (cosh(c x) - 1) / c: the even part
     of the exp shape, with the same Gaussian curvature, law and P."""
 
-    c: float
     kind = "cosh"
 
     def slot_weight(self, j: int) -> float:
         return -(self.c ** (j - 1)) if j % 2 == 0 else 0.0
 
 
-@dataclass(frozen=True)
 class CosPenalty(_ExponentialPenalty):
     """Bounded oscillatory penalty, shape (1 - cos(c x)) / c.
 
@@ -365,7 +354,6 @@ class CosPenalty(_ExponentialPenalty):
     more has no solution and raises ``CosDomainError``.
     """
 
-    c: float
     kind = "cos"
     sign = -1.0
     supremum = 1.0
@@ -373,206 +361,6 @@ class CosPenalty(_ExponentialPenalty):
 
     def slot_weight(self, j: int) -> float:
         return (-1.0) ** (j // 2) * self.c ** (j - 1) if j % 2 == 0 else 0.0
-
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """Finite discrete law for an amplitude factor, values with probabilities."""
-
-    values: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        values = finite_floats(self.values, "amplitude values", ObjectiveError)
-        probs = finite_floats(self.probs, "amplitude probabilities", ObjectiveError)
-        if len(values) != len(probs) or not values:
-            raise ObjectiveError("amplitude law needs matching nonempty values and probs")
-        if any(p < 0.0 for p in probs):
-            raise ObjectiveError("amplitude probabilities must be nonnegative")
-        if abs(sum(probs) - 1.0) > 1e-12:
-            raise ObjectiveError(f"amplitude probabilities sum to {sum(probs)}, not 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
-
-    def moment(self, k: int) -> float:
-        return float(np.sum(np.asarray(self.probs) * np.asarray(self.values) ** k))
-
-
-@dataclass(frozen=True)
-class AmbiguousCos(_Penalty):
-    """Cosine penalty with a random amplitude: shape 1 - E[cos(H x)].  K, its
-    scalar form and E[S] are sums of ``_kernel`` over the amplitude support."""
-
-    amplitude: DiscreteDistribution
-    kind = "ambiguous_cos"
-    config_fields = (("support", list, None), ("probs", list, None))
-
-    def __post_init__(self):
-        if self.amplitude.moment(2) <= 0.0:
-            raise ObjectiveError("amplitude law must have positive second moment")
-
-    @classmethod
-    def from_config(cls, support, probs):
-        return cls(DiscreteDistribution(tuple(support), tuple(probs)))
-
-    def slot_weight(self, j: int) -> float:
-        return (-1.0) ** (j // 2) * self.amplitude.moment(j) if j % 2 == 0 else 0.0
-
-    @cached_property
-    def _kernel(self) -> tuple:
-        """(-v^2 / 2, p, p v^2) over the amplitude support (values v, probabilities p)."""
-        v = np.asarray(self.amplitude.values)
-        p = np.asarray(self.amplitude.probs)
-        return -0.5 * v**2, p, p * v**2
-
-    def _mean_decay(self, y, weights):
-        """sum of weights e^(y (-v^2 / 2)) over the support, elementwise over y."""
-        return np.sum(weights * np.exp(np.multiply.outer(y, self._kernel[0])), axis=-1)
-
-    def curvature(self, y):
-        return -0.5 * self._mean_decay(y, self._kernel[2])
-
-    def curvature_scalar(self, y: float) -> float:
-        rate, _, weights = self._kernel
-        return -0.5 * float((weights * np.exp(y * rate)).sum())
-
-    def gaussian_expectation(self, var):
-        return 1.0 - self._mean_decay(var, self._kernel[1])
-
-    @cached_property
-    def first_integral(self) -> FirstIntegral:
-        """P(y) = int_0^y (-2 K)^2 dz: pair (i, j) of the amplitude support adds
-        p_i p_j (v_i v_j)^2 (e^(r y) - 1) / r with r = -(v_i^2 + v_j^2) / 2.
-        The pairs sum with ``np.sum`` on the last axis, not a BLAS product:
-        each entry's bits then do not depend on the rest of the array."""
-        rate, p, _ = self._kernel
-        v = np.asarray(self.amplitude.values)
-        pair_rate = np.add.outer(rate, rate)
-        live = pair_rate < 0.0
-        # pairs with rate 0 have zero weight, so dropping them is exact
-        pair_rate = pair_rate[live]
-        pair_weight = (np.multiply.outer(p, p) * np.multiply.outer(v, v) ** 2)[live]
-
-        def budget(y):
-            return np.sum(np.expm1(np.multiply.outer(y, pair_rate)) / pair_rate * pair_weight, axis=-1)
-
-        return FirstIntegral(budget, supremum=float(np.sum(pair_weight / -pair_rate)))
-
-
-@dataclass(frozen=True)
-class FourierEvenPenalty(_Penalty):
-    """Even penalty given through its frequency-domain weight.
-
-    ``density`` samples the weight (transform divided by 2 pi) on the
-    ``freqs`` grid; ``atom`` is an optional point mass at frequency zero.
-    Signed densities are accepted; solvability is then established at run
-    time through the curvature check.
-
-    K, E[S] and the frequency moments are each one trapezoid over the
-    frequency window per value, a direct row through ``_row``: the
-    vectorized methods run one per entry, ``curvature_scalar`` (the ``ode``
-    march's) one.  A solution reads K and E[S] from ``on_range(y_max,
-    rows)``, Chebyshev tables on [0, y_max] of a few dozen rows each.
-    """
-
-    freqs: tuple
-    density: tuple
-    atom: float = 0.0
-    kind = "fourier_even"
-    config_fields = (("frequencies", list, None), ("density", list, None), ("atom", float, 0.0))
-
-    def __post_init__(self):
-        freqs = finite_floats(self.freqs, "frequencies", ObjectiveError)
-        density = finite_floats(self.density, "frequency density", ObjectiveError)
-        finite_floats((self.atom,), "atom", ObjectiveError)
-        if len(freqs) != len(density) or len(freqs) < 3:
-            raise ObjectiveError("need matching frequency and density samples (at least 3)")
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
-            raise ObjectiveError("frequency samples must be strictly increasing")
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "density", density)
-
-    @cached_property
-    def _f(self):
-        return np.asarray(self.freqs)
-
-    @cached_property
-    def _g(self):
-        return np.asarray(self.density)
-
-    @cached_property
-    def _f_sq(self):
-        return self._f * self._f
-
-    @cached_property
-    def _g_f_sq(self):
-        return (self._g * self._f) * self._f
-
-    @cached_property
-    def _widths(self):
-        return np.diff(self._f)
-
-    @cached_property
-    def _neg_half_f_sq(self):
-        return -0.5 * self._f_sq
-
-    @cached_property
-    def _peak(self):
-        """Index of the largest |g f^2|, the curvature integrand's peak at y = 0."""
-        return int(np.argmax(np.abs(self._g_f_sq)))
-
-    def _row(self, y, coef, what: str, peak=None):
-        """np.trapezoid over the frequencies of the row exp(y (-f^2 / 2)) coef,
-        in its operation order, once the row is negligible at both window edges
-        (edge magnitude at most 1e-6 of the row's largest).
-
-        Any |w_j| is at most the row's largest, so a row whose edge passes the
-        bound at index ``peak`` passes it at the row's largest too: only the
-        others need the full max for the same verdict."""
-        # -f^2 / 2 is f^2 halved exactly, so after exp each weight has the
-        # bits of (y f^2) * -0.5 (unless some 0 < |f| < 2.2e-154 meets y > 2e291)
-        weights = np.multiply(y, self._neg_half_f_sq)
-        np.exp(weights, out=weights)
-        weights *= coef
-        edge = max(abs(weights[0]), abs(weights[-1]))
-        if peak is None or not edge <= 1e-6 * abs(weights[peak]):
-            if edge > 1e-6 * max(weights.max(), -weights.min()):
-                raise QuadratureError(f"{what} has not decayed at the window edge")
-        pairs = weights[1:] + weights[:-1]
-        pairs *= self._widths
-        pairs *= 0.5  # the bits of pairs / 2.0, at half the cost
-        return np.add.reduce(pairs)
-
-    def frequency_moment(self, k: int) -> float:
-        """Integral of density(h) h^k over the truncation window."""
-        return float(self._row(0.0, self._g * self._f**k, f"frequency moment of order {k}"))
-
-    def slot_weight(self, j: int) -> float:
-        return (-1.0) ** (j // 2 + 1) * self.frequency_moment(j) if j % 2 == 0 else 0.0
-
-    def _rows(self, values, *row):
-        """``_row(v, *row)`` at every entry v of the array ``values``, in its shape."""
-        return np.reshape([self._row(v, *row) for v in values.reshape(-1).tolist()], values.shape)
-
-    def _curvature_rows(self, y):
-        # the sum over even orders collapses back to a frequency integral
-        return 0.5 * self._rows(y, self._g_f_sq, "curvature integrand", self._peak)
-
-    def curvature_scalar(self, y: float) -> float:
-        """``curvature`` at one float, one row (the RK4 march calls it per stage)."""
-        return 0.5 * float(self._row(y, self._g_f_sq, "curvature integrand", self._peak))
-
-    def _expectation_rows(self, var):
-        out = self._rows(var, self._g, "frequency-domain integrand")
-        out += self.atom
-        return out
-
-    # the direct rows; a table reads them by these names, so a replaced
-    # ``curvature`` (the defect matrix scales it) reaches a table once
-    curvature, gaussian_expectation = _curvature_rows, _expectation_rows
-
-    def on_range(self, y_max: float, rows: int):
-        return _FourierEvenTable(self, y_max, rows)
 
 
 def _barycentric(x, points, values):
@@ -621,77 +409,47 @@ def _chebyshev_table(rows, y_max: float, most: int, rounding: float):
     return None
 
 
-class _FourierEvenTable(FourierEvenPenalty):
-    """fourier_even reading K and E[S] on (0, y_max) from Chebyshev tables
-    (Berrut & Trefethen 2004), each built from its own direct rows on its
-    first query inside.  A table holds at most half the ``rows`` direct rows
-    it replaces, and one that fails costs at most that before the direct
-    rows answer, or 33 rows where the rows' own rounding is above the
-    tables' bound.  At 0, at y_max and beyond, an entry is its direct row."""
-
-    def __init__(self, direct: FourierEvenPenalty, y_max: float, rows: int):
-        # the direct penalty's fields and cached arrays, not a second validation
-        self.__dict__.update(direct.__dict__, _y_max=y_max, _most=rows // 2, _tables={})
-
-    @cached_property
-    def _rounding(self) -> dict:
-        """eps x what the terms of a K row and of an E[S] row add up to in
-        magnitude at y = 0, their most at any y: about what a row rounds at."""
-        eps = np.finfo(float).eps
-        return {
-            "_curvature_rows": eps * 0.5 * np.trapezoid(np.abs(self._g_f_sq), self._f),
-            "_expectation_rows": eps * (abs(self.atom) + np.trapezoid(np.abs(self._g), self._f)),
-        }
-
-    def curvature(self, y):
-        return self._read(y, self._curvature_rows)
-
-    def gaussian_expectation(self, var):
-        return self._read(var, self._expectation_rows)
-
-    def _read(self, y, rows):
-        inside = (y > 0.0) & (y < self._y_max)
-        if not inside.any():
-            return rows(y)
-        if rows.__name__ not in self._tables:
-            rounding = self._rounding[rows.__name__]
-            self._tables[rows.__name__] = _chebyshev_table(rows, self._y_max, self._most, rounding)
-        table = self._tables[rows.__name__]
-        if table is None:
-            return rows(y)
-        out = np.empty_like(y)
-        out[inside] = _barycentric(y[inside], *table)
-        if not inside.all():
-            out[~inside] = rows(y[~inside])
-        return out
-
-
-VARIANTS = {
+# the families under their config names: five here, and the two given by a
+# frequency law in ``spectral``, which loads on the first lookup of one of
+# them; ``VARIANTS`` maps every name to its class (PEP 562)
+_FAMILIES = {
     cls.kind: cls
-    for cls in (
-        MomentCombo,
-        StandardizedMoments,
-        ExpPenalty,
-        CoshPenalty,
-        CosPenalty,
-        AmbiguousCos,
-        FourierEvenPenalty,
-    )
+    for cls in (MomentCombo, StandardizedMoments, ExpPenalty, CoshPenalty, CosPenalty)
 }
+_SPECTRAL = {"ambiguous_cos": "AmbiguousCos", "fourier_even": "FourierEvenPenalty"}
+# the names ``spectral`` defines, which this module and the package resolve on first access
+_SPECTRAL_NAMES = frozenset((*_SPECTRAL.values(), "DiscreteDistribution"))
+VARIANT_KINDS = (*_FAMILIES, *_SPECTRAL)
+# every family's ``sweepable`` parameters; the spectral families have none
+SWEEP_PARAMETERS = tuple(dict.fromkeys(p for cls in _FAMILIES.values() for p in cls.sweepable))
 
 
-@dataclass(frozen=True)
+def variant_class(kind: str):
+    """The family registered under the config name ``kind``, or None."""
+    if kind in _SPECTRAL:
+        return __getattr__(_SPECTRAL[kind])
+    return _FAMILIES.get(kind)
+
+
+def __getattr__(name):
+    if name == "VARIANTS":
+        return {kind: variant_class(kind) for kind in VARIANT_KINDS}
+    if name in _SPECTRAL_NAMES:
+        from . import spectral
+
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class ObjectiveSpec:
     """Weight on the terminal mean plus a moment-based risk functional."""
 
-    kappa: float
-    variant: Variant
-
-    def __post_init__(self):
-        if not (self.kappa >= 0.0 and math.isfinite(self.kappa)):
-            raise DomainError(f"kappa must be nonnegative and finite, got {self.kappa}")
-        if not isinstance(self.variant, Variant):
-            raise ObjectiveError(f"not an objective variant: {self.variant!r}")
+    def __init__(self, kappa: float, variant: Variant):
+        if not (kappa >= 0.0 and math.isfinite(kappa)):
+            raise DomainError(f"kappa must be nonnegative and finite, got {kappa}")
+        if not isinstance(variant, Variant):
+            raise ObjectiveError(f"not an objective variant: {variant!r}")
+        self.kappa, self.variant = kappa, variant
 
     @property
     def is_penalty(self) -> bool:
@@ -716,7 +474,7 @@ def gaussian_penalty_expectation(penalty, variance):
         raise DomainError(f"variance must be nonnegative, got {variance}")
     expectation = getattr(penalty, "gaussian_expectation", None)
     if expectation is None:
-        raise ObjectiveError(f"not a penalty objective: {penalty!r}")
+        raise ObjectiveError(f"not a penalty objective: {getattr(penalty, 'kind', penalty)!r}")
     out = expectation(var)
     return float(out) if np.ndim(out) == 0 else out
 

@@ -22,16 +22,18 @@ from equicontrol import ConfigError, ObjectiveSpec
 from equicontrol import coeffs as cf
 from equicontrol import equilibrium
 from equicontrol.cli import (
+    _CSV_BLOCK_ROWS,
     _DEFAULT_TOLERANCES,
     _SWEEP_PARAMETERS,
     Problem,
-    _sweep_problem,
+    _write_csv,
     build_problem,
     main,
     parse_objective,
 )
 from equicontrol.equilibrium import EquilibriumSolution
 from equicontrol.objectives import VARIANTS, HornerPolynomial
+from equicontrol.sweep import _sweep_problem
 from equicontrol.verify import verification_report
 
 from cases import base_coeffs, curved_coeffs
@@ -408,6 +410,17 @@ class TestCsvBytes:
         header = ("kappa", "beta_0", "control_at_x0", "value_at_x0", "y_0")
         expect = self.rendered(header, list(zip(*rows)))
         assert (out / "sweep.csv").read_bytes() == expect.encode()
+
+    @pytest.mark.parametrize("rows", [1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                      _CSV_BLOCK_ROWS + 1, 4 * _CSV_BLOCK_ROWS + 1])
+    def test_blocks_join_seamlessly(self, tmp_path, rows):
+        """``_write_csv`` formats blocks of ``_CSV_BLOCK_ROWS`` rows; across
+        their edges the bytes are the row-by-row rendering."""
+        rng = np.random.default_rng(rows)
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+                   for _ in range(3)]
+        path = _write_csv(tmp_path, "t.csv", ("a", "b", "c"), columns)
+        assert path.read_bytes() == self.rendered(("a", "b", "c"), columns).encode()
 
 
 class TestNonFiniteConfig:
@@ -1282,6 +1295,18 @@ class TestOneParse:
             "pde": {"orders": [2]},
             "monte_carlo_cfg": {"seed": 99},
         }
+
+    def test_no_section_means_every_suite_at_its_defaults(self, tmp_path):
+        """Without a verification section or a seed, the suites' parsers do not
+        load; the keywords are those of a section that turns every suite on."""
+        args = argparse.Namespace(out=None, seed=None, grid=None, solver=None)
+        every = {"spike": True, "fbsde": True, "pde": True, "monte_carlo": True}
+        bare = write_config(tmp_path / "bare.json", x0=0.5, tolerances={"value": 1e-7})
+        full = write_config(tmp_path / "full.json", x0=0.5, tolerances={"value": 1e-7},
+                            verification=every)
+        assert build_problem(str(bare), args).verification == build_problem(
+            str(full), args
+        ).verification
 
     @pytest.mark.parametrize(
         "override",

@@ -14,6 +14,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import equicontrol
 
 _SRC = str(Path(equicontrol.__file__).resolve().parents[1])
@@ -138,3 +140,92 @@ def test_verify_names_resolve_on_first_access():
 
 def test_unknown_attribute_is_an_attribute_error():
     assert not hasattr(equicontrol, "no_such_name")
+
+
+# the only class ``import equicontrol.cli`` processes with ``@dataclass``: the
+# tests copy solutions with ``dataclasses.replace``
+_KEPT_DATACLASSES = ["EquilibriumSolution"]
+# modules that load on the first command that runs their code
+_SPLIT = ("equicontrol.ode", "equicontrol.spectral", "equicontrol.sweep", "equicontrol.verify_command")
+# _MOMENT6 without its verification section, which loads the section's parsers
+_BARE = {key: value for key, value in _MOMENT6.items() if key != "verification"}
+
+
+def test_cli_import_processes_only_the_kept_dataclasses():
+    seen = _run("""
+        import dataclasses
+
+        processed = []
+        process = dataclasses._process_class
+
+        def recording(cls, *args, **kwargs):
+            processed.append(cls.__qualname__)
+            return process(cls, *args, **kwargs)
+
+        dataclasses._process_class = recording
+        import equicontrol.cli
+
+        print(json.dumps(processed))
+    """)
+    assert seen == _KEPT_DATACLASSES
+
+
+def test_split_modules_load_only_for_their_commands(tmp_path):
+    """A moment-combination solve of a config without a verification section
+    loads none of the split modules, and its sweep only the sweep command;
+    then a verification section loads its parsers, an ``ode`` solve the
+    march, and an ambiguous_cos solve the frequency-law families."""
+    ambiguous = {"variant": "ambiguous_cos", "kappa": 1.0, "support": [1.5, 2.5], "probs": [0.5, 0.5]}
+    configs = {
+        "bare": _BARE,
+        "checked": _MOMENT6,
+        "ode": dict(_BARE, solver="ode"),
+        "ambiguous": dict(_BARE, objective=ambiguous),
+    }
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    seen = _run(f"""
+        import equicontrol.cli as cli
+
+        def run(command, name, *extra):
+            cfg = {str(tmp_path)!r} + "/" + name + ".json"
+            code = cli.main([command, "--config", cfg, "--out", {str(tmp_path)!r}, *extra])
+            return code, [m for m in {_SPLIT!r} if m in sys.modules]
+
+        print(json.dumps({{
+            "import": [m for m in {_SPLIT!r} if m in sys.modules],
+            "bare": run("solve", "bare"),
+            "sweep": run("sweep", "bare", "--parameter", "kappa_4", "--values", "0.25,0.5"),
+            "checked": run("solve", "checked"),
+            "ode": run("solve", "ode"),
+            "ambiguous": run("solve", "ambiguous"),
+        }}))
+    """)
+    sweep, checks = "equicontrol.sweep", "equicontrol.verify_command"
+    assert seen == {
+        "import": [],
+        "bare": [0, []],
+        "sweep": [0, [sweep]],
+        "checked": [0, [sweep, checks]],
+        "ode": [0, ["equicontrol.ode", sweep, checks]],
+        "ambiguous": [0, list(_SPLIT)],
+    }
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+def test_run_as_main_compiles_cli_once(tmp_path, command):
+    """Under ``python -m equicontrol.cli``, the command modules find the running
+    module as ``equicontrol.cli``: ``-X importtime`` lists no import of it."""
+    cfg = tmp_path / "bare.json"
+    cfg.write_text(json.dumps(dict(_BARE, grid_size=16)))
+    argv = [sys.executable, "-X", "importtime", "-m", "equicontrol.cli", command,
+            "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        argv += ["--parameter", "kappa", "--values", "0.5,1"]
+    else:
+        argv += ["--seed", "7"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=_SRC)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert proc.returncode in (0, 1), proc.stderr
+    assert {"sweep": "equicontrol.sweep", "verify": "equicontrol.verify_command"}[command] in imported
+    assert "equicontrol.cli" not in imported

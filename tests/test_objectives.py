@@ -29,7 +29,7 @@ from equicontrol import (
     solve,
 )
 
-from equicontrol.objectives import VARIANTS, Variant
+from equicontrol.objectives import SWEEP_PARAMETERS, VARIANT_KINDS, VARIANTS, Variant
 
 from cases import base_coeffs, fourier_gaussian_amplitude
 from oracles import gauss_hermite_expectation, psi_grad_even
@@ -424,6 +424,14 @@ class TestVariantProtocol:
         for kind, cls in VARIANTS.items():
             assert cls.kind == kind and issubclass(cls, Variant)
 
+    def test_lazy_registry_lists_every_family(self):
+        """The config names and sweep parameters ``objectives`` lists without
+        loading ``spectral`` are those of every registered family."""
+        assert VARIANT_KINDS == tuple(VARIANTS)
+        assert SWEEP_PARAMETERS == tuple(
+            dict.fromkeys(p for cls in VARIANTS.values() for p in cls.sweepable)
+        )
+
     def test_penalties_have_no_order(self):
         """A Gaussian vector's order is the family's order, and 2 for the
         penalties, which have no order: ``ObjectiveSpec.gaussian_order``."""
@@ -438,11 +446,14 @@ class TestVariantProtocol:
         ys = np.array([0.0, 0.05, 0.4, 1.3, 3.0])
         k = curvature_sum(ObjectiveSpec(1.0, variant), ys)
         assert float(integral.p(np.array([0.0]))[0]) == 0.0
-        # P' = 4 K^2: compare against a central difference of P
-        h = 1e-6
+        # P' = 4 K^2: compare against the fourth-order central difference of
+        # P, whose step 1e-3 keeps P's rounding far below the gate (worst
+        # 1.6e-10, ambiguous_cos; at most 9.3e-13 elsewhere)
+        h = 1e-3
         mid = ys[1:]
-        fd = (integral.p(mid + h) - integral.p(mid - h)) / (2.0 * h)
-        np.testing.assert_allclose(fd, 4.0 * k[1:] ** 2, rtol=1e-7)
+        p = integral.p
+        fd = (8.0 * (p(mid + h) - p(mid - h)) - (p(mid + 2.0 * h) - p(mid - 2.0 * h))) / (12.0 * h)
+        np.testing.assert_allclose(fd, 4.0 * k[1:] ** 2, rtol=1e-9)
 
     @pytest.mark.parametrize("variant", FIRST_INTEGRAL_VARIANTS, ids=lambda v: v.kind)
     def test_explicit_inverse_inverts_p(self, variant):

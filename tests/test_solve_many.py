@@ -6,8 +6,6 @@ gives its problem, and a failing batch must raise what the first failing
 problem raises alone.
 """
 
-import dataclasses
-import math
 from functools import cached_property
 
 import numpy as np
@@ -30,6 +28,7 @@ from equicontrol import (
     solve_many,
 )
 from equicontrol import equilibrium
+from equicontrol.objectives import FirstIntegral
 
 from cases import base_coeffs, curved_coeffs, fourier_gaussian_amplitude
 
@@ -149,7 +148,6 @@ class TestSameBitsAsAlone:
         assert solve_many([]) == []
 
 
-@dataclasses.dataclass(frozen=True)
 class UncheckedCos(CosPenalty):
     """cos with its reachable range unchecked and no explicit inverse: a budget
     of one or more reaches the root solve, which cannot bracket it."""
@@ -159,7 +157,7 @@ class UncheckedCos(CosPenalty):
     @cached_property
     def first_integral(self):
         p = super().first_integral
-        return dataclasses.replace(p, inverse=None, supremum=math.inf, error=RootBracketError)
+        return FirstIntegral(p.p)
 
 
 class TestFailures:
