@@ -13,7 +13,8 @@ which compiles a source file (on every import when no bytecode is cached,
 as under ``PYTHONDONTWRITEBYTECODE=1``), and ``dataclasses._process_class``,
 the work of ``@dataclass``, and times ``import equicontrol.cli`` from
 ``--src`` as ``own_s``.  ``own_s`` splits into ``compile_s``, by module in
-``compile_by_module_s``, ``dataclass_s``, with the classes processed in
+``compile_by_module_s`` beside each module's source lines in
+``lines_by_module``, ``dataclass_s``, with the classes processed in
 ``dataclasses``, and ``bodies_s``, the rest: the module bodies and the
 import system's own work.  Every value is the median over the runs, and
 ``per_run`` holds each run's split.  ``--solve CONFIG`` adds ``solve_s``,
@@ -47,9 +48,10 @@ start = time.perf_counter()
 import numpy
 numpy_s = time.perf_counter() - start
 
-compiled, processed = {}, []
+compiled, lines, processed = {}, {}, []
 
 def timed_compile(self, data, path, *args, **kwargs):
+    lines[self.name] = len(data.splitlines())
     start = time.perf_counter()
     try:
         return to_code(self, data, path, *args, **kwargs)
@@ -78,6 +80,7 @@ print(json.dumps({
     "own_s": own_s,
     "compile_s": compile_s,
     "compile_by_module_s": compiled,
+    "lines_by_module": lines,
     "dataclass_s": dataclass_s,
     "dataclasses": [name for name, _ in processed],
     "bodies_s": own_s - compile_s - dataclass_s,
@@ -116,6 +119,7 @@ def split(runs: list) -> dict:
             m: round(statistics.median(r["compile_by_module_s"].get(m, 0.0) for r in runs), 6)
             for m in modules
         },
+        "lines_by_module": {m: runs[0]["lines_by_module"].get(m, 0) for m in modules},
         "dataclasses": runs[0]["dataclasses"],
         "per_run": [{key: round(r[key], 6) for key in ("numpy_s", "own_s", "compile_s",
                                                       "dataclass_s", "bodies_s")}

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from . import coeffs as cf
-from .equilibrium import SOLVERS, solve
+from .equilibrium import ODE_TOL, SOLVERS, solve
 from .errors import ConfigError, EquicontrolError, NonFiniteResultError, SolverError
 from .objectives import SWEEP_PARAMETERS, VARIANT_KINDS, ObjectiveSpec, variant_class
 
@@ -209,7 +209,7 @@ _TOP_KEYS = (
     "output",
 )
 _DEFAULT_TOLERANCES = {
-    "ode": 1e-8,
+    "ode": ODE_TOL,
     "residual": 1e-8,
     "self_consistency": 5e-6,
     "value": 1e-8,

@@ -13,10 +13,12 @@ times, or that changes sign between two of them; a polynomial is probed at
 its turning points too, where a zero that changes no sign lies.
 
 Every path exposes an exact antiderivative, so growth factors of the form
-exp(int_t^T a) are additive to rounding.  Quadrature of node-sampled paths
-uses composite Simpson weights over whole grid cells, a one-sided quadratic
-rule when an odd cell is left over, and a linear correction on partial cells
-at the interval ends; integrals between grid nodes are exact for quadratic
+exp(int_t^T a) are additive to rounding; a polynomial's comes from numpy's
+``polyint``, and both evaluate through ``polyval``, with the bits of
+``numpy.polynomial``.  Quadrature of node-sampled paths uses composite
+Simpson weights over whole grid cells, a one-sided quadratic rule when an
+odd cell is left over, and a linear correction on partial cells at the
+interval ends; integrals between grid nodes are exact for quadratic
 integrands.
 
 ``suffix_integrals`` gives int_{t_k}^T v at every node k in one O(n) pass.
@@ -75,41 +77,6 @@ class TimeGrid:
         return min(max(t, 0.0), self.horizon)
 
 
-class HornerPolynomial:
-    """A polynomial with ascending float coefficients ``coef``, elementwise on arrays.
-
-    Horner's rule runs in the operations of ``numpy.polynomial``'s ``polyval``
-    (``c[-1] + x * 0``, then ``c + acc * x``), so values equal those of a
-    ``numpy.polynomial.Polynomial`` with the same coefficients bit for bit,
-    without importing that package.
-    """
-
-    __slots__ = ("coef",)
-
-    def __init__(self, coef):
-        self.coef = np.asarray(coef, dtype=float)
-
-    def __call__(self, x):
-        c = self.coef
-        acc = c[-1] + x * 0
-        for a in c[-2::-1]:
-            acc = a + acc * x
-        return acc
-
-    def antiderivative(self) -> "HornerPolynomial":
-        """The antiderivative P with P(0) = 0, in the operations of
-        ``numpy.polynomial``'s ``polyint``: coefficient j divided by j + 1, and
-        the zero polynomial kept as it is (its constant plus 0)."""
-        c = self.coef
-        if c.size == 1 and c[0] == 0.0:
-            return HornerPolynomial(c + 0)
-        p = np.empty(c.size + 1)
-        p[0] = c[0] * 0
-        p[1:] = c / np.arange(1, p.size)
-        p[0] += 0 - HornerPolynomial(p)(0)  # polyint's lower bound: P(0) = 0
-        return HornerPolynomial(p)
-
-
 def finite_floats(values, what: str, error=CoefficientError) -> tuple:
     """``values`` as a tuple of floats; ``error`` at the first that is not finite."""
     values = tuple(float(v) for v in values)
@@ -146,18 +113,14 @@ class PolynomialCoefficient:
             raise CoefficientError("polynomial coefficient needs at least one term")
 
     @cached_property
-    def _poly(self):
-        return HornerPolynomial(self.coeffs)
-
-    @cached_property
     def _anti(self):
-        return self._poly.antiderivative()
+        return np.polyint(self.coeffs[::-1])  # numpy's core polynomials descend
 
     def __call__(self, t):
-        return self._poly(np.asarray(t, dtype=float))
+        return np.polyval(self.coeffs[::-1], np.asarray(t, dtype=float))
 
     def antiderivative(self, t):
-        return self._anti(np.asarray(t, dtype=float))
+        return np.polyval(self._anti, np.asarray(t, dtype=float))
 
 
 class ExponentialCoefficient:

@@ -51,6 +51,8 @@ from .objectives import ObjectiveSpec, curvature_sum, psi
 
 # the solver names ``solve`` takes besides ``auto``
 SOLVERS = ("closed_form", "ode", "algebraic")
+# the default tolerance of the ``ode`` march, in the library and in a config
+ODE_TOL = 1e-8
 # the bit pattern of +inf, above that of every finite nonnegative double
 _INF_BITS = np.float64(np.inf).view(np.uint64)
 
@@ -355,7 +357,7 @@ def solve_ode(
     coeffs: cf.CoefficientSet,
     spec: ObjectiveSpec,
     *,
-    tol: float = 1e-8,
+    tol: float = ODE_TOL,
 ) -> EquilibriumSolution:
     """Adaptive backward RK4 integration of the scalar equation for y.
 
@@ -399,7 +401,7 @@ def _solver_name(spec: ObjectiveSpec, solver: str) -> str:
     return solver
 
 
-def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> list:
+def solve_many(problems, solver: str = "auto", ode_tol: float = ODE_TOL) -> list:
     """Solve each (coeffs, spec) in ``problems`` with the named solver.
 
     Problems that ``closed_form`` or ``algebraic`` solves through one shared
@@ -440,8 +442,7 @@ def solve_many(problems, solver: str = "auto", ode_tol: float | None = None) -> 
     solutions = []
     for i, (coeffs, spec, solver_name, integral, budget) in enumerate(jobs):
         if integral is None:
-            tol = {} if ode_tol is None else {"tol": float(ode_tol)}
-            solutions.append(solve_ode(coeffs, spec, **tol))
+            solutions.append(solve_ode(coeffs, spec, tol=float(ode_tol)))
             continue
         if np.any(np.isnan(roots[i])):
             raise RootBracketError(f"could not bracket root for target {float(budget.max()):.6g}")
@@ -455,7 +456,7 @@ def solve(
     coeffs: cf.CoefficientSet,
     spec: ObjectiveSpec,
     solver: str = "auto",
-    ode_tol: float | None = None,
+    ode_tol: float = ODE_TOL,
 ) -> EquilibriumSolution:
     """Solve one problem with the named solver: ``solve_many`` on one problem."""
     return solve_many([(coeffs, spec)], solver, ode_tol)[0]

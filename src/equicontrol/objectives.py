@@ -28,34 +28,21 @@ family; none of them reads the time.  A penalty family's Gaussian law, K,
 E[S] and P, is written in its class, beside any law the family is built on,
 and psi reads E[S] through ``gaussian_penalty_expectation``.  The two
 families given by a frequency law, ambiguous_cos and fourier_even, live in
-``spectral`` and load on their first lookup; the Chebyshev tables that
-fourier_even reads stay here, since they read nothing of the family.
+``spectral`` with the Chebyshev tables fourier_even reads, and load on their
+first lookup.  A moment combination's P and Q are numpy polynomials
+(``polymul``, ``polyint`` and ``polyval``), with ``numpy.polynomial``'s bits.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .coeffs import HornerPolynomial, finite_floats
+from .coeffs import finite_floats
 from .errors import CosDomainError, DomainError, ObjectiveError, RootBracketError
 from .moments import MomentVector, any_true, double_factorial
-
-
-def _trimmed(c: np.ndarray) -> np.ndarray:
-    """c without trailing zeros, but at least c[0] (numpy.polynomial's ``trimseq``)."""
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
-
-
-def _square_and_antiderivative(q) -> HornerPolynomial:
-    """int_0^y Q^2 for ascending coefficients q, in the operations of
-    ``numpy.polynomial``'s ``polymul`` and ``polyint``: trimmed factors, one
-    convolution, then ``HornerPolynomial.antiderivative``."""
-    q = _trimmed(np.asarray(q, dtype=float))
-    return HornerPolynomial(_trimmed(np.convolve(q, q))).antiderivative()
 
 
 class FirstIntegral:
@@ -199,11 +186,18 @@ class MomentCombo(_FiniteMoments):
 
     @cached_property
     def first_integral(self) -> FirstIntegral:
-        """P = int Q^2 with the polynomial Q = -2 K; explicit P^-1 up to order four."""
-        p = _square_and_antiderivative(
-            [self.weight(2 * j + 2) / float(double_factorial(2 * j)) for j in range(self.order // 2)]
-        )
+        """P = int Q^2 with the polynomial Q = -2 K; explicit P^-1 up to order
+        four, where w2^3 has a float (else the root solve inverts P)."""
+        q = np.array([self.weight(2 * j) / float(double_factorial(2 * j - 2))
+                      for j in range(self.order // 2, 0, -1)])
+        # polymul drops Q's leading zeros, and np.polyval reads the descending
+        # coefficients with numpy.polynomial's bits
+        p = partial(np.polyval, np.polyint(np.polymul(q, q)))
         w2, w4 = self.weight(2), self.weight(4)
+        try:
+            cube = w2**3
+        except OverflowError:
+            cube = math.inf
         inverse = None
         if all(w == 0.0 for j, w in self.even_weights() if j >= 6):
             if w4 == 0.0:  # plain variance: P = w2^2 y
@@ -211,12 +205,12 @@ class MomentCombo(_FiniteMoments):
                 def inverse(x):
                     return x / (w2 * w2)
 
-            else:  # variance and kurtosis: P = 2 (Q^3 - w2^3) / (3 w4)
+            elif cube < math.inf:  # variance and kurtosis: P = 2 (Q^3 - w2^3) / (3 w4)
 
                 def inverse(x):
                     # y = 2 (Q - w2) / w4 with Q - w2 = (Q^3 - w2^3) / (Q^2 + Q w2 + w2^2):
                     # no cancellation at small x, and gap = 0 only at x = w2 = 0
-                    q = np.cbrt(w2**3 + 1.5 * w4 * x)
+                    q = np.cbrt(cube + 1.5 * w4 * x)
                     gap = q * q + q * w2 + w2 * w2
                     return np.divide(3.0 * x, gap, out=np.zeros_like(gap), where=gap > 0.0)
 
@@ -292,8 +286,8 @@ class _ExponentialPenalty(_Penalty):
     error = RootBracketError
 
     def __init__(self, c: float):
-        if not 0.0 < c < math.inf:
-            raise ObjectiveError(f"penalty scale must be positive and finite, got {c}")
+        if not (c > 0.0 and c * c < math.inf):
+            raise ObjectiveError(f"penalty scale c must be positive with a finite c^2, got {c}")
         self.c = c
 
     def swept(self, parameter: str, value: float):
@@ -361,52 +355,6 @@ class CosPenalty(_ExponentialPenalty):
 
     def slot_weight(self, j: int) -> float:
         return (-1.0) ** (j // 2) * self.c ** (j - 1) if j % 2 == 0 else 0.0
-
-
-def _barycentric(x, points, values):
-    """The interpolant through Chebyshev-Lobatto (points, values) at the 1-d x.
-    Each entry sums its own row, never through a matrix product, so it has
-    the same bits alone as in any array; an x on a point takes its value.
-    Blocks of 4,096 entries bound the (entries, points) temporaries."""
-    weights = np.resize([1.0, -1.0], points.size)
-    weights[[0, -1]] *= 0.5
-    out = np.empty_like(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(0, x.size, 4096):
-            c = weights / np.subtract.outer(x[i : i + 4096], points)
-            out[i : i + 4096] = np.sum(c * values, axis=-1) / np.sum(c, axis=-1)
-    k = np.minimum(np.searchsorted(points, x), points.size - 1)
-    return np.where(points[k] == x, values[k], out)
-
-
-def _chebyshev_table(rows, y_max: float, most: int, rounding: float):
-    """(points, values) of the direct ``rows`` at n + 1 nested Chebyshev-Lobatto
-    points on [0, y_max], or None: from n = 16 the degree doubles while
-    2n + 1 <= ``most``, until the last interpolant meets the new rows within
-    8 eps x the largest |value|.  ``rounding`` is the rows' own: no table
-    comes closer to them, so above 32 eps x the largest |value| (the bound
-    the tables are held to) the build gives up after the first check, and a
-    miss within it, which no finer level removes, passes within 16 eps x the
-    largest |value| or gives up.  No row is spent unless the first check fits."""
-    eps = np.finfo(float).eps
-    n, values = 16, None
-    while 2 * n + 1 <= most:
-        if values is None:
-            points = y_max * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
-            values = rows(points)
-        fine = y_max * np.sin(0.5 * np.pi * np.arange(2 * n + 1) / (2 * n)) ** 2
-        new = rows(fine[1::2])
-        guess = _barycentric(fine[1::2], points, values)
-        # n's values go to the even places: its points are every other one of 2n's, bit for bit
-        points, values, n = fine, np.insert(new, np.arange(n + 1), values), 2 * n
-        miss, largest = np.max(np.abs(guess - new)), eps * np.max(np.abs(values))
-        if rounding > 32.0 * largest:
-            return None
-        if miss <= 8.0 * largest:
-            return points, values
-        if miss <= rounding:
-            return (points, values) if miss <= 16.0 * largest else None
-    return None
 
 
 # the families under their config names: five here, and the two given by a

@@ -5,17 +5,20 @@
 density (a signed weight) and an atom at zero.  Both follow the ``Variant``
 protocol of ``objectives``, whose registry loads this module on the first
 lookup of either family, so a command that runs neither never compiles it.
+The Chebyshev tables fourier_even reads K and E[S] from are built here too,
+beside the rows' rounding that decides whether a table is built at all.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
 from .coeffs import finite_floats
 from .errors import ObjectiveError, QuadratureError
-from .objectives import FirstIntegral, _barycentric, _chebyshev_table, _Penalty
+from .objectives import FirstIntegral, _Penalty
 
 
 class DiscreteDistribution:
@@ -44,6 +47,9 @@ class AmbiguousCos(_Penalty):
     config_fields = (("support", list, None), ("probs", list, None))
 
     def __init__(self, amplitude: DiscreteDistribution):
+        for v in amplitude.values:
+            if not v * v < math.inf:
+                raise ObjectiveError(f"amplitude support value {v} must have a finite square")
         if amplitude.moment(2) <= 0.0:
             raise ObjectiveError("amplitude law must have positive second moment")
         self.amplitude = amplitude
@@ -122,6 +128,9 @@ class FourierEvenPenalty(_Penalty):
             raise ObjectiveError("need matching frequency and density samples (at least 3)")
         if any(b <= a for a, b in zip(freqs, freqs[1:])):
             raise ObjectiveError("frequency samples must be strictly increasing")
+        for f in (freqs[0], freqs[-1]):  # the largest in magnitude
+            if not f * f < math.inf:
+                raise ObjectiveError(f"frequency {f} must have a finite square")
         self.freqs, self.density, self.atom = freqs, density, atom
 
     @cached_property
@@ -205,6 +214,52 @@ class FourierEvenPenalty(_Penalty):
 
     def on_range(self, y_max: float, rows: int):
         return _FourierEvenTable(self, y_max, rows)
+
+
+def _barycentric(x, points, values):
+    """The interpolant through Chebyshev-Lobatto (points, values) at the 1-d x.
+    Each entry sums its own row, never through a matrix product, so it has
+    the same bits alone as in any array; an x on a point takes its value.
+    Blocks of 4,096 entries bound the (entries, points) temporaries."""
+    weights = np.resize([1.0, -1.0], points.size)
+    weights[[0, -1]] *= 0.5
+    out = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, x.size, 4096):
+            c = weights / np.subtract.outer(x[i : i + 4096], points)
+            out[i : i + 4096] = np.sum(c * values, axis=-1) / np.sum(c, axis=-1)
+    k = np.minimum(np.searchsorted(points, x), points.size - 1)
+    return np.where(points[k] == x, values[k], out)
+
+
+def _chebyshev_table(rows, y_max: float, most: int, rounding: float):
+    """(points, values) of the direct ``rows`` at n + 1 nested Chebyshev-Lobatto
+    points on [0, y_max], or None: from n = 16 the degree doubles while
+    2n + 1 <= ``most``, until the last interpolant meets the new rows within
+    8 eps x the largest |value|.  ``rounding`` is the rows' own: no table
+    comes closer to them, so above 32 eps x the largest |value| (the bound
+    the tables are held to) the build gives up after the first check, and a
+    miss within it, which no finer level removes, passes within 16 eps x the
+    largest |value| or gives up.  No row is spent unless the first check fits."""
+    eps = np.finfo(float).eps
+    n, values = 16, None
+    while 2 * n + 1 <= most:
+        if values is None:
+            points = y_max * np.sin(0.5 * np.pi * np.arange(n + 1) / n) ** 2
+            values = rows(points)
+        fine = y_max * np.sin(0.5 * np.pi * np.arange(2 * n + 1) / (2 * n)) ** 2
+        new = rows(fine[1::2])
+        guess = _barycentric(fine[1::2], points, values)
+        # n's values go to the even places: its points are every other one of 2n's, bit for bit
+        points, values, n = fine, np.insert(new, np.arange(n + 1), values), 2 * n
+        miss, largest = np.max(np.abs(guess - new)), eps * np.max(np.abs(values))
+        if rounding > 32.0 * largest:
+            return None
+        if miss <= 8.0 * largest:
+            return points, values
+        if miss <= rounding:
+            return (points, values) if miss <= 16.0 * largest else None
+    return None
 
 
 class _FourierEvenTable(FourierEvenPenalty):

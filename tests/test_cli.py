@@ -32,7 +32,7 @@ from equicontrol.cli import (
     parse_objective,
 )
 from equicontrol.equilibrium import EquilibriumSolution
-from equicontrol.objectives import VARIANTS, HornerPolynomial
+from equicontrol.objectives import VARIANTS
 from equicontrol.sweep import _sweep_problem
 from equicontrol.verify import verification_report
 
@@ -215,6 +215,15 @@ class TestConfigErrors:
             objective={"variant": "moment_combo", "kappa": 1.0, "weights": [-2.0]},
         )
         assert main(["solve", "--config", str(cfg)]) == 2
+
+    def test_penalty_scale_with_overflowing_square(self, tmp_path, capsys):
+        """c^2 = inf once solved to y0 = 0; now the config is refused."""
+        cfg = write_config(
+            tmp_path / "c.json",
+            objective={"variant": "exp", "kappa": 1.0, "c": 1.35e154},
+        )
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "penalty scale c must be positive with a finite c^2" in capsys.readouterr().err
 
     def test_bad_solver_name(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", solver="magic")
@@ -535,11 +544,7 @@ class TestNoPerNodeLoops:
             "_solve_increasing_many",
             counting("root", equilibrium._solve_increasing_many),
         )
-        monkeypatch.setattr(
-            HornerPolynomial,
-            "__call__",
-            counting("poly", HornerPolynomial.__call__),
-        )
+        monkeypatch.setattr(np, "polyval", counting("poly", np.polyval))
         cfg = write_config(
             tmp_path / "m6.json",
             objective={

@@ -144,6 +144,16 @@ class TestVarianceKurtosis:
         np.testing.assert_allclose(a.beta, b.beta, rtol=1e-12)
         np.testing.assert_allclose(a.y, b.y, rtol=1e-12, atol=1e-15)
 
+    def test_overflowing_cube_root_solves(self):
+        """Where w2^3 overflows there is no explicit P^-1, and closed_form is
+        the root solve: it once exited 3 on the Python float w2 ** 3."""
+        spec = ObjectiveSpec(1.0, MomentCombo((1e110, 0.0, 1.0)))
+        assert spec.variant.first_integral.inverse is None
+        a = solve(base_coeffs(), spec, solver="closed_form")
+        b = solve(base_coeffs(), spec, solver="algebraic")
+        assert a.y.tobytes() == b.y.tobytes() and a.beta.tobytes() == b.beta.tobytes()
+        assert 0.0 < a.y_at(0.0) < 1e-200
+
 
 class TestOdeSolver:
     def test_matches_exp_closed_form(self, exp_solution):
@@ -161,6 +171,14 @@ class TestOdeSolver:
         loose = solve(base_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="ode", ode_tol=1e-3)
         tight = solve(base_coeffs(64), ObjectiveSpec(1.0, ExpPenalty(1.0)), solver="ode", ode_tol=1e-12)
         assert tight.ode_error_estimate <= loose.ode_error_estimate
+
+    def test_default_tolerance(self):
+        """solve without ode_tol marches to 1e-8, the config's default."""
+        spec = ObjectiveSpec(1.0, ExpPenalty(1.0))
+        default = solve(base_coeffs(64), spec, solver="ode")
+        explicit = solve(base_coeffs(64), spec, solver="ode", ode_tol=1e-8)
+        assert default.y.tobytes() == explicit.y.tobytes()
+        assert default.beta.tobytes() == explicit.beta.tobytes()
 
 
 class CountingCoefficient(ConstantCoefficient):

@@ -2,7 +2,8 @@
 
 Each check starts a fresh interpreter, since the test session itself has long
 loaded every module.  A moment-combination solve and sweep import neither the
-verification suites nor the modules only the suites or package metadata use;
+verification suites nor the modules only the suites or package metadata use,
+and polynomials go through numpy's core ``polyval``, not ``numpy.polynomial``;
 the first ``verify`` loads the suites, and the package's verify names resolve
 to the suites' own objects.  Nothing here gates a time.
 """
@@ -68,7 +69,7 @@ def test_solve_and_sweep_load_no_suites(tmp_path):
 
 
 def test_polynomial_coefficient_solve_loads_no_unused_module(tmp_path):
-    """A polynomial coefficient evaluates through ``coeffs.HornerPolynomial``."""
+    """A polynomial coefficient evaluates through numpy's ``polyval``, not ``numpy.polynomial``."""
     drift = {"type": "polynomial", "coefficients": [0.3, 0.1, -0.05]}
     config = dict(_MOMENT6, coefficients={"control_drift": drift, "control_vol": 0.2})
     cfg = tmp_path / "polynomial.json"
@@ -99,17 +100,17 @@ def test_fourier_even_solve_loads_no_polynomial_or_fft(tmp_path):
     cfg.write_text(json.dumps(config))
     seen = _run(f"""
         import equicontrol.cli as cli
-        from equicontrol import objectives
+        from equicontrol import spectral
 
         built = []
-        table = objectives._chebyshev_table
+        table = spectral._chebyshev_table
 
         def recording(*args):
             result = table(*args)
             built.append(result is not None)
             return result
 
-        objectives._chebyshev_table = recording
+        spectral._chebyshev_table = recording
         code = cli.main(["solve", "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}])
         unused = ("numpy.polynomial", "numpy.fft")
         print(json.dumps({{"code": code, "built": built,

@@ -1,8 +1,8 @@
 """The package runs on numpy alone: no module of it imports scipy, and the
 runtime dependencies in pyproject.toml name numpy only.  scipy stays in the
 ``test`` extra: the benchmark in ``perfbench/`` checks its reference roots with it.
-No module names ``numpy.polynomial`` either, imported or as an attribute: its
-Horner and antiderivative are ``coeffs.HornerPolynomial``'s, bit for bit."""
+No module names ``numpy.polynomial`` either, imported or as an attribute:
+numpy's core ``polyval``, ``polyint`` and ``polymul`` give its bits."""
 
 import ast
 import re
